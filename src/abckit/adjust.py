@@ -270,7 +270,10 @@ def _glm_mixture(fit: GlmFit, retained: RetainedSet, obs,
     quad = np.einsum("dn,dn->n", resid.T, y)
     log_w = -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
 
-    sig_cf = sla.cho_factor(fit.sigma, lower=True)
+    try:
+        sig_cf = sla.cho_factor(fit.sigma, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"residual covariance not positive definite: {exc}")
     sig_inv_b = sla.cho_solve(sig_cf, b)             # (d, p)
     q = b.T @ sig_inv_b + np.eye(p) / tau**2
     cov = np.linalg.inv(q)
@@ -314,7 +317,10 @@ def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet,
     u = fit.to_internal(retained.params)
     centers = fit.intercept + u @ b.T                # (n, d)
     m = fit.sigma + tau**2 * (b @ b.T)
-    cf = sla.cho_factor(m, lower=True)
+    try:
+        cf = sla.cho_factor(m, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"likelihood covariance not positive definite: {exc}")
     logdet = 2.0 * np.log(np.diag(cf[0])).sum()
     const = -0.5 * (d * math.log(2 * math.pi) + logdet) - math.log(len(centers))
     out = np.empty(len(z))

@@ -507,8 +507,7 @@ def main(argv=None) -> int:
     except (TableFormatError, OSError) as exc:
         log.error("input/output error: %s", exc)
         return 2
-    except (NumericalError, CollinearityError, EvalError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except (NumericalError, CollinearityError, EvalError) as exc:
         log.error("numerical failure: %s", exc)
         return 3
     except SimulatorError as exc:

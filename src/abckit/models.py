@@ -82,8 +82,10 @@ def simulate_toy(model: str, params: ToyParams, rng: np.random.Generator) -> np.
     return toy_stats(x)
 
 
-def uniform_bounds(mu: float, sigma2: float) -> tuple[float, float]:
-    half = math.sqrt(3.0 * sigma2)
+def uniform_bounds(mu, sigma2):
+    """Bounds ``(a, b)`` of the uniform with mean ``mu`` and variance
+    ``sigma2``; scalars or arrays."""
+    half = np.sqrt(3.0 * sigma2)
     return mu - half, mu + half
 
 

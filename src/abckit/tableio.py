@@ -12,9 +12,21 @@ Three kinds of files are handled:
   not apply (validation files that span observations drop the ``Obs``
   suffix, model-spanning files drop the ``model`` part).
 
-Values are written with 6 significant digits, using scientific notation
-outside ``[1e-4, 1e6)``.  Reading accepts any run of spaces/tabs as a
-separator; writing uses single tabs.
+Reading.  The header is the first non-blank line.  Every later non-blank
+line is one row; any run of whitespace separates fields, every field must
+parse as a Python ``float`` and each row must have one field per header
+name.  ``#`` is not a comment.  A simulation-table row holding a
+non-finite value is dropped, counted in ``dropped_rows`` and logged once;
+``max_rows`` counts kept rows, only rows dropped before the cut are
+counted, and lines after the cut are not read.  Bodies are parsed in bulk
+by ``np.loadtxt``, which rounds as ``float`` does; on any error, or a row
+width other than the header's, the line-by-line parser decides the result
+and names the offending line.
+
+Writing.  Values are written with 6 significant digits, using scientific
+notation outside ``[1e-4, 1e6)``, separated by single tabs: the bytes are
+those of :func:`format_value` on every cell.  Rows are formatted in
+bounded blocks, a block of plain-notation numbers with one ``%`` format.
 """
 
 from __future__ import annotations
@@ -259,11 +271,47 @@ def tagged_filename(prefix: str, tag: OutputTag, model_index=None, obs_index=Non
     return "_".join(parts) + ".txt"
 
 
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _format_row(row) -> str:
+    return "\t".join(format_value(v) for v in row) + "\n"
+
+
+def _format_block(rows) -> str:
+    """Format a block of rows byte for byte as :func:`format_value` does.
+
+    A row of numbers that all print in plain notation (zero, or
+    ``1e-4 <= |x| < 1e6``) takes one ``%.6g`` format, which is what
+    :func:`format_value` produces there; every other row (scientific
+    notation, non-finite values, string labels) is formatted cell by cell.
+    """
+    try:
+        block = np.asarray(rows)
+    except ValueError:                       # rows of unequal length
+        block = None
+    if block is None or block.ndim != 2 or block.dtype.kind not in "biuf":
+        return "".join(_format_row(row) for row in rows)
+    # float64 before the window test (a float32 1e-4 is below 1e-4);
+    # adding 0.0 turns -0.0 into 0.0, which format_value prints as "0"
+    block = np.asarray(block, dtype=float) + 0.0
+    mag = np.abs(block)
+    plain = ((block == 0) | ((mag >= 1e-4) & (mag < 1e6))).all(axis=1)
+    fmt = "\t".join(["%.6g"] * block.shape[1]) + "\n"
+    if plain.all():
+        return (fmt * len(block)) % tuple(block.ravel().tolist())
+    return "".join(fmt % tuple(row) if ok else _format_row(row)
+                   for row, ok in zip(block.tolist(), plain.tolist()))
+
+
 def _write_rows(path: Path, header: Sequence[str], rows) -> None:
+    """Write a header and rows (a 2-D array or a sequence of rows) in
+    blocks of :data:`_WRITE_BLOCK_ROWS`, so memory does not grow with the
+    table."""
     with open(path, "w") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(format_value(v) for v in row) + "\n")
+        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            fh.write(_format_block(rows[start:start + _WRITE_BLOCK_ROWS]))
 
 
 def write_tagged(prefix: str, tag: OutputTag, payload, model_index=None,
@@ -281,7 +329,7 @@ def write_tagged(prefix: str, tag: OutputTag, payload, model_index=None,
         _write_rows(path, payload.names, payload.values)
     else:
         header, rows = payload
-        if not rows:
+        if len(rows) == 0:
             raise TableFormatError("refusing to write an empty table", path=path)
         _write_rows(path, header, rows)
     return path
@@ -294,10 +342,87 @@ def write_table(path, table: SimulationTable) -> Path:
     return path
 
 
-def _split_nonempty_lines(text: str):
-    for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield i, line.split()
+def _header(lines: list[str]) -> tuple[int, list[str]]:
+    """Index and fields of the first non-blank line (``-1, []`` if none)."""
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if fields:
+            return i, fields
+    return -1, []
+
+
+def _parse_lines(path: Path, lines: list[str], start: int, ncol: int,
+                 max_rows) -> np.ndarray:
+    """Parse ``lines[start:]`` one line at a time; the reference semantics.
+
+    Blank lines are skipped, any run of whitespace separates fields, every
+    field must parse with ``float``.  Rows are returned up to and including
+    the one that brings the count of finite rows to ``max_rows``; lines
+    after it are not looked at.  Errors name the offending line.
+    """
+    rows = []
+    kept = 0
+    for i in range(start, len(lines)):
+        fields = lines[i].split()
+        if not fields:
+            continue
+        if max_rows is not None and kept >= max_rows:
+            break
+        if len(fields) != ncol:
+            raise TableFormatError(
+                f"row has {len(fields)} fields, expected {ncol}",
+                path=path, line=i + 1)
+        try:
+            row = np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise TableFormatError(f"non-numeric value ({exc})",
+                                   path=path, line=i + 1) from None
+        rows.append(row)
+        kept += bool(np.isfinite(row).all())
+    return np.array(rows).reshape(len(rows), ncol)
+
+
+def _parse_bulk(lines: list[str], start: int, ncol: int, max_rows):
+    """:func:`_parse_lines` through ``np.loadtxt``, which rounds as
+    ``float`` does.  Returns ``None`` where the line parser must decide:
+    any error or warning, a row width other than ``ncol``, ``max_rows < 1``.
+    When non-finite rows leave a ``max_rows`` read short, the read is
+    repeated with twice the row count.
+    """
+    # imported here so that importing tableio costs what it did
+    import warnings
+
+    if max_rows is not None and max_rows < 1:
+        return None
+    want = max_rows
+    while True:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2,
+                                    skiprows=start, max_rows=want)
+        except (ValueError, Warning):
+            return None
+        if values.shape[1] != ncol:
+            return None
+        if max_rows is None:
+            return values
+        kept = np.cumsum(np.isfinite(values).all(axis=1))
+        if len(values) and kept[-1] >= max_rows:
+            return values[:int(np.searchsorted(kept, max_rows)) + 1]
+        if len(values) < want:
+            return values
+        want *= 2
+
+
+def _parse_body(path: Path, lines: list[str], start: int, ncol: int,
+                max_rows=None) -> np.ndarray:
+    """Rows of ``lines[start:]`` as an ``(n, ncol)`` matrix, non-finite
+    rows included, cut as :func:`_parse_lines` cuts them."""
+    values = _parse_bulk(lines, start, ncol, max_rows)
+    if values is None:
+        values = _parse_lines(path, lines, start, ncol, max_rows)
+    return values
 
 
 def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> SimulationTable:
@@ -307,14 +432,13 @@ def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> Sim
     0-based indices); all remaining columns are treated as statistics until
     matched against an observation.  Rows containing non-finite values are
     rejected with a counted warning.  ``max_rows`` caps the number of rows
-    read.
+    kept; rows after the cut are not read.
     """
     path = Path(path)
-    text = path.read_text()
-    lines = list(_split_nonempty_lines(text))
-    if not lines:
+    lines = path.read_text().splitlines()
+    start, header = _header(lines)
+    if not header:
         raise TableFormatError("empty file", path=path)
-    _, header = lines[0]
     ncol = len(header)
     if isinstance(param_spec, str):
         pidx = parse_param_spec(param_spec) if param_spec else ()
@@ -325,27 +449,12 @@ def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> Sim
             raise TableFormatError(
                 f"parameter column {i + 1} beyond the {ncol} available", path=path)
 
-    rows = []
-    dropped = 0
-    for lineno, fields in lines[1:]:
-        if max_rows is not None and len(rows) >= max_rows:
-            break
-        if len(fields) != ncol:
-            raise TableFormatError(
-                f"row has {len(fields)} fields, expected {ncol}",
-                path=path, line=lineno)
-        try:
-            row = np.array([float(v) for v in fields])
-        except ValueError as exc:
-            raise TableFormatError(f"non-numeric value ({exc})",
-                                   path=path, line=lineno) from None
-        if not np.isfinite(row).all():
-            dropped += 1
-            continue
-        rows.append(row)
+    values = _parse_body(path, lines, start + 1, ncol, max_rows)
+    finite = np.isfinite(values).all(axis=1)
+    dropped = len(values) - int(np.count_nonzero(finite))
     if dropped:
         log.warning("%s: dropped %d row(s) with non-finite statistics", path, dropped)
-    values = np.array(rows) if rows else np.empty((0, ncol))
+        values = values[finite]
     sidx = tuple(i for i in range(ncol) if i not in pidx)
     return SimulationTable(tuple(header), values, pidx, sidx, dropped_rows=dropped)
 
@@ -357,24 +466,13 @@ def read_observed(path) -> list[ObservedStats]:
     suffixed ``Obs0``, ``Obs1``, ...).
     """
     path = Path(path)
-    lines = list(_split_nonempty_lines(path.read_text()))
-    if len(lines) < 2:
+    lines = path.read_text().splitlines()
+    start, names = _header(lines)
+    values = _parse_body(path, lines, start + 1, len(names)) if names else []
+    if len(values) == 0:
         raise TableFormatError("need a header line and at least one value line",
                                path=path)
-    _, names = lines[0]
-    out = []
-    for lineno, fields in lines[1:]:
-        if len(fields) != len(names):
-            raise TableFormatError(
-                f"{len(names)} statistic names but {len(fields)} values",
-                path=path, line=lineno)
-        try:
-            values = [float(v) for v in fields]
-        except ValueError as exc:
-            raise TableFormatError(f"non-numeric value ({exc})",
-                                   path=path, line=lineno) from None
-        out.append(ObservedStats(tuple(names), np.array(values)))
-    return out
+    return [ObservedStats(tuple(names), row) for row in values]
 
 
 def write_observed(path, obs: ObservedStats) -> Path:

@@ -5,6 +5,7 @@ from scipy.stats import norm
 from abckit.errors import TableFormatError
 from abckit.modelchoice import (glm_model_choice, rejection_model_choice,
                                 write_model_fit)
+from abckit.models import TOY_STAT_NAMES, toy_stats
 from abckit.tableio import ObservedStats, SimulationTable, read_table
 
 
@@ -137,3 +138,24 @@ class TestModelFitFile:
         assert back.names == ("model", "marginalDensity",
                               "posteriorProbability", "BFvsModel0")
         assert back.n_rows == 2
+
+
+class TestNormalVersusUniform:
+    """The toolkit's canonical example on the simulated toy tables."""
+
+    def test_normal_observation_picks_normal(self, norm_table, unif_table,
+                                             toy_obs):
+        res = glm_model_choice([norm_table, unif_table], toy_obs, 500)
+        assert res.best_model == 0
+        assert res.probabilities[0] > 0.99
+        swapped = glm_model_choice([unif_table, norm_table], toy_obs, 500)
+        np.testing.assert_allclose(swapped.probabilities,
+                                   res.probabilities[::-1])
+
+    def test_uniform_observation_picks_uniform(self, norm_table, unif_table):
+        # statistics of the typical sample of the standard uniform model
+        q = (np.arange(100) + 0.5) / 100
+        obs = ObservedStats(TOY_STAT_NAMES, toy_stats(np.sqrt(3) * (2 * q - 1)))
+        res = glm_model_choice([norm_table, unif_table], obs, 500)
+        assert res.best_model == 1
+        assert res.probabilities[1] > 0.99

@@ -196,3 +196,166 @@ class TestInvariants:
     def test_obs_name_value_mismatch(self):
         with pytest.raises(TableFormatError):
             ObservedStats(("a",), np.array([1.0, 2.0]))
+
+
+def format_rows_reference(header, rows) -> bytes:
+    """The written bytes, formatted one cell at a time with format_value."""
+    lines = ["\t".join(header)]
+    lines += ["\t".join(format_value(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_ROWS = [
+    [0.0, -0.0, 1.0, -1.0],
+    [1e-4, 9.99995e-5, -1e-4, -9.99995e-5],
+    [999999.5, 1e6, -999999.5, -1e6],
+    [999999.4, 123456.7, 0.000123456, -2.5],
+    [3.0, -7.0, 42.0, 1e5],
+    [np.nan, np.inf, -np.inf, 0.5],
+    [1e-300, 5e-324, 1e300, -0.0],
+]
+
+
+class TestWriterByteIdentity:
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_edge_values(self, tmp_path, as_array):
+        header = ["a", "b", "c", "d"]
+        rows = np.array(EDGE_ROWS) if as_array else [list(r) for r in EDGE_ROWS]
+        path = write_tagged("p", OutputTag.MARGINAL_DENSITIES, (header, rows),
+                            model_index=0, obs_index=0, directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(header, EDGE_ROWS)
+
+    def test_integer_and_bool_cells(self, tmp_path):
+        header = ["model", "n", "flag"]
+        rows = [[0, 1000000, True], [1, 12, False], [2, -3, True]]
+        path = write_tagged("p", OutputTag.MODEL_FIT, (header, rows),
+                            directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(header, rows)
+
+    def test_rows_mixing_labels_and_numbers(self, tmp_path):
+        header = ["parameter", "mode", "mean"]
+        rows = [["mu", 0.25, -0.0], ["sigma2", 1.5e-7, 2e6],
+                ["1.50", 3.0, np.nan]]
+        path = write_tagged("p", OutputTag.MARGINAL_CHARACTERISTICS,
+                            (header, rows), model_index=0, obs_index=0,
+                            directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(header, rows)
+
+    def test_float32_cells_judged_in_float64(self, tmp_path):
+        rows = np.array([[1e-4, 0.1, 999999.5]], dtype=np.float32)
+        path = write_tagged("p", OutputTag.MODEL_FIT, (["a", "b", "c"], rows),
+                            directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(["a", "b", "c"], rows)
+
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_table_longer_than_one_block(self, tmp_path, as_array):
+        from abckit.tableio import _WRITE_BLOCK_ROWS
+        rng = np.random.default_rng(11)
+        n = 2 * _WRITE_BLOCK_ROWS + 17
+        values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 8, (n, 3))
+        values[5] = [0.0, -0.0, 1.0]
+        values[_WRITE_BLOCK_ROWS + 3] = [np.inf, 1e-4, 999999.5]
+        rows = values if as_array else values.tolist()
+        path = write_tagged("p", OutputTag.BEST_SIMS, (["x", "y", "z"], rows),
+                            model_index=0, obs_index=0, directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(["x", "y", "z"], values)
+
+    def test_write_table_and_write_observed(self, tmp_path):
+        values = np.array(EDGE_ROWS[:5])
+        t = SimulationTable(("a", "b", "c", "d"), values, (0,), (1, 2, 3))
+        path = write_table(tmp_path / "t.txt", t)
+        assert path.read_bytes() == format_rows_reference(t.names, values)
+        obs = ObservedStats(("a", "b", "c", "d"), np.array(EDGE_ROWS[2]))
+        path = write_observed(tmp_path / "o.obs", obs)
+        assert path.read_bytes() == format_rows_reference(obs.names, [EDGE_ROWS[2]])
+
+    def test_empty_ndarray_payload_rejected(self, tmp_path):
+        with pytest.raises(TableFormatError):
+            write_tagged("p", OutputTag.MODEL_FIT, (["a"], np.empty((0, 1))),
+                         directory=tmp_path)
+
+
+def parse_both(text, ncol, start=1, max_rows=None):
+    """Body of ``text`` through the bulk path and through the line parser."""
+    from abckit.tableio import _parse_bulk, _parse_lines
+    lines = text.splitlines()
+    bulk = _parse_bulk(lines, start, ncol, max_rows)
+    exact = _parse_lines("t", lines, start, ncol, max_rows)
+    return bulk, exact
+
+
+class TestReaderEquivalence:
+    CASES = {
+        "crlf": "a\tb\r\n1 2\r\n3 4\r\n",
+        "mixed_whitespace": "a b\n1\t 2\n 3  \t4 \t\n\t5 6\n",
+        "blank_lines": "a b\n\n1 2\n   \n\t\n3 4\n\n",
+        "nonfinite_tokens": "a b\n1 nan\nNaN 2\n3 inf\n-Infinity 4\n5 6\n",
+        "header_only": "a b c\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bulk_matches_line_parser(self, tmp_path, name):
+        text = self.CASES[name]
+        ncol = len(text.split("\n")[0].split())
+        bulk, exact = parse_both(text.replace("\r\n", "\n"), ncol)
+        if name != "header_only":         # empty input is left to the line parser
+            assert bulk is not None
+            assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+        p = tmp_path / "t.txt"
+        p.write_bytes(text.encode())
+        t = read_table(p, "1")
+        finite = np.isfinite(exact).all(axis=1)
+        assert t.values.tobytes() == exact[finite].tobytes()
+        assert t.dropped_rows == int((~finite).sum())
+
+    @pytest.mark.parametrize("max_rows", [1, 2, 3, 4])
+    def test_max_rows_after_dropped_rows(self, tmp_path, max_rows):
+        text = "a b\nnan 1\n1 2\ninf 3\n-inf 4\n2 3\n3 4\nnan 5\n4 5\n"
+        bulk, exact = parse_both(text, 2, max_rows=max_rows)
+        assert bulk.tobytes() == exact.tobytes()
+        t = read_table(write(tmp_path, "t.txt", text), "1", max_rows=max_rows)
+        expected_dropped = {1: 1, 2: 3, 3: 3, 4: 4}[max_rows]
+        assert t.n_rows == max_rows
+        assert t.dropped_rows == expected_dropped
+        assert t.values[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0][:max_rows]
+
+    def test_max_rows_stops_before_a_bad_line(self, tmp_path):
+        p = write(tmp_path, "t.txt", "a b\nnan 1\n1 2\n2 3\nnot a row\n")
+        t = read_table(p, "1", max_rows=2)
+        assert t.values.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+        assert t.dropped_rows == 1
+
+    def test_values_equal_float_parsing(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(300, 4)) * 10.0 ** rng.integers(-300, 300, (300, 4))
+        text = "a b c d\n" + "".join(" ".join(repr(v) for v in row) + "\n"
+                                     for row in values.tolist())
+        t = read_table(write(tmp_path, "t.txt", text), "1")
+        assert t.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text, line", [
+        ("a b\n1 2\n# comment\n3 4\n", 3),
+        ("a b\n1 2\n#\n", 3),
+        ("a b\n\n1 2\n1 2 3\n", 4),
+        ("a b\n1 2\n3\n", 3),
+        ("a b\n1 2\n\n1 x\n", 4),
+        ("a b\n1_0 2\n1 2\n0x1 2\n", 4),
+    ])
+    def test_errors_name_the_line(self, tmp_path, text, line):
+        p = write(tmp_path, "bad.txt", text)
+        with pytest.raises(TableFormatError) as info:
+            read_table(p, "1")
+        assert info.value.line == line
+        assert f"{p}:{line}:" in str(info.value)
+
+    def test_observed_keeps_nonfinite_values(self, tmp_path):
+        p = write(tmp_path, "o.obs", "a b\n1 nan\n\n3 4\n")
+        obs = read_observed(p)
+        assert np.isnan(obs[0].values[1])
+        assert obs[1].values.tolist() == [3.0, 4.0]
+
+    def test_observed_error_names_the_line(self, tmp_path):
+        p = write(tmp_path, "o.obs", "a b\n1 2\n3 y\n")
+        with pytest.raises(TableFormatError) as info:
+            read_observed(p)
+        assert info.value.line == 3
