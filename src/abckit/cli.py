@@ -383,9 +383,20 @@ def _binding_from_config(cfg: Config) -> SimulatorBinding:
     return SimulatorBinding.easyabc(program)
 
 
+# McmcConfig fields and the keys that set them (numSims, the chain length,
+# is checked before); McmcConfig's range checks name the fields
+_MCMC_KEYS = {
+    "n_calibration": "numCaliSims", "threshold_prop": "thresholdProp",
+    "range_prop": "rangeProp", "starting_point": "startingPoint",
+    "sampling_interval": "mcmcSampling", "burn_in_frac": "mcmcBurnIn",
+}
+
+
 def _task_simulate(cfg: Config, rng) -> None:
     est = parse_est_file(cfg.require("estName"))
     n_sims = cfg.require_int("numSims")
+    if n_sims < 1:
+        raise ConfigError(f"numSims must be at least 1, got {n_sims}")
     binding = _binding_from_config(cfg)
     sampler = cfg.get("samplerType", "standard")
     out_name = cfg.get("outName", "sims")
@@ -395,17 +406,21 @@ def _task_simulate(cfg: Config, rng) -> None:
         obs = read_observed(cfg.require("obsName"))[0]
         comb_path = cfg.get("linearCombName")
         comb = LinearCombDef.load(comb_path) if comb_path else None
-        mcfg = McmcConfig(
-            n_calibration=cfg.get_int("numCaliSims", 1000),
-            threshold_prop=cfg.get_float("thresholdProp", 0.1),
-            range_prop=cfg.get_float("rangeProp", 1.0),
-            starting_point=cfg.get("startingPoint", "best"),
-            chain_length=n_sims,
-            sampling_interval=cfg.get_int("mcmcSampling", 1),
-            burn_in_frac=cfg.get_float("mcmcBurnIn", 0.1),
-            lincomb=comb,
-            do_boxcox=cfg.get_bool("doBoxCox", comb is not None),
-            do_boosting=boost_flag)
+        try:
+            mcfg = McmcConfig(
+                n_calibration=cfg.get_int("numCaliSims", 1000),
+                threshold_prop=cfg.get_float("thresholdProp", 0.1),
+                range_prop=cfg.get_float("rangeProp", 1.0),
+                starting_point=cfg.get("startingPoint", "best"),
+                chain_length=n_sims,
+                sampling_interval=cfg.get_int("mcmcSampling", 1),
+                burn_in_frac=cfg.get_float("mcmcBurnIn", 0.1),
+                lincomb=comb,
+                do_boxcox=cfg.get_bool("doBoxCox", comb is not None),
+                do_boosting=boost_flag)
+        except ValueError as exc:
+            keys = [key for field, key in _MCMC_KEYS.items() if field in str(exc)]
+            raise ConfigError(f"{', '.join(keys)}: {exc}") from None
         run = run_mcmc(est, binding, obs, mcfg, rng)
         log.info("chain of %d steps, acceptance rate %.4g, tolerance %.6g",
                  run.steps, run.acceptance_rate, run.epsilon)

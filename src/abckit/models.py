@@ -41,19 +41,39 @@ class ToyParams:
             raise ValueError(f"variance must be positive, got {self.sigma2}")
 
 
-def toy_stats(sample) -> np.ndarray:
-    """Eight summary statistics of a sample, in :data:`TOY_STAT_NAMES` order.
+def _type7(s: np.ndarray, q: float):
+    """Quantile ``q`` of the sorted sample ``s`` by linear interpolation
+    (type 7), with the two-sided formula of ``np.quantile``."""
+    h = (s.size - 1) * q
+    i = int(h)
+    t = h - i
+    a, b = s[i], s[i + 1]
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
-    Variance uses the unbiased (n-1) estimator; quartiles use linear
-    interpolation (type 7).
+
+def toy_stats(sample) -> np.ndarray:
+    """Eight summary statistics of a sample of at least 4 values, in
+    :data:`TOY_STAT_NAMES` order: mean, unbiased (n-1) variance, median,
+    min, max, range and the type-7 (linearly interpolated) quartiles.
+
+    Each value equals bit for bit what ``np.mean``, ``np.var(ddof=1)``,
+    ``np.median``, ``np.min``, ``np.max`` and ``np.quantile`` give (only
+    the sign of a zero may differ in a sample holding both 0.0 and -0.0);
+    the order statistics come from one sort.
     """
-    x = np.asarray(sample, dtype=float)
-    if x.size < 4:
+    x = np.asarray(sample, dtype=float).ravel()
+    n = x.size
+    if n < 4:
         raise ValueError("need at least 4 values")
-    q1, q3 = np.quantile(x, [0.25, 0.75])
-    lo, hi = x.min(), x.max()
-    return np.array([x.mean(), x.var(ddof=1), np.median(x),
-                     lo, hi, hi - lo, q1, q3])
+    s = np.sort(x)
+    if np.isnan(s[-1]):
+        return np.full(len(TOY_STAT_NAMES), np.nan)
+    lo, hi = s[0], s[-1]
+    m = n // 2
+    median = s[m] if n % 2 else (s[m - 1] + s[m]) / 2.0
+    return np.array([x.mean(), x.var(ddof=1), median,
+                     lo, hi, hi - lo, _type7(s, 0.25), _type7(s, 0.75)])
 
 
 def toy_stats_matrix(samples: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import statselect
-from .errors import NumericalError, SimulatorError
+from .errors import NumericalError, SimulatorError, TableFormatError
 from .models import BUILTIN_MODELS
 from .priors import EstModel, ParamDraw, eval_expr, log_prior_density, sample
 from .rejection import RetainedSet, retain
@@ -299,18 +299,31 @@ class McmcConfig:
     do_boosting: bool = False
 
     def __post_init__(self):
+        # every message names the fields it checks
         if self.n_calibration < 100:
-            raise ValueError("need at least 100 calibration simulations")
+            raise ValueError(f"n_calibration must be at least 100, got "
+                             f"{self.n_calibration}")
         if not 0 < self.threshold_prop < 1:
-            raise ValueError("threshold_prop must be in (0, 1)")
+            raise ValueError(f"threshold_prop must be in (0, 1), got "
+                             f"{self.threshold_prop}")
         if math.ceil(self.threshold_prop * self.n_calibration) < 10:
-            raise ValueError("calibration would retain fewer than 10 points")
+            raise ValueError("threshold_prop * n_calibration would retain "
+                             "fewer than 10 calibration points")
         if self.range_prop <= 0:
-            raise ValueError("range_prop must be positive")
+            raise ValueError(f"range_prop must be positive, got "
+                             f"{self.range_prop}")
         if self.starting_point not in ("best", "random"):
-            raise ValueError("starting_point must be 'best' or 'random'")
-        if self.sampling_interval < 1 or self.chain_length < 1:
-            raise ValueError("chain length and sampling interval must be >= 1")
+            raise ValueError(f"starting_point must be 'best' or 'random', "
+                             f"got {self.starting_point!r}")
+        if self.chain_length < 1:
+            raise ValueError(f"chain_length must be >= 1, got "
+                             f"{self.chain_length}")
+        if self.sampling_interval < 1:
+            raise ValueError(f"sampling_interval must be >= 1, got "
+                             f"{self.sampling_interval}")
+        if not 0 <= self.burn_in_frac < 1:
+            raise ValueError(f"burn_in_frac must be in [0, 1), got "
+                             f"{self.burn_in_frac}")
 
 
 @dataclass(frozen=True)
@@ -416,6 +429,7 @@ class McmcRun:
     epsilon: float
     steps: int
     calibration: Calibration
+    outside_domain: int         # proposals rejected by the Box-Cox domain
 
 
 def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
@@ -427,7 +441,9 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
 
     Proposals perturb each raw parameter by a uniform step reflected at the
     prior bounds (symmetric, so only the prior ratio enters the acceptance
-    test); draws violating a rule are rejected outright.  The chain state
+    test); draws violating a rule are rejected outright, and so are
+    simulations with a statistic outside the domain of the calibration's
+    Box-Cox transform (counted in ``outside_domain``).  The chain state
     is recorded every ``sampling_interval`` steps; the first
     ``burn_in_frac`` of the records is discarded.
     """
@@ -452,6 +468,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
 
     records = []
     accepted = 0
+    outside_domain = 0
     checked_early = False
     with _Runner(binding) as runner:
         for step in range(1, cfg.chain_length + 1):
@@ -482,7 +499,14 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                     if tuple(names) != cal.sim_stat_names:
                         raise SimulatorError(
                             "statistics header changed during the chain")
-                    new_dist = cal.distance(names, values)
+                    try:
+                        new_dist = cal.distance(names, values)
+                    except TableFormatError as exc:
+                        # the header matches the calibration's, so only a
+                        # value outside the Box-Cox domain lands here
+                        log.debug("proposal rejected: %s", exc)
+                        outside_domain += 1
+                        new_dist = math.inf
                     new_log_prior = log_prior_density(est, proposal)
                     if (new_dist < cal.epsilon
                             and math.log(rng.uniform()) < new_log_prior - log_prior):
@@ -509,5 +533,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                             tuple(range(len(est.output_names))),
                             tuple(range(len(est.output_names),
                                         len(names) - 1)))
+    log.info("%d proposal(s) rejected outside the transform domain",
+             outside_domain)
     return McmcRun(table, accepted / cfg.chain_length, cal.epsilon,
-                   cfg.chain_length, cal)
+                   cfg.chain_length, cal, outside_domain)

@@ -19,12 +19,10 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import NumericalError, TableFormatError
 from .tableio import ObservedStats, SimulationTable, format_value
@@ -92,25 +90,94 @@ class BoxCoxSpec:
     mean: float
     sd: float
 
-    def shift(self, x, name="statistic"):
-        span = self.vmax - self.vmin
-        if span <= 0:
-            raise NumericalError(f"{name}: degenerate range in the transform")
-        y = 1.0 + (np.asarray(x, dtype=float) - self.vmin) / span
-        bad = np.nonzero(y <= 0)[0]
-        if bad.size:
+    def __post_init__(self):
+        if not (self.gm > 0 and self.sd > 0):
             raise TableFormatError(
-                f"{name}: value {np.asarray(x).ravel()[bad[0]]} at row "
-                f"{bad[0] + 1} outside the transform domain")
-        return y
+                "Box-Cox numbers need a positive geometric mean and sd, "
+                f"got {self.gm} and {self.sd}")
 
     def apply(self, x, name="statistic"):
-        y = self.shift(x, name)
-        if self.lamb == 0:
-            bc = np.log(y) * self.gm
-        else:
-            bc = (y**self.lamb - 1.0) / (self.lamb * self.gm**(self.lamb - 1.0))
+        x = np.asarray(x)
+        z = _BoxCoxColumns((self,)).apply(x.reshape(-1, 1), (name,))
+        return z.reshape(x.shape)
+
+
+# numpy raises an array to these scalar exponents by reciprocal, square
+# root and square, which can differ from pow() in the last bit
+_FAST_EXPONENTS = (-1.0, 0.5, 2.0)
+
+
+class _BoxCoxColumns:
+    """The Box-Cox numbers of several statistics as per-column arrays, so
+    that one broadcast normalizes every column of a matrix.
+
+    The power transform is (y**lamb - 1) / scale, or log(y) * scale where
+    lamb is 0, with scale = lamb * gm**(lamb - 1) (gm where lamb is 0).
+    Columns whose lambda is 0 or one of :data:`_FAST_EXPONENTS` are redone
+    with that scalar, so a batch equals column-at-a-time bit for bit.
+    """
+
+    def __init__(self, specs):
+        # span and scale in scalar arithmetic: numpy's vectorized pow can
+        # differ from the C library's in the last bit
+        span = np.array([s.vmax - s.vmin for s in specs], dtype=float)
+        self.degenerate = span <= 0
+        self.span = np.where(self.degenerate, 1.0, span)
+        self.vmin = np.array([s.vmin for s in specs], dtype=float)
+        self.lamb = np.array([s.lamb for s in specs], dtype=float)
+        self.scale = np.array([s.gm if s.lamb == 0
+                               else s.lamb * s.gm ** (s.lamb - 1.0)
+                               for s in specs], dtype=float)
+        self.mean = np.array([s.mean for s in specs], dtype=float)
+        self.sd = np.array([s.sd for s in specs], dtype=float)
+        self.scalar_cols = [(e, np.nonzero(self.lamb == e)[0])
+                            for e in (0.0,) + _FAST_EXPONENTS
+                            if (self.lamb == e).any()]
+
+    def apply(self, x: np.ndarray, names) -> np.ndarray:
+        """Normalize the columns of ``x`` (rows x statistics); the first
+        column with a degenerate range or a value below the domain raises."""
+        y = 1.0 + (x - self.vmin) / self.span
+        outside = y <= 0
+        bad = self.degenerate | outside.any(axis=0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            if self.degenerate[j]:
+                raise NumericalError(
+                    f"{names[j]}: degenerate range in the transform")
+            i = int(np.argmax(outside[:, j]))
+            raise TableFormatError(
+                f"{names[j]}: value {x[i, j]} at row {i + 1} outside the "
+                "transform domain")
+        bc = (y ** self.lamb - 1.0) / self.scale
+        for e, cols in self.scalar_cols:
+            if e == 0:
+                bc[:, cols] = np.log(y[:, cols]) * self.scale[cols]
+            else:
+                bc[:, cols] = (y[:, cols] ** e - 1.0) / self.scale[cols]
         return (bc - self.mean) / self.sd
+
+
+_NONZERO = LAMBDA_GRID != 0
+# values of y**lambda the profile likelihood holds at once
+_PROFILE_BLOCK = 1 << 20
+
+
+def _profile_loglik(logy: np.ndarray) -> np.ndarray:
+    """Box-Cox profile log-likelihood of y = exp(logy) at every lambda of
+    :data:`LAMBDA_GRID`, by the formula of ``scipy.stats.boxcox_llf``:
+    (lambda - 1) sum(log y) - n/2 (log var(y**lambda) - 2 log|lambda|),
+    with log var(log y) at lambda 0."""
+    n = logy.size
+    lam = LAMBDA_GRID[_NONZERO]
+    rows = max(1, _PROFILE_BLOCK // n)
+    var = np.concatenate([
+        np.exp(np.multiply.outer(lam[s:s + rows], logy)).var(axis=1)
+        for s in range(0, lam.size, rows)])
+    logvar = np.empty(LAMBDA_GRID.size)
+    logvar[_NONZERO] = np.log(var) - 2.0 * np.log(np.abs(lam))
+    logvar[~_NONZERO] = np.log(logy.var())
+    return (LAMBDA_GRID - 1.0) * logy.sum() - n / 2 * logvar
 
 
 def fit_boxcox(values, name="statistic") -> BoxCoxSpec:
@@ -121,16 +188,13 @@ def fit_boxcox(values, name="statistic") -> BoxCoxSpec:
     vmin, vmax = float(x.min()), float(x.max())
     if vmax <= vmin:
         raise NumericalError(f"{name}: constant statistic, cannot transform")
-    y = 1.0 + (x - vmin) / (vmax - vmin)
-    lls = [sps.boxcox_llf(l, y) for l in LAMBDA_GRID]
-    lamb = float(LAMBDA_GRID[int(np.argmax(lls))])
+    logy = np.log(1.0 + (x - vmin) / (vmax - vmin))
+    lamb = float(LAMBDA_GRID[int(np.argmax(_profile_loglik(logy)))])
     if abs(lamb) < LAMBDA_SNAP:
         lamb = 0.0
-    gm = float(np.exp(np.log(y).mean()))
-    if lamb == 0:
-        bc = np.log(y) * gm
-    else:
-        bc = (y**lamb - 1.0) / (lamb * gm**(lamb - 1.0))
+    gm = float(np.exp(logy.mean()))
+    # mean 0 and sd 1 leave the power transform unstandardized
+    bc = BoxCoxSpec(vmax, vmin, lamb, gm, 0.0, 1.0).apply(x, name)
     sd = float(bc.std(ddof=0))
     if sd == 0:
         raise NumericalError(f"{name}: constant statistic after transform")
@@ -157,6 +221,9 @@ class LinearCombDef:
             raise TableFormatError("one loading row per statistic required")
         if self.loadings.shape[1] < 1:
             raise TableFormatError("need at least one component")
+        if len(self.boxcox) != len(self.stat_names):
+            raise TableFormatError("one Box-Cox row per statistic required")
+        object.__setattr__(self, "_columns", _BoxCoxColumns(self.boxcox))
 
     @property
     def n_components(self) -> int:
@@ -166,9 +233,7 @@ class LinearCombDef:
         stats = np.atleast_2d(stats)
         if not apply_boxcox:
             return stats
-        cols = [bc.apply(stats[:, j], self.stat_names[j])
-                for j, bc in enumerate(self.boxcox)]
-        return np.column_stack(cols)
+        return self._columns.apply(stats, self.stat_names)
 
     def scores(self, stats: np.ndarray, n_components=None,
                apply_boxcox: bool = True) -> np.ndarray:
@@ -203,8 +268,12 @@ class LinearCombDef:
             except ValueError:
                 raise TableFormatError("non-numeric field", path=path,
                                        line=lineno) from None
+            try:
+                specs.append(BoxCoxSpec(*nums[:6]))
+            except TableFormatError as exc:
+                raise TableFormatError(str(exc), path=path,
+                                       line=lineno) from None
             names.append(fields[0])
-            specs.append(BoxCoxSpec(*nums[:6]))
             rows.append(nums[6:])
         if not rows:
             raise TableFormatError("empty definition file", path=path)
@@ -226,18 +295,17 @@ def transform(data, comb: LinearCombDef, n_components=None,
     k = comb.n_components if n_components is None else int(n_components)
     comp_names = [f"{COMPONENT_PREFIX}_{i + 1}" for i in range(k)]
     if isinstance(data, ObservedStats):
-        lookup = dict(zip(data.names, data.values))
-        missing = [n for n in comb.stat_names if n not in lookup]
+        pos = {n: j for j, n in enumerate(data.names)}
+        missing = [n for n in comb.stat_names if n not in pos]
         if missing:
             raise TableFormatError(
                 f"statistics missing from observation: {', '.join(missing)}")
-        vec = np.array([[lookup[n] for n in comb.stat_names]])
+        vec = data.values[[pos[n] for n in comb.stat_names]]
         scores = comb.scores(vec, k, apply_boxcox)[0]
-        passthrough = [(n, v) for n, v in zip(data.names, data.values)
-                       if n not in set(comb.stat_names)]
-        names = [n for n, _ in passthrough] + comp_names
-        values = [v for _, v in passthrough] + list(scores)
-        return ObservedStats(tuple(names), np.array(values))
+        used = set(comb.stat_names)
+        keep = [j for j, n in enumerate(data.names) if n not in used]
+        names = tuple(data.names[j] for j in keep) + tuple(comp_names)
+        return ObservedStats(names, np.concatenate([data.values[keep], scores]))
 
     table: SimulationTable = data
     present = set(table.names)
@@ -350,10 +418,10 @@ def fit_pls(table: SimulationTable, k_max: int, cv_folds: int = 10,
         raise ValueError(f"need more than {k_max + cv_folds} rows, have {n}")
     if k_max > len(table.stat_names):
         raise ValueError("more components than statistics requested")
-    specs = tuple(fit_boxcox(table.stats[:, j], name)
+    stats = table.stats
+    specs = tuple(fit_boxcox(stats[:, j], name)
                   for j, name in enumerate(table.stat_names))
-    z = np.column_stack([specs[j].apply(table.stats[:, j], name)
-                         for j, name in enumerate(table.stat_names)])
+    z = _BoxCoxColumns(specs).apply(stats, table.stat_names)
     y_raw = table.params
     y_mean, y_sd = y_raw.mean(axis=0), y_raw.std(axis=0, ddof=0)
     if np.any(y_sd == 0):

@@ -40,6 +40,25 @@ class TestToyStats:
         for i in range(0, 50, 7):
             np.testing.assert_allclose(m[i], toy_stats(x[i]))
 
+    def test_bit_identical_to_numpy_reference(self):
+        rng = np.random.default_rng(2)
+
+        def reference(x):
+            q1, q3 = np.quantile(x, [0.25, 0.75])
+            return np.array([x.mean(), x.var(ddof=1), np.median(x), x.min(),
+                             x.max(), x.max() - x.min(), q1, q3])
+
+        for n in range(4, 202):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            samples = [rng.normal(rng.normal(), scale, n),
+                       np.round(rng.normal(0.0, 3.0, n)),      # many ties
+                       rng.integers(1, 4, n).astype(float),   # few values
+                       np.full(n, rng.normal())]
+            for x in samples:
+                assert np.array_equal(toy_stats(x), reference(x)), (n, x)
+        x = np.array([1.0, np.nan, 2.0, 3.0, 4.0])
+        assert np.array_equal(toy_stats(x), reference(x), equal_nan=True)
+
     def test_too_small_sample(self):
         with pytest.raises(ValueError):
             toy_stats([1, 2, 3])

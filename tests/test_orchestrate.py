@@ -1,0 +1,76 @@
+import dataclasses
+import logging
+
+import numpy as np
+import pytest
+
+from abckit.orchestrate import (McmcConfig, SimulatorBinding, calibrate,
+                                run_mcmc)
+from abckit.priors import parse_est
+from abckit.statselect import LinearCombDef
+
+TOY_EST = """[PARAMETERS]
+0 mu unif -1 1 output
+0 sigma2 unif 0.1 4 output
+"""
+
+# one component on the sample mean; "min" only has to be in the domain
+# (loading 0): y = 1 + (x - vmin) / (vmax - vmin) must stay above 0
+WIDE_DEFINITION = """mean 10 -10 1 1 0 1 1
+min 10 -10 1 1 0 1 0
+"""
+# here min <= -2 gives y <= 0
+NARROW_DEFINITION = """mean 10 -10 1 1 0 1 1
+min 0 -1 1 1 0 1 0
+"""
+
+
+class TestMcmcConfig:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_calibration": 50}, "n_calibration"),
+        ({"threshold_prop": 1.5}, "threshold_prop"),
+        ({"threshold_prop": 0.005}, "n_calibration"),
+        ({"range_prop": 0.0}, "range_prop"),
+        ({"starting_point": "middle"}, "starting_point"),
+        ({"chain_length": 0}, "chain_length"),
+        ({"sampling_interval": 0}, "sampling_interval"),
+        ({"burn_in_frac": 1.0}, "burn_in_frac"),
+        ({"burn_in_frac": -0.1}, "burn_in_frac"),
+    ])
+    def test_range_checks_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            McmcConfig(**kwargs)
+
+
+class TestRunMcmc:
+    def test_domain_errors_count_as_rejections(self, tmp_path, toy_obs,
+                                               caplog):
+        (tmp_path / "wide.txt").write_text(WIDE_DEFINITION)
+        (tmp_path / "narrow.txt").write_text(NARROW_DEFINITION)
+        wide = LinearCombDef.load(tmp_path / "wide.txt")
+        narrow = LinearCombDef.load(tmp_path / "narrow.txt")
+        est = parse_est(TOY_EST)
+        binding = SimulatorBinding.builtin("toy-normal")
+        cfg = McmcConfig(n_calibration=200, threshold_prop=0.2,
+                         chain_length=300, lincomb=wide)
+        rng = np.random.default_rng(4)
+        cal = calibrate(est, binding, toy_obs, cfg, rng)
+        # the narrow definition transforms every in-domain vector as the
+        # wide one does, but some proposals fall outside its domain
+        narrow_cal = dataclasses.replace(cal, lincomb=narrow)
+        with caplog.at_level(logging.INFO, logger="abckit"):
+            run = run_mcmc(est, binding, toy_obs, cfg, rng,
+                           calibration=narrow_cal)
+        assert run.outside_domain > 0
+        assert 0 < run.acceptance_rate < 1
+        assert run.table.n_rows == 270
+        assert any(r.getMessage() == f"{run.outside_domain} proposal(s) "
+                   "rejected outside the transform domain"
+                   for r in caplog.records)
+        mins = run.table.values[:, run.table.names.index("min")]
+        moved = mins != cal.start_stats[list(cal.sim_stat_names).index("min")]
+        assert moved.any() and np.all(mins[moved] > -2.0)
+
+        same = run_mcmc(est, binding, toy_obs, cfg, np.random.default_rng(4),
+                        calibration=cal)
+        assert same.outside_domain == 0
