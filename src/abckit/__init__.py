@@ -15,8 +15,9 @@ __version__ = "0.1.0"
 
 from .adjust import (AdjustedSample, GlmFit, GridPosterior,
                      JointGridPosterior, PosteriorCharacteristics, glm_fit,
-                     glm_marginal_density, glm_posterior, joint_posterior,
-                     loclinear_adjust, ridge_adjust, weighted_density)
+                     glm_log_marginal_densities, glm_log_marginal_density,
+                     glm_posterior, joint_posterior, ridge_adjust, safe_exp,
+                     weighted_density)
 from .errors import (AbckitError, CollinearityError, ConfigError, EstParseError,
                      EvalError, NumericalError, SimulatorError,
                      TableFormatError)

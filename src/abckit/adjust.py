@@ -1,16 +1,18 @@
 """Post-sampling adjustments of retained simulations.
 
-Two families are provided:
-
-* weighted local-linear regression (and a ridge variant) that projects the
-  retained parameter values onto the observed statistics, giving a weighted
-  posterior sample;
-* a local Gaussian likelihood model ``S = c + B theta + eps``,
-  ``eps ~ N(0, Sigma)``, fitted to the retained (standardized) statistics
-  by least squares.  Combined with a prior represented as a Gaussian
-  mixture with one narrow peak per retained parameter vector, everything
-  downstream is closed form: grid posteriors, joint posteriors with
-  credible levels, and the model marginal density used for model choice.
+* :func:`ridge_adjust` regresses the retained parameter values on the
+  standardized statistics with Epanechnikov weights and projects them onto
+  the observation, giving a weighted posterior sample;
+  ``ridge_lambda=0`` is the plain local-linear adjustment.
+* ABC-GLM (Leuenberger & Wegmann 2010): a local Gaussian likelihood
+  ``S = c + B theta + eps``, ``eps ~ N(0, Sigma)``, fitted to the retained
+  (standardized) statistics by least squares.  Combined with a prior
+  represented as a Gaussian mixture with one narrow peak per retained
+  parameter vector, everything downstream is closed form: the model
+  marginal density used for model choice, grid posteriors, and joint
+  posteriors with credible levels.  All of it rests on one Gaussian core: a
+  Cholesky factor and the whitened squared distances between two point
+  sets, computed in blocks of bounded size.
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
@@ -22,34 +24,45 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 from scipy.special import logsumexp
 from scipy.stats import gaussian_kde
 
-from .errors import CollinearityError, NumericalError
+from .errors import CollinearityError, ConfigError, NumericalError
 from .rejection import RetainedSet
-from .tableio import ObservedStats
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "AdjustedSample", "GlmFit", "GridPosterior", "JointGridPosterior",
-    "PosteriorCharacteristics", "loclinear_adjust", "ridge_adjust",
-    "glm_fit", "glm_posterior", "joint_posterior", "glm_marginal_density",
-    "glm_log_marginal_density", "weighted_density",
+    "PosteriorCharacteristics", "ridge_adjust", "glm_fit", "glm_posterior",
+    "joint_posterior", "glm_log_marginal_density",
+    "glm_log_marginal_densities", "safe_exp", "weighted_density",
 ]
 
 DEFAULT_PEAK_WIDTH = 0.01
 DEFAULT_GRID_POINTS = 100
 GRID_PADDING = 0.1
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
+# largest joint grid (points over all parameters): 100^3 fits, 100^4 does not
+JOINT_GRID_MAX_POINTS = 1_000_000
+# pairwise distances held at once by the Gaussian core
+_BLOCK_ELEMENTS = 2_000_000
+
+
+def safe_exp(x: float) -> float:
+    """``exp(x)``, infinite where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
-# local-linear and ridge adjustment
+# regression adjustment
 
 
 @dataclass(frozen=True)
@@ -69,10 +82,21 @@ def _epanechnikov(distances: np.ndarray, epsilon: float) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def _regression_inputs(retained: RetainedSet):
+def ridge_adjust(retained: RetainedSet, ridge_lambda: float = 1e-4) -> AdjustedSample:
+    """Weighted local-linear regression adjustment, optionally ridged.
+
+    Each parameter is regressed on the standardized statistic offsets with
+    Epanechnikov weights on the rejection distance; the fitted slope is
+    used to project every retained value onto the observation.
+    ``ridge_lambda`` (on the standardized scale) is added to the slope
+    block of the normal equations, so collinear or duplicated statistics
+    stay finite.  With ``ridge_lambda=0`` (the plain local-linear
+    adjustment) a singular design raises :class:`CollinearityError`.
+    Statistic columns with no variation relative to the observation are
+    harmless and receive a zero coefficient.
+    """
     theta = retained.params
-    n, p = theta.shape
-    d = len(retained.stat_names)
+    n, d = len(theta), len(retained.stat_names)
     if n <= d + 1:
         raise NumericalError(
             f"need more retained simulations ({n}) than statistics + 1 ({d + 1})")
@@ -82,51 +106,20 @@ def _regression_inputs(retained: RetainedSet):
         log.warning("all regression weights vanished (equidistant retained set); "
                     "falling back to uniform weights")
         w = np.ones_like(w)
-    return theta, x, w
-
-
-def loclinear_adjust(retained: RetainedSet) -> AdjustedSample:
-    """Local-linear regression adjustment.
-
-    Each parameter is regressed on the standardized statistic offsets with
-    Epanechnikov weights on the rejection distance; the fitted slope is
-    used to project every retained value onto the observation.  A singular
-    design (collinear statistics) raises :class:`CollinearityError`;
-    statistic columns with no variation relative to the observation are
-    harmless and receive a zero coefficient.
-    """
-    theta, x, w = _regression_inputs(retained)
     live = np.abs(x).max(axis=0) > 0
-    sw = np.sqrt(w)[:, None]
-    design = np.column_stack([np.ones(len(x)), x[:, live]])
-    wd = sw * design
-    if np.linalg.matrix_rank(wd) < design.shape[1]:
+    design = np.column_stack([np.ones(n), x[:, live]])
+    if ridge_lambda == 0 and (np.linalg.matrix_rank(np.sqrt(w)[:, None] * design)
+                              < design.shape[1]):
         raise CollinearityError(
             "collinear design matrix in the local-linear adjustment; "
-            "use the ridge variant")
-    coef, *_ = np.linalg.lstsq(wd, sw * theta, rcond=None)
-    beta = np.zeros((x.shape[1], theta.shape[1]))
-    beta[live] = coef[1:]
-    adjusted = theta - x @ beta
-    return AdjustedSample(retained.param_names, adjusted, w / w.sum(), theta)
-
-
-def ridge_adjust(retained: RetainedSet, ridge_lambda: float = 1e-4) -> AdjustedSample:
-    """Ridge-regularized variant of :func:`loclinear_adjust`.
-
-    Adds ``ridge_lambda`` (on the standardized scale) to the slope block of
-    the normal equations, so collinear or duplicated statistics stay
-    finite.  With a small lambda on a well-conditioned problem this matches
-    the plain adjustment.
-    """
-    theta, x, w = _regression_inputs(retained)
-    design = np.column_stack([np.ones(len(x)), x])
+            "use a positive ridge_lambda")
     a = design.T @ (w[:, None] * design)
-    a[1:, 1:] += ridge_lambda * np.eye(x.shape[1])
-    b = design.T @ (w[:, None] * theta)
-    coef = np.linalg.solve(a, b)
-    adjusted = theta - x @ coef[1:]
-    return AdjustedSample(retained.param_names, adjusted, w / w.sum(), theta)
+    a[1:, 1:] += ridge_lambda * np.eye(design.shape[1] - 1)
+    coef = np.linalg.solve(a, design.T @ (w[:, None] * theta))
+    beta = np.zeros((d, theta.shape[1]))
+    beta[live] = coef[1:]
+    return AdjustedSample(retained.param_names, theta - x @ beta, w / w.sum(),
+                          theta)
 
 
 def weighted_density(samples, weights=None, n_grid: int = 512, bounds=None):
@@ -209,17 +202,54 @@ def glm_fit(retained: RetainedSet) -> GlmFit:
                   coef[0], coef[1:].T, sigma, lo, hi)
 
 
-def _obs_std(fit: GlmFit, retained: RetainedSet, obs) -> np.ndarray:
-    if obs is None:
-        return retained.obs_std
-    if isinstance(obs, ObservedStats):
-        vec = obs.vector(fit.stat_names)
-    else:
-        vec = np.asarray(obs, dtype=float).ravel()
-        if vec.size != len(fit.stat_names):
-            raise ValueError(f"expected {len(fit.stat_names)} statistics, "
-                             f"got {vec.size}")
-    return retained.standardizer.transform(vec)
+def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor of ``matrix``, or :class:`NumericalError`
+    naming ``what``."""
+    try:
+        return sla.cholesky(matrix, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} not positive definite: {exc}") from None
+
+
+def _gaussian_log_kernel(chol: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Log Gaussian kernel ``-|L^-1 (a_i - b_j)|^2 / 2`` of every pair of
+    rows of ``a`` and ``b``: the squared Mahalanobis distance under the
+    covariance factored as ``L L'``, halved and negated.
+
+    Yields ``(start, block)`` with ``block[i, j]`` for row ``start + i`` of
+    ``a`` and row ``j`` of ``b``; a block holds at most ``_BLOCK_ELEMENTS``
+    values and is one matrix product, ``x'y - |x|^2/2 - |y|^2/2`` of the
+    whitened rows.  Both sets are centred on the mean of ``b`` first, which
+    keeps the cancellation small near ``b``.
+    """
+    centre = b.mean(axis=0)
+    wa = sla.solve_triangular(chol, (a - centre).T, lower=True).T
+    wb = sla.solve_triangular(chol, (b - centre).T, lower=True)
+    half_a = 0.5 * (wa**2).sum(axis=1)
+    half_b = 0.5 * (wb**2).sum(axis=0)
+    rows = max(1, _BLOCK_ELEMENTS // max(len(b), 1))
+    for start in range(0, len(a), rows):
+        block = wa[start:start + rows] @ wb
+        block -= half_a[start:start + rows, None]
+        block -= half_b
+        yield start, block
+
+
+def _log_evidences(fit: GlmFit, retained: RetainedSet, z: np.ndarray,
+                   tau: float):
+    """Log evidence of each standardized observation (row of ``z``) under
+    each prior peak ``N(u_j, tau^2 I)``: ``log N(z; c + B u_j, Sigma +
+    tau^2 B B')``, yielded in row blocks as ``(start, block)``."""
+    if not tau > 0:
+        raise ValueError("dirac peak width must be positive")
+    b = fit.coeff
+    centres = fit.intercept + fit.to_internal(retained.params) @ b.T
+    chol = _cholesky(fit.sigma + tau**2 * (b @ b.T), "likelihood covariance")
+    const = (-0.5 * b.shape[0] * math.log(2 * math.pi)
+             - np.log(np.diag(chol)).sum())
+    for start, block in _gaussian_log_kernel(chol, np.atleast_2d(z), centres):
+        block += const
+        yield start, block
 
 
 @dataclass(frozen=True)
@@ -229,16 +259,10 @@ class _Mixture:
     log_weights: np.ndarray   # (n,) unnormalized: component evidences
     means: np.ndarray         # (n, p) internal scale
     cov: np.ndarray           # (p, p) shared, internal scale
-    tau: float
-
-    @property
-    def log_marginal(self) -> float:
-        return float(logsumexp(self.log_weights) - math.log(len(self.log_weights)))
 
     @property
     def weights(self) -> np.ndarray:
-        w = self.log_weights - self.log_weights.max()
-        w = np.exp(w)
+        w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
 
 
@@ -247,91 +271,49 @@ def _glm_mixture(fit: GlmFit, retained: RetainedSet, obs,
     """Combine the fitted likelihood at the observation with the
     peak-mixture prior; all Gaussian algebra is closed form.
 
-    Each prior peak ``N(u_j, tau^2 I)`` contributes evidence
-    ``N(z_obs; c + B u_j, Sigma + tau^2 B B^T)`` and a posterior component
-    with precision ``Q = B' Sigma^-1 B + I / tau^2``.
+    Each prior peak ``N(u_j, tau^2 I)`` contributes its evidence as the
+    component weight and a posterior component with precision
+    ``Q = B' Sigma^-1 B + I / tau^2``.
     """
     tau = float(dirac_peak_width)
-    if tau <= 0:
-        raise ValueError("dirac peak width must be positive")
-    z = _obs_std(fit, retained, obs)
+    z = retained.standardized(obs).ravel()
+    _, log_w = next(_log_evidences(fit, retained, z, tau))
     b = fit.coeff
-    d, p = b.shape
+    sig_inv_b = sla.cho_solve(
+        (_cholesky(fit.sigma, "residual covariance"), True), b)
+    eye = np.eye(b.shape[1])
+    prec = _cholesky(b.T @ sig_inv_b + eye / tau**2, "posterior precision")
+    cov = sla.cho_solve((prec, True), eye)
+    base = (z - fit.intercept) @ sig_inv_b           # B' Sigma^-1 (z - c)
     u = fit.to_internal(retained.params)
-
-    m = fit.sigma + tau**2 * (b @ b.T)
-    try:
-        cf = sla.cho_factor(m, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"likelihood covariance not positive definite: {exc}")
-    logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-    resid = z - fit.intercept - u @ b.T              # (n, d)
-    y = sla.cho_solve(cf, resid.T)                   # (d, n)
-    quad = np.einsum("dn,dn->n", resid.T, y)
-    log_w = -0.5 * (d * math.log(2 * math.pi) + logdet + quad)
-
-    try:
-        sig_cf = sla.cho_factor(fit.sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"residual covariance not positive definite: {exc}")
-    sig_inv_b = sla.cho_solve(sig_cf, b)             # (d, p)
-    q = b.T @ sig_inv_b + np.eye(p) / tau**2
-    cov = np.linalg.inv(q)
-    base = b.T @ sla.cho_solve(sig_cf, z - fit.intercept)
     means = (cov @ (base[:, None] + u.T / tau**2)).T
-    return _Mixture(log_w, means, cov, tau)
+    return _Mixture(log_w[0], means, cov)
+
+
+def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, stats,
+                               dirac_peak_width: float = DEFAULT_PEAK_WIDTH
+                               ) -> np.ndarray:
+    """Log of the prior-weighted likelihood integral (the model marginal
+    density) at many pseudo-observations at once.
+
+    ``stats`` is an (m, d) matrix of raw statistic vectors in
+    ``fit.stat_names`` order, or anything :meth:`RetainedSet.standardized`
+    accepts; rows are standardized with the retained set's transform.
+    """
+    z = np.atleast_2d(retained.standardized(stats))
+    out = np.empty(len(z))
+    for start, log_ev in _log_evidences(fit, retained, z,
+                                        float(dirac_peak_width)):
+        out[start:start + len(log_ev)] = logsumexp(log_ev, axis=1)
+    return out - math.log(retained.n)
 
 
 def glm_log_marginal_density(fit: GlmFit, retained: RetainedSet, obs=None,
                              dirac_peak_width: float = DEFAULT_PEAK_WIDTH) -> float:
-    """Log of the prior-weighted likelihood integral at the observation."""
-    return _glm_mixture(fit, retained, obs, dirac_peak_width).log_marginal
-
-
-def glm_marginal_density(fit: GlmFit, retained: RetainedSet, obs=None,
-                         dirac_peak_width: float = DEFAULT_PEAK_WIDTH) -> float:
-    """Prior-weighted likelihood integral at the observation (the model
-    marginal density; may underflow to 0 for hopeless models)."""
-    lm = glm_log_marginal_density(fit, retained, obs, dirac_peak_width)
-    try:
-        return math.exp(lm)
-    except OverflowError:
-        return math.inf
-
-
-def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet,
-                               stats: np.ndarray,
-                               dirac_peak_width: float = DEFAULT_PEAK_WIDTH
-                               ) -> np.ndarray:
-    """Log marginal density of many pseudo-observations at once.
-
-    ``stats`` is an (m, d) matrix of raw statistic vectors in
-    ``fit.stat_names`` order; rows are standardized with the retained set's
-    transform.  Vectorized equivalent of calling
-    :func:`glm_log_marginal_density` per row.
-    """
-    tau = float(dirac_peak_width)
-    z = retained.standardizer.transform(np.atleast_2d(stats))
-    b = fit.coeff
-    d = b.shape[0]
-    u = fit.to_internal(retained.params)
-    centers = fit.intercept + u @ b.T                # (n, d)
-    m = fit.sigma + tau**2 * (b @ b.T)
-    try:
-        cf = sla.cho_factor(m, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"likelihood covariance not positive definite: {exc}")
-    logdet = 2.0 * np.log(np.diag(cf[0])).sum()
-    const = -0.5 * (d * math.log(2 * math.pi) + logdet) - math.log(len(centers))
-    out = np.empty(len(z))
-    chunk = max(1, int(2e6 / max(len(centers), 1)))
-    for start in range(0, len(z), chunk):
-        diff = z[start:start + chunk, None, :] - centers[None, :, :]
-        flat = diff.reshape(-1, d)
-        y = sla.cho_solve(cf, flat.T)
-        quad = np.einsum("dn,dn->n", flat.T, y).reshape(diff.shape[:2])
-        out[start:start + chunk] = logsumexp(-0.5 * quad, axis=1) + const
-    return out
+    """Log marginal density at one observation (the retained set's own by
+    default); :func:`safe_exp` gives the density itself."""
+    return float(glm_log_marginal_densities(fit, retained, obs,
+                                            dirac_peak_width)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +442,26 @@ def _param_grid(fit: GlmFit, k: int, n_points: int, bounds) -> np.ndarray:
     return np.linspace(lo_u, hi_u, n_points)
 
 
+def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
+    """Unnormalized density of the mixture's margin over parameters
+    ``sel`` at the points of the tensor grid ``ugrids`` (first parameter
+    varying fastest).  Each variance is floored at (half a grid step)^2, so
+    posteriors narrower than the grid stay representable."""
+    cov = mix.cov[np.ix_(sel, sel)].copy()
+    for j, ug in enumerate(ugrids):
+        cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
+    chol = _cholesky(cov, "posterior covariance")
+    mesh = np.meshgrid(*ugrids, indexing="ij")
+    pts = np.column_stack([m.ravel(order="F") for m in mesh])
+    w = mix.weights
+    dens = np.zeros(len(pts))
+    # one row per component: numpy's exp is much slower on underflowing
+    # arguments when they interleave with others than in contiguous runs
+    for start, block in _gaussian_log_kernel(chol, mix.means[:, sel], pts):
+        dens += w[start:start + len(block)] @ np.exp(block, out=block)
+    return dens
+
+
 def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
                   n_points: int = DEFAULT_GRID_POINTS,
                   dirac_peak_width: float = DEFAULT_PEAK_WIDTH,
@@ -471,19 +473,12 @@ def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
     ``(GridPosterior, {param: PosteriorCharacteristics})``.
     """
     mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
-    w = mix.weights
-    p = len(fit.param_names)
     grids, densities = [], []
-    for k in range(p):
+    for k in range(len(fit.param_names)):
         ug = _param_grid(fit, k, n_points, bounds)
-        spacing = ug[1] - ug[0]
-        # floor keeps posteriors narrower than the grid representable
-        s = max(math.sqrt(mix.cov[k, k]), spacing / 2)
-        z = (ug[None, :] - mix.means[:, k][:, None]) / s
-        f_u = (w[:, None] * np.exp(-0.5 * z**2)).sum(axis=0) / (s * math.sqrt(2 * math.pi))
         span = fit.hi[k] - fit.lo[k]
         g = fit.lo[k] + ug * span
-        f = f_u / span
+        f = _mixture_on_grid(mix, [k], [ug]) / span
         total = np.trapezoid(f, g)
         if not total > 0:
             raise NumericalError(
@@ -509,33 +504,16 @@ def joint_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
     if not 2 <= len(params) <= 4:
         raise ValueError("joint grids support 2 to 4 parameters "
                          f"(got {len(params)}); use sampling beyond that")
+    if n_points ** len(params) > JOINT_GRID_MAX_POINTS:
+        feasible = int(JOINT_GRID_MAX_POINTS ** (1 / len(params)) + 1e-9)
+        raise ConfigError(
+            f"a joint grid of {n_points}^{len(params)} points exceeds the "
+            f"limit of {JOINT_GRID_MAX_POINTS}; use at most {feasible} points "
+            "per parameter")
     sel = [fit.param_names.index(name) for name in params]
     mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
-    w = mix.weights
-    cov = mix.cov[np.ix_(sel, sel)].copy()
-
     ugrids = [_param_grid(fit, k, n_points, bounds) for k in sel]
-    for j, ug in enumerate(ugrids):
-        floor = ((ug[1] - ug[0]) / 2) ** 2
-        if cov[j, j] < floor:
-            cov[j, j] = floor
-    mesh = np.meshgrid(*ugrids, indexing="ij")
-    pts = np.column_stack([m.ravel(order="F") for m in mesh])
-    prec = np.linalg.inv(cov)
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise NumericalError("joint posterior covariance not positive definite")
-    norm = math.exp(-0.5 * (len(sel) * math.log(2 * math.pi) + logdet))
-
-    dens = np.zeros(pts.shape[0])
-    mu = mix.means[:, sel]
-    chunk = max(1, int(2e6 / max(pts.shape[0], 1)))
-    for start in range(0, len(w), chunk):
-        m = mu[start:start + chunk]
-        diff = pts[:, None, :] - m[None, :, :]
-        quad = np.einsum("gjp,pq,gjq->gj", diff, prec, diff)
-        dens += np.exp(-0.5 * quad) @ w[start:start + chunk]
-    dens *= norm
+    dens = _mixture_on_grid(mix, sel, ugrids)
 
     spans = np.array([fit.hi[k] - fit.lo[k] for k in sel])
     cell_u = np.prod([ug[1] - ug[0] for ug in ugrids])

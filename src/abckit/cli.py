@@ -199,6 +199,17 @@ def _split_models(cfg: Config):
     return sim_names, tables
 
 
+def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
+    # a leave-one-out replicate retains from a table one row short
+    k = cfg.require_int("numRetained")
+    limit = min(t.n_rows for t in tables) - int(leave_one_out)
+    if not 1 <= k <= limit:
+        raise ConfigError(f"numRetained must be between 1 and {limit} (the "
+                          "rows of the smallest table, less one with "
+                          f"leave-one-out validation), got {k}")
+    return k
+
+
 def _densities_payload(post: adjust.GridPosterior):
     header, cols = [], []
     for name in post.param_names:
@@ -235,7 +246,6 @@ def _best_sims_payload(retained):
 def _task_estimate(cfg: Config, rng) -> None:
     sim_names, tables = _split_models(cfg)
     obs_list = read_observed(cfg.require("obsName"))
-    num_retained = cfg.require_int("numRetained")
     standardize = cfg.get_bool("standardizeStats", True)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     n_points = cfg.get_int("posteriorDensityPoints", 100)
@@ -249,6 +259,8 @@ def _task_estimate(cfg: Config, rng) -> None:
     n_retained_val = cfg.get_int("retainedValidation")
     n_mc_val = cfg.get_int("modelChoiceValidation")
     plot_data = cfg.get_bool("plotData", False)
+    num_retained = _num_retained(cfg, tables,
+                                 bool(n_random or n_retained_val or n_mc_val))
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):
@@ -353,14 +365,10 @@ def _write_plot_data(tables, obs_list, num_retained, standardize, prefix):
                     continue
                 header += [name, f"{name}.density"]
                 cols += [g, f]
-            if not cols:
-                continue
-            path = Path(f"{prefix}_model{m}_rejectionDensities_Obs{k}.txt")
-            rows = np.column_stack(cols)
-            with open(path, "w") as fh:
-                fh.write("\t".join(header) + "\n")
-                for row in rows:
-                    fh.write("\t".join(format(v, ".6g") for v in row) + "\n")
+            if cols:
+                write_tagged(prefix, OutputTag.REJECTION_DENSITIES,
+                             (header, np.column_stack(cols)),
+                             model_index=m, obs_index=k)
 
 
 def _binding_from_config(cfg: Config) -> SimulatorBinding:
@@ -446,6 +454,10 @@ def _task_transform(cfg: Config, rng) -> None:
     in_path = cfg.require("input")
     out_path = cfg.require("output")
     k = cfg.get_int("numLinearComb", comb.n_components)
+    if not 1 <= k <= comb.n_components:
+        raise ConfigError(f"numLinearComb must be between 1 and "
+                          f"{comb.n_components} (the components in "
+                          f"{cfg.get('linearCombName')}), got {k}")
     apply_boxcox = cfg.get_bool("doBoxCox", True)
     table = read_table(in_path, cfg.get("params", ""))
     out = statselect.transform(table, comb, k, apply_boxcox)
@@ -460,7 +472,7 @@ def _task_findstats(cfg: Config, rng) -> None:
     if cfg.has("obsName"):
         cfg.get("obsName")
     n_val = cfg.require_int("modelChoiceValidation")
-    num_retained = cfg.require_int("numRetained")
+    num_retained = _num_retained(cfg, tables, leave_one_out=True)
     max_cor = cfg.get_float("maxCorSSFinder", 1.0)
     dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)
     prefix = cfg.get("outputPrefix", "ABC_GLM")

@@ -11,7 +11,6 @@ transform fitted to the pooled statistics so the models live on one scale.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +137,7 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     log_dens = np.array(log_dens)
     log_post = log_dens + _model_log_prior(len(tables), prior_weights)
     probs = np.exp(log_post - logsumexp(log_post))
-    with np.errstate(over="ignore"):
-        dens = np.array([math.exp(v) if v < 700 else math.inf for v in log_dens])
+    dens = np.array([adjust.safe_exp(v) for v in log_dens])
     return ModelChoiceResult("glm", dens, log_dens, probs,
                              tuple(retained), tuple(fits))
 

@@ -36,7 +36,8 @@ import numpy as np
 from . import statselect
 from .errors import NumericalError, SimulatorError, TableFormatError
 from .models import BUILTIN_MODELS
-from .priors import EstModel, ParamDraw, eval_expr, log_prior_density, sample
+from .priors import (EstModel, ParamDraw, complete_draw, log_prior_density,
+                     sample)
 from .rejection import RetainedSet, retain
 from .statselect import LinearCombDef
 from .tableio import ObservedStats, SimulationTable
@@ -224,6 +225,19 @@ class _Runner:
         stats_name = "output" if binding.mode == "easyabc" else binding.stats_file
         return self._read_stats(self.scratch / stats_name)
 
+    def simulate_with_retry(self, draw: ParamDraw, rng, on_failure: str):
+        """:meth:`simulate`, retried once with the same parameters; ``None``
+        (and a warning ending in ``on_failure``) if both attempts fail."""
+        try:
+            return self.simulate(draw, rng)
+        except SimulatorError as exc:
+            log.debug("simulation failed, retrying once: %s", exc)
+        try:
+            return self.simulate(draw, rng)
+        except SimulatorError as exc:
+            log.warning("simulation failed twice, %s: %s", on_failure, exc)
+            return None
+
 
 @dataclass(frozen=True)
 class SimulationRun:
@@ -253,16 +267,11 @@ def run_standard(est: EstModel, binding: SimulatorBinding, n_sims: int,
     with _Runner(binding) as runner:
         for _ in range(n_sims):
             draw = sample(est, rng)
-            try:
-                names, values = runner.simulate(draw, rng)
-            except SimulatorError as exc:
-                log.debug("simulation failed, retrying once: %s", exc)
-                try:
-                    names, values = runner.simulate(draw, rng)
-                except SimulatorError as exc2:
-                    log.warning("simulation failed twice, skipping draw: %s", exc2)
-                    failures += 1
-                    continue
+            result = runner.simulate_with_retry(draw, rng, "skipping draw")
+            if result is None:
+                failures += 1
+                continue
+            names, values = result
             if stat_names is None:
                 stat_names = names
             elif names != stat_names:
@@ -452,15 +461,6 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
         est, binding, obs, cfg, rng)
     prior_names = est.prior_names
 
-    def full_draw(raw: dict[str, float]) -> ParamDraw:
-        values = dict(raw)
-        for cp in est.complex_params:
-            x = eval_expr(cp.expression, values)
-            if cp.integer:
-                x = float(math.trunc(x))
-            values[cp.name] = x
-        return ParamDraw(values, est.output_names)
-
     raw = dict(cal.start_raw)
     stats = np.asarray(cal.start_stats, dtype=float)
     dist = cal.start_distance
@@ -484,18 +484,10 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                     x = float(math.trunc(x))
                 proposal[name] = x
             if all(rule.holds(proposal) for rule in est.rules):
-                draw = full_draw(proposal)
-                try:
-                    names, values = runner.simulate(draw, rng)
-                except SimulatorError as exc:
-                    log.debug("proposal simulation failed, retrying: %s", exc)
-                    try:
-                        names, values = runner.simulate(draw, rng)
-                    except SimulatorError as exc2:
-                        log.warning("proposal simulation failed twice, "
-                                    "treating as rejection: %s", exc2)
-                        names, values = None, None
-                if names is not None:
+                result = runner.simulate_with_retry(
+                    complete_draw(est, proposal), rng, "rejecting the proposal")
+                if result is not None:
+                    names, values = result
                     if tuple(names) != cal.sim_stat_names:
                         raise SimulatorError(
                             "statistics header changed during the chain")
@@ -514,9 +506,8 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                         log_prior = new_log_prior
                         accepted += 1
             if step % cfg.sampling_interval == 0:
-                draw_now = full_draw(raw)
                 records.append(np.concatenate([
-                    draw_now.output_values(), stats, [dist]]))
+                    complete_draw(est, raw).output_values(), stats, [dist]]))
             if not checked_early and step >= min(1000, cfg.chain_length):
                 checked_early = True
                 if accepted / step < 0.001:

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "PriorSpec", "Rule", "ComplexParam", "EstModel", "ParamDraw",
-    "parse_est", "parse_expression", "eval_expr", "sample",
+    "parse_est", "parse_expression", "eval_expr", "sample", "complete_draw",
 ]
 
 MAX_RULE_TRIES = 10_000
@@ -537,6 +537,13 @@ def sample(model: EstModel, rng: np.random.Generator) -> ParamDraw:
             f"rule system rejected {MAX_RULE_TRIES} consecutive draws "
             f"(rejection rate > 0.999); rules appear degenerate: "
             + "; ".join(str(r) for r in model.rules))
+    return complete_draw(model, values)
+
+
+def complete_draw(model: EstModel, raw: Mapping[str, float]) -> ParamDraw:
+    """Bind the complex parameters to values of the raw priors, evaluated
+    in declaration order (integer ones truncated)."""
+    values = dict(raw)
     for cp in model.complex_params:
         x = eval_expr(cp.expression, values)
         if cp.integer:

@@ -94,6 +94,24 @@ class RetainedSet:
     def obs_std(self) -> np.ndarray:
         return self.standardizer.transform(self.obs)
 
+    def observed(self, obs=None) -> np.ndarray:
+        """Raw values of an observation in ``stat_names`` order: ``None``
+        is the retained set's own, an :class:`ObservedStats` is matched by
+        name, an array is taken as it is (one vector, or one per row)."""
+        if obs is None:
+            return self.obs
+        if isinstance(obs, ObservedStats):
+            return obs.vector(self.stat_names)
+        values = np.asarray(obs, dtype=float)
+        if values.ndim == 0 or values.shape[-1] != len(self.stat_names):
+            raise ValueError(f"expected {len(self.stat_names)} statistics, "
+                             f"got an array of shape {values.shape}")
+        return values
+
+    def standardized(self, obs=None) -> np.ndarray:
+        """An observation (see :meth:`observed`) on the distance scale."""
+        return self.standardizer.transform(self.observed(obs))
+
 
 def prune_correlated(table: SimulationTable, max_cor: float):
     """Greedily drop statistics too correlated with an already kept one.

@@ -240,6 +240,7 @@ class OutputTag(enum.Enum):
     MODEL_CHOICE_VALIDATION = "modelChoiceValidation"
     CONFUSION_MATRIX = "confusionMatrix"
     GREEDY_SEARCH = "searchStatsgreedySearch"
+    REJECTION_DENSITIES = "rejectionDensities"
 
 
 # tags whose files span observations (no Obs suffix)

@@ -58,11 +58,12 @@ def marginal_density_pvalue(fit, retained: RetainedSet, obs=None,
     n_check = retained.n if n_check is None else int(n_check)
     if n_check > retained.n:
         raise ValueError(f"cannot check {n_check} of {retained.n} retained rows")
-    obs_ld = adjust.glm_log_marginal_density(fit, retained, obs,
-                                             dirac_peak_width)
-    sim_ld = adjust.glm_log_marginal_densities(
-        fit, retained, retained.stats[:n_check], dirac_peak_width)
-    return float((sim_ld <= obs_ld).mean()), obs_ld
+    # the observation and the cloud go through one call, so a cloud member
+    # compared with itself ties exactly
+    stats = np.vstack([retained.observed(obs), retained.stats[:n_check]])
+    ld = adjust.glm_log_marginal_densities(fit, retained, stats,
+                                           dirac_peak_width)
+    return float((ld[1:] <= ld[0]).mean()), float(ld[0])
 
 
 def _unit_directions(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,20 +120,10 @@ def fit_pvalues(fit, retained: RetainedSet, obs=None, n_marginal=None,
     marg_p, obs_ld = marginal_density_pvalue(fit, retained, obs, n_marginal,
                                              dirac_peak_width)
     n_tukey = retained.n if n_tukey is None else int(n_tukey)
-    tuk_p, depth = tukey_pvalue(retained.stats_std,
-                                _obs_std_vector(retained, obs),
+    tuk_p, depth = tukey_pvalue(retained.stats_std, retained.standardized(obs),
                                 n_tukey, n_projections, rng)
-    return FitPValues(math.exp(obs_ld) if obs_ld < 700 else math.inf,
-                      obs_ld, marg_p, depth, tuk_p,
+    return FitPValues(adjust.safe_exp(obs_ld), obs_ld, marg_p, depth, tuk_p,
                       max(n_tukey, n_marginal or retained.n))
-
-
-def _obs_std_vector(retained: RetainedSet, obs):
-    if obs is None:
-        return retained.obs_std
-    if isinstance(obs, ObservedStats):
-        return retained.standardizer.transform(obs.vector(retained.stat_names))
-    return retained.standardizer.transform(np.asarray(obs, dtype=float))
 
 
 # ---------------------------------------------------------------------------

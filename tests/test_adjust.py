@@ -7,10 +7,10 @@ from scipy.stats import multivariate_normal, norm
 
 from abckit import adjust
 from abckit.adjust import (GlmFit, glm_fit, glm_log_marginal_densities,
-                           glm_log_marginal_density, glm_marginal_density,
-                           glm_posterior, joint_posterior, loclinear_adjust,
-                           ridge_adjust, weighted_density)
-from abckit.errors import CollinearityError, NumericalError
+                           glm_log_marginal_density, glm_posterior,
+                           joint_posterior, ridge_adjust, safe_exp,
+                           weighted_density)
+from abckit.errors import CollinearityError, ConfigError, NumericalError
 from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
 
@@ -38,7 +38,7 @@ class TestLoclinear:
         stats = np.tile([1.0, 2.0], (20, 1))
         params = rng.normal(size=(20, 2))
         r = retained_from(params, stats, [1.0, 2.0], standardize=False)
-        adj = loclinear_adjust(r)
+        adj = ridge_adjust(r, ridge_lambda=0)
         np.testing.assert_allclose(adj.adjusted, adj.unadjusted)
 
     def test_exact_linear_model_collapses(self):
@@ -46,7 +46,7 @@ class TestLoclinear:
         s = rng.uniform(0, 3, size=(30, 1))
         theta = 2.0 * s
         r = retained_from(theta, s, [1.0])
-        adj = loclinear_adjust(r)
+        adj = ridge_adjust(r, ridge_lambda=0)
         np.testing.assert_allclose(adj.adjusted, 2.0, atol=1e-10)
 
     def test_matches_weighted_normal_equations(self):
@@ -54,7 +54,7 @@ class TestLoclinear:
         params = rng.normal(size=(20, 2))
         stats = rng.normal(size=(20, 3))
         r = retained_from(params, stats, rng.normal(size=3))
-        adj = loclinear_adjust(r)
+        adj = ridge_adjust(r, ridge_lambda=0)
         # independent dense solve of the weighted normal equations
         w = 1.0 - (r.distances / r.epsilon) ** 2
         x = r.stats_std - r.obs_std
@@ -68,7 +68,7 @@ class TestLoclinear:
         rng = np.random.default_rng(33)
         r = retained_from(rng.normal(size=(25, 1)), rng.normal(size=(25, 2)),
                           rng.normal(size=2))
-        adj = loclinear_adjust(r)
+        adj = ridge_adjust(r, ridge_lambda=0)
         w = 1.0 - (r.distances / r.epsilon) ** 2
         np.testing.assert_allclose(adj.weights, w / w.sum())
         assert adj.weights.sum() == pytest.approx(1.0)
@@ -79,14 +79,14 @@ class TestLoclinear:
         stats = np.column_stack([base, base, rng.normal(size=(30, 1))])
         r = retained_from(rng.normal(size=(30, 1)), stats, rng.normal(size=3))
         with pytest.raises(CollinearityError, match="ridge"):
-            loclinear_adjust(r)
+            ridge_adjust(r, ridge_lambda=0)
 
     def test_needs_enough_rows(self):
         rng = np.random.default_rng(35)
         r = retained_from(rng.normal(size=(4, 1)), rng.normal(size=(4, 4)),
                           rng.normal(size=4))
         with pytest.raises(NumericalError):
-            loclinear_adjust(r)
+            ridge_adjust(r, ridge_lambda=0)
 
     def test_multivariate_exact_map_recovers_point_mass(self):
         rng = np.random.default_rng(36)
@@ -95,7 +95,7 @@ class TestLoclinear:
         theta = s @ a.T
         obs = np.array([0.3, -0.7])
         r = retained_from(theta, s, obs)
-        adj = loclinear_adjust(r)
+        adj = ridge_adjust(r, ridge_lambda=0)
         truth = a @ obs
         for j in range(2):
             sd = math.sqrt(np.average((adj.adjusted[:, j] - truth[j]) ** 2,
@@ -109,7 +109,7 @@ class TestRidge:
         rng = np.random.default_rng(37)
         r = retained_from(rng.normal(size=(25, 2)), rng.normal(size=(25, 3)),
                           rng.normal(size=3))
-        a = loclinear_adjust(r)
+        a = ridge_adjust(r, ridge_lambda=0)
         b = ridge_adjust(r, ridge_lambda=1e-12)
         np.testing.assert_allclose(a.adjusted, b.adjusted, atol=1e-8)
 
@@ -274,6 +274,51 @@ def manual_flat_fit(n_stats=2, n_params=2, sigma=None):
                   np.zeros(n_params), np.ones(n_params))
 
 
+class TestGaussianCore:
+    def test_log_kernel_matches_direct_solve(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        a_mat = rng.normal(size=(3, 3))
+        chol = np.linalg.cholesky(a_mat @ a_mat.T + 0.1 * np.eye(3))
+        # far from the origin, where |x|^2 + |y|^2 - 2 x'y would cancel
+        # without the centring
+        a = rng.normal(size=(50, 3)) + 1e4
+        b = rng.normal(size=(40, 3)) + 1e4 + 1
+        # blocks of two rows, the last one short
+        monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS", 90)
+        blocks = list(adjust._gaussian_log_kernel(chol, a[:49], b))
+        assert [start for start, _ in blocks] == list(range(0, 49, 2))
+        assert max(blk.size for _, blk in blocks) <= 90
+        got = np.vstack([blk for _, blk in blocks])
+        diff = (a[:49, None, :] - b[None, :, :]).reshape(-1, 3)
+        sq = (np.linalg.solve(chol, diff.T) ** 2).sum(axis=0).reshape(49, 40)
+        np.testing.assert_allclose(got, -0.5 * sq, rtol=1e-10, atol=1e-12)
+
+    def test_joint_grid_matches_direct_mixture(self, monkeypatch):
+        # blocks of 7 components
+        monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS", 7 * 25 * 25)
+        r, _ = conjugate_setup(n=300)
+        rng = np.random.default_rng(54)
+        params = np.column_stack([r.params[:, 0], rng.normal(size=r.n)])
+        stats = np.column_stack([r.stats[:, 0],
+                                 params[:, 1] + 0.3 * rng.normal(size=r.n)])
+        r2 = retained_from(params, stats, [0.8, 0.1])
+        fit = glm_fit(r2)
+        joint = joint_posterior(fit, r2, n_points=25)
+        # the mixture evaluated point by point with scipy, on the same grid
+        mix = adjust._glm_mixture(fit, r2, None, adjust.DEFAULT_PEAK_WIDTH)
+        ugrids = [(g - fit.lo[k]) / (fit.hi[k] - fit.lo[k])
+                  for k, g in enumerate(joint.grids)]
+        cov = mix.cov.copy()
+        for k, ug in enumerate(ugrids):
+            cov[k, k] = max(cov[k, k], ((ug[1] - ug[0]) / 2) ** 2)
+        mesh = np.stack(np.meshgrid(*ugrids, indexing="ij"), axis=-1)
+        want = sum(w * multivariate_normal(mean=m, cov=cov).pdf(mesh)
+                   for w, m in zip(mix.weights, mix.means))
+        want /= want.sum() * joint.cell_volume
+        np.testing.assert_allclose(joint.density, want, rtol=1e-9,
+                                   atol=1e-12 * want.max())
+
+
 class TestJointPosterior:
     def test_independent_mixture_factorizes(self):
         # equal weights (zero slopes) on a lattice of peaks: the joint grid
@@ -315,6 +360,16 @@ class TestJointPosterior:
         order = np.argsort(d)[::-1]
         assert np.all(np.diff(h[order]) >= -1e-12)
 
+    def test_grid_size_checked_before_any_work(self):
+        # 100^4 points would take gigabytes per array; the check comes
+        # before the retained set is even looked at
+        with pytest.raises(ConfigError, match="at most 31 points"):
+            joint_posterior(manual_flat_fit(n_params=4), None, n_points=100)
+        # 100^3 is allowed, one more point per parameter is not
+        assert 100**3 <= adjust.JOINT_GRID_MAX_POINTS
+        with pytest.raises(ConfigError, match="at most 100 points"):
+            joint_posterior(manual_flat_fit(n_params=3), None, n_points=101)
+
     def test_dimension_guard(self):
         fit = manual_flat_fit(n_params=5)
         with pytest.raises(ValueError, match="2 to 4"):
@@ -342,7 +397,7 @@ class TestMarginalDensity:
         r = retained_from(rng.uniform(size=(200, 1)),
                           rng.normal(size=(200, 3)), [12.0, -12.0, 12.0])
         fit = glm_fit(r)
-        assert glm_marginal_density(fit, r) < 1e-12
+        assert safe_exp(glm_log_marginal_density(fit, r)) < 1e-12
 
     def test_zero_slope_single_peak_is_plain_gaussian(self):
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
@@ -350,7 +405,8 @@ class TestMarginalDensity:
         params = np.tile([0.25, 0.75], (5, 1))
         stats = np.tile([0.0, 0.0], (5, 1))
         r = retained_from(params, stats, [0.4, -0.3], standardize=False)
-        got = glm_marginal_density(fit, r, dirac_peak_width=1e-9)
+        got = safe_exp(glm_log_marginal_density(fit, r,
+                                                dirac_peak_width=1e-9))
         want = multivariate_normal(mean=[0, 0], cov=sigma).pdf([0.4, -0.3])
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -361,7 +417,7 @@ class TestMarginalDensity:
                                  0.5 * theta[:, 0] + rng.normal(size=300)])
         r = retained_from(theta, stats, [2.2, 1.0])
         fit = glm_fit(r)
-        got = glm_marginal_density(fit, r)
+        got = safe_exp(glm_log_marginal_density(fit, r))
         # draw from the peak-mixture prior, average the likelihood
         n_mc = 1_000_000
         mc_rng = np.random.default_rng(50)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from abckit import cli, statselect
-from abckit.tableio import read_table, write_observed, write_table
+from abckit.tableio import (format_value, read_table, write_observed,
+                            write_table)
 
 
 def test_estimate_two_models_end_to_end(tmp_path, monkeypatch, norm_table,
@@ -117,3 +118,208 @@ def test_config_error_exits_1_without_traceback(tmp_path, toy_obs):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "configuration error: numCaliSims" in proc.stderr
+
+
+def _write_toy_inputs(directory, norm_table, unif_table, toy_obs, rows=2000):
+    """The first ``rows`` simulations of each toy model and the toy
+    observation, as the CLI reads them."""
+    write_table(directory / "normal.txt", norm_table.take_rows(np.arange(rows)))
+    write_table(directory / "uniform.txt", unif_table.take_rows(np.arange(rows)))
+    write_observed(directory / "obs.txt", toy_obs)
+
+
+def _column(table, name):
+    return table.values[:, table.names.index(name)]
+
+
+def _logged_pvalues(caplog):
+    """The P-values of the model-fit log lines, in order."""
+    out = []
+    for record in caplog.records:
+        msg = record.getMessage()
+        if " fit: marginal density " in msg:
+            out += [float(part.split(")")[0]) for part in msg.split("(P=")[1:]]
+    return out
+
+
+def test_estimate_with_every_diagnostic_end_to_end(tmp_path, monkeypatch,
+                                                   caplog, norm_table,
+                                                   unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC",
+                     "posteriorDensityPoints=60",
+                     "jointPosteriors=mu,sigma2",
+                     "jointPosteriorDensityPoints=30",
+                     "marDensPValue=100", "tukeyPValue=100",
+                     "retainedValidation=6", "randomValidation=6",
+                     "modelChoiceValidation=4"])
+    assert code == 0
+
+    for m in (0, 1):
+        dens = read_table(tmp_path / f"ABC_model{m}_MarginalPosteriorDensities_Obs0.txt")
+        assert dens.n_rows == 60
+        for name in ("mu", "sigma2"):
+            grid, f = _column(dens, name), _column(dens, f"{name}.density")
+            assert np.all(f >= 0)
+            assert np.trapezoid(f, grid) == pytest.approx(1.0, abs=1e-4)
+
+        joint = read_table(tmp_path / f"ABC_model{m}_jointPosterior_1_2_Obs0.txt")
+        assert joint.names == ("mu", "sigma2", "density", "HDI")
+        assert joint.n_rows == 30 * 30
+        mu, sigma2 = _column(joint, "mu"), _column(joint, "sigma2")
+        assert np.all(np.diff(mu[:30]) > 0) and np.all(sigma2[:30] == sigma2[0])
+        cell = (mu[1] - mu[0]) * (sigma2[30] - sigma2[0])
+        density, hdi = _column(joint, "density"), _column(joint, "HDI")
+        assert np.all(density >= 0)
+        assert density.sum() * cell == pytest.approx(1.0, abs=1e-4)
+        assert np.all((hdi >= 0) & (hdi <= 1 + 1e-5))
+        # the densest cell has the smallest credible level
+        assert hdi[np.argmax(density)] == hdi.min()
+
+        for tag in ("RetainedValidation_Obs0", "RandomValidation"):
+            val = read_table(tmp_path / f"ABC_model{m}_{tag}.txt")
+            assert 0 < val.n_rows <= 6
+            for name in ("mu", "sigma2"):
+                for kind in ("quantile", "HDI"):
+                    col = _column(val, f"{name}_{kind}")
+                    assert np.all((col >= 0) & (col <= 1))
+
+    pvalues = _logged_pvalues(caplog)
+    assert len(pvalues) == 4                 # marginal and Tukey, per model
+    assert all(0 <= p <= 1 for p in pvalues)
+
+    raw = read_table(tmp_path / "ABC_modelChoiceValidation.txt")
+    assert raw.n_rows == 8
+    probs = raw.values[:, 1:]
+    assert np.all((probs >= 0) & (probs <= 1))
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+    confusion = (tmp_path / "ABC_confusionMatrix.txt").read_text().splitlines()
+    assert confusion[0].split("\t")[:3] == ["trueModel", "chosen0", "chosen1"]
+    counts = [[float(v) for v in line.split("\t")[1:3]] for line in confusion[1:]]
+    assert [sum(row) for row in counts] == [4.0, 4.0]
+
+
+def test_estimate_plot_data_writes_rejection_densities(tmp_path, monkeypatch,
+                                                       norm_table, unif_table,
+                                                       toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt", "params=1-2",
+                     "obsName=obs.txt", "numRetained=200", "maxReadSims=5000",
+                     "seed=2", "outputPrefix=ABC", "plotData=1"])
+    assert code == 0
+    dens = read_table(tmp_path / "ABC_model0_rejectionDensities_Obs0.txt")
+    assert dens.names == ("mu", "mu.density", "sigma2", "sigma2.density")
+    assert dens.n_rows == 512
+    for name in ("mu", "sigma2"):
+        grid, f = _column(dens, name), _column(dens, f"{name}.density")
+        assert np.all(f >= 0) and np.all(np.diff(grid) > 0)
+        # a kernel density on a grid padded by 10 % holds nearly all mass
+        assert 0.9 < np.trapezoid(f, grid) <= 1.0 + 1e-4
+
+
+def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
+    monkeypatch.chdir(tmp_path)
+    table = norm_table.take_rows(np.arange(400))
+    write_table(tmp_path / "sims.txt", table)
+    comb = statselect.fit_pls(table, 3, 5, rng=4).definition
+    comb.save(tmp_path / "lincomb.txt")
+    code = cli.main(["task=transform", "linearCombName=lincomb.txt",
+                     "input=sims.txt", "output=out.txt", "params=1-2",
+                     "numLinearComb=2"])
+    assert code == 0
+    out = read_table(tmp_path / "out.txt", "1-2")
+    assert out.names == ("mu", "sigma2", "LinearCombination_1",
+                         "LinearCombination_2")
+    assert out.n_rows == 400
+    sims = read_table(tmp_path / "sims.txt", "1-2")
+    np.testing.assert_array_equal(out.params, sims.params)
+    reloaded = statselect.LinearCombDef.load(tmp_path / "lincomb.txt")
+    want = statselect.transform(sims, reloaded, 2)
+    printed = np.vectorize(lambda v: float(format_value(v)))(want.stats)
+    np.testing.assert_array_equal(out.stats, printed)
+
+
+def test_find_stats_model_choice_end_to_end(tmp_path, monkeypatch, norm_table,
+                                            unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=1000)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=findStatsModelChoice",
+                     "simName=normal.txt;uniform.txt", "params=1-2",
+                     "maxReadSims=5000", "numRetained=200",
+                     "modelChoiceValidation=5", "maxCorSSFinder=0",
+                     "seed=3", "outputPrefix=ABC"])
+    assert code == 0
+    lines = (tmp_path / "ABC_searchStatsgreedySearch.txt").read_text().splitlines()
+    header = lines[0].split("\t")
+    assert header == ["rank", "power", "largestPairwiseCorrelation",
+                      "nStatistics", "statistics"]
+    rows = [line.split("\t") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    powers = [float(r[1]) for r in rows]
+    assert all(0 <= p <= 1 for p in powers)
+    assert powers == sorted(powers, reverse=True)
+    assert {r[4] for r in rows if r[3] == "1"} <= set(norm_table.stat_names)
+
+
+def _error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+
+
+@pytest.mark.parametrize("task, settings, limit", [
+    ("estimate", ["obsName=obs.txt", "numRetained=301"], 300),
+    ("estimate", ["obsName=obs.txt", "numRetained=0"], 300),
+    ("estimate", ["obsName=obs.txt", "numRetained=300",
+                  "randomValidation=2"], 299),
+    ("findStatsModelChoice", ["numRetained=300", "modelChoiceValidation=2"],
+     299),
+])
+def test_num_retained_range_check_is_a_config_error(tmp_path, monkeypatch,
+                                                    caplog, norm_table,
+                                                    unif_table, toy_obs, task,
+                                                    settings, limit):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([f"task={task}", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "maxReadSims=5000", "outputPrefix=ABC",
+                     *settings])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert "numRetained" in errors[0] and f"between 1 and {limit}" in errors[0]
+    assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
+                                                       caplog, norm_table):
+    monkeypatch.chdir(tmp_path)
+    table = norm_table.take_rows(np.arange(200))
+    write_table(tmp_path / "sims.txt", table)
+    statselect.fit_pls(table, 1, 5, rng=4).definition.save(
+        tmp_path / "lincomb.txt")
+    code = cli.main(["task=transform", "linearCombName=lincomb.txt",
+                     "input=sims.txt", "output=out.txt", "params=1-2",
+                     "numLinearComb=3"])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert "numLinearComb" in errors[0] and "between 1 and 1" in errors[0]
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_oversized_joint_grid_is_a_config_error(tmp_path, monkeypatch, caplog,
+                                                norm_table, unif_table,
+                                                toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt", "params=1-2",
+                     "obsName=obs.txt", "numRetained=100", "maxReadSims=5000",
+                     "jointPosteriors=mu,sigma2",
+                     "jointPosteriorDensityPoints=1001"])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and "at most 1000 points" in errors[0]

@@ -4,8 +4,10 @@ import logging
 import numpy as np
 import pytest
 
+from abckit import models
+from abckit.errors import SimulatorError
 from abckit.orchestrate import (McmcConfig, SimulatorBinding, calibrate,
-                                run_mcmc)
+                                run_mcmc, run_standard)
 from abckit.priors import parse_est
 from abckit.statselect import LinearCombDef
 
@@ -74,3 +76,46 @@ class TestRunMcmc:
         same = run_mcmc(est, binding, toy_obs, cfg, np.random.default_rng(4),
                         calibration=cal)
         assert same.outside_domain == 0
+
+
+def flaky_model(fail_calls):
+    """A builtin that raises on the given (1-based) calls and otherwise
+    returns the draw's mu as its one statistic."""
+    seen = []
+
+    def model(draw, rng):
+        seen.append(draw["mu"])
+        if len(seen) in fail_calls:
+            raise SimulatorError(f"call {len(seen)} failed")
+        return ("m",), [draw["mu"] + rng.normal()]
+
+    model.seen = seen
+    return model
+
+
+class TestRetry:
+    def run(self, monkeypatch, caplog, fail_calls, n_sims=4):
+        self.model = flaky_model(fail_calls)
+        monkeypatch.setitem(models.BUILTIN_MODELS, "flaky", self.model)
+        est = parse_est(TOY_EST)
+        with caplog.at_level(logging.INFO, logger="abckit"):
+            return run_standard(est, SimulatorBinding.builtin("flaky"),
+                                n_sims, np.random.default_rng(5))
+
+    def test_one_failure_is_retried_with_the_same_draw(self, monkeypatch,
+                                                       caplog):
+        run = self.run(monkeypatch, caplog, {2})
+        assert run.failures == 0 and run.table.n_rows == 4
+        assert len(self.model.seen) == 5
+        assert self.model.seen[1] == self.model.seen[2]
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_two_failures_skip_the_draw(self, monkeypatch, caplog):
+        run = self.run(monkeypatch, caplog, {2, 3})
+        assert run.failures == 1 and run.table.n_rows == 3
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings == ["simulation failed twice, skipping draw: "
+                            "call 3 failed"]
+        assert any(r.getMessage() == "performed 3 simulation(s), 1 failure(s)"
+                   for r in caplog.records)

@@ -5,8 +5,9 @@ import pytest
 from scipy import stats as sps
 
 from abckit.errors import EstParseError, EvalError
-from abckit.priors import (EstModel, eval_expr, log_prior_density, parse_est,
-                           parse_expression, sample)
+from abckit.priors import (EstModel, complete_draw, eval_expr,
+                           log_prior_density, parse_est, parse_expression,
+                           sample)
 
 RULES_EST = """\
 [PARAMETERS]
@@ -229,6 +230,23 @@ class TestSampling:
         assert "N_CUR" in d.values and "N_CUR" not in d.output_names
         # N_CUR is integer-flagged, so it is truncated toward zero
         assert d["N_CUR"] == float(math.trunc(10 ** d["LOG10_N_CUR"]))
+
+    def test_complete_draw_evaluates_complex_in_order(self):
+        m = parse_est(POPGEN_EST)
+        raw = {"LOG10_N_CUR": 4.5, "LOG10_OMEGA": 0.5, "TAU": 0.25,
+               "MUTRATE": 2.5e-8}
+        d = complete_draw(m, raw)
+        assert d["N_CUR"] == float(math.trunc(10 ** 4.5))     # integer flag
+        assert d["T1"] == float(math.trunc(0.25 * 2 * d["N_CUR"]))
+        assert d["OMEGA"] == pytest.approx(10 ** 0.5)
+        assert d.output_names == m.output_names
+        assert "N_CUR" not in raw                # the input is not modified
+
+    def test_sample_is_complete_draw_of_its_priors(self):
+        m = parse_est(POPGEN_EST)
+        d = sample(m, np.random.default_rng(9))
+        raw = {name: d[name] for name in m.prior_names}
+        assert complete_draw(m, raw) == d
 
     def test_log_prior_density_uniform(self):
         m = parse_est("[PARAMETERS]\n0 A unif 0 1 output\n")

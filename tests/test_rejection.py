@@ -195,3 +195,32 @@ class TestPruneCorrelated:
         table = SimulationTable(("p", "s"), np.zeros((1, 2)), (0,), (1,))
         with pytest.raises(TableFormatError):
             prune_correlated(table, 0.9)
+
+
+class TestStandardizedObservation:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.table = random_table(rng)
+        self.obs = ObservedStats(self.table.stat_names, rng.normal(size=5))
+        self.r = retain(self.table, self.obs, count=20)
+
+    def test_none_is_own_observation(self):
+        np.testing.assert_array_equal(self.r.standardized(), self.r.obs_std)
+        np.testing.assert_array_equal(self.r.observed(), self.obs.values)
+
+    def test_observed_stats_matched_by_name(self):
+        shuffled = ObservedStats(self.obs.names[::-1], self.obs.values[::-1])
+        np.testing.assert_array_equal(self.r.standardized(shuffled),
+                                      self.r.obs_std)
+
+    def test_arrays_one_vector_or_rows(self):
+        rows = self.table.stats[:3]
+        z = self.r.standardized(rows)
+        np.testing.assert_array_equal(z, self.r.standardizer.transform(rows))
+        np.testing.assert_array_equal(self.r.standardized(rows[1]), z[1])
+
+    def test_size_checked(self):
+        with pytest.raises(ValueError, match="expected 5 statistics"):
+            self.r.standardized(np.zeros(4))
+        with pytest.raises(ValueError, match="expected 5 statistics"):
+            self.r.observed(np.zeros((2, 6)))

@@ -130,9 +130,23 @@ class TestMarginalDensityPValue:
         ps = (lds[None, :] <= lds[chosen, None]).mean(axis=1)
         assert sps.kstest(ps, "uniform").pvalue > 0.01
         for i in chosen[:3]:
-            got, _ = marginal_density_pvalue(fit, r, r.stats[i])
-            # rounding can flip the self-comparison, one rank of slack
-            assert got == pytest.approx(ps[list(chosen).index(i)], abs=1.5e-3)
+            got, obs_ld = marginal_density_pvalue(fit, r, r.stats[i])
+            # the observation and the cloud share one evidence call, so a
+            # member compared with itself ties exactly
+            assert obs_ld == lds[i]
+            assert got == ps[list(chosen).index(i)]
+
+    def test_every_cloud_member_ties_with_itself(self):
+        from abckit.adjust import glm_log_marginal_densities
+
+        rng = np.random.default_rng(80)
+        r = gaussian_cloud_retained(rng, n=200)
+        fit = glm_fit(r)
+        lds = glm_log_marginal_densities(fit, r, r.stats)
+        for i in range(r.n):
+            got, obs_ld = marginal_density_pvalue(fit, r, r.stats[i])
+            assert obs_ld == lds[i]
+            assert got == (lds <= lds[i]).mean()
 
     def test_n_check_bound(self):
         rng = np.random.default_rng(81)
