@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import logsumexp
 from scipy.stats import gaussian_kde
 
 from .errors import CollinearityError, ConfigError, NumericalError
@@ -40,7 +39,8 @@ __all__ = [
     "AdjustedSample", "GlmFit", "GridPosterior", "JointGridPosterior",
     "PosteriorCharacteristics", "ridge_adjust", "glm_fit", "glm_posterior",
     "joint_posterior", "glm_log_marginal_density",
-    "glm_log_marginal_densities", "safe_exp", "weighted_density",
+    "glm_log_marginal_densities", "log_sum_exp", "safe_exp",
+    "weighted_density",
 ]
 
 DEFAULT_PEAK_WIDTH = 0.01
@@ -59,6 +59,30 @@ def safe_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def log_sum_exp(a, axis=None):
+    """``log(sum(exp(a)))`` over ``axis`` (all elements by default), with
+    the algorithm of ``scipy.special.logsumexp`` (scipy 1.17) and its
+    results to the last bit: the maximum and the count ``m`` of entries
+    tied with it are taken out of the sum, so the result is
+    ``log1p(rest / m) + log(m) + max`` with ``rest`` the sum of the other
+    entries' ``exp(a - max)``; a result that is not finite (all entries
+    ``-inf``, an infinite or NaN entry) is ``log(sum(exp(a)))``."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(
+            axis=axis, keepdims=True)
+        out = np.log1p(rest / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    out = out.squeeze(axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +328,7 @@ def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, stats,
     out = np.empty(len(z))
     for start, log_ev in _log_evidences(fit, retained, z,
                                         float(dirac_peak_width)):
-        out[start:start + len(log_ev)] = logsumexp(log_ev, axis=1)
+        out[start:start + len(log_ev)] = log_sum_exp(log_ev, axis=1)
     return out - math.log(retained.n)
 
 

@@ -6,6 +6,11 @@ retains the closest fraction, and counts which model they came from.  The
 likelihood path retains per model, fits the local Gaussian likelihood, and
 compares the resulting marginal densities.  Both standardize with a single
 transform fitted to the pooled statistics so the models live on one scale.
+
+Both take ``exclude=(model, row)`` for a leave-one-out replicate: that
+simulation is left out of the pooled standardization and of the retention
+(see :func:`abckit.rejection.retain`), as if its table had been copied
+without it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import adjust
 from .errors import TableFormatError
@@ -81,13 +85,29 @@ def _model_log_prior(n_models: int, prior_weights) -> np.ndarray:
     return np.log(w / w.sum())
 
 
-def _pooled_standardizer(tables, names) -> Standardizer:
+def _pooled_row(tables, exclude):
+    """Row of the pooled statistic matrix that ``exclude=(model, row)``
+    names, or ``None``."""
+    if exclude is None:
+        return None
+    model, row = exclude
+    if not 0 <= row < tables[model].n_rows:
+        raise ValueError(f"excluded row {row} outside model {model}'s "
+                         f"{tables[model].n_rows} rows")
+    return sum(t.n_rows for t in tables[:model]) + row
+
+
+def _pooled_standardizer(tables, names, exclude=None) -> Standardizer:
     pooled = np.vstack([t.stat_matrix(names) for t in tables])
+    row = _pooled_row(tables, exclude)
+    if row is not None:
+        pooled = np.delete(pooled, row, axis=0)
     return Standardizer.fit(pooled, names)
 
 
 def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
-                           prior_weights=None) -> ModelChoiceResult:
+                           prior_weights=None, exclude=None
+                           ) -> ModelChoiceResult:
     """Model probabilities from the share of retained pooled simulations.
 
     All rows are pooled, standardized jointly, and the closest
@@ -95,16 +115,19 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     acceptance rate, which corrects for unequal table sizes.
     """
     names = _common_stats(tables)
+    row = _pooled_row(tables, exclude)
     sizes = np.array([t.n_rows for t in tables])
-    if len(set(sizes)) > 1 and prior_weights is None:
-        log.warning("tables have unequal sizes (%s); correcting acceptance "
-                    "rates accordingly", ", ".join(map(str, sizes)))
     pooled_values = np.vstack([t.stat_matrix(names) for t in tables])
     pooled = SimulationTable(tuple(names), pooled_values, (),
                              tuple(range(len(names))))
     origin = np.repeat(np.arange(len(tables)), sizes)
+    if row is not None:
+        sizes[exclude[0]] -= 1
+    if len(set(sizes)) > 1 and prior_weights is None:
+        log.warning("tables have unequal sizes (%s); correcting acceptance "
+                    "rates accordingly", ", ".join(map(str, sizes)))
 
-    kept = retain(pooled, obs, count=count, tol=tol)
+    kept = retain(pooled, obs, count=count, tol=tol, exclude=row)
     counts = np.bincount(origin[kept.indices], minlength=len(tables))
     rates = counts / sizes
     log_prior = _model_log_prior(len(tables), prior_weights)
@@ -114,21 +137,23 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     log_post = log_rates + log_prior
     if np.all(np.isinf(log_post)):
         raise ValueError("no simulations retained from any model")
-    probs = np.exp(log_post - logsumexp(log_post[np.isfinite(log_post)]))
-    probs = np.where(np.isfinite(log_post), probs, 0.0)
+    finite = np.isfinite(log_post)
+    probs = np.exp(log_post - adjust.log_sum_exp(log_post[finite]))
+    probs = np.where(finite, probs, 0.0)
     return ModelChoiceResult("rejection", rates, log_rates, probs)
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,
                      dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH,
-                     prior_weights=None) -> ModelChoiceResult:
+                     prior_weights=None, exclude=None) -> ModelChoiceResult:
     """Model probabilities from the fitted local-likelihood marginal
     densities, one model at a time, on the pooled standardization."""
     names = _common_stats(tables)
-    pooled_std = _pooled_standardizer(tables, names)
+    pooled_std = _pooled_standardizer(tables, names, exclude)
     retained, fits, log_dens = [], [], []
-    for t in tables:
-        r = retain(t, obs, count=count, standardizer=pooled_std)
+    for m, t in enumerate(tables):
+        row = exclude[1] if exclude is not None and exclude[0] == m else None
+        r = retain(t, obs, count=count, standardizer=pooled_std, exclude=row)
         fit = adjust.glm_fit(r)
         log_dens.append(adjust.glm_log_marginal_density(
             fit, r, dirac_peak_width=dirac_peak_width))
@@ -136,7 +161,7 @@ def glm_model_choice(tables, obs: ObservedStats, count,
         fits.append(fit)
     log_dens = np.array(log_dens)
     log_post = log_dens + _model_log_prior(len(tables), prior_weights)
-    probs = np.exp(log_post - logsumexp(log_post))
+    probs = np.exp(log_post - adjust.log_sum_exp(log_post))
     dens = np.array([adjust.safe_exp(v) for v in log_dens])
     return ModelChoiceResult("glm", dens, log_dens, probs,
                              tuple(retained), tuple(fits))

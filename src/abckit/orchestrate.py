@@ -431,6 +431,25 @@ def _reflect(x: float, lo: float, hi: float) -> float:
     return lo + t
 
 
+def _lattice_step(x: float, w: float, lo: float, hi: float, rng) -> float:
+    """Random-walk proposal of an integer parameter: a step of 1 to
+    ``max(1, int(w))`` units either way, each equally likely, reflected on
+    the integers in ``[lo, hi]``.  The mirrors sit half a unit beyond the
+    end points (a step from ``lo`` to ``lo - 1`` stays at ``lo``), which
+    makes the proposal symmetric on the lattice, its ends included."""
+    first = math.ceil(lo)
+    size = math.floor(hi) - first + 1
+    if size < 2:
+        return x
+    reach = max(1, int(w))
+    step = int(rng.integers(-reach, reach))
+    step += step >= 0
+    k = (int(x) - first + step) % (2 * size)
+    if k >= size:
+        k = 2 * size - 1 - k
+    return float(first + k)
+
+
 @dataclass(frozen=True)
 class McmcRun:
     table: SimulationTable
@@ -449,12 +468,14 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     the calibrated tolerance of the observation.
 
     Proposals perturb each raw parameter by a uniform step reflected at the
-    prior bounds (symmetric, so only the prior ratio enters the acceptance
-    test); draws violating a rule are rejected outright, and so are
-    simulations with a statistic outside the domain of the calibration's
-    Box-Cox transform (counted in ``outside_domain``).  The chain state
-    is recorded every ``sampling_interval`` steps; the first
-    ``burn_in_frac`` of the records is discarded.
+    prior bounds, an integer parameter by a uniform integer step reflected
+    on the integers within them (both symmetric, so only the prior ratio
+    enters the acceptance test); draws violating a rule are rejected
+    outright, and so are simulations with a statistic outside the domain
+    of the calibration's Box-Cox transform (counted in
+    ``outside_domain``).  The chain state is recorded every
+    ``sampling_interval`` steps; the first ``burn_in_frac`` of the records
+    is discarded.
     """
     rng = np.random.default_rng(rng)
     cal = calibration if calibration is not None else calibrate(
@@ -479,9 +500,10 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                 w = cal.widths[j]
                 x = raw[name]
                 if w > 0 and hi > lo:
-                    x = _reflect(x + rng.uniform(-w, w), lo, hi)
-                if spec.integer:
-                    x = float(math.trunc(x))
+                    if spec.integer:
+                        x = _lattice_step(x, w, lo, hi, rng)
+                    else:
+                        x = _reflect(x + rng.uniform(-w, w), lo, hi)
                 proposal[name] = x
             if all(rule.holds(proposal) for rule in est.rules):
                 result = runner.simulate_with_retry(

@@ -1,10 +1,22 @@
 """The basic rejection step: standardize statistics, rank simulations by
 distance to the observed statistics, keep the closest.
 
-Distances are Euclidean over statistics standardized by the mean and
-standard deviation of the full simulation set; the observation is mapped
-through the same transform.  Ties at the retention cutoff are broken by
-row order, so results are deterministic.
+:func:`retain` is the one retention engine; estimation, model choice and
+every leave-one-out loop call it.  Distances are Euclidean over
+statistics standardized by the mean and standard deviation of the
+simulation set (or by a supplied transform, e.g. one pooled over several
+models); the observation is mapped through the same transform.
+
+Selection partitions the distances around the ``count``-th smallest and
+sorts only the rows below it plus the first rows, in row order, that tie
+with it, so the kept indices equal a full stable sort cut at ``count``:
+ties at the cutoff are broken by row order and results are deterministic.
+
+A leave-one-out replicate passes ``exclude=i`` instead of copying the
+table without row ``i``: that row is left out of the fitted
+standardization, of the row count that bounds ``count`` (and that ``tol``
+scales) and of the candidate rows, while the returned indices still refer
+to the full table.
 """
 
 from __future__ import annotations
@@ -76,7 +88,7 @@ class RetainedSet:
 
     @property
     def params(self) -> np.ndarray:
-        return self.table.params[self.indices]
+        return self.table.values[np.ix_(self.indices, self.table.param_idx)]
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -84,7 +96,7 @@ class RetainedSet:
 
     @property
     def stats(self) -> np.ndarray:
-        return self.table.stat_matrix(self.stat_names)[self.indices]
+        return self.table.stat_matrix(self.stat_names, rows=self.indices)
 
     @property
     def stats_std(self) -> np.ndarray:
@@ -166,16 +178,38 @@ def _resolve_count(n_rows: int, count, tol) -> int:
     return count
 
 
+def _nearest(dist: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` smallest distances in ascending order, ties
+    by row order: ``np.argsort(dist, kind="stable")[:count]`` without
+    sorting the rows beyond the cutoff."""
+    if count < len(dist):
+        cutoff = np.partition(dist, count - 1)[count - 1]
+        below = np.flatnonzero(dist < cutoff)
+        at = np.flatnonzero(dist == cutoff)[:count - len(below)]
+        rows = np.concatenate([below, at])
+    else:
+        rows = np.arange(len(dist))
+    return rows[np.argsort(dist[rows], kind="stable")]
+
+
 def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
-           standardize: bool = True, standardizer: Standardizer | None = None
-           ) -> RetainedSet:
+           standardize: bool = True, standardizer: Standardizer | None = None,
+           exclude: int | None = None) -> RetainedSet:
     """Retain the simulations closest to the observation.
 
     Statistics are matched by exact name (order-independent); every
-    observed statistic must be present in the table.  Either an absolute
-    ``count`` or a fraction ``tol`` (count = ceil(tol * rows)) must be
-    given.  A pre-fitted ``standardizer`` may be supplied (e.g. pooled over
-    several models); otherwise one is fitted to the full table.
+    observed statistic must be present in the table and finite.  Either an
+    absolute ``count`` or a fraction ``tol`` (count = ceil(tol * rows)) must
+    be given.  A pre-fitted ``standardizer`` may be supplied (e.g. pooled
+    over several models); otherwise one is fitted to the table.
+
+    ``exclude`` names one row to leave out, as if the table had been copied
+    without it: it is not in the fitted standardization, not counted in
+    the rows that bound ``count`` and scale ``tol``, and never retained.
+    The returned indices refer to the full table either way.
+
+    The kept rows are the ``count`` closest, ordered by distance with ties
+    broken by row order (see :func:`_nearest`).
 
     A zero-variance statistic is excluded from the distance with a warning
     when it matches the observed value exactly, and is a hard error when it
@@ -191,10 +225,20 @@ def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
     if unmatched:
         raise TableFormatError(
             f"observed statistics missing from table: {', '.join(unmatched)}")
-    count = _resolve_count(table.n_rows, count, tol)
+    obs_vec = obs.vector(matched)
+    bad = [n for n, v in zip(matched, obs_vec) if not np.isfinite(v)]
+    if bad:
+        raise TableFormatError(
+            f"observed statistic(s) not finite: {', '.join(bad)}")
 
     sims = table.stat_matrix(matched)
-    obs_vec = obs.vector(matched)
+    if exclude is not None:
+        exclude = int(exclude)
+        if not 0 <= exclude < table.n_rows:
+            raise ValueError(f"excluded row {exclude} outside the table's "
+                             f"{table.n_rows} rows")
+        sims = np.delete(sims, exclude, axis=0)
+    count = _resolve_count(len(sims), count, tol)
     if standardizer is not None:
         std = standardizer.subset(matched)
     elif standardize:
@@ -220,6 +264,7 @@ def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
     diff = std.transform(sims[:, keep]) - std.transform(obs_vec[keep])
     dist = np.sqrt((diff**2).sum(axis=1))
 
-    order = np.argsort(dist, kind="stable")[:count]
-    return RetainedSet(table, order, dist[order], tuple(matched), std,
+    order = _nearest(dist, count)
+    indices = order if exclude is None else order + (order >= exclude)
+    return RetainedSet(table, indices, dist[order], tuple(matched), std,
                        obs_vec[keep])

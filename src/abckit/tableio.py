@@ -167,24 +167,23 @@ class SimulationTable:
     def stats(self) -> np.ndarray:
         return self.values[:, list(self.stat_idx)]
 
-    def stat_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Statistic columns in the order of ``names`` (exact-name match)."""
+    def stat_matrix(self, names: Sequence[str], rows=None) -> np.ndarray:
+        """Statistic columns in the order of ``names`` (exact-name match),
+        of every row or of the given ``rows`` only."""
         lookup = {self.names[i]: i for i in self.stat_idx}
         missing = [n for n in names if n not in lookup]
         if missing:
             raise TableFormatError(f"statistics not in table: {', '.join(missing)}")
-        return self.values[:, [lookup[n] for n in names]]
+        cols = [lookup[n] for n in names]
+        if rows is None:
+            return self.values[:, cols]
+        return self.values[np.ix_(np.asarray(rows), cols)]
 
     # -- derived tables --------------------------------------------------
 
     def take_rows(self, idx) -> "SimulationTable":
         return SimulationTable(self.names, self.values[np.asarray(idx)],
                                self.param_idx, self.stat_idx)
-
-    def drop_row(self, i: int) -> "SimulationTable":
-        keep = np.ones(self.n_rows, dtype=bool)
-        keep[i] = False
-        return self.take_rows(np.nonzero(keep)[0])
 
     def with_stats(self, names: Sequence[str]) -> "SimulationTable":
         """Restrict the statistic set to ``names`` (params kept as-is)."""

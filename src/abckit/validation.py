@@ -153,9 +153,9 @@ class ValidationRow:
 
 
 def _glm_estimator(table: SimulationTable, pseudo: ObservedStats,
-                   settings: GlmSettings) -> adjust.GridPosterior:
+                   exclude: int, settings: GlmSettings) -> adjust.GridPosterior:
     r = retain(table, pseudo, count=settings.num_retained,
-               standardize=settings.standardize)
+               standardize=settings.standardize, exclude=exclude)
     fit = adjust.glm_fit(r)
     post, _ = adjust.glm_posterior(fit, r, n_points=settings.n_points,
                                    dirac_peak_width=settings.dirac_peak_width)
@@ -171,14 +171,20 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     ``mode`` is ``"random"`` (pseudo-observations drawn from the whole
     table, i.e. from the prior) or ``"retained"`` (drawn among the
     simulations retained for the actual observation, which must then be
-    given).  Each chosen row is removed, the posterior is estimated from
+    given).  Each chosen row is left out, the posterior is estimated from
     the remainder, and the point estimates plus the posterior quantile and
     smallest credible level of the true value are recorded.  Estimator
     failures are recorded per row rather than aborting the run.
+
+    ``estimator(table, pseudo, exclude)`` returns a :class:`GridPosterior`
+    for the pseudo-observation from the full table without row
+    ``exclude``; the default retains (``retain(..., exclude=exclude)``) and
+    fits ABC-GLM with ``settings``.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
-    estimator = estimator or (lambda t, p: _glm_estimator(t, p, settings))
+    estimator = estimator or (
+        lambda t, p, i: _glm_estimator(t, p, i, settings))
     if n_val >= table.n_rows:
         raise ValueError(f"n_val must be below the table size {table.n_rows}")
     if mode == "random":
@@ -201,7 +207,7 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
         pseudo = ObservedStats(snames, table.stats[i])
         row = ValidationRow(truth)
         try:
-            post = estimator(table.drop_row(int(i)), pseudo)
+            post = estimator(table, pseudo, int(i))
             for name in pnames:
                 ch = post.characteristics(name)
                 row.mode[name] = ch.mode
@@ -283,13 +289,17 @@ class ConfusionMatrix:
         return float(np.trace(self.counts) / self.counts.sum())
 
 
-def _choose(tables, pseudo, settings: ModelChoiceSettings) -> ModelChoiceResult:
+def _choose(tables, pseudo, settings: ModelChoiceSettings,
+            exclude) -> ModelChoiceResult:
     if settings.method == "rejection":
         if settings.tol is not None:
-            return rejection_model_choice(tables, pseudo, tol=settings.tol)
-        return rejection_model_choice(tables, pseudo, count=settings.num_retained)
+            return rejection_model_choice(tables, pseudo, tol=settings.tol,
+                                          exclude=exclude)
+        return rejection_model_choice(tables, pseudo,
+                                      count=settings.num_retained,
+                                      exclude=exclude)
     return glm_model_choice(tables, pseudo, settings.num_retained,
-                            settings.dirac_peak_width)
+                            settings.dirac_peak_width, exclude=exclude)
 
 
 def model_choice_validate(tables, n_val: int,
@@ -298,10 +308,10 @@ def model_choice_validate(tables, n_val: int,
     """Cross-validate model choice with ``n_val`` pseudo-observations drawn
     from each model.
 
-    Each drawn simulation is removed from its source table, model choice is
-    run on the remainder, and the preferred model recorded.  Returns the
-    confusion matrix and the raw rows ``(true_model, probabilities)`` for
-    calibration analysis.
+    Each drawn simulation is left out of its source table
+    (``exclude=(model, row)``), model choice is run on the remainder, and
+    the preferred model recorded.  Returns the confusion matrix and the
+    raw rows ``(true_model, probabilities)`` for calibration analysis.
     """
     rng = np.random.default_rng(rng)
     settings = settings or ModelChoiceSettings()
@@ -314,9 +324,7 @@ def model_choice_validate(tables, n_val: int,
         chosen = rng.choice(table.n_rows, size=n_val, replace=False)
         for i in chosen:
             pseudo = ObservedStats(table.stat_names, table.stats[i])
-            trimmed = list(tables)
-            trimmed[m] = table.drop_row(int(i))
-            result = _choose(trimmed, pseudo, settings)
+            result = _choose(tables, pseudo, settings, (m, int(i)))
             counts[m, result.best_model] += 1
             raw.append((m, result.probabilities))
     return ConfusionMatrix(counts), raw

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from abckit import adjust
 from abckit.adjust import (GlmFit, glm_fit, glm_log_marginal_densities,
                            glm_log_marginal_density, glm_posterior,
-                           joint_posterior, ridge_adjust, safe_exp,
-                           weighted_density)
+                           joint_posterior, log_sum_exp, ridge_adjust,
+                           safe_exp, weighted_density)
 from abckit.errors import CollinearityError, ConfigError, NumericalError
 from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
@@ -443,6 +444,42 @@ class TestMarginalDensity:
         singles = [glm_log_marginal_density(fit, r, r.stats[i])
                    for i in range(5)]
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
+
+
+class TestLogSumExp:
+    """Bit for bit what scipy's logsumexp gives, on rows of every kind."""
+
+    def rows(self):
+        rng = np.random.default_rng(70)
+        out = []
+        for n in (1, 2, 5, 40, 1000):
+            for scale in (1.0, 50.0, 700.0):
+                a = scale * rng.normal(size=(6, n))
+                out += [a, np.round(a / scale * 2)]         # ties at the max
+                lone = np.full((3, n), -np.inf)
+                lone[:, 0] = a[:3, 0]                       # all -inf but one
+                out += [lone, np.full((2, n), -np.inf)]
+                out += [a - 1e4, a - 745.0 * 3]             # deep underflow
+        return out
+
+    def test_rows_match_scipy(self):
+        for a in self.rows():
+            np.testing.assert_array_equal(log_sum_exp(a, axis=1),
+                                          logsumexp(a, axis=1))
+            np.testing.assert_array_equal(log_sum_exp(a[0]), logsumexp(a[0]))
+
+    def test_ties_at_the_maximum(self):
+        a = np.array([-3.0, 2.0, 2.0, 2.0, -0.5])
+        assert log_sum_exp(a) == logsumexp(a)
+        assert log_sum_exp(a) == pytest.approx(
+            math.log(3 * math.exp(2.0) + math.exp(-3.0) + math.exp(-0.5)))
+
+    def test_special_values(self):
+        assert log_sum_exp(np.array([-np.inf, 1.5, -np.inf])) == 1.5
+        assert log_sum_exp(np.full(4, -np.inf)) == -np.inf
+        assert log_sum_exp(np.array([0.0, np.inf])) == np.inf
+        assert math.isnan(log_sum_exp(np.array([0.0, np.nan])))
+        assert log_sum_exp(np.array([-1e5, -1e5 - 800.0])) == -1e5
 
 
 class TestWeightedDensity:

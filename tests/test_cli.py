@@ -323,3 +323,21 @@ def test_oversized_joint_grid_is_a_config_error(tmp_path, monkeypatch, caplog,
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1 and "at most 1000 points" in errors[0]
+
+
+def test_non_finite_observed_statistic_exits_2(tmp_path, monkeypatch, caplog,
+                                               norm_table, unif_table,
+                                               toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    values = [format_value(v) for v in toy_obs.values]
+    values[toy_obs.names.index("median")] = "nan"
+    (tmp_path / "obs.txt").write_text(
+        "\t".join(toy_obs.names) + "\n" + "\t".join(values) + "\n")
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=100",
+                     "maxReadSims=5000", "outputPrefix=ABC"])
+    assert code == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and "not finite: median" in errors[0]
+    assert not list(tmp_path.glob("ABC_*"))

@@ -159,3 +159,65 @@ class TestNormalVersusUniform:
         res = glm_model_choice([norm_table, unif_table], obs, 500)
         assert res.best_model == 1
         assert res.probabilities[1] > 0.99
+
+
+def without_row(table, i):
+    return table.take_rows(np.delete(np.arange(table.n_rows), i))
+
+
+class TestLeaveOneOut:
+    """``exclude=(model, row)`` gives what model choice gives on a copy of
+    that model's table without the row, to the last bit."""
+
+    # the first and last row of each model, and two inner ones
+    EXCLUDED = [(0, 0), (0, 1499), (0, 503), (1, 0), (1, 1199), (1, 17)]
+
+    @pytest.fixture(scope="class")
+    def tables(self, norm_table, unif_table):
+        return [norm_table.take_rows(np.arange(1500)),
+                unif_table.take_rows(np.arange(1200))]
+
+    def pairs(self, tables):
+        for m, i in self.EXCLUDED:
+            pseudo = ObservedStats(tables[m].stat_names, tables[m].stats[i])
+            trimmed = list(tables)
+            trimmed[m] = without_row(tables[m], i)
+            yield m, i, pseudo, trimmed
+
+    def test_glm_matches_copy(self, tables):
+        for m, i, pseudo, trimmed in self.pairs(tables):
+            got = glm_model_choice(tables, pseudo, 200, exclude=(m, i))
+            want = glm_model_choice(trimmed, pseudo, 200)
+            np.testing.assert_array_equal(got.log_densities,
+                                          want.log_densities)
+            np.testing.assert_array_equal(got.probabilities,
+                                          want.probabilities)
+            for k, (r, w) in enumerate(zip(got.retained, want.retained)):
+                rows = np.arange(tables[k].n_rows)
+                if k == m:
+                    rows = np.delete(rows, i)
+                np.testing.assert_array_equal(r.indices, rows[w.indices])
+                np.testing.assert_array_equal(r.distances, w.distances)
+                np.testing.assert_array_equal(r.standardizer.center,
+                                              w.standardizer.center)
+                np.testing.assert_array_equal(r.standardizer.scale,
+                                              w.standardizer.scale)
+
+    @pytest.mark.parametrize("size", [{"tol": 0.1}, {"count": 150}])
+    def test_rejection_matches_copy(self, tables, size):
+        for m, i, pseudo, trimmed in self.pairs(tables):
+            got = rejection_model_choice(tables, pseudo, exclude=(m, i),
+                                         **size)
+            want = rejection_model_choice(trimmed, pseudo, **size)
+            np.testing.assert_array_equal(got.densities, want.densities)
+            np.testing.assert_array_equal(got.probabilities,
+                                          want.probabilities)
+
+    def test_excluded_row_out_of_range(self, tables):
+        pseudo = ObservedStats(tables[0].stat_names, tables[0].stats[0])
+        for method in (lambda e: glm_model_choice(tables, pseudo, 50,
+                                                  exclude=e),
+                       lambda e: rejection_model_choice(tables, pseudo,
+                                                        count=50, exclude=e)):
+            with pytest.raises(ValueError, match="outside model 1"):
+                method((1, 1200))

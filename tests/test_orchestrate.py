@@ -1,14 +1,17 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from abckit import models
 from abckit.errors import SimulatorError
 from abckit.orchestrate import (McmcConfig, SimulatorBinding, calibrate,
                                 run_mcmc, run_standard)
-from abckit.priors import parse_est
+from abckit.priors import log_prior_density, parse_est
+from abckit.tableio import ObservedStats
 from abckit.statselect import LinearCombDef
 
 TOY_EST = """[PARAMETERS]
@@ -119,3 +122,38 @@ class TestRetry:
                             "call 3 failed"]
         assert any(r.getMessage() == "performed 3 simulation(s), 1 failure(s)"
                    for r in caplog.records)
+
+
+def noise_model(draw, rng):
+    """A builtin whose one statistic ignores the parameters."""
+    return ("s",), [rng.normal()]
+
+
+class TestIntegerProposals:
+    """With every simulation accepted, the chain samples the prior; for an
+    integer parameter that is the prior density on the integers within its
+    bounds, ends included."""
+
+    @pytest.mark.parametrize("prior", ["unif 0 10", "norm 0 10 3 2.5"])
+    def test_chain_marginal_matches_discrete_prior(self, monkeypatch, prior):
+        monkeypatch.setitem(models.BUILTIN_MODELS, "noise", noise_model)
+        est = parse_est(f"[PARAMETERS]\n1 k {prior} output\n")
+        binding = SimulatorBinding.builtin("noise")
+        obs = ObservedStats(("s",), np.array([0.0]))
+        cfg = McmcConfig(n_calibration=100, chain_length=20_000,
+                         sampling_interval=10, burn_in_frac=0.05,
+                         do_boxcox=False)
+        rng = np.random.default_rng(21)
+        cal = calibrate(est, binding, obs, cfg, rng)
+        cal = dataclasses.replace(cal, epsilon=math.inf,
+                                  widths=np.array([2.5]))
+        run = run_mcmc(est, binding, obs, cfg, rng, calibration=cal)
+        assert run.acceptance_rate > 0.5
+        k = run.table.values[:, run.table.names.index("k")]
+        np.testing.assert_array_equal(k, np.round(k))
+        lattice = np.arange(11)
+        weights = np.exp([log_prior_density(est, {"k": v}) for v in lattice])
+        counts = np.bincount(k.astype(int), minlength=11)
+        assert len(counts) == 11
+        expected = weights / weights.sum() * len(k)
+        assert sps.chisquare(counts, expected).pvalue > 0.001

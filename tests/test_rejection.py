@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,158 @@ class TestRetain:
         r = retain(table, obs, count=10, standardizer=std)
         raw = retain(table, obs, count=10, standardize=False)
         np.testing.assert_array_equal(r.indices, raw.indices)
+
+
+def reference_retain(table, obs, count=None, tol=None, exclude=None,
+                     standardizer=None):
+    """Retention from a copy of the table without row ``exclude``, by a
+    full stable sort; indices refer to the full table."""
+    rows = np.arange(table.n_rows)
+    sims = table.stat_matrix(obs.names)
+    if exclude is not None:
+        rows = np.delete(rows, exclude)
+        sims = np.delete(sims, exclude, axis=0)
+    if tol is not None:
+        count = math.ceil(tol * len(rows))
+    std = (Standardizer.fit(sims, obs.names) if standardizer is None
+           else standardizer.subset(obs.names))
+    diff = std.transform(sims) - std.transform(obs.values)
+    dist = np.sqrt((diff ** 2).sum(axis=1))
+    order = np.argsort(dist, kind="stable")[:count]
+    return rows[order], dist[order]
+
+
+def assert_same_retention(r, want):
+    indices, distances = want
+    np.testing.assert_array_equal(r.indices, indices)
+    np.testing.assert_array_equal(r.distances, distances)
+
+
+def rounded_table(table, decimals):
+    """The table with statistics rounded, so distances tie exactly."""
+    values = table.values.copy()
+    idx = list(table.stat_idx)
+    values[:, idx] = np.round(values[:, idx], decimals)
+    return SimulationTable(table.names, values, table.param_idx,
+                           table.stat_idx)
+
+
+class TestRetentionEngine:
+    """``retain`` against a full stable sort of a copied table."""
+
+    def queries(self, table, rng, n):
+        for _ in range(n):
+            i = int(rng.integers(table.n_rows))
+            count = int(rng.integers(1, table.n_rows))
+            yield i, count, ObservedStats(table.stat_names, table.stats[i])
+
+    @pytest.mark.parametrize("which", ["norm_table", "unif_table"])
+    def test_toy_tables_match_reference(self, request, which):
+        table = request.getfixturevalue(which)
+        rng = np.random.default_rng(31)
+        for i, count, pseudo in self.queries(table, rng, 150):
+            count = min(count, 2000)
+            assert_same_retention(
+                retain(table, pseudo, count=count, exclude=i),
+                reference_retain(table, pseudo, count=count, exclude=i))
+            assert_same_retention(
+                retain(table, pseudo, count=count),
+                reference_retain(table, pseudo, count=count))
+
+    @pytest.mark.parametrize("decimals", [0, 1])
+    def test_exact_ties_match_reference(self, norm_table, decimals):
+        # two statistics on a coarse grid: many rows share their vector
+        table = rounded_table(norm_table.take_rows(np.arange(3000)).with_stats(
+            norm_table.stat_names[:2]), decimals)
+        rng = np.random.default_rng(32 + decimals)
+        straddling = 0
+        for i, count, pseudo in self.queries(table, rng, 100):
+            r = retain(table, pseudo, count=count, exclude=i)
+            assert_same_retention(
+                r, reference_retain(table, pseudo, count=count, exclude=i))
+            _, every = reference_retain(table, pseudo,
+                                        count=table.n_rows - 1, exclude=i)
+            straddling += (np.count_nonzero(every == r.epsilon)
+                           > np.count_nonzero(r.distances == r.epsilon))
+        # most queries cut through a group of tied rows
+        assert straddling > 50
+
+    def test_tie_at_cutoff_broken_by_row_order(self):
+        values = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0],
+                           [4.0, -1.0], [5.0, 1.0]])
+        table = SimulationTable(("p", "s"), values, (0,), (1,))
+        obs = ObservedStats(("s",), np.array([0.0]))
+        r = retain(table, obs, count=3, standardize=False)
+        assert r.indices.tolist() == [2, 1, 3]
+        r = retain(table, obs, count=3, standardize=False, exclude=1)
+        assert r.indices.tolist() == [2, 3, 4]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_exclude_end_rows_keeping_all_others(self, unif_table, where):
+        table = unif_table.take_rows(np.arange(500))
+        i = 0 if where == "first" else table.n_rows - 1
+        pseudo = ObservedStats(table.stat_names, table.stats[i])
+        r = retain(table, pseudo, count=table.n_rows - 1, exclude=i)
+        assert i not in r.indices
+        assert sorted(r.indices.tolist()) == sorted(set(range(500)) - {i})
+        assert_same_retention(r, reference_retain(
+            table, pseudo, count=table.n_rows - 1, exclude=i))
+        with pytest.raises(ValueError, match="cannot retain 500 of 499"):
+            retain(table, pseudo, count=table.n_rows, exclude=i)
+
+    def test_tolerance_counts_the_remaining_rows(self, norm_table):
+        table = norm_table.take_rows(np.arange(1001))
+        rng = np.random.default_rng(34)
+        for i, _, pseudo in self.queries(table, rng, 20):
+            r = retain(table, pseudo, tol=0.05, exclude=i)
+            assert r.n == 50     # ceil(0.05 * 1000), not ceil(0.05 * 1001)
+            assert_same_retention(r, reference_retain(table, pseudo, tol=0.05,
+                                                      exclude=i))
+
+    def test_supplied_standardizer(self, norm_table, unif_table):
+        pooled = np.vstack([norm_table.stats, unif_table.stats])
+        std = Standardizer.fit(pooled, norm_table.stat_names)
+        rng = np.random.default_rng(35)
+        for i, count, pseudo in self.queries(norm_table, rng, 30):
+            assert_same_retention(
+                retain(norm_table, pseudo, count=count, standardizer=std,
+                       exclude=i),
+                reference_retain(norm_table, pseudo, count=count,
+                                 exclude=i, standardizer=std))
+
+    def test_retained_rows_gathered_from_full_table(self, norm_table):
+        pseudo = ObservedStats(norm_table.stat_names, norm_table.stats[7])
+        r = retain(norm_table, pseudo, count=300, exclude=7)
+        np.testing.assert_array_equal(r.params, norm_table.params[r.indices])
+        np.testing.assert_array_equal(r.stats, norm_table.stats[r.indices])
+
+    def test_excluded_row_out_of_range(self, norm_table, toy_obs):
+        with pytest.raises(ValueError, match="outside"):
+            retain(norm_table, toy_obs, count=5, exclude=norm_table.n_rows)
+        with pytest.raises(ValueError, match="outside"):
+            retain(norm_table, toy_obs, count=5, exclude=-1)
+
+    def test_constant_over_remaining_rows(self):
+        # statistic c varies only through row 0: without it, c is constant
+        values = np.column_stack([np.arange(10.0),
+                                  np.r_[9.0, np.full(9, 3.0)],
+                                  np.arange(10.0)])
+        table = SimulationTable(("p", "c", "s"), values, (0,), (1, 2))
+        obs = ObservedStats(("c", "s"), np.array([3.0, 0.0]))
+        r = retain(table, obs, count=3, exclude=0)
+        assert r.stat_names == ("s",)
+        assert r.indices.tolist() == [1, 2, 3]
+
+
+class TestNonFiniteObservation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_named_in_a_table_format_error(self, norm_table, toy_obs, bad):
+        values = toy_obs.values.copy()
+        values[3] = bad
+        obs = ObservedStats(toy_obs.names, values)
+        with pytest.raises(TableFormatError,
+                           match=f"not finite: {toy_obs.names[3]}$"):
+            retain(norm_table, obs, count=10)
 
 
 class TestPruneCorrelated:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from abckit.adjust import GlmFit, GridPosterior, glm_fit
+from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
 from abckit.errors import NumericalError
+from abckit.modelchoice import glm_model_choice, rejection_model_choice
 from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
@@ -156,7 +157,7 @@ class TestMarginalDensityPValue:
             marginal_density_pvalue(fit, r, np.zeros(2), n_check=51)
 
 
-def uniform_prior_estimator(table, pseudo):
+def uniform_prior_estimator(table, pseudo, exclude):
     grid = np.linspace(0.0, 1.0, 256)
     return GridPosterior(("p0",), (grid,), (np.ones_like(grid),))
 
@@ -218,11 +219,11 @@ class TestCrossValidate:
 
         calls = {"n": 0}
 
-        def flaky(t, pseudo):
+        def flaky(t, pseudo, exclude):
             calls["n"] += 1
             if calls["n"] % 2:
                 raise NumericalError("boom")
-            return uniform_prior_estimator(t, pseudo)
+            return uniform_prior_estimator(t, pseudo, exclude)
 
         rows = cross_validate(table, "random", 10, rng=91, estimator=flaky)
         assert sum(r.error is not None for r in rows) == 5
@@ -235,6 +236,70 @@ class TestCrossValidate:
         assert header == ["a", "a_mode", "a_mean", "a_median", "a_quantile",
                           "a_HDI"]
         assert rows == [[1.0, 2.0, 3.0, 4.0, 0.5, 0.9]]
+
+
+def without_row(table, i):
+    return table.take_rows(np.delete(np.arange(table.n_rows), i))
+
+
+def copying_estimator(settings):
+    """The default estimator, fitted on a copy of the table without the
+    left-out row."""
+    def estimate(table, pseudo, exclude):
+        r = retain(without_row(table, exclude), pseudo,
+                   count=settings.num_retained,
+                   standardize=settings.standardize)
+        post, _ = glm_posterior(glm_fit(r), r, n_points=settings.n_points,
+                                dirac_peak_width=settings.dirac_peak_width)
+        return post
+    return estimate
+
+
+class TestLeaveOneOutLoops:
+    """The validation loops leave rows out with ``exclude=`` and give what
+    copying the tables without those rows gives, to the last bit."""
+
+    @pytest.mark.parametrize("mode", ["random", "retained"])
+    def test_cross_validate_matches_copies(self, norm_table, toy_obs, mode):
+        table = norm_table.take_rows(np.arange(2000))
+        settings = GlmSettings(num_retained=200, n_points=50)
+        obs = toy_obs if mode == "retained" else None
+        got = cross_validate(table, mode, 15, settings, rng=41, obs=obs)
+        want = cross_validate(table, mode, 15, settings, rng=41, obs=obs,
+                              estimator=copying_estimator(settings))
+        assert all(row.error is None for row in got)
+        assert got == want
+
+    @pytest.mark.parametrize("settings", [
+        ModelChoiceSettings("glm", num_retained=100),
+        ModelChoiceSettings("rejection", tol=0.1),
+        ModelChoiceSettings("rejection", num_retained=100),
+    ])
+    def test_model_choice_validate_matches_copies(self, settings):
+        tables = two_tables(np.random.default_rng(42), separation=1.0)
+        _, got = model_choice_validate(tables, 20, settings, rng=43)
+        rng = np.random.default_rng(43)
+        want = []
+        for m, table in enumerate(tables):
+            for i in rng.choice(table.n_rows, size=20, replace=False):
+                pseudo = ObservedStats(table.stat_names, table.stats[i])
+                trimmed = list(tables)
+                trimmed[m] = without_row(table, i)
+                if settings.method == "glm":
+                    result = glm_model_choice(trimmed, pseudo,
+                                              settings.num_retained,
+                                              settings.dirac_peak_width)
+                elif settings.tol is not None:
+                    result = rejection_model_choice(trimmed, pseudo,
+                                                    tol=settings.tol)
+                else:
+                    result = rejection_model_choice(
+                        trimmed, pseudo, count=settings.num_retained)
+                want.append((m, result.probabilities))
+        assert len(got) == len(want) == 40
+        for (m, probs), (m_want, probs_want) in zip(got, want):
+            assert m == m_want
+            np.testing.assert_array_equal(probs, probs_want)
 
 
 class TestCoverage:
