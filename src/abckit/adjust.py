@@ -188,15 +188,8 @@ class GlmFit:
         """Coefficients against the original parameter scale."""
         return self.coeff / (self.hi - self.lo)
 
-    @property
-    def intercept_raw(self) -> np.ndarray:
-        return self.intercept - self.coeff_raw @ self.lo
-
     def to_internal(self, theta: np.ndarray) -> np.ndarray:
         return (theta - self.lo) / (self.hi - self.lo)
-
-    def to_raw(self, u: np.ndarray) -> np.ndarray:
-        return self.lo + u * (self.hi - self.lo)
 
 
 def glm_fit(retained: RetainedSet) -> GlmFit:

@@ -117,15 +117,15 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     names = _common_stats(tables)
     row = _pooled_row(tables, exclude)
     sizes = np.array([t.n_rows for t in tables])
+    if len(set(sizes)) > 1 and prior_weights is None:
+        log.warning("tables have unequal sizes (%s); correcting acceptance "
+                    "rates accordingly", ", ".join(map(str, sizes)))
     pooled_values = np.vstack([t.stat_matrix(names) for t in tables])
     pooled = SimulationTable(tuple(names), pooled_values, (),
                              tuple(range(len(names))))
     origin = np.repeat(np.arange(len(tables)), sizes)
     if row is not None:
         sizes[exclude[0]] -= 1
-    if len(set(sizes)) > 1 and prior_weights is None:
-        log.warning("tables have unequal sizes (%s); correcting acceptance "
-                    "rates accordingly", ", ".join(map(str, sizes)))
 
     kept = retain(pooled, obs, count=count, tol=tol, exclude=row)
     counts = np.bincount(origin[kept.indices], minlength=len(tables))

@@ -33,13 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import statselect
 from .errors import NumericalError, SimulatorError, TableFormatError
 from .models import BUILTIN_MODELS
 from .priors import (EstModel, ParamDraw, complete_draw, log_prior_density,
                      sample)
 from .rejection import RetainedSet, retain
-from .statselect import LinearCombDef
+from .statselect import LinearCombDef, StatMap
 from .tableio import ObservedStats, SimulationTable
 
 log = logging.getLogger(__name__)
@@ -339,7 +338,9 @@ class McmcConfig:
 class Calibration:
     """Tuning derived from prior simulations: the distance threshold,
     per-parameter proposal widths, the starting state, and the statistic
-    transform/standardization fixed for the chain."""
+    map fixed for the chain: ``stat_map`` takes the raw simulated
+    statistics to ``retained.stat_names``, whose standardizer gives the
+    distance."""
 
     epsilon: float
     widths: np.ndarray                   # per raw prior parameter
@@ -347,37 +348,20 @@ class Calibration:
     start_stats: np.ndarray              # raw simulator statistics
     start_distance: float
     retained: RetainedSet
-    sim_stat_names: tuple[str, ...]
-    obs_std: np.ndarray
-    lincomb: LinearCombDef | None
-    do_boxcox: bool
-    do_boosting: bool
+    stat_map: StatMap
     table: SimulationTable
 
-    def distance(self, stat_names, values) -> float:
-        """Distance of one simulated statistics vector to the observation,
-        through the same transform chain used in calibration."""
-        obs = ObservedStats(tuple(stat_names), np.asarray(values, dtype=float))
-        if self.do_boosting:
-            obs = statselect.boost_observed(obs)
-        if self.lincomb is not None:
-            obs = statselect.transform(obs, self.lincomb,
-                                       apply_boxcox=self.do_boxcox)
-        vec = obs.vector(self.retained.stat_names)
-        z = self.retained.standardizer.transform(vec)
-        return float(np.linalg.norm(z - self.obs_std))
+    @property
+    def sim_stat_names(self) -> tuple[str, ...]:
+        return self.stat_map.names
 
-
-def _transformed(table, obs, cfg: McmcConfig):
-    if cfg.do_boosting:
-        table = statselect.boost(table)
-        obs = statselect.boost_observed(obs)
-    if cfg.lincomb is not None:
-        table = statselect.transform(table, cfg.lincomb,
-                                     apply_boxcox=cfg.do_boxcox)
-        obs = statselect.transform(obs, cfg.lincomb,
-                                   apply_boxcox=cfg.do_boxcox)
-    return table, obs
+    def distance(self, values) -> float:
+        """Distance of one simulated statistics vector (in
+        ``sim_stat_names`` order) to the observation; the vector is
+        mapped as a one-row matrix, as the observation was."""
+        x = np.asarray(values, dtype=float)[None, :]
+        z = self.retained.standardizer.transform(self.stat_map(x)[0])
+        return float(np.linalg.norm(z - self.retained.obs_std))
 
 
 def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
@@ -392,15 +376,17 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
         log.warning("%d calibration simulation(s) failed", run.failures)
     table = run.table
     sim_stat_names = table.stat_names
-    ttable, tobs = _transformed(table, obs, cfg)
+    chain = dict(boosting=cfg.do_boosting, comb=cfg.lincomb,
+                 apply_boxcox=cfg.do_boxcox)
+    ttable = StatMap(table.names, stat_idx=table.stat_idx, **chain).table(table)
+    tobs = StatMap(obs.names, source="observation", **chain).observed(obs)
     k = math.ceil(cfg.threshold_prop * ttable.n_rows)
     retained = retain(ttable, tobs, count=k)
     epsilon = retained.epsilon
 
     prior_names = est.prior_names
-    kept_params = ttable.params[retained.indices]
-    col = {n: j for j, n in enumerate(ttable.param_names)}
-    widths = np.array([cfg.range_prop * kept_params[:, col[n]].std(ddof=0)
+    col = {n: j for j, n in enumerate(retained.param_names)}
+    widths = np.array([cfg.range_prop * retained.params[:, col[n]].std(ddof=0)
                        for n in prior_names])
 
     strict = np.nonzero(retained.distances < epsilon)[0]
@@ -416,9 +402,8 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     start_distance = float(retained.distances[
         list(retained.indices).index(pick)])
     return Calibration(epsilon, widths, start_raw, start_stats, start_distance,
-                       retained, sim_stat_names,
-                       retained.obs_std, cfg.lincomb, cfg.do_boxcox,
-                       cfg.do_boosting, table)
+                       retained, StatMap(sim_stat_names, **chain).select(
+                           retained.stat_names), table)
 
 
 def _reflect(x: float, lo: float, hi: float) -> float:
@@ -514,7 +499,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                         raise SimulatorError(
                             "statistics header changed during the chain")
                     try:
-                        new_dist = cal.distance(names, values)
+                        new_dist = cal.distance(values)
                     except TableFormatError as exc:
                         # the header matches the calibration's, so only a
                         # value outside the Box-Cox domain lands here

@@ -66,17 +66,21 @@ class Standardizer:
 class RetainedSet:
     """The retained simulations, ordered by ascending distance.
 
-    Carries the pieces every downstream method needs: the source table,
+    Carries, gathered once, the pieces every downstream method needs:
     the matched statistic names, the standardizer that defined the
-    distance, and the (standardized) observed vector.
+    distance, the (standardized) observed vector, and the retained rows.
     """
 
-    table: SimulationTable
     indices: np.ndarray
     distances: np.ndarray
     stat_names: tuple[str, ...]
     standardizer: Standardizer
     obs: np.ndarray          # raw observed values for stat_names
+    obs_std: np.ndarray
+    param_names: tuple[str, ...]
+    params: np.ndarray
+    stats: np.ndarray
+    stats_std: np.ndarray
 
     @property
     def epsilon(self) -> float:
@@ -85,26 +89,6 @@ class RetainedSet:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.table.values[np.ix_(self.indices, self.table.param_idx)]
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return self.table.param_names
-
-    @property
-    def stats(self) -> np.ndarray:
-        return self.table.stat_matrix(self.stat_names, rows=self.indices)
-
-    @property
-    def stats_std(self) -> np.ndarray:
-        return self.standardizer.transform(self.stats)
-
-    @property
-    def obs_std(self) -> np.ndarray:
-        return self.standardizer.transform(self.obs)
 
     def observed(self, obs=None) -> np.ndarray:
         """Raw values of an observation in ``stat_names`` order: ``None``
@@ -261,10 +245,13 @@ def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
         raise NumericalError("no usable statistics left for the distance")
     matched = [matched[j] for j in keep]
     std = std.subset(matched)
-    diff = std.transform(sims[:, keep]) - std.transform(obs_vec[keep])
-    dist = np.sqrt((diff**2).sum(axis=1))
+    sims = sims[:, keep]
+    sims_std, obs_std = std.transform(sims), std.transform(obs_vec[keep])
+    dist = np.sqrt(((sims_std - obs_std)**2).sum(axis=1))
 
     order = _nearest(dist, count)
     indices = order if exclude is None else order + (order >= exclude)
-    return RetainedSet(table, indices, dist[order], tuple(matched), std,
-                       obs_vec[keep])
+    params = table.values[np.ix_(indices, table.param_idx)]
+    return RetainedSet(indices, dist[order], tuple(matched), std,
+                       obs_vec[keep], obs_std, table.param_names, params,
+                       sims[order], sims_std[order])

@@ -12,12 +12,16 @@
   (max, min, lambda, geometric mean, mean, sd) followed by one loading per
   component; ``transform`` applies such a definition to tables or observed
   statistics.
+* :class:`StatMap` resolves the names for boosting and a definition once;
+  ``boost``, ``boost_observed``, ``transform`` and the MCMC chain's
+  distance apply such a map to a table or to one-row matrices.
 * A greedy search ranks statistic subsets by their power to discriminate
   between models, measured by model-choice cross-validation.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,47 +35,14 @@ from .validation import ModelChoiceSettings, model_choice_validate
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "BoxCoxSpec", "LinearCombDef", "SubsetResult", "boost", "boost_observed",
-    "fit_boxcox", "fit_pls", "transform", "greedy_search", "subset_power",
+    "BoxCoxSpec", "LinearCombDef", "StatMap", "SubsetResult", "boost",
+    "boost_observed", "fit_boxcox", "fit_pls", "transform", "greedy_search",
+    "subset_power",
 ]
 
 LAMBDA_GRID = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.1), 10)
 LAMBDA_SNAP = 0.05
 COMPONENT_PREFIX = "LinearCombination"
-
-
-# ---------------------------------------------------------------------------
-# boosting
-
-
-def _product_names(names):
-    out = []
-    for a in range(len(names)):
-        for b in range(a, len(names)):
-            out.append(f"{names[a]}_X_{names[b]}")
-    return out
-
-
-def boost(table: SimulationTable) -> SimulationTable:
-    """Append all squares and pairwise products of the statistics."""
-    names = table.stat_names
-    if not names:
-        raise TableFormatError("table has no statistics to boost")
-    stats = table.stats
-    cols = [stats[:, a] * stats[:, b]
-            for a in range(len(names)) for b in range(a, len(names))]
-    new_names = table.names + tuple(_product_names(names))
-    values = np.column_stack([table.values] + cols)
-    stat_idx = table.stat_idx + tuple(range(len(table.names), len(new_names)))
-    return SimulationTable(new_names, values, table.param_idx, stat_idx)
-
-
-def boost_observed(obs: ObservedStats) -> ObservedStats:
-    names = obs.names
-    v = obs.values
-    prods = [v[a] * v[b] for a in range(len(names)) for b in range(a, len(names))]
-    return ObservedStats(names + tuple(_product_names(names)),
-                         np.concatenate([v, prods]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +254,99 @@ class LinearCombDef:
         return cls(tuple(names), tuple(specs), np.array(rows))
 
 
+# ---------------------------------------------------------------------------
+# the statistic map: boosting, then a definition
+
+
+class StatMap:
+    """Boosting, then a linear-combination definition, resolved once for
+    named input columns.
+
+    Boosting appends ``a_X_b``, the product of every pair ``a <= b`` of
+    statistic columns (``stat_idx``, all by default).  A definition then
+    replaces its columns by ``LinearCombination_1..k`` and passes the
+    others through; ``source`` names the input when they are missing.
+    Applying the map to an (n, d) matrix handles no names.  The matrix
+    product rounds by shape, so a single vector is mapped as a one-row
+    matrix, as :func:`transform` maps an observation.
+    """
+
+    def __init__(self, names, boosting: bool = False,
+                 comb: LinearCombDef | None = None, n_components=None,
+                 apply_boxcox: bool = True, stat_idx=None,
+                 source: str = "table"):
+        self.names = mid = tuple(names)
+        stats = np.arange(len(mid)) if stat_idx is None else np.array(
+            stat_idx, dtype=int)
+        self.pairs = None
+        if boosting:
+            a, b = np.triu_indices(len(stats))
+            self.pairs = (stats[a], stats[b])
+            mid += tuple(f"{mid[i]}_X_{mid[j]}" for i, j in zip(*self.pairs))
+        self.stat_cols = tuple(stats) + tuple(range(len(self.names), len(mid)))
+        self.comb, self.pick = comb, None
+        self.keep, self.out_names = np.arange(len(mid)), mid
+        if comb is None:
+            return
+        col = {n: i for i, n in enumerate(mid)}
+        missing = [n for n in comb.stat_names if n not in col]
+        if missing:
+            raise TableFormatError(
+                f"statistics missing from {source}: {', '.join(missing)}")
+        self.comb_idx = np.array([col[n] for n in comb.stat_names])
+        self.k = comb.n_components if n_components is None else int(n_components)
+        self.apply_boxcox = apply_boxcox
+        self.keep = np.array([i for i, n in enumerate(mid)
+                              if n not in comb.stat_names], dtype=int)
+        self.out_names = tuple(mid[i] for i in self.keep) + tuple(
+            f"{COMPONENT_PREFIX}_{i + 1}" for i in range(self.k))
+
+    def select(self, names) -> "StatMap":
+        """The same map with only the output columns ``names``."""
+        out = copy.copy(self)
+        pick = np.array([self.out_names.index(n) for n in names], dtype=int)
+        out.pick = pick if self.pick is None else self.pick[pick]
+        out.out_names = tuple(names)
+        return out
+
+    def __call__(self, x) -> np.ndarray:
+        """Map the rows of ``x`` (n x len(names)) to the output columns."""
+        x = np.asarray(x, dtype=float)
+        if self.pairs is not None:
+            x = np.column_stack([x, x[:, self.pairs[0]] * x[:, self.pairs[1]]])
+        if self.comb is not None:
+            scores = self.comb.scores(x[:, self.comb_idx], self.k,
+                                      self.apply_boxcox)
+            x = np.column_stack([x[:, self.keep], scores])
+        return x if self.pick is None else x[:, self.pick]
+
+    def observed(self, obs: ObservedStats) -> ObservedStats:
+        """The map of an observation, as a one-row matrix."""
+        return ObservedStats(self.out_names, self(obs.values[None, :])[0])
+
+    def table(self, table: SimulationTable) -> SimulationTable:
+        """Parameters that pass through stay parameters; statistics and new
+        columns are statistics."""
+        pos = {int(c): j for j, c in enumerate(self.keep)}
+        param_idx = tuple(pos[i] for i in table.param_idx if i in pos)
+        stat_idx = tuple(pos[i] for i in self.stat_cols if i in pos)
+        stat_idx += tuple(range(len(self.keep), len(self.out_names)))
+        return SimulationTable(self.out_names, self(table.values), param_idx,
+                               stat_idx)
+
+
+def boost(table: SimulationTable) -> SimulationTable:
+    """Append all squares and pairwise products of the statistics."""
+    if not table.stat_names:
+        raise TableFormatError("table has no statistics to boost")
+    return StatMap(table.names, boosting=True,
+                   stat_idx=table.stat_idx).table(table)
+
+
+def boost_observed(obs: ObservedStats) -> ObservedStats:
+    return StatMap(obs.names, boosting=True, source="observation").observed(obs)
+
+
 def transform(data, comb: LinearCombDef, n_components=None,
               apply_boxcox: bool = True):
     """Apply a linear-combination definition.
@@ -292,39 +356,13 @@ def transform(data, comb: LinearCombDef, n_components=None,
     passes through untouched.  Works on simulation tables or observed
     statistics; the map is row-wise, so it commutes with row selection.
     """
-    k = comb.n_components if n_components is None else int(n_components)
-    comp_names = [f"{COMPONENT_PREFIX}_{i + 1}" for i in range(k)]
     if isinstance(data, ObservedStats):
-        pos = {n: j for j, n in enumerate(data.names)}
-        missing = [n for n in comb.stat_names if n not in pos]
-        if missing:
-            raise TableFormatError(
-                f"statistics missing from observation: {', '.join(missing)}")
-        vec = data.values[[pos[n] for n in comb.stat_names]]
-        scores = comb.scores(vec, k, apply_boxcox)[0]
-        used = set(comb.stat_names)
-        keep = [j for j, n in enumerate(data.names) if n not in used]
-        names = tuple(data.names[j] for j in keep) + tuple(comp_names)
-        return ObservedStats(names, np.concatenate([data.values[keep], scores]))
-
-    table: SimulationTable = data
-    present = set(table.names)
-    missing = [n for n in comb.stat_names if n not in present]
-    if missing:
-        raise TableFormatError(
-            f"statistics missing from table: {', '.join(missing)}")
-    col_of = {n: i for i, n in enumerate(table.names)}
-    stats = table.values[:, [col_of[n] for n in comb.stat_names]]
-    scores = comb.scores(stats, k, apply_boxcox)
-    used = set(comb.stat_names)
-    keep = [i for i, n in enumerate(table.names) if n not in used]
-    names = tuple(table.names[i] for i in keep) + tuple(comp_names)
-    values = np.column_stack([table.values[:, keep], scores])
-    old_pos = {i: j for j, i in enumerate(keep)}
-    param_idx = tuple(old_pos[i] for i in table.param_idx if i in old_pos)
-    stat_idx = tuple(old_pos[i] for i in table.stat_idx if i in old_pos)
-    stat_idx += tuple(range(len(keep), len(names)))
-    return SimulationTable(names, values, param_idx, stat_idx)
+        return StatMap(data.names, comb=comb, n_components=n_components,
+                       apply_boxcox=apply_boxcox,
+                       source="observation").observed(data)
+    return StatMap(data.names, comb=comb, n_components=n_components,
+                   apply_boxcox=apply_boxcox,
+                   stat_idx=data.stat_idx).table(data)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +520,6 @@ def subset_power(tables, names, n_val: int,
 
 def _abs_correlations(tables, names):
     pooled = np.vstack([t.stat_matrix(names) for t in tables])
-    sd = pooled.std(axis=0)
-    sd[sd == 0] = 1.0
     c = np.corrcoef(pooled, rowvar=False)
     return np.abs(np.nan_to_num(np.atleast_2d(c)))
 

@@ -167,17 +167,13 @@ class SimulationTable:
     def stats(self) -> np.ndarray:
         return self.values[:, list(self.stat_idx)]
 
-    def stat_matrix(self, names: Sequence[str], rows=None) -> np.ndarray:
-        """Statistic columns in the order of ``names`` (exact-name match),
-        of every row or of the given ``rows`` only."""
+    def stat_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Statistic columns in the order of ``names`` (exact-name match)."""
         lookup = {self.names[i]: i for i in self.stat_idx}
         missing = [n for n in names if n not in lookup]
         if missing:
             raise TableFormatError(f"statistics not in table: {', '.join(missing)}")
-        cols = [lookup[n] for n in names]
-        if rows is None:
-            return self.values[:, cols]
-        return self.values[np.ix_(np.asarray(rows), cols)]
+        return self.values[:, [lookup[n] for n in names]]
 
     # -- derived tables --------------------------------------------------
 

@@ -203,8 +203,8 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     snames = table.stat_names
     rows: list[ValidationRow] = []
     for i in chosen:
-        truth = dict(zip(pnames, table.params[i]))
-        pseudo = ObservedStats(snames, table.stats[i])
+        truth = dict(zip(pnames, table.values[i, list(table.param_idx)]))
+        pseudo = ObservedStats(snames, table.values[i, list(table.stat_idx)])
         row = ValidationRow(truth)
         try:
             post = estimator(table, pseudo, int(i))
@@ -322,8 +322,9 @@ def model_choice_validate(tables, n_val: int,
     raw: list[tuple[int, np.ndarray]] = []
     for m, table in enumerate(tables):
         chosen = rng.choice(table.n_rows, size=n_val, replace=False)
+        snames, sidx = table.stat_names, list(table.stat_idx)
         for i in chosen:
-            pseudo = ObservedStats(table.stat_names, table.stats[i])
+            pseudo = ObservedStats(snames, table.values[i, sidx])
             result = _choose(tables, pseudo, settings, (m, int(i)))
             counts[m, result.best_model] += 1
             raw.append((m, result.probabilities))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -7,6 +9,7 @@ from abckit.modelchoice import (glm_model_choice, rejection_model_choice,
                                 write_model_fit)
 from abckit.models import TOY_STAT_NAMES, toy_stats
 from abckit.tableio import ObservedStats, SimulationTable, read_table
+from abckit.validation import ModelChoiceSettings, model_choice_validate
 
 
 def make_table(rng, n, shift=0.0, noise=1.0, names=("s0", "s1")):
@@ -221,3 +224,28 @@ class TestLeaveOneOut:
                                                         count=50, exclude=e)):
             with pytest.raises(ValueError, match="outside model 1"):
                 method((1, 1200))
+
+
+class TestUnequalSizeWarning:
+    """The warning compares the tables as given, before a leave-one-out
+    query leaves its row out."""
+
+    def warnings(self, caplog, tables):
+        settings = ModelChoiceSettings(method="rejection", num_retained=20)
+        with caplog.at_level(logging.WARNING, logger="abckit"):
+            model_choice_validate(tables, 5, settings, rng=1)
+        return [r for r in caplog.records
+                if r.getMessage().startswith("tables have unequal sizes")]
+
+    def test_equal_tables_never_warn(self, caplog, norm_table, unif_table):
+        tables = [norm_table.take_rows(np.arange(200)),
+                  unif_table.take_rows(np.arange(200))]
+        assert self.warnings(caplog, tables) == []
+
+    def test_unequal_tables_warn_once_per_query(self, caplog, norm_table,
+                                                unif_table):
+        tables = [norm_table.take_rows(np.arange(200)),
+                  unif_table.take_rows(np.arange(150))]
+        found = self.warnings(caplog, tables)
+        assert len(found) == 10
+        assert all("(200, 150)" in r.getMessage() for r in found)

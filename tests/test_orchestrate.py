@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from abckit import models
-from abckit.errors import SimulatorError
+from abckit import models, statselect
+from abckit.errors import SimulatorError, TableFormatError
 from abckit.orchestrate import (McmcConfig, SimulatorBinding, calibrate,
                                 run_mcmc, run_standard)
 from abckit.priors import log_prior_density, parse_est
 from abckit.tableio import ObservedStats
-from abckit.statselect import LinearCombDef
+from abckit.statselect import LinearCombDef, StatMap, boost, fit_pls
 
 TOY_EST = """[PARAMETERS]
 0 mu unif -1 1 output
@@ -62,7 +62,10 @@ class TestRunMcmc:
         cal = calibrate(est, binding, toy_obs, cfg, rng)
         # the narrow definition transforms every in-domain vector as the
         # wide one does, but some proposals fall outside its domain
-        narrow_cal = dataclasses.replace(cal, lincomb=narrow)
+        narrow_map = StatMap(cal.sim_stat_names, cfg.do_boosting, narrow,
+                             apply_boxcox=cfg.do_boxcox).select(
+                                 cal.retained.stat_names)
+        narrow_cal = dataclasses.replace(cal, stat_map=narrow_map)
         with caplog.at_level(logging.INFO, logger="abckit"):
             run = run_mcmc(est, binding, toy_obs, cfg, rng,
                            calibration=narrow_cal)
@@ -157,3 +160,118 @@ class TestIntegerProposals:
         assert len(counts) == 11
         expected = weights / weights.sum() * len(k)
         assert sps.chisquare(counts, expected).pvalue > 0.001
+
+
+def old_distance(cal, cfg, names, values):
+    """The chain distance as it was composed before the statistic map:
+    boost the named vector, apply the definition to it by name (as a
+    one-row matrix), pick the retained statistics by name, standardize,
+    take the norm."""
+    names, v = list(names), np.asarray(values, dtype=float)
+    if cfg.do_boosting:
+        n = len(names)
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        names += [f"{names[a]}_X_{names[b]}" for a, b in pairs]
+        v = np.concatenate([v, [v[a] * v[b] for a, b in pairs]])
+    comb = cfg.lincomb
+    if comb is not None:
+        pos = {n: j for j, n in enumerate(names)}
+        vec = v[[pos[n] for n in comb.stat_names]]
+        scores = comb.scores(vec, apply_boxcox=cfg.do_boxcox)[0]
+        keep = [j for j, n in enumerate(names) if n not in comb.stat_names]
+        names = [names[j] for j in keep] + [
+            f"LinearCombination_{i + 1}" for i in range(comb.n_components)]
+        v = np.concatenate([v[keep], scores])
+    lookup = dict(zip(names, v))
+    vec = np.array([lookup[n] for n in cal.retained.stat_names])
+    std = cal.retained.standardizer
+    return float(np.linalg.norm(std.transform(vec)
+                                - std.transform(cal.retained.obs)))
+
+
+class TestChainMap:
+    """The chain maps each simulated vector through one map resolved in
+    calibration."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        est = parse_est(TOY_EST)
+        binding = SimulatorBinding.builtin("toy-normal")
+        table = run_standard(est, binding, 300, np.random.default_rng(7)).table
+        sims = run_standard(est, binding, 200, np.random.default_rng(8)).table
+        combs = {False: fit_pls(table, 3, cv_folds=5, rng=1).definition,
+                 True: fit_pls(boost(table), 3, cv_folds=5,
+                               rng=1).definition}
+        return est, binding, sims, combs
+
+    def calibration(self, setup, toy_obs, boosting, with_comb, boxcox):
+        est, binding, _, combs = setup
+        cfg = McmcConfig(n_calibration=300, threshold_prop=0.1,
+                         chain_length=50,
+                         lincomb=combs[boosting] if with_comb else None,
+                         do_boxcox=boxcox, do_boosting=boosting)
+        return cfg, calibrate(est, binding, toy_obs, cfg,
+                              np.random.default_rng(9))
+
+    @pytest.mark.parametrize("boxcox", [True, False])
+    @pytest.mark.parametrize("with_comb", [True, False])
+    @pytest.mark.parametrize("boosting", [True, False])
+    def test_distance_equals_old_composition(self, setup, toy_obs, boosting,
+                                             with_comb, boxcox):
+        sims = setup[2]
+        cfg, cal = self.calibration(setup, toy_obs, boosting, with_comb,
+                                    boxcox)
+        assert cal.sim_stat_names == sims.stat_names
+        compared = 0
+        for values in sims.stats:
+            try:
+                want = old_distance(cal, cfg, sims.stat_names, values)
+            except TableFormatError:
+                with pytest.raises(TableFormatError):
+                    cal.distance(values)
+                continue
+            assert cal.distance(values) == want
+            compared += 1
+        assert compared >= 190
+
+    def test_outside_the_boxcox_domain_raises(self, setup, toy_obs):
+        cfg, cal = self.calibration(setup, toy_obs, False, True, True)
+        values = setup[2].stats[0].copy()
+        j = cfg.lincomb.stat_names.index("min")
+        spec = cfg.lincomb.boxcox[j]
+        values[cal.sim_stat_names.index("min")] = (
+            spec.vmin - 3.0 * (spec.vmax - spec.vmin))
+        with pytest.raises(TableFormatError,
+                           match="^min: value .* at row 1 outside the "
+                                 "transform domain$"):
+            cal.distance(values)
+
+    def test_no_names_handled_per_step(self, setup, toy_obs, monkeypatch):
+        est, binding = setup[:2]
+        cfg, cal = self.calibration(setup, toy_obs, True, True, True)
+        counts = {"ObservedStats": 0, "StatMap": 0, "boost_observed": 0,
+                  "transform": 0}
+
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ObservedStats, "__post_init__",
+                            counting("ObservedStats",
+                                     ObservedStats.__post_init__))
+        monkeypatch.setattr(StatMap, "__init__",
+                            counting("StatMap", StatMap.__init__))
+        for name in ("boost_observed", "transform"):
+            monkeypatch.setattr(statselect, name,
+                                counting(name, getattr(statselect, name)))
+        # the counters see what calibration builds ...
+        calibrate(est, binding, toy_obs, cfg, np.random.default_rng(9))
+        assert counts["ObservedStats"] and counts["StatMap"]
+        # ... and a chain builds none of it
+        counts.update(dict.fromkeys(counts, 0))
+        run = run_mcmc(est, binding, toy_obs, cfg, np.random.default_rng(10),
+                       calibration=cal)
+        assert run.steps == 50
+        assert counts == dict.fromkeys(counts, 0)

@@ -279,6 +279,28 @@ class TestRetentionEngine:
         np.testing.assert_array_equal(r.params, norm_table.params[r.indices])
         np.testing.assert_array_equal(r.stats, norm_table.stats[r.indices])
 
+    @pytest.mark.parametrize("exclude", [None, 7])
+    def test_fields_equal_gathering_anew(self, exclude):
+        # statistic c is constant and matches the observation, so it is
+        # left out of the distance and of the retained columns
+        rng = np.random.default_rng(36)
+        values = np.column_stack([rng.normal(size=(300, 2)),
+                                  rng.normal(size=300), np.ones(300),
+                                  rng.gamma(2.0, size=300)])
+        table = SimulationTable(("p", "q", "a", "c", "b"), values, (0, 1),
+                                (2, 3, 4))
+        pseudo = ObservedStats(("b", "c", "a"), [1.5, 1.0, 0.2])
+        r = retain(table, pseudo, count=40, exclude=exclude)
+        assert r.stat_names == ("b", "a") and r.param_names == ("p", "q")
+        gathered = table.stat_matrix(r.stat_names)[r.indices]
+        np.testing.assert_array_equal(r.params, table.params[r.indices])
+        np.testing.assert_array_equal(r.stats, gathered)
+        np.testing.assert_array_equal(r.stats_std,
+                                      r.standardizer.transform(gathered))
+        np.testing.assert_array_equal(r.obs_std,
+                                      r.standardizer.transform(r.obs))
+        np.testing.assert_array_equal(r.obs, [1.5, 0.2])
+
     def test_excluded_row_out_of_range(self, norm_table, toy_obs):
         with pytest.raises(ValueError, match="outside"):
             retain(norm_table, toy_obs, count=5, exclude=norm_table.n_rows)
