@@ -51,6 +51,8 @@ QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 JOINT_GRID_MAX_POINTS = 1_000_000
 # pairwise distances held at once by the Gaussian core
 _BLOCK_ELEMENTS = 2_000_000
+# the largest double whose exp is 0.0 (exp of the next one up is 5e-324)
+_EXP_ZERO = -745.1332191019412
 
 
 def safe_exp(x: float) -> float:
@@ -441,12 +443,10 @@ class JointGridPosterior:
     def rows(self):
         """Iterate grid points as (coords..., density, hdi), first
         parameter varying fastest."""
-        shape = self.density.shape
-        idx = np.indices(shape).reshape(len(shape), -1, order="F").T
-        for ind in idx:
-            coords = [self.grids[k][ind[k]] for k in range(len(shape))]
-            yield (*coords, float(self.density[tuple(ind)]),
-                   float(self.hdi[tuple(ind)]))
+        mesh = np.meshgrid(*self.grids, indexing="ij")
+        cols = [a.ravel(order="F").tolist()
+                for a in (*mesh, self.density, self.hdi)]
+        yield from zip(*cols)
 
 
 def _param_grid(fit: GlmFit, k: int, n_points: int, bounds) -> np.ndarray:
@@ -463,7 +463,12 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     """Unnormalized density of the mixture's margin over parameters
     ``sel`` at the points of the tensor grid ``ugrids`` (first parameter
     varying fastest).  Each variance is floored at (half a grid step)^2, so
-    posteriors narrower than the grid stay representable."""
+    posteriors narrower than the grid stay representable.
+
+    ``exp`` is evaluated only on log kernels of at least :data:`_EXP_ZERO`;
+    every other cell is set to 0.0, which is what ``exp`` returns there,
+    only several times faster.  The matrix fed to the weighted sum is the
+    same to the bit, subnormal cells included."""
     cov = mix.cov[np.ix_(sel, sel)].copy()
     for j, ug in enumerate(ugrids):
         cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
@@ -472,10 +477,17 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     pts = np.column_stack([m.ravel(order="F") for m in mesh])
     w = mix.weights
     dens = np.zeros(len(pts))
+    live = None
     # one row per component: numpy's exp is much slower on underflowing
     # arguments when they interleave with others than in contiguous runs
     for start, block in _gaussian_log_kernel(chol, mix.means[:, sel], pts):
-        dens += w[start:start + len(block)] @ np.exp(block, out=block)
+        if live is None or live.shape != block.shape:
+            live = np.empty(block.shape, dtype=bool)
+        np.greater_equal(block, _EXP_ZERO, out=live)
+        np.exp(block, out=block, where=live)
+        np.logical_not(live, out=live)
+        np.copyto(block, 0.0, where=live)
+        dens += w[start:start + len(block)] @ block
     return dens
 
 

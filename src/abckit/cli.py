@@ -261,6 +261,10 @@ def _task_estimate(cfg: Config, rng) -> None:
     plot_data = cfg.get_bool("plotData", False)
     num_retained = _num_retained(cfg, tables,
                                  bool(n_random or n_retained_val or n_mc_val))
+    for key, n in (("marDensPValue", n_marg), ("tukeyPValue", n_tukey)):
+        if n is not None and not 1 <= n <= num_retained:
+            raise ConfigError(f"{key} must be between 1 and numRetained "
+                              f"({num_retained}), got {n}")
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):

@@ -346,7 +346,7 @@ class Calibration:
     widths: np.ndarray                   # per raw prior parameter
     start_raw: dict[str, float]
     start_stats: np.ndarray              # raw simulator statistics
-    start_distance: float
+    start_distance: float                # distance() of start_stats
     retained: RetainedSet
     stat_map: StatMap
     table: SimulationTable
@@ -359,9 +359,13 @@ class Calibration:
         """Distance of one simulated statistics vector (in
         ``sim_stat_names`` order) to the observation; the vector is
         mapped as a one-row matrix, as the observation was."""
-        x = np.asarray(values, dtype=float)[None, :]
-        z = self.retained.standardizer.transform(self.stat_map(x)[0])
-        return float(np.linalg.norm(z - self.retained.obs_std))
+        return _chain_distance(self.stat_map, self.retained, values)
+
+
+def _chain_distance(stat_map: StatMap, retained: RetainedSet, values) -> float:
+    x = np.asarray(values, dtype=float)[None, :]
+    z = retained.standardizer.transform(stat_map(x)[0])
+    return float(np.linalg.norm(z - retained.obs_std))
 
 
 def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
@@ -399,11 +403,12 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
         pick = int(retained.indices[rng.choice(strict)])
     start_raw = {n: float(table.values[pick, col[n]]) for n in prior_names}
     start_stats = table.stat_matrix(sim_stat_names)[pick]
-    start_distance = float(retained.distances[
-        list(retained.indices).index(pick)])
+    stat_map = StatMap(sim_stat_names, **chain).select(retained.stat_names)
+    # the distance every step computes, not the retention's batched one,
+    # which can differ in the last bits
+    start_distance = _chain_distance(stat_map, retained, start_stats)
     return Calibration(epsilon, widths, start_raw, start_stats, start_distance,
-                       retained, StatMap(sim_stat_names, **chain).select(
-                           retained.stat_names), table)
+                       retained, stat_map, table)
 
 
 def _reflect(x: float, lo: float, hi: float) -> float:

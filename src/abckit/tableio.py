@@ -26,12 +26,13 @@ and names the offending line.
 Writing.  Values are written with 6 significant digits, using scientific
 notation outside ``[1e-4, 1e6)``, separated by single tabs: the bytes are
 those of :func:`format_value` on every cell.  Rows are formatted in
-bounded blocks, a block of plain-notation numbers with one ``%`` format.
+bounded blocks, a block of numbers with one ``%`` format.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import re
 from dataclasses import dataclass, field
@@ -268,36 +269,56 @@ def tagged_filename(prefix: str, tag: OutputTag, model_index=None, obs_index=Non
 
 
 _WRITE_BLOCK_ROWS = 4096
+# rows formatted by one % operation within a block
+_FORMAT_ROWS = 256
 
 
 def _format_row(row) -> str:
     return "\t".join(format_value(v) for v in row) + "\n"
 
 
+@functools.lru_cache(maxsize=1024)
+def _row_format(scientific: bytes) -> str:
+    """The ``%`` format of a row whose cells print in scientific notation
+    where ``scientific`` holds a nonzero byte."""
+    return "\t".join("%.5e" if sci else "%.6g" for sci in scientific) + "\n"
+
+
 def _format_block(rows) -> str:
     """Format a block of rows byte for byte as :func:`format_value` does.
 
-    A row of numbers that all print in plain notation (zero, or
-    ``1e-4 <= |x| < 1e6``) takes one ``%.6g`` format, which is what
-    :func:`format_value` produces there; every other row (scientific
-    notation, non-finite values, string labels) is formatted cell by cell.
+    Every cell of a block of numbers is classified once by the window of
+    :func:`format_value`: ``%.5e`` outside it (``|x| < 1e-4`` but not zero,
+    or ``|x| >= 1e6``), ``%.6g`` elsewhere, which also prints zero, NaN and
+    the infinities as :func:`format_value` does.  Each row's pattern picks
+    a cached format string, and every :data:`_FORMAT_ROWS` rows are
+    formatted with one ``%``.  A block holding string labels is formatted
+    cell by cell.
     """
     try:
         block = np.asarray(rows)
     except ValueError:                       # rows of unequal length
         block = None
-    if block is None or block.ndim != 2 or block.dtype.kind not in "biuf":
+    if (block is None or block.ndim != 2 or block.dtype.kind not in "biuf"
+            or block.shape[1] == 0):
         return "".join(_format_row(row) for row in rows)
     # float64 before the window test (a float32 1e-4 is below 1e-4);
     # adding 0.0 turns -0.0 into 0.0, which format_value prints as "0"
     block = np.asarray(block, dtype=float) + 0.0
     mag = np.abs(block)
-    plain = ((block == 0) | ((mag >= 1e-4) & (mag < 1e6))).all(axis=1)
-    fmt = "\t".join(["%.6g"] * block.shape[1]) + "\n"
-    if plain.all():
-        return (fmt * len(block)) % tuple(block.ravel().tolist())
-    return "".join(fmt % tuple(row) if ok else _format_row(row)
-                   for row, ok in zip(block.tolist(), plain.tolist()))
+    sci = ((mag < 1e-4) & (block != 0)) | (mag >= 1e6)
+    del mag
+    # one opaque scalar per row, so that rows sort as fast as numbers
+    keys = sci.view(np.dtype((np.void, sci.shape[1]))).ravel()
+    patterns, inverse = np.unique(keys, return_inverse=True)
+    formats = [_row_format(pattern.tobytes()) for pattern in patterns]
+    lines = [formats[i] for i in inverse.ravel().tolist()]
+    # a few hundred rows per %, so the cells of the whole block never
+    # exist as Python floats at once
+    return "".join(
+        "".join(lines[i:i + _FORMAT_ROWS])
+        % tuple(block[i:i + _FORMAT_ROWS].ravel().tolist())
+        for i in range(0, len(block), _FORMAT_ROWS))
 
 
 def _write_rows(path: Path, header: Sequence[str], rows) -> None:

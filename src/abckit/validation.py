@@ -56,7 +56,7 @@ def marginal_density_pvalue(fit, retained: RetainedSet, obs=None,
     """Fraction of retained simulations whose marginal density is at most
     the observation's.  Returns ``(pvalue, log_density_obs)``."""
     n_check = retained.n if n_check is None else int(n_check)
-    if n_check > retained.n:
+    if not 1 <= n_check <= retained.n:
         raise ValueError(f"cannot check {n_check} of {retained.n} retained rows")
     # the observation and the cloud go through one call, so a cloud member
     # compared with itself ties exactly
@@ -73,7 +73,34 @@ def _unit_directions(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return v / norms
 
 
-def tukey_depth(points: np.ndarray, queries: np.ndarray,
+# directions, and comparisons of explicit queries, handled at once by
+# tukey_depth, to bound its temporaries
+_DEPTH_BLOCK = 128
+_DEPTH_ELEMENTS = 2_000_000
+
+
+def _cloud_depth_counts(proj: np.ndarray) -> np.ndarray:
+    """``min(#{p <= p_i}, #{p >= p_i})`` for every entry ``p_i`` of each
+    row of ``proj``, counted within its row: each row is sorted once and a
+    value's counts are read off where its run of ties ends and starts."""
+    b, n = proj.shape
+    order = np.argsort(proj, axis=1)
+    ranked = np.take_along_axis(proj, order, axis=1)
+    pos = np.arange(n)
+    starts = np.ones((b, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    first = np.where(starts, pos, 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    ends = np.ones((b, n), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    last = np.where(ends, pos, n)[:, ::-1]
+    last = np.minimum.accumulate(last, axis=1)[:, ::-1]
+    counts = np.empty((b, n), dtype=np.intp)
+    np.put_along_axis(counts, order, np.minimum(last + 1, n - first), axis=1)
+    return counts
+
+
+def tukey_depth(points: np.ndarray, queries: np.ndarray | None,
                 directions: np.ndarray) -> np.ndarray:
     """Random-projection halfspace depth of each query in the point cloud.
 
@@ -83,47 +110,72 @@ def tukey_depth(points: np.ndarray, queries: np.ndarray,
     therefore have depth >= 1/n, while a query outside the convex hull has
     depth 0.  Adding directions can only lower the value (it is an upper
     bound on the exact depth).
+
+    ``queries=None`` asks for the depth of every cloud point.  Each point's
+    projection is then its row of the cloud's own product, and the counts
+    come from ranks: every direction's projections are sorted once.  For
+    explicit queries the points at or below and at or above each query are
+    counted directly, which suits a few queries; pass ``None`` rather than
+    the cloud itself.  Directions are taken :data:`_DEPTH_BLOCK` at a time,
+    and explicit queries in groups of at most :data:`_DEPTH_ELEMENTS`
+    comparisons.
     """
     points = np.atleast_2d(points)
-    queries = np.atleast_2d(queries)
     n = len(points)
     proj = points @ directions.T                  # (n, k)
-    qproj = queries @ directions.T                # (m, k)
-    depth = np.full(len(queries), np.inf)
-    for j in range(directions.shape[0]):
-        col = np.sort(proj[:, j])
-        le = np.searchsorted(col, qproj[:, j], side="right")
-        ge = n - np.searchsorted(col, qproj[:, j], side="left")
-        depth = np.minimum(depth, np.minimum(le, ge))
+    if queries is None:
+        depth = np.full(n, np.inf)
+        for j in range(0, proj.shape[1], _DEPTH_BLOCK):
+            counts = _cloud_depth_counts(proj[:, j:j + _DEPTH_BLOCK].T)
+            depth = np.minimum(depth, counts.min(axis=0))
+        return np.minimum(depth / n, 0.5)
+    qproj = np.atleast_2d(queries) @ directions.T  # (m, k)
+    depth = np.full(len(qproj), np.inf)
+    rows = max(1, _DEPTH_ELEMENTS // max(n * _DEPTH_BLOCK, 1))
+    for i in range(0, len(qproj), rows):
+        for j in range(0, proj.shape[1], _DEPTH_BLOCK):
+            p = proj[None, :, j:j + _DEPTH_BLOCK]
+            q = qproj[i:i + rows, None, j:j + _DEPTH_BLOCK]
+            le = (p <= q).sum(axis=1)
+            ge = (p >= q).sum(axis=1)
+            depth[i:i + rows] = np.minimum(depth[i:i + rows],
+                                           np.minimum(le, ge).min(axis=1))
     return np.minimum(depth / n, 0.5)
 
 
 def tukey_pvalue(points: np.ndarray, obs: np.ndarray, n_check=None,
                  n_projections: int = 1000, rng=None):
-    """Fraction of checked cloud points with depth at most the
-    observation's.  Returns ``(pvalue, depth_obs)``."""
+    """Fraction of the first ``n_check`` cloud points (all by default)
+    with depth at most the observation's.  Returns ``(pvalue,
+    depth_obs)``."""
     rng = np.random.default_rng(rng)
     points = np.atleast_2d(points)
     if len(points) < 10:
         raise ValueError("need at least 10 points for a depth P-value")
     n_check = len(points) if n_check is None else int(n_check)
+    if not 1 <= n_check <= len(points):
+        raise ValueError(f"cannot check {n_check} of {len(points)} points")
     dirs = _unit_directions(points.shape[1], n_projections, rng)
     obs_depth = float(tukey_depth(points, np.atleast_2d(obs), dirs)[0])
-    sim_depth = tukey_depth(points, points[:n_check], dirs)
+    sim_depth = tukey_depth(points, None, dirs)[:n_check]
     return float((sim_depth <= obs_depth).mean()), obs_depth
 
 
 def fit_pvalues(fit, retained: RetainedSet, obs=None, n_marginal=None,
                 n_tukey=None, n_projections: int = 1000, rng=None,
                 dirac_peak_width=adjust.DEFAULT_PEAK_WIDTH) -> FitPValues:
-    """Both model-fit tests against one retained set."""
+    """Both model-fit tests against one retained set, each on its first
+    ``n_marginal`` / ``n_tukey`` retained rows (all by default; a count
+    outside 1 to ``retained.n`` is a ``ValueError``).  ``n_checked`` is
+    the larger of the two counts."""
+    n_marginal = retained.n if n_marginal is None else int(n_marginal)
+    n_tukey = retained.n if n_tukey is None else int(n_tukey)
     marg_p, obs_ld = marginal_density_pvalue(fit, retained, obs, n_marginal,
                                              dirac_peak_width)
-    n_tukey = retained.n if n_tukey is None else int(n_tukey)
     tuk_p, depth = tukey_pvalue(retained.stats_std, retained.standardized(obs),
                                 n_tukey, n_projections, rng)
     return FitPValues(adjust.safe_exp(obs_ld), obs_ld, marg_p, depth, tuk_p,
-                      max(n_tukey, n_marginal or retained.n))
+                      max(n_marginal, n_tukey))
 
 
 # ---------------------------------------------------------------------------

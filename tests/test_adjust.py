@@ -320,6 +320,88 @@ class TestGaussianCore:
                                    atol=1e-12 * want.max())
 
 
+def unmasked_mixture_on_grid(mix, sel, ugrids):
+    """The grid density with ``exp`` taken of every log kernel: the
+    earlier ``_mixture_on_grid``, kept as the reference."""
+    cov = mix.cov[np.ix_(sel, sel)].copy()
+    for j, ug in enumerate(ugrids):
+        cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
+    chol = adjust._cholesky(cov, "posterior covariance")
+    mesh = np.meshgrid(*ugrids, indexing="ij")
+    pts = np.column_stack([m.ravel(order="F") for m in mesh])
+    w = mix.weights
+    dens = np.zeros(len(pts))
+    for start, block in adjust._gaussian_log_kernel(chol, mix.means[:, sel],
+                                                    pts):
+        dens += w[start:start + len(block)] @ np.exp(block, out=block)
+    return dens
+
+
+def old_joint_rows(joint):
+    """The earlier ``JointGridPosterior.rows``, kept as the reference."""
+    shape = joint.density.shape
+    idx = np.indices(shape).reshape(len(shape), -1, order="F").T
+    for ind in idx:
+        coords = [joint.grids[k][ind[k]] for k in range(len(shape))]
+        yield (*coords, float(joint.density[tuple(ind)]),
+               float(joint.hdi[tuple(ind)]))
+
+
+class TestGridExp:
+    def test_exp_zero_is_the_last_zero(self):
+        zero = adjust._EXP_ZERO
+        above = np.nextafter(zero, 0.0)
+        assert np.exp(zero) == 0.0 and np.exp(above) > 0.0
+        assert np.exp(np.full(9, zero)).max() == 0.0
+        assert np.exp(np.full(9, above)).min() > 0.0
+        assert math.exp(zero) == 0.0
+
+    @pytest.mark.parametrize("sel", [[0], [1], [0, 1]])
+    def test_grid_equals_unmasked_exp(self, monkeypatch, sel):
+        # narrow components in the middle of the grid: the log kernels reach
+        # far below the last zero of exp, and some grid cells are subnormal
+        rng = np.random.default_rng(55)
+        n = 40
+        means = rng.uniform(0.35, 0.65, size=(n, 2))
+        cov = np.array([[1e-4, 2e-5], [2e-5, 1.5e-4]])
+        mix = adjust._Mixture(rng.normal(scale=3.0, size=n), means, cov)
+        ugrids = [np.linspace(-0.5, 1.5, 1000 if len(sel) == 1 else 80)
+                  for _ in sel]
+        # blocks of 7 components, the last one short
+        monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS",
+                            7 * int(np.prod([len(g) for g in ugrids])))
+        want = unmasked_mixture_on_grid(mix, sel, ugrids)
+        got = adjust._mixture_on_grid(mix, sel, ugrids)
+        assert got.tobytes() == want.tobytes()
+        # the case is the one it is meant to be
+        chol = np.linalg.cholesky(cov[np.ix_(sel, sel)])
+        mesh = np.meshgrid(*ugrids, indexing="ij")
+        pts = np.column_stack([m.ravel(order="F") for m in mesh])
+        logk = np.vstack([b for _, b in adjust._gaussian_log_kernel(
+            chol, means[:, sel], pts)])
+        assert (logk < adjust._EXP_ZERO).mean() > 0.1
+        tiny = np.finfo(float).tiny               # the smallest normal
+        assert np.any((np.exp(logk) > 0) & (np.exp(logk) < tiny))
+        assert np.any((want > 0) & (want < tiny))
+
+
+class TestJointRows:
+    @pytest.mark.parametrize("shape", [(4, 7), (3, 5, 2)])
+    def test_rows_equal_the_old_generator(self, shape):
+        rng = np.random.default_rng(56)
+        grids = tuple(np.sort(rng.normal(size=k)) for k in shape)
+        density = rng.exponential(size=shape)
+        density.flat[:3] = [0.0, 5e-324, 1e-310]
+        joint = adjust.JointGridPosterior(
+            tuple(f"p{k}" for k in range(len(shape))), grids, density,
+            rng.uniform(size=shape), 0.5)
+        want = list(old_joint_rows(joint))
+        got = list(joint.rows())
+        assert len(got) == int(np.prod(shape))
+        assert all(type(row) is tuple for row in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestJointPosterior:
     def test_independent_mixture_factorizes(self):
         # equal weights (zero slopes) on a lattice of peaks: the joint grid

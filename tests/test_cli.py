@@ -294,6 +294,26 @@ def test_num_retained_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("ABC_*"))
 
 
+@pytest.mark.parametrize("key", ["marDensPValue", "tukeyPValue"])
+@pytest.mark.parametrize("value", [0, 201, 500])
+def test_fit_pvalue_count_range_check_is_a_config_error(tmp_path, monkeypatch,
+                                                        caplog, norm_table,
+                                                        unif_table, toy_obs,
+                                                        key, value):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "outputPrefix=ABC",
+                     f"{key}={value}"])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert errors[0].endswith(f"{key} must be between 1 and numRetained "
+                              f"(200), got {value}")
+    assert not list(tmp_path.glob("ABC_*"))
+
+
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
                                                        caplog, norm_table):
     monkeypatch.chdir(tmp_path)

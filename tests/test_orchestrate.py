@@ -275,3 +275,25 @@ class TestChainMap:
                        calibration=cal)
         assert run.steps == 50
         assert counts == dict.fromkeys(counts, 0)
+
+    @pytest.mark.parametrize("boosting", [True, False])
+    def test_start_distance_is_a_step_distance(self, setup, toy_obs,
+                                               boosting):
+        est, binding = setup[:2]
+        cfg, cal = self.calibration(setup, toy_obs, boosting, True, True)
+        assert cal.start_distance == cal.distance(cal.start_stats)
+        cfg = dataclasses.replace(cfg, burn_in_frac=0.0)
+        run = run_mcmc(est, binding, toy_obs, cfg, np.random.default_rng(11),
+                       calibration=cal)
+        # the records before the first accepted move carry the start state
+        names = run.table.names
+        stats = run.table.values[:, [names.index(n)
+                                     for n in cal.sim_stat_names]]
+        dist = run.table.values[:, names.index("distance")]
+        unmoved = np.all(stats == cal.start_stats, axis=1)
+        assert unmoved[0]
+        first_move = int(np.argmin(unmoved)) if not unmoved.all() else None
+        start_rows = dist[:first_move]
+        assert np.all(start_rows.view(np.int64)
+                      == np.float64(cal.distance(cal.start_stats)).view(
+                          np.int64))

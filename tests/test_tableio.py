@@ -275,6 +275,74 @@ class TestWriterByteIdentity:
                          directory=tmp_path)
 
 
+def format_block_reference(rows) -> str:
+    return "".join("\t".join(format_value(v) for v in row) + "\n"
+                   for row in rows)
+
+
+EDGE_CELLS = [0.0, -0.0, 1.5, -2.25, 123456.7, 1e-4, -1e-4,
+              np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e6, -1e6,
+              np.nextafter(1e6, 0), np.nextafter(1e6, 2e6), 999999.5,
+              9.99995e-5, 1.5e-7, 3e8, 5e-324, -5e-324, 2.2e-308, 1e-310,
+              1.7976931348623157e308, np.nan, np.inf, -np.inf, 42.0]
+
+
+class TestFormatBlock:
+    """The pattern-keyed block formatter against format_value cell by
+    cell."""
+
+    def random_edge_rows(self, n, ncol, seed):
+        rng = np.random.default_rng(seed)
+        cells = np.array(EDGE_CELLS)
+        values = rng.normal(size=(n, ncol)) * 10.0 ** rng.integers(-8, 9,
+                                                                   (n, ncol))
+        pick = rng.uniform(size=(n, ncol)) < 0.3
+        values[pick] = rng.choice(cells, size=int(pick.sum()))
+        return values
+
+    @pytest.mark.parametrize("ncol", [1, 4, 9])
+    def test_mixed_rows(self, ncol):
+        from abckit.tableio import _format_block
+        values = self.random_edge_rows(500, ncol, ncol)
+        for rows in (values, values.tolist()):
+            assert _format_block(rows) == format_block_reference(values)
+
+    def test_every_edge_cell_in_one_row(self):
+        from abckit.tableio import _format_block
+        rows = [EDGE_CELLS, EDGE_CELLS[::-1]]
+        assert _format_block(rows) == format_block_reference(rows)
+
+    def test_float32_and_int_columns(self):
+        from abckit.tableio import _format_block
+        f32 = np.array([[1e-4, 0.1, 999999.5, 1e6, 3e-9, -0.0, np.nan,
+                         np.inf]], dtype=np.float32)
+        assert _format_block(f32) == format_block_reference(f32)
+        ints = np.array([[0, 1, -7, 999999, 1000000, -123456789],
+                         [2**53 + 1, 5, 0, -1, 10**6, 12]], dtype=np.int64)
+        assert _format_block(ints) == format_block_reference(ints)
+        mixed = [[0, 1.5e-7, True], [3, 2.5, False], [1000000, -0.0, True]]
+        assert _format_block(mixed) == format_block_reference(mixed)
+
+    def test_label_rows(self):
+        from abckit.tableio import _format_block
+        rows = [["mu", 0.25, 1e-9], ["sigma2", np.inf, -0.0],
+                ["1e-05", 5e-324, 1e6]]
+        assert _format_block(rows) == format_block_reference(rows)
+        ragged = [[1.0, 2e-7], [3.0]]
+        assert _format_block(ragged) == format_block_reference(ragged)
+
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_more_than_one_block(self, tmp_path, as_array):
+        from abckit.tableio import _WRITE_BLOCK_ROWS
+        values = self.random_edge_rows(2 * _WRITE_BLOCK_ROWS + 5, 4, 12)
+        rows = values if as_array else values.tolist()
+        path = write_tagged("p", OutputTag.JOINT_POSTERIOR,
+                            (["a", "b", "density", "HDI"], rows),
+                            model_index=0, obs_index=0, directory=tmp_path)
+        assert path.read_bytes() == format_rows_reference(
+            ["a", "b", "density", "HDI"], values)
+
+
 def parse_both(text, ncol, start=1, max_rows=None):
     """Body of ``text`` through the bulk path and through the line parser."""
     from abckit.tableio import _parse_bulk, _parse_lines

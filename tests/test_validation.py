@@ -12,7 +12,8 @@ from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
                                ModelChoiceSettings, ValidationRow,
                                calibration_curve, coverage_tests,
-                               cross_validate, marginal_density_pvalue,
+                               cross_validate, fit_pvalues,
+                               marginal_density_pvalue,
                                model_choice_validate, tukey_depth,
                                tukey_pvalue, validation_table)
 
@@ -101,6 +102,107 @@ class TestTukeyDepth:
     def test_needs_points(self):
         with pytest.raises(ValueError):
             tukey_pvalue(np.zeros((5, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("n_check", [0, 51, 400])
+    def test_pvalue_checks_at_most_the_cloud(self, n_check):
+        pts = np.random.default_rng(80).normal(size=(50, 2))
+        with pytest.raises(ValueError, match=f"cannot check {n_check} of 50"):
+            tukey_pvalue(pts, np.zeros(2), n_check=n_check, rng=1)
+
+
+def searchsorted_depth(proj, qproj):
+    """Tukey depth from projections, one direction at a time with
+    ``searchsorted`` on the sorted cloud: the earlier ``tukey_depth``,
+    kept as the reference."""
+    n = len(proj)
+    depth = np.full(len(qproj), np.inf)
+    for j in range(proj.shape[1]):
+        col = np.sort(proj[:, j])
+        le = np.searchsorted(col, qproj[:, j], side="right")
+        ge = n - np.searchsorted(col, qproj[:, j], side="left")
+        depth = np.minimum(depth, np.minimum(le, ge))
+    return np.minimum(depth / n, 0.5)
+
+
+def depth_cases():
+    rng = np.random.default_rng(81)
+    cases = []
+    for n, d, k in [(300, 1, 7), (500, 8, 300), (257, 2, 128), (60, 3, 129)]:
+        pts = rng.normal(size=(n, d))
+        # exact ties from rounding, and whole duplicated points
+        pts[: n // 2] = np.round(pts[: n // 2], 1)
+        pts[-5:] = pts[:5]
+        dirs = rng.normal(size=(k, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs[:d] = np.eye(d)              # axis directions keep the ties
+        cases.append((pts, dirs))
+    return cases
+
+
+class TestTukeyDepthByRanks:
+    @pytest.mark.parametrize("case", range(4))
+    def test_cloud_depth_equals_searchsorted(self, case):
+        pts, dirs = depth_cases()[case]
+        proj = pts @ dirs.T
+        want = searchsorted_depth(proj, proj)
+        got = tukey_depth(pts, None, dirs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_query_depth_equals_searchsorted(self, case):
+        pts, dirs = depth_cases()[case]
+        rng = np.random.default_rng(82 + case)
+        queries = np.vstack([rng.normal(size=(20, pts.shape[1])), pts[:7],
+                             np.round(rng.normal(size=(5, pts.shape[1])), 1),
+                             np.full((1, pts.shape[1]), 50.0)])
+        want = searchsorted_depth(pts @ dirs.T, queries @ dirs.T)
+        got = tukey_depth(pts, queries, dirs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_query_groups_bound_the_comparisons(self, monkeypatch):
+        from abckit import validation
+        pts, dirs = depth_cases()[2]
+        queries = pts[::3]
+        want = tukey_depth(pts, queries, dirs)
+        monkeypatch.setattr(validation, "_DEPTH_ELEMENTS", 1)
+        assert tukey_depth(pts, queries, dirs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_check", [None, 1, 37, 500])
+    def test_pvalue_equals_searchsorted(self, n_check):
+        from abckit.validation import _unit_directions
+        pts, _ = depth_cases()[1]
+        obs = pts[3] + 0.01
+        p, depth = tukey_pvalue(pts, obs, n_check, n_projections=300, rng=83)
+        dirs = _unit_directions(pts.shape[1], 300, np.random.default_rng(83))
+        proj = pts @ dirs.T
+        want_obs = searchsorted_depth(proj, np.atleast_2d(obs) @ dirs.T)[0]
+        want_sim = searchsorted_depth(proj, proj)[:n_check or len(pts)]
+        assert depth == want_obs
+        assert p == float((want_sim <= want_obs).mean())
+
+
+class TestFitPValues:
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        r = gaussian_cloud_retained(np.random.default_rng(84), n=60)
+        return glm_fit(r), r
+
+    @pytest.mark.parametrize("n_marginal, n_tukey, checked", [
+        (None, None, 60), (30, None, 60), (None, 20, 60), (30, 40, 40),
+        (45, 12, 45), (60, 60, 60)])
+    def test_n_checked_is_what_was_checked(self, cloud, n_marginal, n_tukey,
+                                           checked):
+        fit, r = cloud
+        pv = fit_pvalues(fit, r, n_marginal=n_marginal, n_tukey=n_tukey,
+                         n_projections=50, rng=1)
+        assert pv.n_checked == checked
+
+    @pytest.mark.parametrize("counts", [{"n_marginal": 61}, {"n_tukey": 61},
+                                        {"n_marginal": 0}, {"n_tukey": 0}])
+    def test_counts_beyond_the_retained_set_raise(self, cloud, counts):
+        fit, r = cloud
+        with pytest.raises(ValueError, match="cannot check"):
+            fit_pvalues(fit, r, n_projections=50, rng=1, **counts)
 
 
 class TestMarginalDensityPValue:
