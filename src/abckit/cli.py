@@ -60,7 +60,7 @@ _KNOWN_KEYS = {
     "sumStatArgs", "sumStatName", "doBoxCox", "linearCombName",
     "numLinearComb", "doBoosting", "numCaliSims", "thresholdProp",
     "rangeProp", "startingPoint", "mcmcSampling", "mcmcBurnIn",
-    "maxCorSSFinder", "seed", "plotData", "threads", "input", "output",
+    "maxCorSSFinder", "seed", "plotData", "input", "output",
 }
 
 _TRUE = {"", "1", "true", "yes", "on"}
@@ -509,10 +509,6 @@ def dispatch(cfg: Config) -> int:
         raise ConfigError(f"unknown task {task!r}")
     if cfg.has("estimationType"):
         cfg.get("estimationType")
-    threads = cfg.get_int("threads", 1)
-    if threads and threads > 1:
-        log.warning("threads=%d requested; this build runs single-threaded",
-                    threads)
     seed = cfg.get_int("seed")
     if seed is None:
         seed = secrets.randbits(32)

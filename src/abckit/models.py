@@ -42,12 +42,13 @@ class ToyParams:
 
 
 def _type7(s: np.ndarray, q: float):
-    """Quantile ``q`` of the sorted sample ``s`` by linear interpolation
-    (type 7), with the two-sided formula of ``np.quantile``."""
-    h = (s.size - 1) * q
+    """Quantile ``q`` of the sorted samples along the last axis of ``s``
+    by linear interpolation (type 7), with the two-sided formula of
+    ``np.quantile``."""
+    h = (s.shape[-1] - 1) * q
     i = int(h)
     t = h - i
-    a, b = s[i], s[i + 1]
+    a, b = s[..., i], s[..., i + 1]
     d = b - a
     return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
@@ -77,12 +78,21 @@ def toy_stats(sample) -> np.ndarray:
 
 
 def toy_stats_matrix(samples: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`toy_stats` for an (n, sample_size) matrix."""
+    """Row-wise :func:`toy_stats` for an (n, sample_size) matrix, equal to
+    it bit for bit; the order statistics come from one sort of the
+    matrix."""
     x = np.asarray(samples, dtype=float)
-    q1, q3 = np.quantile(x, [0.25, 0.75], axis=1)
-    lo, hi = x.min(axis=1), x.max(axis=1)
-    return np.column_stack([x.mean(axis=1), x.var(axis=1, ddof=1),
-                            np.median(x, axis=1), lo, hi, hi - lo, q1, q3])
+    n = x.shape[1]
+    if n < 4:
+        raise ValueError("need at least 4 values")
+    s = np.sort(x, axis=1)
+    lo, hi = s[:, 0], s[:, -1]
+    m = n // 2
+    median = s[:, m] if n % 2 else (s[:, m - 1] + s[:, m]) / 2.0
+    out = np.column_stack([x.mean(axis=1), x.var(axis=1, ddof=1), median,
+                           lo, hi, hi - lo, _type7(s, 0.25), _type7(s, 0.75)])
+    out[np.isnan(hi)] = np.nan
+    return out
 
 
 def simulate_toy(model: str, params: ToyParams, rng: np.random.Generator) -> np.ndarray:
@@ -140,26 +150,30 @@ def sfs_stats(sfs: Sfs) -> np.ndarray:
     Only the polymorphic classes 1..n-1 enter; D is defined as 0 when
     S <= 1.
     """
-    n = sfs.n
-    c = np.asarray(sfs.counts)
+    return _sfs_stats_rows(np.asarray(sfs.counts)[None, :])[0]
+
+
+def _sfs_stats_rows(counts: np.ndarray) -> np.ndarray:
+    """:func:`sfs_stats` of each row of an (B, n + 1) count matrix."""
+    n = counts.shape[1] - 1
+    c = counts[:, 1:n]
     i = np.arange(1, n)
-    S = float(c[1:n].sum())
-    pair_sum = float((i * (n - i) * c[1:n]).sum())
+    S = c.sum(axis=1)
+    pair_sum = (i * (n - i) * c).sum(axis=1)
     a1 = float((1.0 / i).sum())
     a2 = float((1.0 / i**2).sum())
     pi = 2.0 * pair_sum / (n * (n - 1))
     theta_w = S / a1
-    if S > 1:
-        b1 = (n + 1) / (3.0 * (n - 1))
-        b2 = 2.0 * (n**2 + n + 3) / (9.0 * n * (n - 1))
-        c1 = b1 - 1.0 / a1
-        c2 = b2 - (n + 2) / (a1 * n) + a2 / a1**2
-        e1 = c1 / a1
-        e2 = c2 / (a1**2 + a2)
-        taj_d = (pi - S / a1) / math.sqrt(e1 * S + e2 * S * (S - 1))
-    else:
-        taj_d = 0.0
-    return np.array([c[1], S, pi, theta_w, taj_d])
+    b1 = (n + 1) / (3.0 * (n - 1))
+    b2 = 2.0 * (n**2 + n + 3) / (9.0 * n * (n - 1))
+    c1 = b1 - 1.0 / a1
+    c2 = b2 - (n + 2) / (a1 * n) + a2 / a1**2
+    e1 = c1 / a1
+    e2 = c2 / (a1**2 + a2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taj_d = (pi - S / a1) / np.sqrt(e1 * S + e2 * S * (S - 1))
+    return np.column_stack([counts[:, 1], S, pi, theta_w,
+                            np.where(S > 1, taj_d, 0.0)])
 
 
 def tau_to_generations(tau: float, n_cur: float) -> float:
@@ -209,26 +223,64 @@ def _draw_values(draw) -> dict:
     return dict(draw)
 
 
-def _toy_args(draw: Mapping[str, float]) -> ToyParams:
+def _toy_columns(names) -> tuple[int, int]:
     # prefer canonical names, otherwise the first two values in order
-    vals = _draw_values(draw)
-    if "mu" in vals and "sigma2" in vals:
-        return ToyParams(float(vals["mu"]), float(vals["sigma2"]))
-    ordered = list(vals.values())
-    if len(ordered) < 2:
+    if "mu" in names and "sigma2" in names:
+        return names.index("mu"), names.index("sigma2")
+    if len(names) < 2:
         raise SimulatorError("toy models need two parameters (mean, variance)")
-    return ToyParams(float(ordered[0]), float(ordered[1]))
+    return 0, 1
+
+
+def _toy_args(draw: Mapping[str, float]) -> ToyParams:
+    vals = _draw_values(draw)
+    i, j = _toy_columns(tuple(vals))
+    ordered = list(vals.values())
+    return ToyParams(float(ordered[i]), float(ordered[j]))
+
+
+def _toy_matrix_args(names, values):
+    """The (mu, sigma2) columns of a block of draws, checked as
+    :class:`ToyParams` checks one draw."""
+    i, j = _toy_columns(names)
+    sigma2 = values[:, j]
+    bad = np.flatnonzero(sigma2 <= 0)
+    if bad.size:
+        raise ValueError(f"variance must be positive, got {sigma2[bad[0]]}")
+    return values[:, i], sigma2
 
 
 def _builtin_toy_normal(draw, rng):
     return TOY_STAT_NAMES, simulate_toy("normal", _toy_args(draw), rng)
 
 
+def _batch_toy_normal(names, values, rng):
+    mu, sigma2 = _toy_matrix_args(names, values)
+    shape = (len(values), ToyParams.sample_size)
+    x = rng.normal(mu[:, None], np.sqrt(sigma2)[:, None], shape)
+    return TOY_STAT_NAMES, toy_stats_matrix(x)
+
+
 def _builtin_toy_uniform(draw, rng):
     return TOY_STAT_NAMES, simulate_toy("uniform", _toy_args(draw), rng)
 
 
+def _batch_toy_uniform(names, values, rng):
+    a, b = uniform_bounds(*_toy_matrix_args(names, values))
+    shape = (len(values), ToyParams.sample_size)
+    return TOY_STAT_NAMES, toy_stats_matrix(rng.uniform(a[:, None], b[:, None],
+                                                        shape))
+
+
 def _builtin_sfs(draw, rng):
+    vals = _draw_values(draw)
+    names = tuple(vals)
+    _, stats = _batch_sfs(names, np.array([[float(vals[n]) for n in names]]),
+                          rng)
+    return SFS_STAT_NAMES, stats[0]
+
+
+def _batch_sfs(names, values, rng):
     """Crude spectrum simulator for a population of size N_CUR that was
     N_CUR * OMEGA until TAU * 2 * N_CUR generations ago.
 
@@ -237,23 +289,40 @@ def _builtin_sfs(draw, rng):
     the current size.  Not a coalescent; intended for exercising the
     pipeline, not for real inference.
     """
-    vals = _draw_values(draw)
-    n = int(vals.get("SAMPLE_SIZE", 24))
-    sites = float(vals.get("NUM_SITES", 10_000))
-    n_cur = float(vals.get("N_CUR", 10_000.0))
-    omega = float(vals.get("OMEGA", 1.0))
-    tau = float(vals.get("TAU", 1.0))
-    mu = float(vals.get("MUTRATE", 2.5e-8))
-    theta_cur = 4.0 * n_cur * mu * sites
+    rows = len(values)
+
+    def column(name, default):
+        if name in names:
+            return values[:, names.index(name)]
+        return np.full(rows, default)
+
+    sizes = column("SAMPLE_SIZE", 24).astype(int)
+    if np.any(sizes != sizes[0]):
+        # one row at a time, so the Poisson draws stay in row order
+        return SFS_STAT_NAMES, np.vstack(
+            [_batch_sfs(names, values[k:k + 1], rng)[1] for k in range(rows)])
+    n = int(sizes[0])
+    if n < 4:
+        raise ValueError("sample size must be at least 4")
+    sites = column("NUM_SITES", 10_000.0)
+    theta_cur = 4.0 * column("N_CUR", 10_000.0) * column("MUTRATE", 2.5e-8) * sites
     i = np.arange(1, n)
     # classes coalescing more recently than the size change see N_CUR
-    recent = np.exp(-i * max(tau, 0.0))
-    expected = theta_cur / i * (recent + (1.0 - recent) * omega)
-    counts = np.zeros(n + 1)
-    counts[1:n] = rng.poisson(np.clip(expected, 0.0, None))
-    counts[0] = max(sites - counts[1:n].sum(), 0.0)
-    return SFS_STAT_NAMES, sfs_stats(Sfs(tuple(counts)))
+    recent = np.exp(-i * np.maximum(column("TAU", 1.0), 0.0)[:, None])
+    expected = theta_cur[:, None] / i * (
+        recent + (1.0 - recent) * column("OMEGA", 1.0)[:, None])
+    counts = np.zeros((rows, n + 1))
+    counts[:, 1:n] = rng.poisson(np.clip(expected, 0.0, None))
+    counts[:, 0] = np.maximum(sites - counts[:, 1:n].sum(axis=1), 0.0)
+    return SFS_STAT_NAMES, _sfs_stats_rows(counts)
 
+
+# a per-draw model ``(draw, rng) -> (names, values)`` may carry a ``batch``
+# function ``(names, values (B, p), rng) -> (names, (B, s))`` that gives,
+# row for row, what B per-draw calls give on the same generator
+_builtin_toy_normal.batch = _batch_toy_normal
+_builtin_toy_uniform.batch = _batch_toy_uniform
+_builtin_sfs.batch = _batch_sfs
 
 BUILTIN_MODELS = {
     "toy-normal": _builtin_toy_normal,

@@ -17,6 +17,22 @@ An optional post-processor runs after every simulation, e.g. to turn raw
 simulator output into a statistics file.  Statistics are read from a
 header + values file (default ``summary_stats-temp.txt``).  Each run works
 inside a private scratch directory so fixed filenames cannot collide.
+
+Seed rule.  A sampler derives its own generators from the one it is given
+(``Generator.spawn``), each consumed in a fixed order:
+
+* :func:`run_standard` spawns three: the prior draws (rows of uniforms,
+  see :mod:`abckit.priors`), the simulator noise of each draw's first
+  attempt, and the noise of retries.  A builtin model with a batch
+  function simulates ``SIM_BLOCK`` draws per call and reads the noise
+  row-major, so the noise of draw *i* is what a call for it alone would
+  read; draws are taken in order and retries in the order of the draws
+  that failed.  The table therefore does not depend on the block size.
+* :func:`calibrate` runs :func:`run_standard` on the generator it is given
+  and draws a random starting point from that generator itself.
+* :func:`run_mcmc` calibrates first (unless given a calibration), then
+  spawns three more: the chain's proposals and acceptance tests, the
+  simulator noise and the retries.
 """
 
 from __future__ import annotations
@@ -35,8 +51,8 @@ import numpy as np
 
 from .errors import NumericalError, SimulatorError, TableFormatError
 from .models import BUILTIN_MODELS
-from .priors import (EstModel, ParamDraw, complete_draw, log_prior_density,
-                     sample)
+from .priors import (EstModel, ParamDraw, complete_draw, complete_rows,
+                     log_prior_density, sample_rows)
 from .rejection import RetainedSet, retain
 from .statselect import LinearCombDef, StatMap
 from .tableio import ObservedStats, SimulationTable
@@ -50,6 +66,9 @@ __all__ = [
 
 SIMINPUT_TOKEN = "SIMINPUTNAME"
 DEFAULT_STATS_FILE = "summary_stats-temp.txt"
+# draws per call of a builtin model's batch function
+SIM_BLOCK = 256
+_NON_FINITE = "produced non-finite statistics"
 
 
 def _fmt_param(v: float) -> str:
@@ -199,9 +218,8 @@ class _Runner:
             names, values = BUILTIN_MODELS[binding.program](draw, rng)
             values = np.asarray(values, dtype=float)
             if not np.isfinite(values).all():
-                raise SimulatorError(
-                    f"builtin model {binding.program} produced non-finite "
-                    "statistics")
+                raise SimulatorError(f"builtin model {binding.program} "
+                                     f"{_NON_FINITE}")
             return tuple(names), values
 
         subs = {name: _fmt_param(v) for name, v in draw.values.items()}
@@ -224,18 +242,70 @@ class _Runner:
         stats_name = "output" if binding.mode == "easyabc" else binding.stats_file
         return self._read_stats(self.scratch / stats_name)
 
-    def simulate_with_retry(self, draw: ParamDraw, rng, on_failure: str):
-        """:meth:`simulate`, retried once with the same parameters; ``None``
-        (and a warning ending in ``on_failure``) if both attempts fail."""
+    def simulate_with_retry(self, draw: ParamDraw, rng, retry_rng,
+                            on_failure: str):
+        """:meth:`simulate`, retried once with the same parameters and noise
+        from ``retry_rng``; ``None`` (and a warning ending in
+        ``on_failure``) if both attempts fail."""
         try:
             return self.simulate(draw, rng)
         except SimulatorError as exc:
-            log.debug("simulation failed, retrying once: %s", exc)
+            return self._retry(draw, retry_rng, on_failure, exc)
+
+    def _retry(self, draw: ParamDraw, retry_rng, on_failure: str, exc):
+        log.debug("simulation failed, retrying once: %s", exc)
         try:
-            return self.simulate(draw, rng)
+            return self.simulate(draw, retry_rng)
         except SimulatorError as exc:
             log.warning("simulation failed twice, %s: %s", on_failure, exc)
             return None
+
+    def simulate_rows(self, est: EstModel, values: np.ndarray, rng, retry_rng,
+                      on_failure: str):
+        """Simulate each row of ``values`` (columns ``est.all_names``) as
+        :meth:`simulate_with_retry` does.  Returns the statistic names
+        (``None`` if every row failed), a statistics matrix and the mask of
+        the rows that succeeded.  A builtin with a batch function simulates
+        all rows in one call; any other binding goes row by row."""
+        batch = None
+        if self.binding.mode == "builtin":
+            batch = getattr(BUILTIN_MODELS[self.binding.program], "batch", None)
+        if batch is None:
+            return self._simulate_each(est, values, rng, retry_rng, on_failure)
+        stat_names, stats = batch(est.all_names, values, rng)
+        stats = np.asarray(stats, dtype=float)
+        ok = np.isfinite(stats).all(axis=1)
+        problem = f"builtin model {self.binding.program} {_NON_FINITE}"
+        for i in np.flatnonzero(~ok):
+            draw = ParamDraw(dict(zip(est.all_names, values[i].tolist())),
+                             est.output_names)
+            result = self._retry(draw, retry_rng, on_failure, problem)
+            if result is not None:
+                stats[i], ok[i] = result[1], True
+        return tuple(stat_names), stats, ok
+
+    def _simulate_each(self, est, values, rng, retry_rng, on_failure):
+        stat_names, rows = None, []
+        ok = np.zeros(len(values), dtype=bool)
+        for i, row in enumerate(values.tolist()):
+            draw = ParamDraw(dict(zip(est.all_names, row)), est.output_names)
+            result = self.simulate_with_retry(draw, rng, retry_rng, on_failure)
+            if result is None:
+                continue
+            stat_names = _same_header(stat_names, result[0])
+            rows.append(result[1])
+            ok[i] = True
+        stats = np.zeros((len(values), len(stat_names or ())))
+        if rows:
+            stats[ok] = rows
+        return stat_names, stats, ok
+
+
+def _same_header(known, names):
+    if known is not None and names != known:
+        raise SimulatorError("statistics header changed between simulations "
+                             f"({known} -> {names})")
+    return names
 
 
 @dataclass(frozen=True)
@@ -250,7 +320,8 @@ class SimulationRun:
 
 def run_standard(est: EstModel, binding: SimulatorBinding, n_sims: int,
                  rng=None, record: str = "output") -> SimulationRun:
-    """Simulate ``n_sims`` draws from the prior.
+    """Simulate ``n_sims`` draws from the prior, in blocks of
+    ``SIM_BLOCK`` draws (see the seed rule in the module docstring).
 
     Each failed simulation is retried once with the same parameters, then
     logged and skipped.  ``record`` selects which parameters become table
@@ -259,31 +330,29 @@ def run_standard(est: EstModel, binding: SimulatorBinding, n_sims: int,
     rng = np.random.default_rng(rng)
     if n_sims <= 0:
         raise ValueError("n_sims must be positive")
+    prior_rng, noise_rng, retry_rng = rng.spawn(3)
     param_names = est.all_names if record == "all" else est.output_names
-    rows = []
+    param_cols = [est.all_names.index(n) for n in param_names]
+    blocks = []
     stat_names = None
     failures = 0
     with _Runner(binding) as runner:
-        for _ in range(n_sims):
-            draw = sample(est, rng)
-            result = runner.simulate_with_retry(draw, rng, "skipping draw")
-            if result is None:
-                failures += 1
+        for start in range(0, n_sims, SIM_BLOCK):
+            raw = sample_rows(est, prior_rng, min(SIM_BLOCK, n_sims - start))
+            values = complete_rows(est, raw)
+            names, stats, ok = runner.simulate_rows(est, values, noise_rng,
+                                                    retry_rng, "skipping draw")
+            failures += int(np.count_nonzero(~ok))
+            if names is None:
                 continue
-            names, values = result
-            if stat_names is None:
-                stat_names = names
-            elif names != stat_names:
-                raise SimulatorError(
-                    "statistics header changed between simulations "
-                    f"({stat_names} -> {names})")
-            pvals = [draw.values[n] for n in param_names]
-            rows.append(np.concatenate([pvals, values]))
+            stat_names = _same_header(stat_names, names)
+            blocks.append(np.hstack([values[ok][:, param_cols], stats[ok]]))
     if stat_names is None:
         raise SimulatorError("every simulation failed; nothing to report")
-    log.info("performed %d simulation(s), %d failure(s)", len(rows), failures)
+    log.info("performed %d simulation(s), %d failure(s)", n_sims - failures,
+             failures)
     names = tuple(param_names) + stat_names
-    table = SimulationTable(names, np.array(rows),
+    table = SimulationTable(names, np.concatenate(blocks),
                             tuple(range(len(param_names))),
                             tuple(range(len(param_names), len(names))))
     return SimulationRun(table, n_sims, failures)
@@ -470,6 +539,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     rng = np.random.default_rng(rng)
     cal = calibration if calibration is not None else calibrate(
         est, binding, obs, cfg, rng)
+    chain_rng, noise_rng, retry_rng = rng.spawn(3)
     prior_names = est.prior_names
 
     raw = dict(cal.start_raw)
@@ -491,13 +561,14 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                 x = raw[name]
                 if w > 0 and hi > lo:
                     if spec.integer:
-                        x = _lattice_step(x, w, lo, hi, rng)
+                        x = _lattice_step(x, w, lo, hi, chain_rng)
                     else:
-                        x = _reflect(x + rng.uniform(-w, w), lo, hi)
+                        x = _reflect(x + chain_rng.uniform(-w, w), lo, hi)
                 proposal[name] = x
             if all(rule.holds(proposal) for rule in est.rules):
                 result = runner.simulate_with_retry(
-                    complete_draw(est, proposal), rng, "rejecting the proposal")
+                    complete_draw(est, proposal), noise_rng, retry_rng,
+                    "rejecting the proposal")
                 if result is not None:
                     names, values = result
                     if tuple(names) != cal.sim_stat_names:
@@ -513,7 +584,8 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                         new_dist = math.inf
                     new_log_prior = log_prior_density(est, proposal)
                     if (new_dist < cal.epsilon
-                            and math.log(rng.uniform()) < new_log_prior - log_prior):
+                            and math.log(chain_rng.uniform())
+                            < new_log_prior - log_prior):
                         raw, stats, dist = proposal, values, new_dist
                         log_prior = new_log_prior
                         accepted += 1

@@ -11,27 +11,42 @@ An est file has up to three sections::
     [COMPLEX PARAMETERS]
     0 SCALED = exp(PARAM_B) / PARAM_A output
 
-Only ``[PARAMETERS]`` is mandatory.  The leading 0/1 flags integer
-truncation, the trailing ``output``/``hide`` controls whether the value is
+Only ``[PARAMETERS]`` is mandatory.  The leading 0/1 flags an integer
+parameter, the trailing ``output``/``hide`` controls whether the value is
 written to simulation tables (hidden values remain available as simulator
 arguments).  Supported priors: ``unif``, ``logunif``, ``norm`` (truncated
-to [min, max]) and ``fixed``.  Rules constrain raw parameters and are
-enforced by rejecting the whole draw.  Complex-parameter expressions use
+to [min, max]) and ``fixed``.  An integer prior puts its density on the
+integers within [min, max], ends included (the distribution the MCMC
+chain targets through :func:`log_prior_density`); an integer complex
+parameter or fixed value is truncated toward zero.  Rules constrain raw
+parameters and are enforced by rejecting the whole draw.  Complex-parameter expressions use
 ``+ - * / ^`` (``^`` right-associative) and the functions ``exp, log,
 log10, pow10, sqrt, abs, min, max``.  Lines starting with ``//`` or ``#``
 are comments.
+
+Seed rule of :func:`sample_rows` (and :func:`sample`, one row of it).
+Every raw prior value is the inverse CDF of one uniform.  A candidate draw
+is one row of uniforms, one per prior (fixed ones included), read
+row-major from the generator it is given; a row that breaks a rule is
+dropped and the accepted rows keep their order.  No more rows are read than
+are still needed, so the k-th accepted draw depends on the stream alone:
+n calls for one draw and one call for n draws give the same values and
+leave the generator in the same state.  The samplers of
+:mod:`abckit.orchestrate` give this generator a stream of its own.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr, ndtri
 
 from .errors import EstParseError, EvalError
 
@@ -39,7 +54,8 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "PriorSpec", "Rule", "ComplexParam", "EstModel", "ParamDraw",
-    "parse_est", "parse_expression", "eval_expr", "sample", "complete_draw",
+    "parse_est", "parse_expression", "eval_expr", "sample", "sample_rows",
+    "complete_draw", "complete_rows",
 ]
 
 MAX_RULE_TRIES = 10_000
@@ -272,6 +288,11 @@ class PriorSpec:
                 raise EstParseError(f"{self.name}: logunif needs min > 0")
         if self.kind == "norm" and self.args[3] <= 0:
             raise EstParseError(f"{self.name}: normal prior needs sd > 0")
+        if self.integer and self.kind != "fixed":
+            lo, hi = self.args[0], self.args[1]
+            if math.ceil(lo) > math.floor(hi):
+                raise EstParseError(f"{self.name}: integer prior has no "
+                                    f"integer in [{lo}, {hi}]")
 
     @property
     def bounds(self):
@@ -295,22 +316,21 @@ class PriorSpec:
         return -0.5 * ((x - mean) / sd) ** 2
 
 
+_COMPARE = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
+            ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class Rule:
     lhs: str
     op: str              # < > <= >=
     rhs: str | float
 
-    def holds(self, bindings: Mapping[str, float]) -> bool:
-        a = float(bindings[self.lhs])
-        b = float(bindings[self.rhs]) if isinstance(self.rhs, str) else self.rhs
-        if self.op == "<":
-            return a < b
-        if self.op == ">":
-            return a > b
-        if self.op == "<=":
-            return a <= b
-        return a >= b
+    def holds(self, bindings: Mapping[str, float]):
+        """Whether the rule holds; element-wise when the bindings are
+        columns of values."""
+        b = bindings[self.rhs] if isinstance(self.rhs, str) else self.rhs
+        return _COMPARE[self.op](bindings[self.lhs], b)
 
     def __str__(self):
         return f"{self.lhs} {self.op} {self.rhs}"
@@ -481,63 +501,158 @@ def parse_est_file(path) -> EstModel:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling (see the seed rule in the module docstring)
+
+# integer priors with at most this many integers in range draw from an
+# exact table of their masses
+LATTICE_TABLE_MAX = 1 << 20
+# a normal density this many sd from its largest lattice mass underflows
+_NORM_WINDOW = 40
 
 
-def _draw_prior(spec: PriorSpec, rng: np.random.Generator) -> float:
-    if spec.kind == "fixed":
-        return spec.args[0]
+def _truncnorm_ppf(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """Standard normal truncated to [a, b] at the CDF levels ``u`` (1 - u
+    when mirrored), computed on the side of 0 where ``ndtr`` keeps its
+    relative precision."""
+    if a + b > 0:
+        return -_truncnorm_ppf(-b, -a, u)
+    pa, pb = ndtr(a), ndtr(b)
+    return np.clip(ndtri(pa + u * (pb - pa)), a, b)
+
+
+def _continuous_values(spec: PriorSpec, lo: float, hi: float,
+                       u: np.ndarray) -> np.ndarray:
     if spec.kind == "unif":
-        return rng.uniform(spec.args[0], spec.args[1])
+        return lo + (hi - lo) * u
     if spec.kind == "logunif":
-        return math.exp(rng.uniform(math.log(spec.args[0]), math.log(spec.args[1])))
-    # truncated normal: rejection while acceptance is healthy, otherwise
-    # inverse CDF on the truncated interval (tail windows go through the
-    # survival function, where the CDF would saturate)
-    lo, hi, mean, sd = spec.args
-    a, b = (lo - mean) / sd, (hi - mean) / sd
-    accept = sps.norm.cdf(b) - sps.norm.cdf(a)
-    if accept >= 1e-3:
-        while True:
-            x = rng.normal(mean, sd)
-            if lo <= x <= hi:
-                return x
-    if a >= 0:
-        u = rng.uniform(sps.norm.sf(b), sps.norm.sf(a))
-        z = float(sps.norm.isf(u))
+        a, b = math.log(lo), math.log(hi)
+        return np.clip(np.exp(a + (b - a) * u), lo, hi)
+    mean, sd = spec.args[2], spec.args[3]
+    z = _truncnorm_ppf((lo - mean) / sd, (hi - mean) / sd, u)
+    return np.clip(mean + sd * z, lo, hi)
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice(spec: PriorSpec):
+    """``(first, last, cdf)`` of an integer prior: the integers that carry
+    mass and the normalized cumulative masses of the first
+    ``LATTICE_TABLE_MAX`` of them (``None`` for ``unif``, whose inverse CDF
+    is closed-form, and for a ``norm`` wider than the table).  A wider
+    ``logunif`` leaves the mass of the integers past the table to its
+    continuous density, rounded: there the masses 1/k and log((k + 1/2) /
+    (k - 1/2)) agree to a relative 1e-13."""
+    first, last = math.ceil(spec.args[0]), math.floor(spec.args[1])
+    if spec.kind == "norm":
+        mean, sd = spec.args[2], spec.args[3]
+        centre = min(max(round(mean), first), last)
+        reach = math.ceil(_NORM_WINDOW * sd)
+        first, last = max(first, centre - reach), min(last, centre + reach)
+    if spec.kind == "unif" or (spec.kind == "norm"
+                               and last - first + 1 > LATTICE_TABLE_MAX):
+        return first, last, None
+    k = np.arange(first, min(last, first + LATTICE_TABLE_MAX - 1) + 1,
+                  dtype=float)
+    if spec.kind == "logunif":
+        mass = first / k
+        tail = first * math.log((last + 0.5) / (k[-1] + 0.5))
     else:
-        u = rng.uniform(sps.norm.cdf(a), sps.norm.cdf(b))
-        z = float(sps.norm.ppf(u))
-    return mean + sd * z
+        log_mass = -0.5 * ((k - spec.args[2]) / spec.args[3]) ** 2
+        mass = np.exp(log_mass - log_mass.max())
+        tail = 0.0
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1] + tail
+    cdf.setflags(write=False)        # shared by every caller of the cache
+    return first, last, cdf
+
+
+def _integer_values(spec: PriorSpec, u: np.ndarray) -> np.ndarray:
+    """An integer prior at the CDF levels ``u``: the mass of each integer
+    in range is proportional to the density there.  Beyond the table of
+    :func:`_lattice`, the continuous density on [first - 1/2, last + 1/2]
+    is rounded to the nearest integer: exact for ``unif``, and for a
+    ``norm`` that wide (sd > 13000) within a relative 1e-8 for the integers
+    within 5 sd of the mean."""
+    first, last, cdf = _lattice(spec)
+    if cdf is None:
+        x = _continuous_values(spec, first - 0.5, last + 0.5, u)
+        return np.clip(np.floor(x + 0.5), first, last)
+    k = np.searchsorted(cdf, u, side="right")
+    values = first + np.minimum(k, last - first).astype(float)
+    past = k >= len(cdf)
+    if past.any() and first + len(cdf) <= last:
+        head = cdf[-1]
+        x = _continuous_values(spec, first + len(cdf) - 0.5, last + 0.5,
+                               (u[past] - head) / (1.0 - head))
+        values[past] = np.clip(np.floor(x + 0.5), first + len(cdf), last)
+    return values
+
+
+def _prior_values(spec: PriorSpec, u: np.ndarray) -> np.ndarray:
+    if spec.kind == "fixed":
+        v = spec.args[0]
+        return np.full(u.shape, _truncate_int(v) if spec.integer else v)
+    if spec.integer:
+        return _integer_values(spec, u)
+    return _continuous_values(spec, spec.args[0], spec.args[1], u)
 
 
 def _truncate_int(x: float) -> float:
     return float(math.trunc(x))
 
 
-def sample(model: EstModel, rng: np.random.Generator) -> ParamDraw:
-    """Draw one parameter vector from the model.
+def sample_rows(model: EstModel, rng: np.random.Generator,
+                n: int) -> np.ndarray:
+    """``n`` raw draws from the model, one row each with a column per
+    prior, under the seed rule of the module docstring.
 
-    Raw parameters are drawn from their priors; a draw violating any rule
-    is rejected wholesale and retried.  Complex parameters are then
-    evaluated in declaration order.  Aborts with a diagnostic if the rule
-    system rejects (essentially) everything.
+    Aborts with a diagnostic if the rules reject ``MAX_RULE_TRIES``
+    candidates in a row.
     """
-    for _ in range(MAX_RULE_TRIES):
-        values: dict[str, float] = {}
-        for spec in model.priors:
-            x = _draw_prior(spec, rng)
-            if spec.integer:
-                x = _truncate_int(x)
-            values[spec.name] = x
-        if all(rule.holds(values) for rule in model.rules):
-            break
-    else:
-        raise EstParseError(
-            f"rule system rejected {MAX_RULE_TRIES} consecutive draws "
-            f"(rejection rate > 0.999); rules appear degenerate: "
-            + "; ".join(str(r) for r in model.rules))
-    return complete_draw(model, values)
+    blocks = [np.empty((0, len(model.priors)))]
+    have = 0
+    run = 0                      # candidates rejected since the last accept
+    while have < n:
+        u = rng.random((n - have, len(model.priors)))
+        rows = np.column_stack([_prior_values(spec, u[:, j])
+                                for j, spec in enumerate(model.priors)])
+        if model.rules:
+            cols = dict(zip(model.prior_names, rows.T))
+            ok = np.logical_and.reduce([rule.holds(cols)
+                                        for rule in model.rules])
+            kept = np.flatnonzero(ok)
+            # rejections before each accepted row, and after the last one
+            gaps = np.diff(kept, prepend=-1 - run) - 1
+            run = len(rows) - 1 - int(kept[-1]) if kept.size else run + len(rows)
+            if run >= MAX_RULE_TRIES or np.any(gaps >= MAX_RULE_TRIES):
+                raise EstParseError(
+                    f"rule system rejected {MAX_RULE_TRIES} consecutive draws "
+                    f"(rejection rate > 0.999); rules appear degenerate: "
+                    + "; ".join(str(r) for r in model.rules))
+            rows = rows[kept]
+        blocks.append(rows)
+        have += len(rows)
+    return np.concatenate(blocks)
+
+
+def sample(model: EstModel, rng: np.random.Generator) -> ParamDraw:
+    """Draw one parameter vector from the model: one row of
+    :func:`sample_rows`, completed by :func:`complete_draw`."""
+    raw = sample_rows(model, rng, 1)[0]
+    return complete_draw(model, dict(zip(model.prior_names, raw.tolist())))
+
+
+def complete_rows(model: EstModel, raw: np.ndarray) -> np.ndarray:
+    """Rows of raw draws with the complex parameters appended, columns in
+    ``model.all_names`` order (each row as :func:`complete_draw` binds
+    it)."""
+    if not model.complex_params:
+        return raw
+    names = model.all_names
+    out = np.empty((len(raw), len(names)))
+    for i, row in enumerate(raw.tolist()):
+        values = complete_draw(model, dict(zip(model.prior_names, row))).values
+        out[i] = [values[n] for n in names]
+    return out
 
 
 def complete_draw(model: EstModel, raw: Mapping[str, float]) -> ParamDraw:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from abckit import cli, statselect
-from abckit.tableio import (format_value, read_table, write_observed,
-                            write_table)
+from abckit.tableio import (ObservedStats, format_value, read_table,
+                            write_observed, write_table)
 
 
 def test_estimate_two_models_end_to_end(tmp_path, monkeypatch, norm_table,
@@ -361,3 +361,127 @@ def test_non_finite_observed_statistic_exits_2(tmp_path, monkeypatch, caplog,
     errors = _error_lines(caplog)
     assert len(errors) == 1 and "not finite: median" in errors[0]
     assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_threads_is_an_unknown_key(tmp_path, monkeypatch, caplog):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(["task=simulate", "estName=toy.est",
+                         "simProgram=toy-normal", "numSims=20", "seed=1",
+                         "threads=4"])
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["setting threads='4' was not used (unknown key)"]
+
+
+# External simulators for the exec-args, exec-files and easyabc bindings.
+# Each writes the parameters it is given back as its statistics, logs its
+# call number and arguments, and fails on the call numbers listed in the
+# file "fail".  They are POSIX sh scripts: every simulation starts a
+# process, and a Python interpreter takes about 0.1 s to start on a 2-vCPU
+# VM, which would make the three MCMC runs (140 simulations each) take
+# most of a minute.
+SIM_PREAMBLE = """#!/bin/sh
+n=$(( $(cat '{state}/calls' 2>/dev/null || echo 0) + 1 ))
+echo "$n" > '{state}/calls'
+"""
+SIM_FAIL = """echo "$n $mu $sigma2" >> '{state}/log'
+if grep -qx "$n" '{state}/fail' 2>/dev/null; then
+    echo "call $n failed" >&2
+    exit 1
+fi
+"""
+SIMULATORS = {
+    # simArgs="mu sigma2": the values come as arguments
+    "exec-args": SIM_PREAMBLE + 'mu=$1; sigma2=$2\n' + SIM_FAIL
+    + "printf 's1 s2\\n%s %s\\n' \"$mu\" \"$sigma2\" > summary_stats-temp.txt\n",
+    # the rendered template holds the values; its name is the argument
+    "exec-files": SIM_PREAMBLE + 'set -- $(cat "$1"); mu=$1; sigma2=$2\n'
+    + SIM_FAIL
+    + "printf 's1 s2\\n%s %s\\n' \"$mu\" \"$sigma2\" > summary_stats-temp.txt\n",
+    # easyabc: one value per line in "input", statistics only in "output"
+    "easyabc": SIM_PREAMBLE + 'set -- $(cat input); mu=$1; sigma2=$2\n'
+    + SIM_FAIL + "echo \"$mu $sigma2\" > output\n",
+}
+BINDING_KEYS = {
+    "exec-args": ["simArgs=mu sigma2"],
+    "exec-files": ["simInputName=input.tpl", "simArgs=SIMINPUTNAME"],
+    "easyabc": [],
+}
+
+
+def _external_simulator(directory, mode, fail=()):
+    """Write the simulator of ``mode`` (and its template) into
+    ``directory``; returns the CLI settings that select it."""
+    sim = directory / "sim.sh"
+    sim.write_text(SIMULATORS[mode].format(state=directory))
+    sim.chmod(0o755)
+    (directory / "input.tpl").write_text("mu\nsigma2\n")
+    (directory / "fail").write_text("".join(f"{n}\n" for n in fail))
+    (directory / "toy.est").write_text(TOY_EST)
+    return ["task=simulate", "estName=toy.est", f"simProgram={sim}",
+            *BINDING_KEYS[mode]]
+
+
+def _simulator_calls(directory):
+    """(call number, mu, sigma2) of every simulation started."""
+    rows = [line.split() for line in
+            (directory / "log").read_text().splitlines()]
+    return [(int(n), float(mu), float(s2)) for n, mu, s2 in rows]
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATORS))
+def test_external_standard_sampler_retries_then_skips(tmp_path, monkeypatch,
+                                                      caplog, mode):
+    # call 2 fails and its retry (call 3) succeeds; calls 5 and 6 fail, so
+    # the fourth draw is skipped
+    monkeypatch.chdir(tmp_path)
+    settings = _external_simulator(tmp_path, mode, fail=(2, 5, 6))
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(settings + ["numSims=5", "seed=2", "outName=ext"])
+    assert code == 0
+    calls = _simulator_calls(tmp_path)
+    assert [n for n, *_ in calls] == list(range(1, 8))
+    assert calls[1][1:] == calls[2][1:] and calls[4][1:] == calls[5][1:]
+    assert len({c[1:] for c in calls}) == 5
+    # the table holds the successful calls' values, in order, written
+    # with 6 significant digits
+    table = read_table(tmp_path / "ext_sampling1.txt", "1-2")
+    want = np.array([c[1:] for c in calls if c[0] in (1, 3, 4, 7)])
+    np.testing.assert_allclose(table.params, want, rtol=1e-5)
+    np.testing.assert_allclose(table.stats, want, rtol=1e-5)
+    names = ("stat_1", "stat_2") if mode == "easyabc" else ("s1", "s2")
+    assert table.stat_names == names
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("simulation failed twice, skipping draw: ")
+    assert warnings[0].endswith("exited with 1: call 6 failed")
+    assert any(r.getMessage() == "performed 4 simulation(s), 1 failure(s)"
+               for r in caplog.records)
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATORS))
+def test_external_mcmc_sampler(tmp_path, monkeypatch, caplog, mode):
+    monkeypatch.chdir(tmp_path)
+    settings = _external_simulator(tmp_path, mode)
+    names = ("stat_1", "stat_2") if mode == "easyabc" else ("s1", "s2")
+    write_observed(tmp_path / "obs.txt",
+                   ObservedStats(names, np.array([0.2, 2.0])))
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(settings + ["samplerType=MCMC", "numSims=40",
+                                    "numCaliSims=100", "obsName=obs.txt",
+                                    "seed=3", "outName=chain"])
+    assert code == 0
+    assert len(_simulator_calls(tmp_path)) == 140
+    chain = read_table(tmp_path / "chain_sampling1.txt", "1-2")
+    assert chain.names == ("mu", "sigma2") + names + ("distance",)
+    assert chain.n_rows == 40 - 4
+    np.testing.assert_allclose(chain.values[:, 2:4], chain.params, rtol=1e-5)
+    assert np.all(chain.values[:, -1] > 0)
+    assert np.all((chain.params >= [-1, 0.1]) & (chain.params <= [1, 4]))
+    chains = [r.args for r in caplog.records
+              if r.msg.startswith("chain of %d steps")]
+    assert len(chains) == 1 and chains[0][0] == 40 and chains[0][1] > 0

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from abckit import models, statselect
+from abckit import models, orchestrate, statselect
 from abckit.errors import SimulatorError, TableFormatError
 from abckit.orchestrate import (McmcConfig, SimulatorBinding, calibrate,
                                 run_mcmc, run_standard)
-from abckit.priors import log_prior_density, parse_est
+from abckit.priors import (complete_rows, log_prior_density, parse_est,
+                           sample_rows)
 from abckit.tableio import ObservedStats
 from abckit.statselect import LinearCombDef, StatMap, boost, fit_pls
 
@@ -125,6 +126,116 @@ class TestRetry:
                             "call 3 failed"]
         assert any(r.getMessage() == "performed 3 simulation(s), 1 failure(s)"
                    for r in caplog.records)
+
+
+RULES_EST = """[PARAMETERS]
+0 mu norm -1 1 0 0.5 output
+1 sigma2 logunif 1 4 output
+0 shift unif -1 0.5 hide
+0 scale fixed 2 hide
+[RULES]
+mu > shift
+[COMPLEX PARAMETERS]
+0 spread = sigma2 * scale output
+"""
+
+SFS_EST = """[PARAMETERS]
+0 LOG10_N_CUR unif 2 4 hide
+0 LOG10_OMEGA unif -1 1 output
+0 TAU unif 0 1 output
+[COMPLEX PARAMETERS]
+1 N_CUR = pow10(LOG10_N_CUR) output
+0 OMEGA = pow10(LOG10_OMEGA) hide
+"""
+# the sample size varies from draw to draw
+SFS_SIZES_EST = SFS_EST.replace(
+    "[COMPLEX", "1 SAMPLE_SIZE unif 8 12 output\n[COMPLEX")
+
+
+class TestBatchInvariance:
+    """A seed gives the same table whatever the block size."""
+
+    def per_block(self, monkeypatch, run):
+        out = []
+        for block in (1, 7, 256):
+            monkeypatch.setattr(orchestrate, "SIM_BLOCK", block)
+            out.append(run())
+        return out
+
+    @pytest.mark.parametrize("model, est_text", [
+        ("toy-normal", TOY_EST), ("toy-uniform", TOY_EST),
+        ("toy-normal", RULES_EST), ("sfs-neutral-growth", SFS_EST),
+        ("sfs-neutral-growth", SFS_SIZES_EST),
+    ], ids=["toy-normal", "toy-uniform", "rules", "sfs", "sfs-sizes"])
+    def test_run_standard(self, monkeypatch, model, est_text):
+        est = parse_est(est_text)
+        binding = SimulatorBinding.builtin(model)
+        runs = self.per_block(monkeypatch, lambda: run_standard(
+            est, binding, 600, np.random.default_rng(12), record="all"))
+        first = runs[0].table
+        assert first.n_rows == 600 and runs[0].failures == 0
+        for run in runs[1:]:
+            assert run.table.names == first.names
+            assert run.table.values.tobytes() == first.values.tobytes()
+
+    def test_batch_rows_are_per_draw_results(self):
+        # the batch function gives what per-draw calls give on one stream
+        for model, est_text in (("toy-normal", TOY_EST),
+                                ("toy-uniform", RULES_EST),
+                                ("sfs-neutral-growth", SFS_EST),
+                                ("sfs-neutral-growth", SFS_SIZES_EST)):
+            est = parse_est(est_text)
+            values = complete_rows(est, sample_rows(
+                est, np.random.default_rng(16), 50))
+            per_draw = models.BUILTIN_MODELS[model]
+            rng = np.random.default_rng(13)
+            one = [per_draw(dict(zip(est.all_names, row)), rng)
+                   for row in values.tolist()]
+            names, batch = per_draw.batch(est.all_names, values,
+                                          np.random.default_rng(13))
+            assert {r[0] for r in one} == {names}
+            assert batch.tobytes() == np.array([r[1] for r in one]).tobytes()
+
+    def test_calibrate(self, monkeypatch, toy_obs):
+        est = parse_est(TOY_EST)
+        binding = SimulatorBinding.builtin("toy-normal")
+        cfg = McmcConfig(n_calibration=300, threshold_prop=0.1,
+                         starting_point="random")
+        cals = self.per_block(monkeypatch, lambda: calibrate(
+            est, binding, toy_obs, cfg, np.random.default_rng(14)))
+        for cal in cals[1:]:
+            assert cal.table.values.tobytes() == cals[0].table.values.tobytes()
+            assert cal.epsilon == cals[0].epsilon
+            assert cal.start_raw == cals[0].start_raw
+            assert cal.widths.tobytes() == cals[0].widths.tobytes()
+
+    def test_retries_draw_from_their_own_stream(self, monkeypatch):
+        # a statistic is non-finite whenever its noise exceeds 1.5 (about
+        # 7 % of attempts): most failed draws succeed on the retry, some
+        # fail twice and are skipped, at the same draws for every block size
+        def per_draw(draw, rng):
+            e = rng.normal()
+            return ("s",), [draw["mu"] + e if e < 1.5 else math.inf]
+
+        def batch(names, values, rng):
+            e = rng.normal(size=(len(values), 1))
+            return ("s",), np.where(e < 1.5, values[:, :1] + e, math.inf)
+
+        per_draw.batch = batch
+        monkeypatch.setitem(models.BUILTIN_MODELS, "spiky", per_draw)
+        est = parse_est(TOY_EST)
+        runs = self.per_block(monkeypatch, lambda: run_standard(
+            est, SimulatorBinding.builtin("spiky"), 400,
+            np.random.default_rng(15)))
+        assert 0 < runs[0].failures < 10
+        for run in runs[1:]:
+            assert run.failures == runs[0].failures
+            assert run.table.values.tobytes() == runs[0].table.values.tobytes()
+        # with the batch function removed, the per-draw path gives the same
+        del per_draw.batch
+        run = run_standard(est, SimulatorBinding.builtin("spiky"), 400,
+                           np.random.default_rng(15))
+        assert run.table.values.tobytes() == runs[0].table.values.tobytes()
 
 
 def noise_model(draw, rng):
@@ -283,14 +394,19 @@ class TestChainMap:
         cfg, cal = self.calibration(setup, toy_obs, boosting, True, True)
         assert cal.start_distance == cal.distance(cal.start_stats)
         cfg = dataclasses.replace(cfg, burn_in_frac=0.0)
-        run = run_mcmc(est, binding, toy_obs, cfg, np.random.default_rng(11),
-                       calibration=cal)
-        # the records before the first accepted move carry the start state
-        names = run.table.names
-        stats = run.table.values[:, [names.index(n)
-                                     for n in cal.sim_stat_names]]
-        dist = run.table.values[:, names.index("distance")]
-        unmoved = np.all(stats == cal.start_stats, axis=1)
+        # the start state is recorded only if the first proposal is
+        # rejected; which seeds give such a chain depends on the stream
+        for seed in range(11, 41):
+            run = run_mcmc(est, binding, toy_obs, cfg,
+                           np.random.default_rng(seed), calibration=cal)
+            # the records before the first accepted move carry the start
+            names = run.table.names
+            stats = run.table.values[:, [names.index(n)
+                                         for n in cal.sim_stat_names]]
+            dist = run.table.values[:, names.index("distance")]
+            unmoved = np.all(stats == cal.start_stats, axis=1)
+            if unmoved[0]:
+                break
         assert unmoved[0]
         first_move = int(np.argmin(unmoved)) if not unmoved.all() else None
         start_rows = dist[:first_move]

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from abckit import priors
 from abckit.errors import EstParseError, EvalError
-from abckit.priors import (EstModel, complete_draw, eval_expr,
+from abckit.priors import (EstModel, complete_draw, complete_rows, eval_expr,
                            log_prior_density, parse_est, parse_expression,
-                           sample)
+                           sample, sample_rows)
 
 RULES_EST = """\
 [PARAMETERS]
@@ -166,10 +167,12 @@ class TestSampling:
         binds["N_CUR"] = n_cur
         assert eval_expr(m.complex_params[1].expression, binds) == 10000.0
 
-    def test_integer_flag_truncates(self):
-        m = parse_est("[PARAMETERS]\n1 A unif 3.2 3.9 output\n")
+    def test_integer_prior_needs_an_integer_in_range(self):
+        with pytest.raises(EstParseError, match="no integer in"):
+            parse_est("[PARAMETERS]\n1 A unif 3.2 3.9 output\n")
+        m = parse_est("[PARAMETERS]\n1 A unif 3.2 4.9 output\n")
         rng = np.random.default_rng(0)
-        assert sample(m, rng)["A"] == 3.0
+        assert {sample(m, rng)["A"] for _ in range(20)} == {4.0}
 
     def test_uniform_mean(self):
         m = parse_est("[PARAMETERS]\n0 A unif -1 1 output\n")
@@ -252,3 +255,105 @@ class TestSampling:
         m = parse_est("[PARAMETERS]\n0 A unif 0 1 output\n")
         assert log_prior_density(m, {"A": 0.5}) == 0.0
         assert log_prior_density(m, {"A": 2.0}) == -math.inf
+
+
+class TestIntegerPriors:
+    """An integer prior draws the distribution the MCMC chain targets
+    through log_prior_density: the density on the integers within the
+    bounds, ends included."""
+
+    @pytest.mark.parametrize("prior, lattice", [
+        ("unif 0 10", range(0, 11)),
+        ("unif -3 3", range(-3, 4)),
+        ("norm 0 10 3 2.5", range(0, 11)),
+        ("logunif 1 20", range(1, 21)),
+    ])
+    def test_draws_match_the_discrete_prior(self, prior, lattice):
+        m = parse_est(f"[PARAMETERS]\n1 k {prior} output\n")
+        k = sample_rows(m, np.random.default_rng(31), 20_000)[:, 0]
+        lattice = np.array(lattice)
+        counts = np.array([(k == v).sum() for v in lattice])
+        assert counts.sum() == len(k)
+        weights = np.exp([log_prior_density(m, {"k": v}) for v in lattice])
+        expected = weights / weights.sum() * len(k)
+        assert sps.chisquare(counts, expected).pvalue > 0.001
+
+    @pytest.mark.parametrize("prior", ["unif 0 1e9", "logunif 1 1e8",
+                                       "norm -1e9 1e9 5 1e6"])
+    def test_wide_ranges_draw_integers_in_bounds(self, prior):
+        m = parse_est(f"[PARAMETERS]\n1 k {prior} output\n")
+        k = sample_rows(m, np.random.default_rng(32), 50_000)[:, 0]
+        lo, hi = m.priors[0].bounds
+        np.testing.assert_array_equal(k, np.round(k))
+        assert k.min() >= lo and k.max() <= hi
+        assert len(np.unique(k)) > 1000
+        if prior.startswith("logunif"):
+            # past the exact table as well, the masses stay 1/k: the
+            # smallest integers have their exact share, ...
+            small = np.arange(1, 9)
+            counts = np.array([(k == v).sum() for v in small])
+            expected = counts.sum() / small / (1 / small).sum()
+            assert sps.chisquare(counts, expected).pvalue > 0.001
+            # ... and so does the part past the table
+            share = (k > priors.LATTICE_TABLE_MAX).mean()
+            h = np.log(1e8) + np.euler_gamma
+            want = 1 - (np.log(priors.LATTICE_TABLE_MAX) + np.euler_gamma) / h
+            assert abs(share - want) < 4 * np.sqrt(want * (1 - want) / len(k))
+
+    def test_narrow_normal_window_far_from_the_mean(self):
+        # every mass underflows on its own; the table is relative
+        m = parse_est("[PARAMETERS]\n1 k norm 100 103 0 1 output\n")
+        k = sample_rows(m, np.random.default_rng(33), 5000)[:, 0]
+        assert k.min() == 100 and k.max() <= 101
+        assert (k == 100).mean() > 0.99
+
+
+class TestSeedRule:
+    """The k-th draw depends on the stream alone, not on how many draws
+    are asked for at once."""
+
+    @pytest.mark.parametrize("text", [RULES_EST, POPGEN_EST,
+                                      "[PARAMETERS]\n1 A norm -5 5 0 2 output\n"
+                                      "0 B logunif 1 10 output\n"
+                                      "1 C unif 0 3 hide\n[RULES]\nC < B\n"],
+                             ids=["rules", "popgen", "integers"])
+    def test_blocks_and_single_draws_agree(self, text):
+        m = parse_est(text)
+        whole_rng = np.random.default_rng(40)
+        whole = sample_rows(m, whole_rng, 300)
+        parts_rng = np.random.default_rng(40)
+        parts = np.concatenate([sample_rows(m, parts_rng, n)
+                                for n in (1, 1, 37, 5, 256)])
+        assert parts.shape[0] == 300
+        assert whole.tobytes() == parts.tobytes()
+        assert whole_rng.random() == parts_rng.random()
+        one_rng = np.random.default_rng(40)
+        draws = [sample(m, one_rng) for _ in range(300)]
+        assert np.array([[d[n] for n in m.all_names] for d in draws]).tobytes() \
+            == complete_rows(m, whole).tobytes()
+
+    def test_each_value_is_one_uniform_of_its_row(self):
+        m = parse_est(RULES_EST.split("[RULES]")[0])
+        u = np.random.default_rng(41).random((50, 2))
+        rows = sample_rows(m, np.random.default_rng(41), 50)
+        np.testing.assert_array_equal(rows[:, 0], -1 + 2 * u[:, 0])
+        b = sps.truncnorm((-10 - 1) / 2, (10 - 1) / 2, loc=1, scale=2)
+        np.testing.assert_allclose(rows[:, 1], b.ppf(u[:, 1]), rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_rule_rejections_are_counted_across_blocks(self, monkeypatch, n):
+        # a run of MAX_RULE_TRIES rejections aborts whether the rows are
+        # drawn one at a time or all at once
+        monkeypatch.setattr(priors, "MAX_RULE_TRIES", 4)
+        m = parse_est("[PARAMETERS]\n0 A unif 0 1 output\n[RULES]\nA > 0.6\n")
+        for seed in range(30):
+            outcomes = []
+            for sizes in ([n], [1] * n):
+                rng = np.random.default_rng(seed)
+                try:
+                    rows = np.concatenate([sample_rows(m, rng, k)
+                                           for k in sizes])
+                    outcomes.append(rows.tobytes())
+                except EstParseError:
+                    outcomes.append("degenerate")
+            assert outcomes[0] == outcomes[1]

@@ -4,9 +4,12 @@ from scipy import stats as sps
 
 from abckit.errors import NumericalError, TableFormatError
 from abckit.statselect import (LAMBDA_GRID, LAMBDA_SNAP, BoxCoxSpec,
-                               LinearCombDef, _nipals, boost, boost_observed,
-                               fit_boxcox, fit_pls, transform)
+                               LinearCombDef, _dominant_eigenvector, _nipals,
+                               boost, boost_observed, fit_boxcox, fit_pls,
+                               transform)
 from abckit.tableio import ObservedStats, SimulationTable
+
+from conftest import make_toy_table
 
 SIZES = (20, 37, 100, 333, 1000, 5000)
 
@@ -279,3 +282,79 @@ class TestPls:
         lc = transform(table, res.definition).values[:, -3:]
         np.testing.assert_allclose(lc - lc.mean(axis=0), res.scores,
                                    atol=1e-9)
+
+
+def nipals_cv(table, k_max, cv_folds, rng):
+    """Cross-validated RMSEP and recommended count by refitting NIPALS on
+    every fold, run to convergence (its default tolerance stops early on
+    folds whose leading singular values of X'Y are close)."""
+    rng = np.random.default_rng(rng)
+    n = table.n_rows
+    stats = table.stats
+    specs = [fit_boxcox(stats[:, j], name)
+             for j, name in enumerate(table.stat_names)]
+    z = np.column_stack([spec.apply(stats[:, j])
+                         for j, spec in enumerate(specs)])
+    y_sd = table.params.std(axis=0)
+    y = (table.params - table.params.mean(axis=0)) / y_sd
+    folds = np.array_split(rng.permutation(n), cv_folds)
+    sq_err = np.zeros((k_max, y.shape[1]))
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        zc = z[mask] - z[mask].mean(axis=0)
+        yc = y[mask] - y[mask].mean(axis=0)
+        w, p, q, _ = _nipals(zc, yc, k_max, tol=1e-15, max_iter=100_000)
+        r = w @ np.linalg.inv(p.T @ w)
+        z_test = z[fold] - z[mask].mean(axis=0)
+        for k in range(1, k_max + 1):
+            pred = y[mask].mean(axis=0) + z_test @ (r[:, :k] @ q[:, :k].T)
+            sq_err[k - 1] += ((y[fold] - pred) ** 2).sum(axis=0)
+    rmsep = np.sqrt(sq_err / n) * y_sd
+    ok = np.all(rmsep <= 1.01 * rmsep.min(axis=0), axis=1)
+    return rmsep, int(np.nonzero(ok)[0][0]) + 1
+
+
+class TestPlsCrossValidation:
+    """The folds are fitted by kernel PLS on cross-products; the errors
+    are those of NIPALS refits."""
+
+    @pytest.mark.parametrize("model, rows, seed, boosted, k_max, folds", [
+        ("normal", 1500, 5, True, 5, 10),
+        ("normal", 1500, 3, True, 5, 10),
+        ("uniform", 1000, 11, True, 5, 10),
+        ("normal", 300, 21, False, 3, 5),
+    ])
+    def test_rmsep_matches_nipals_refits(self, model, rows, seed, boosted,
+                                         k_max, folds):
+        table = make_toy_table(model, rows, seed)
+        if boosted:
+            table = boost(table)
+        res = fit_pls(table, k_max, folds, rng=seed)
+        want, recommended = nipals_cv(table, k_max, folds, seed)
+        np.testing.assert_allclose(res.rmsep, want, rtol=1e-9, atol=0)
+        assert res.recommended == recommended
+
+    def test_one_parameter(self):
+        table = make_toy_table("normal", 400, 8)
+        table = SimulationTable(table.names[1:], table.values[:, 1:], (0,),
+                                tuple(range(1, 9)))
+        res = fit_pls(table, 4, 5, rng=8)
+        want, recommended = nipals_cv(table, 4, 5, 8)
+        np.testing.assert_allclose(res.rmsep, want, rtol=1e-9, atol=0)
+        assert res.recommended == recommended
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_dominant_eigenvector(self, p):
+        rng = np.random.default_rng(p)
+        for scale in (1e-8, 1.0, 1e8):
+            a = rng.normal(size=(p, p))
+            g = scale * a @ a.T
+            want = np.linalg.eigh(g)[1][:, -1]
+            got = _dominant_eigenvector(g)
+            assert abs(abs(got @ want) - 1) < 1e-12
+        # eigenvalues 1e-9 apart are still told apart
+        g = np.diag([1.0 - 1e-9, 1.0] + [0.5] * (p - 2))
+        np.testing.assert_allclose(np.abs(_dominant_eigenvector(g)),
+                                   np.eye(p)[1], atol=1e-12)
+        assert not _dominant_eigenvector(np.zeros((p, p))).any()
