@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abckit import cli, statselect
+from abckit import cli, orchestrate, statselect
 from abckit.tableio import (ObservedStats, format_value, read_table,
                             write_observed, write_table)
 
@@ -81,6 +81,20 @@ def test_simulate_standard_and_mcmc_end_to_end(tmp_path, monkeypatch,
     assert mcmc.stat_names[:8] == std.stat_names[:8]
     second = _simulate_pipeline(tmp_path / "b", monkeypatch, toy_obs)
     assert first == second
+
+
+def test_simulate_table_does_not_depend_on_the_block_size(tmp_path,
+                                                         monkeypatch):
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    written = []
+    for block in (1, 256):
+        monkeypatch.setattr(orchestrate, "SIM_BLOCK", block)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["task=simulate", "estName=toy.est",
+                         "simProgram=toy-normal", "doBoosting=1", "seed=4",
+                         "numSims=600", f"outName=b{block}"]) == 0
+        written.append((tmp_path / f"b{block}_sampling1.txt").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("setting, key", [
