@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.stats import gaussian_kde
 
 from .errors import CollinearityError, ConfigError, NumericalError
 from .rejection import RetainedSet
@@ -153,7 +152,13 @@ def weighted_density(samples, weights=None, n_grid: int = 512, bounds=None):
 
     Bandwidth follows Silverman's rule (weight-aware).  Returns
     ``(grid, density)``.
+
+    The kernel estimate is ``scipy.stats.gaussian_kde``, imported here
+    rather than with the module: the first call loads ``scipy.stats``
+    (about half a second), which no other path of the program needs.
     """
+    from scipy.stats import gaussian_kde
+
     samples = np.asarray(samples, dtype=float).ravel()
     lo, hi = samples.min(), samples.max()
     if hi == lo:
@@ -440,13 +445,16 @@ class JointGridPosterior:
     hdi: np.ndarray       # same shape, in [0, 1]
     cell_volume: float
 
-    def rows(self):
-        """Iterate grid points as (coords..., density, hdi), first
-        parameter varying fastest."""
+    def matrix(self) -> np.ndarray:
+        """The grid as a (cells, k + 2) matrix of rows (coords..., density,
+        hdi), first parameter varying fastest."""
         mesh = np.meshgrid(*self.grids, indexing="ij")
-        cols = [a.ravel(order="F").tolist()
-                for a in (*mesh, self.density, self.hdi)]
-        yield from zip(*cols)
+        return np.column_stack([a.ravel(order="F")
+                                for a in (*mesh, self.density, self.hdi)])
+
+    def rows(self):
+        """Iterate the rows of :meth:`matrix` as tuples of floats."""
+        yield from map(tuple, self.matrix().tolist())
 
 
 def _param_grid(fit: GlmFit, k: int, n_points: int, bounds) -> np.ndarray:

@@ -210,6 +210,14 @@ def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
     return k
 
 
+def _check_count(key: str, n, low: int, high: int, what: str) -> None:
+    """Raise a ``ConfigError`` unless the count ``n`` set by ``key`` is
+    unset or between ``low`` and ``high``, which ``what`` names."""
+    if n is not None and not low <= n <= high:
+        raise ConfigError(f"{key} must be between {low} and {what} ({high}), "
+                          f"got {n}")
+
+
 def _densities_payload(post: adjust.GridPosterior):
     header, cols = [], []
     for name in post.param_names:
@@ -259,12 +267,18 @@ def _task_estimate(cfg: Config, rng) -> None:
     n_retained_val = cfg.get_int("retainedValidation")
     n_mc_val = cfg.get_int("modelChoiceValidation")
     plot_data = cfg.get_bool("plotData", False)
+    # a validation count of 0, or none, turns that validation off
+    min_rows = min(t.n_rows for t in tables)
+    _check_count("randomValidation", n_random, 0, min_rows - 1,
+                 "the rows of the smallest table less one")
+    _check_count("modelChoiceValidation", n_mc_val, 0, min_rows,
+                 "the rows of the smallest table")
     num_retained = _num_retained(cfg, tables,
                                  bool(n_random or n_retained_val or n_mc_val))
-    for key, n in (("marDensPValue", n_marg), ("tukeyPValue", n_tukey)):
-        if n is not None and not 1 <= n <= num_retained:
-            raise ConfigError(f"{key} must be between 1 and numRetained "
-                              f"({num_retained}), got {n}")
+    _check_count("retainedValidation", n_retained_val, 0, num_retained,
+                 "numRetained")
+    _check_count("marDensPValue", n_marg, 1, num_retained, "numRetained")
+    _check_count("tukeyPValue", n_tukey, 1, num_retained, "numRetained")
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):
@@ -303,7 +317,7 @@ def _task_estimate(cfg: Config, rng) -> None:
                 idx = [list(r.param_names).index(n) + 1 for n in names]
                 header = names + ["density", "HDI"]
                 write_tagged(prefix, OutputTag.JOINT_POSTERIOR,
-                             (header, list(joint.rows())),
+                             (header, joint.matrix()),
                              model_index=m, obs_index=k, joint_params=idx)
             if n_marg or n_tukey:
                 pv = validation.fit_pvalues(fit, r, n_marginal=n_marg,
@@ -476,6 +490,8 @@ def _task_findstats(cfg: Config, rng) -> None:
     if cfg.has("obsName"):
         cfg.get("obsName")
     n_val = cfg.require_int("modelChoiceValidation")
+    _check_count("modelChoiceValidation", n_val, 1,
+                 min(t.n_rows for t in tables), "the rows of the smallest table")
     num_retained = _num_retained(cfg, tables, leave_one_out=True)
     max_cor = cfg.get_float("maxCorSSFinder", 1.0)
     dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)

@@ -6,9 +6,13 @@ and its Tukey (halfspace) depth, each turned into a P-value by ranking the
 observation among retained simulations.  Estimation accuracy and bias are
 probed by leave-one-out cross-validation on pseudo-observed data sets,
 recording point estimates, the posterior quantile of the true value, and
-the smallest credible level containing it.  Model choice is validated the
-same way, yielding a confusion matrix and the raw posterior probabilities
-used for calibration curves.
+the smallest credible level containing it; Kolmogorov-Smirnov tests of
+those two columns against the uniform distribution check coverage, with
+the exact two-sided P-value of Simard & L'Ecuyer (2011, J. Stat. Softw.
+39(11)), ported from SciPy's ``scipy/stats/_ksstats.py`` into
+:mod:`abckit._kstwo` so that this module does not import ``scipy.stats``.
+Model choice is validated the same way, yielding a confusion matrix and
+the raw posterior probabilities used for calibration curves.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import adjust
+from ._kstwo import kstwo_sf
 from .errors import AbckitError
 from .modelchoice import ModelChoiceResult, glm_model_choice, rejection_model_choice
 from .rejection import RetainedSet, retain
@@ -292,9 +296,29 @@ def validation_table(rows: list[ValidationRow], param_names):
     return header, out
 
 
+def _ks_uniform(values) -> tuple[float, float]:
+    """Two-sided one-sample Kolmogorov-Smirnov test of ``values`` against
+    the uniform distribution on [0, 1]: ``(statistic, pvalue)``.
+
+    The statistic is computed as ``scipy.stats.ks_1samp`` does, ``D =
+    max(D+, D-)`` over the sorted values with the uniform CDF taken as a
+    clip to [0, 1], and the P-value is the exact finite-``n`` survival
+    function of Simard & L'Ecuyer (2011) in :mod:`abckit._kstwo`, so both
+    floats equal those of ``scipy.stats.kstest(values, "uniform")``
+    (whose last clip of the P-value to [0, 1] is already done there).
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    n = len(x)
+    cdf = np.clip(x, 0.0, 1.0)
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = float(max(d_plus, d_minus))
+    return d, kstwo_sf(d, n)
+
+
 def coverage_tests(rows: list[ValidationRow]) -> dict[str, dict[str, float]]:
-    """Kolmogorov-Smirnov uniformity tests of the posterior-quantile and
-    credible-level columns, per parameter.
+    """Kolmogorov-Smirnov uniformity tests (:func:`_ks_uniform`) of the
+    posterior-quantile and credible-level columns, per parameter.
 
     Under unbiased posteriors both are uniform on [0, 1].
     """
@@ -305,12 +329,10 @@ def coverage_tests(rows: list[ValidationRow]) -> dict[str, dict[str, float]]:
     for name in ok[0].truth:
         q = np.array([r.quantile[name] for r in ok])
         h = np.array([r.hdi[name] for r in ok])
-        ks_q = sps.kstest(q, "uniform")
-        ks_h = sps.kstest(h, "uniform")
-        out[name] = {"quantile_ks": float(ks_q.statistic),
-                     "quantile_p": float(ks_q.pvalue),
-                     "hdi_ks": float(ks_h.statistic),
-                     "hdi_p": float(ks_h.pvalue)}
+        q_ks, q_p = _ks_uniform(q)
+        h_ks, h_p = _ks_uniform(h)
+        out[name] = {"quantile_ks": q_ks, "quantile_p": q_p,
+                     "hdi_ks": h_ks, "hdi_p": h_p}
     return out
 
 

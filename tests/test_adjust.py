@@ -400,6 +400,9 @@ class TestJointRows:
         assert len(got) == int(np.prod(shape))
         assert all(type(row) is tuple for row in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        matrix = joint.matrix()
+        assert matrix.shape == (int(np.prod(shape)), len(shape) + 2)
+        assert matrix.tobytes() == np.array(want).tobytes()
 
 
 class TestJointPosterior:
@@ -516,6 +519,34 @@ class TestMarginalDensity:
         est = dens.mean()
         se = dens.std(ddof=1) / math.sqrt(n_mc)
         assert abs(got - est) < 3 * se
+
+    def test_monte_carlo_oracle_on_a_known_linear_gaussian_model(self):
+        # S = c + B u + eps, eps ~ N(0, Sigma), one parameter u on [0, 1],
+        # prior peaks N(u_j, tau^2); the bound (5 Monte Carlo standard
+        # errors) was set before the first run
+        c = np.array([0.3, -0.2])
+        b = np.array([[1.5], [-0.8]])
+        sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
+        fit = GlmFit(("u",), ("s0", "s1"), c, b, sigma, np.zeros(1),
+                     np.ones(1))
+        rng = np.random.default_rng(57)
+        peaks = rng.uniform(size=(60, 1))
+        obs = np.array([1.1, -0.5])
+        r = retained_from(peaks, np.zeros((60, 2)), obs, standardize=False)
+        tau = 0.05
+        got = safe_exp(glm_log_marginal_density(fit, r, dirac_peak_width=tau))
+
+        n_mc = 200_000
+        mc_rng = np.random.default_rng(58)
+        j = mc_rng.integers(0, len(peaks), n_mc)
+        u = peaks[j, 0] + tau * mc_rng.normal(size=n_mc)
+        diff = obs[None, :] - (c[None, :] + u[:, None] * b[:, 0][None, :])
+        quad = np.einsum("nd,dq,nq->n", diff, np.linalg.inv(sigma), diff)
+        dens = np.exp(-0.5 * quad) / (
+            2 * math.pi * math.sqrt(np.linalg.det(sigma)))
+        est = dens.mean()
+        se = dens.std(ddof=1) / math.sqrt(n_mc)
+        assert abs(got - est) < 5 * se
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(51)

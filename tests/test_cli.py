@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abckit import cli, orchestrate, statselect
-from abckit.tableio import (ObservedStats, format_value, read_table,
+from abckit import adjust, cli, orchestrate, statselect
+from abckit.rejection import retain
+from abckit.tableio import (ObservedStats, OutputTag, format_value,
+                            read_observed, read_table, write_tagged,
                             write_observed, write_table)
 
 
@@ -326,6 +328,99 @@ def test_fit_pvalue_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert errors[0].endswith(f"{key} must be between 1 and numRetained "
                               f"(200), got {value}")
     assert not list(tmp_path.glob("ABC_*"))
+
+
+@pytest.mark.parametrize("task, setting, limit", [
+    ("estimate", "randomValidation=-1", "the rows of the smallest table less one (299)"),
+    ("estimate", "randomValidation=300", "the rows of the smallest table less one (299)"),
+    ("estimate", "randomValidation=5000", "the rows of the smallest table less one (299)"),
+    ("estimate", "retainedValidation=-1", "numRetained (200)"),
+    ("estimate", "retainedValidation=201", "numRetained (200)"),
+    ("estimate", "modelChoiceValidation=-1", "the rows of the smallest table (300)"),
+    ("estimate", "modelChoiceValidation=301", "the rows of the smallest table (300)"),
+    ("estimate", "modelChoiceValidation=400", "the rows of the smallest table (300)"),
+    ("findStatsModelChoice", "modelChoiceValidation=-1", "the rows of the smallest table (300)"),
+    ("findStatsModelChoice", "modelChoiceValidation=0", "the rows of the smallest table (300)"),
+    ("findStatsModelChoice", "modelChoiceValidation=301", "the rows of the smallest table (300)"),
+])
+def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
+                                                        caplog, norm_table,
+                                                        unif_table, toy_obs,
+                                                        task, setting, limit):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([f"task={task}", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "outputPrefix=ABC", setting])
+    assert code == 1
+    errors = _error_lines(caplog)
+    key, value = setting.split("=")
+    low = 1 if task == "findStatsModelChoice" else 0
+    assert len(errors) == 1
+    assert errors[0].endswith(f"{key} must be between {low} and {limit}, "
+                              f"got {value}")
+    assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
+                                             norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt", "params=1-2",
+                     "obsName=obs.txt", "numRetained=100", "maxReadSims=5000",
+                     "outputPrefix=ABC", "jointPosteriors=sigma2,mu",
+                     "jointPosteriorDensityPoints=40"])
+    assert code == 0
+    table = read_table("normal.txt", "1-2", max_rows=5000)
+    r = retain(table, read_observed("obs.txt")[0], count=100)
+    joint = adjust.joint_posterior(adjust.glm_fit(r), r,
+                                   params=["sigma2", "mu"], n_points=40)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    path = write_tagged("ABC", OutputTag.JOINT_POSTERIOR,
+                        (["sigma2", "mu", "density", "HDI"],
+                         list(joint.rows())),
+                        model_index=0, obs_index=0, joint_params=[2, 1],
+                        directory=ref)
+    written = tmp_path / path.name
+    assert written.read_bytes() == path.read_bytes()
+    assert len(written.read_bytes().splitlines()) == 1 + 40 * 40
+
+
+# a fresh interpreter: reports whether scipy.stats was loaded after the
+# import of the CLI and after a run with the arguments given
+STATS_PROBE = """
+import sys
+import abckit.cli
+imported = "scipy.stats" in sys.modules
+code = abckit.cli.main(sys.argv[1:])
+print(code, imported, "scipy.stats" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("extra, loaded", [
+    (["retainedValidation=20", "randomValidation=20",
+      "modelChoiceValidation=2"], False),
+    # the rejection densities use scipy's gaussian_kde
+    (["plotData=1"], True),
+])
+def test_scipy_stats_is_loaded_only_for_plot_data(tmp_path, norm_table,
+                                                  unif_table, toy_obs, extra,
+                                                  loaded):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", STATS_PROBE, "task=estimate",
+         "simName=normal.txt;uniform.txt", "params=1-2", "obsName=obs.txt",
+         "numRetained=100", "maxReadSims=5000", "seed=4",
+         "posteriorDensityPoints=40", *extra],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["0", "False", str(loaded)], proc.stderr
+    if not loaded:
+        # every validation ran, and the coverage tests with it
+        assert proc.stderr.count(": quantile KS ") == 2 * 2 + 2 * 2
+        assert (tmp_path / "ABC_GLM_confusionMatrix.txt").exists()
 
 
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,

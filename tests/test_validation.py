@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from abckit._kstwo import kstwo_sf
 from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
 from abckit.errors import NumericalError
 from abckit.modelchoice import glm_model_choice, rejection_model_choice
@@ -422,6 +423,93 @@ class TestCoverage:
     def test_needs_rows(self):
         with pytest.raises(ValueError):
             coverage_tests(self.make_rows([0.5] * 5))
+
+
+# (n, d) points reaching every branch of the method selection of the exact
+# two-sided KS survival function, with points just either side of each
+# threshold: on n (140, 100000), on n d (1/2, 1, n - 1), on d (1/2), on
+# n d^2 (0.754693, 4 for n <= 140; 2.2, 370 above) and on n d^1.5 (1.4)
+def _either_side(n, d):
+    return [(n, d * f) for f in (0.99, 0.999999, 1.0, 1.000001, 1.01)]
+
+
+KS_BRANCH_POINTS = [
+    (20, 0.0), (20, 0.025), (20, 1.0), (20, 1.5), (1, 0.7), (2, 0.8),
+    # just above 1/(2n), where n d rounds back down to 1/2
+    (21, float(np.nextafter(0.5 / 21, 1.0))),
+    *_either_side(20, 0.5 / 20), *_either_side(500, 0.5 / 500),
+    *_either_side(20, 1 / 20), *_either_side(140, 1 / 140),
+    *_either_side(141, 1 / 141), *_either_side(2000, 1 / 2000),
+    (140, 0.006), (141, 0.006), (145, 0.0063),
+    *_either_side(20, 19 / 20), *_either_side(3, 2 / 3),
+    *_either_side(20, 0.5), *_either_side(500, 0.5),
+    *_either_side(20, math.sqrt(0.754693 / 20)),
+    *_either_side(140, math.sqrt(0.754693 / 140)),
+    *_either_side(20, math.sqrt(4 / 20)),
+    *_either_side(140, math.sqrt(4 / 140)),
+    (20, 0.45), (140, 0.3), (21, 0.15), (40, 0.2),
+    *_either_side(500, math.sqrt(370 / 500)),
+    *_either_side(2000, math.sqrt(370 / 2000)),
+    *_either_side(500, math.sqrt(2.2 / 500)),
+    *_either_side(2000, math.sqrt(2.2 / 2000)),
+    *_either_side(500, (1.4 / 500) ** (2 / 3)),
+    *_either_side(2000, (1.4 / 2000) ** (2 / 3)),
+    (500, 0.01), (500, 0.05), (2000, 0.02), (141, 0.05), (141, 0.1),
+    (100000, 1e-4), (100001, 1e-4), (200000, 0.002),
+    # Pelz-Good below z = 0.0417, where its series underflows
+    (200000, 1e-5),
+]
+
+
+class TestKolmogorovSmirnov:
+    def test_sf_equals_scipy_at_every_branch(self):
+        wrong = [(n, d) for n, d in KS_BRANCH_POINTS
+                 if kstwo_sf(d, n).hex() != float(sps.kstwo.sf(d, n)).hex()]
+        assert wrong == []
+
+    def test_sf_equals_scipy_on_random_points(self):
+        rng = np.random.default_rng(95)
+        for n in (1, 5, 20, 21, 40, 139, 140, 141, 500, 2000):
+            for d in np.concatenate([rng.uniform(0, 1, 40),
+                                     rng.uniform(0, 3 / math.sqrt(n), 40),
+                                     rng.uniform(0.3 / n, 3 / n, 20)]):
+                want = float(sps.kstwo.sf(d, n))
+                assert kstwo_sf(d, n).hex() == want.hex(), (n, d)
+
+    def test_nan_statistic(self):
+        assert math.isnan(kstwo_sf(math.nan, 20))
+
+    @staticmethod
+    def sample(kind, n, rng):
+        if kind == "uniform":
+            x = rng.uniform(size=n)
+        elif kind == "skewed":
+            x = rng.beta(1.3, 1.0, size=n)
+        elif kind == "ties":
+            x = np.round(rng.uniform(0.3, 0.7, size=n), 1)
+        else:
+            # piled 1 ulp above 1, and no value at 1: the statistic is
+            # read at the first value of the pile, where the CDF clips
+            x = rng.uniform(0.5, 0.9, size=n)
+            x[0] = 0.0
+            x[1: int(0.6 * n)] = np.nextafter(1.0, 2.0)
+            return x
+        x[:3] = [0.0, 1.0, np.nextafter(1.0, 2.0)]
+        x[3] = x[4]
+        return rng.permutation(x)
+
+    @pytest.mark.parametrize("n", [20, 21, 40, 140, 141, 500, 2000])
+    def test_coverage_tests_equal_scipy_kstest(self, n):
+        rng = np.random.default_rng(n)
+        for kinds in (("uniform", "skewed"), ("ties", "top")):
+            q, h = (self.sample(kind, n, rng) for kind in kinds)
+            rows = [ValidationRow({"a": 0.0}, quantile={"a": qi},
+                                  hdi={"a": hi}) for qi, hi in zip(q, h)]
+            got = coverage_tests(rows)["a"]
+            for col, key in ((q, "quantile"), (h, "hdi")):
+                want = sps.kstest(col, "uniform")
+                assert got[f"{key}_ks"].hex() == float(want.statistic).hex()
+                assert got[f"{key}_p"].hex() == float(want.pvalue).hex()
 
 
 def two_tables(rng, n=400, separation=0.0):
