@@ -80,7 +80,8 @@ def _log_nfactorial_div_n_pow_n(n):
     # log(n! / n**n) by Stirling's series, with n*log(n) removed up front
     # to avoid subtractive cancellation
     rn = 1.0 / n
-    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+    return (np.log(n) / 2 - n + _LOG_2PI / 2
+            + rn * np.polyval(_STIRLING_COEFFS, rn / n))
 
 
 def _clip_prob(p):

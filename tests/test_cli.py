@@ -330,18 +330,22 @@ def test_fit_pvalue_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("ABC_*"))
 
 
+ROWS = "the rows of the smallest table (300)"
+ROWS_LESS_ONE = "the rows of the smallest table less one (299)"
+
+
 @pytest.mark.parametrize("task, setting, limit", [
-    ("estimate", "randomValidation=-1", "the rows of the smallest table less one (299)"),
-    ("estimate", "randomValidation=300", "the rows of the smallest table less one (299)"),
-    ("estimate", "randomValidation=5000", "the rows of the smallest table less one (299)"),
+    ("estimate", "randomValidation=-1", ROWS_LESS_ONE),
+    ("estimate", "randomValidation=300", ROWS_LESS_ONE),
+    ("estimate", "randomValidation=5000", ROWS_LESS_ONE),
     ("estimate", "retainedValidation=-1", "numRetained (200)"),
     ("estimate", "retainedValidation=201", "numRetained (200)"),
-    ("estimate", "modelChoiceValidation=-1", "the rows of the smallest table (300)"),
-    ("estimate", "modelChoiceValidation=301", "the rows of the smallest table (300)"),
-    ("estimate", "modelChoiceValidation=400", "the rows of the smallest table (300)"),
-    ("findStatsModelChoice", "modelChoiceValidation=-1", "the rows of the smallest table (300)"),
-    ("findStatsModelChoice", "modelChoiceValidation=0", "the rows of the smallest table (300)"),
-    ("findStatsModelChoice", "modelChoiceValidation=301", "the rows of the smallest table (300)"),
+    ("estimate", "modelChoiceValidation=-1", ROWS),
+    ("estimate", "modelChoiceValidation=301", ROWS),
+    ("estimate", "modelChoiceValidation=400", ROWS),
+    ("findStatsModelChoice", "modelChoiceValidation=-1", ROWS),
+    ("findStatsModelChoice", "modelChoiceValidation=0", ROWS),
+    ("findStatsModelChoice", "modelChoiceValidation=301", ROWS),
 ])
 def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
                                                         caplog, norm_table,
