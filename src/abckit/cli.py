@@ -273,6 +273,8 @@ def _task_estimate(cfg: Config, rng) -> None:
                  "the rows of the smallest table less one")
     _check_count("modelChoiceValidation", n_mc_val, 0, min_rows,
                  "the rows of the smallest table")
+    if n_mc_val and len(tables) < 2:
+        raise ConfigError("modelChoiceValidation needs at least two models")
     num_retained = _num_retained(cfg, tables,
                                  bool(n_random or n_retained_val or n_mc_val))
     _check_count("retainedValidation", n_retained_val, 0, num_retained,
@@ -343,7 +345,7 @@ def _task_estimate(cfg: Config, rng) -> None:
                          validation.validation_table(rows, table.param_names),
                          model_index=m)
             _log_coverage(rows, f"random validation (model {m})")
-    if n_mc_val and len(tables) > 1:
+    if n_mc_val:
         mc_settings = validation.ModelChoiceSettings("glm", num_retained, None,
                                                      dirac)
         cm, raw = validation.model_choice_validate(tables, n_mc_val,
@@ -452,8 +454,7 @@ def _task_simulate(cfg: Config, rng) -> None:
                  run.steps, run.acceptance_rate, run.epsilon)
         table = run.table
     elif sampler.lower() == "standard":
-        if cfg.has("obsName"):
-            cfg.get("obsName")
+        cfg.has("obsName")  # marks the key used: only the chain needs it
         result = run_standard(est, binding, n_sims, rng)
         log.info("%d simulation(s) kept, %d failed", result.table.n_rows,
                  result.failures)
@@ -487,8 +488,7 @@ def _task_findstats(cfg: Config, rng) -> None:
     sim_names, tables = _split_models(cfg)
     if len(tables) < 2:
         raise ConfigError("findStatsModelChoice needs at least two models")
-    if cfg.has("obsName"):
-        cfg.get("obsName")
+    cfg.has("obsName")  # marks the key used: the search needs no observation
     n_val = cfg.require_int("modelChoiceValidation")
     _check_count("modelChoiceValidation", n_val, 1,
                  min(t.n_rows for t in tables), "the rows of the smallest table")
@@ -523,8 +523,7 @@ def dispatch(cfg: Config) -> int:
         runner = lowered.get(task.lower())
     if runner is None:
         raise ConfigError(f"unknown task {task!r}")
-    if cfg.has("estimationType"):
-        cfg.get("estimationType")
+    cfg.has("estimationType")  # marks the key used: there is one type
     seed = cfg.get_int("seed")
     if seed is None:
         seed = secrets.randbits(32)

@@ -5,9 +5,11 @@
 * Box-Cox normalization per statistic: values are first mapped affinely
   into [1, 2] using the observed range, then power-transformed with a
   profile-likelihood lambda, then standardized.
-* Partial least squares (NIPALS, multi-response) finds linear combinations
-  of the normalized statistics that covary with the parameters; the
-  component count is chosen from a cross-validated prediction-error curve.
+* Partial least squares finds linear combinations of the normalized
+  statistics that covary with the parameters.  One engine, kernel PLS on
+  the centered cross-products ``Z'Z`` and ``Z'Y`` (multi-response), fits
+  the written definition and every cross-validation fold; the component
+  count is chosen from the cross-validated prediction-error curve.
 * A definition file stores, per statistic, the six Box-Cox numbers
   (max, min, lambda, geometric mean, mean, sd) followed by one loading per
   component; ``transform`` applies such a definition to tables or observed
@@ -366,55 +368,7 @@ def transform(data, comb: LinearCombDef, n_components=None,
 
 
 # ---------------------------------------------------------------------------
-# partial least squares (NIPALS)
-
-
-def _nipals(x: np.ndarray, y: np.ndarray, k: int, tol=1e-12, max_iter=1000):
-    """Multi-response NIPALS with regression deflation.
-
-    Returns weights W, x-loadings P, y-loadings Q and scores T; the
-    projection reproducing the scores from centered data is
-    ``R = W (P'W)^-1``.
-    """
-    x = x.copy()
-    y = y.copy()
-    n, m = x.shape
-    p = y.shape[1]
-    w_all = np.zeros((m, k))
-    p_all = np.zeros((m, k))
-    q_all = np.zeros((p, k))
-    t_all = np.zeros((n, k))
-    for c in range(k):
-        yvar = y.var(axis=0)
-        u = y[:, int(np.argmax(yvar))].copy()
-        if not u.any():
-            u = x[:, int(np.argmax(x.var(axis=0)))].copy()
-        w = np.zeros(m)
-        t = np.zeros(n)
-        for _ in range(max_iter):
-            w = x.T @ u
-            nw = np.linalg.norm(w)
-            if nw == 0:
-                raise NumericalError("statistics fully deflated before "
-                                     f"component {c + 1}")
-            w /= nw
-            t_new = x @ w
-            q = y.T @ t_new / (t_new @ t_new)
-            if np.linalg.norm(q) > 0:
-                u = y @ q / (q @ q)
-            if np.linalg.norm(t_new - t) <= tol * max(np.linalg.norm(t_new), 1e-300):
-                t = t_new
-                break
-            t = t_new
-        pv = x.T @ t / (t @ t)
-        q = y.T @ t / (t @ t)
-        x -= np.outer(t, pv)
-        y -= np.outer(t, q)
-        w_all[:, c] = w
-        p_all[:, c] = pv
-        q_all[:, c] = q
-        t_all[:, c] = t
-    return w_all, p_all, q_all, t_all
+# partial least squares (kernel PLS)
 
 
 # rows per block of the cross-products: one product over all rows leaves
@@ -453,9 +407,9 @@ def _kernel_pls(xx: np.ndarray, xy: np.ndarray, k: int):
     (Dayal & MacGregor 1997, improved kernel algorithm 1).
 
     Returns the projection R (scores ``T = X R``) and the y-loadings Q; the
-    regression on the first ``c`` components is ``R[:, :c] Q[:, :c]'``,
-    which NIPALS with regression deflation gives too (the weights agree up
-    to sign, and R and Q flip together).
+    regression on the first ``c`` components is ``R[:, :c] Q[:, :c]'``.
+    The weights are those of NIPALS with regression deflation at its fixed
+    point, found without iterating.
     """
     xy = xy.copy()
     m, p = xy.shape
@@ -480,18 +434,24 @@ def _kernel_pls(xx: np.ndarray, xy: np.ndarray, k: int):
     return r_all, q_all
 
 
-def _rotation(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return w @ np.linalg.inv(p.T @ w)
+def _centered_pls(z: np.ndarray, y: np.ndarray, k: int):
+    """Kernel PLS of ``y`` on ``z``, both centered by their column means.
+
+    Returns the means of ``z`` and ``y``, the projection R and the
+    y-loadings Q.
+    """
+    z_mean, y_mean = z.mean(axis=0), y.mean(axis=0)
+    r, q = _kernel_pls(*_cross_products(z - z_mean, y - y_mean), k)
+    return z_mean, y_mean, r, q
 
 
-def _fix_signs(r, t, q):
+def _fix_signs(r):
+    """Flip each component so that its largest loading is positive."""
     for c in range(r.shape[1]):
         j = int(np.argmax(np.abs(r[:, c])))
         if r[j, c] < 0:
             r[:, c] *= -1
-            t[:, c] *= -1
-            q[:, c] *= -1
-    return r, t, q
+    return r
 
 
 @dataclass(frozen=True)
@@ -507,14 +467,18 @@ def fit_pls(table: SimulationTable, k_max: int, cv_folds: int = 10,
             rng=None) -> PlsResult:
     """Fit Box-Cox plus PLS components to a simulation table.
 
-    Statistics are Box-Cox normalized first, then NIPALS extracts up to
-    ``k_max`` components; the root-mean-square error of prediction per
-    parameter and component count comes from ``cv_folds``-fold
-    cross-validation, each fold fitted by kernel PLS on its centered
-    cross-products (the same regressions as a NIPALS refit, to rounding).
-    The recommended count is the smallest whose error is within 1% of the
-    curve minimum for every parameter.
+    Statistics are Box-Cox normalized first; kernel PLS on the centered
+    cross-products then extracts up to ``k_max`` components, with each
+    component's weights the exact dominant singular vector of the deflated
+    ``Z'Y``.  The root-mean-square error of prediction per parameter and
+    component count comes from ``cv_folds``-fold cross-validation, each
+    fold refitted the same way.  The recommended count is the smallest
+    whose error is within 1% of the curve minimum for every parameter.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if cv_folds < 2:
+        raise ValueError(f"cv_folds must be at least 2, got {cv_folds}")
     rng = np.random.default_rng(rng)
     n = table.n_rows
     if n <= k_max + cv_folds:
@@ -531,9 +495,8 @@ def fit_pls(table: SimulationTable, k_max: int, cv_folds: int = 10,
         raise NumericalError("constant parameter; nothing to predict")
     y = (y_raw - y_mean) / y_sd
 
-    w, p, q, t = _nipals(z - z.mean(axis=0), y - y.mean(axis=0), k_max)
-    r = _rotation(w, p)
-    r, t, q = _fix_signs(r, t, q)
+    z_mean, _, r, _ = _centered_pls(z, y, k_max)
+    r = _fix_signs(r)
     definition = LinearCombDef(table.stat_names, specs, r)
 
     folds = np.array_split(rng.permutation(n), cv_folds)
@@ -541,22 +504,20 @@ def fit_pls(table: SimulationTable, k_max: int, cv_folds: int = 10,
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        z_train, y_train = z[mask], y[mask]
-        z_mean, y_mean_f = z_train.mean(axis=0), y_train.mean(axis=0)
-        zc = z_train - z_mean
-        rf, qf = _kernel_pls(*_cross_products(zc, y_train - y_mean_f), k_max)
+        zf_mean, yf_mean, rf, qf = _centered_pls(z[mask], y[mask], k_max)
         # predictions with 1..k_max components: cumulative sums of each
         # component's score times its y-loadings
-        scores = (z[fold] - z_mean) @ rf
-        pred = y_mean_f + np.cumsum(scores.T[:, :, None] * qf.T[:, None, :],
-                                    axis=0)
+        scores = (z[fold] - zf_mean) @ rf
+        pred = yf_mean + np.cumsum(scores.T[:, :, None] * qf.T[:, None, :],
+                                   axis=0)
         sq_err += ((y[fold] - pred) ** 2).sum(axis=1)
     rmsep = np.sqrt(sq_err / n) * y_sd
 
     best = rmsep.min(axis=0)
     ok = np.all(rmsep <= 1.01 * best, axis=1)
     recommended = int(np.nonzero(ok)[0][0]) + 1
-    return PlsResult(definition, t, rmsep, recommended, table.param_names)
+    return PlsResult(definition, (z - z_mean) @ r, rmsep, recommended,
+                     table.param_names)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,40 @@ def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("ABC_*"))
 
 
+def test_model_choice_validation_with_one_model_is_a_config_error(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt", "params=1-2",
+                     "obsName=obs.txt", "numRetained=200", "maxReadSims=5000",
+                     "outputPrefix=ABC", "modelChoiceValidation=5"])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert errors[0].endswith("modelChoiceValidation needs at least two "
+                              "models")
+    assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_obs_name_and_estimation_type_are_used_keys(tmp_path, monkeypatch,
+                                                    caplog, norm_table,
+                                                    unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    shared = ["obsName=obs.txt", "estimationType=standard", "seed=1"]
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        assert cli.main(["task=simulate", "estName=toy.est",
+                         "simProgram=toy-normal", "numSims=20",
+                         *shared]) == 0
+        assert cli.main(["task=findStatsModelChoice",
+                         "simName=normal.txt;uniform.txt", "params=1-2",
+                         "maxReadSims=5000", "numRetained=100",
+                         "modelChoiceValidation=2", "maxCorSSFinder=0",
+                         "outputPrefix=ABC", *shared]) == 0
+    assert not [r for r in caplog.records if "was not used" in r.getMessage()]
+
+
 def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
                                              norm_table, unif_table, toy_obs):
     _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)

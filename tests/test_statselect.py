@@ -4,9 +4,9 @@ from scipy import stats as sps
 
 from abckit.errors import NumericalError, TableFormatError
 from abckit.statselect import (LAMBDA_GRID, LAMBDA_SNAP, BoxCoxSpec,
-                               LinearCombDef, _dominant_eigenvector, _nipals,
-                               boost, boost_observed, fit_boxcox, fit_pls,
-                               transform)
+                               LinearCombDef, _dominant_eigenvector,
+                               _kernel_pls, boost, boost_observed, fit_boxcox,
+                               fit_pls, transform)
 from abckit.tableio import ObservedStats, SimulationTable
 
 from conftest import make_toy_table
@@ -246,7 +246,7 @@ class TestBoost:
 
 
 class TestPls:
-    def test_nipals_recovers_rank_k_problem(self):
+    def test_kernel_pls_recovers_rank_k_problem(self):
         rng = np.random.default_rng(12)
         n, m, p, k = 300, 8, 2, 3
         t_true = rng.normal(size=(n, k))
@@ -254,14 +254,25 @@ class TestPls:
         y = t_true @ rng.normal(size=(k, p))
         x -= x.mean(axis=0)
         y -= y.mean(axis=0)
-        w, pl, q, t = _nipals(x, y, k)
-        # the scores span the latent space and reproduce the data
+        r, q = _kernel_pls(x.T @ x, x.T @ y, k)
+        t = x @ r
+        # the scores are orthogonal, span the latent space and reproduce
+        # the data
+        np.testing.assert_allclose(np.triu(t.T @ t, 1), 0.0, atol=1e-8)
+        pl = x.T @ t / (t * t).sum(axis=0)
         np.testing.assert_allclose(t @ pl.T, x, atol=1e-9)
         np.testing.assert_allclose(t @ q.T, y, atol=1e-9)
-        np.testing.assert_allclose(x @ (w @ np.linalg.inv(pl.T @ w)), t,
-                                   atol=1e-9)
-        np.testing.assert_allclose(w.T @ w, np.eye(k), atol=1e-10)
-        np.testing.assert_allclose(np.triu(t.T @ t, 1), 0.0, atol=1e-8)
+        want_r, want_q = exact_pls(x, y, k)
+        sign = np.sign((r * want_r).sum(axis=0))
+        np.testing.assert_allclose(r * sign, want_r, atol=1e-9)
+        np.testing.assert_allclose(q * sign, want_q, atol=1e-9)
+
+    @pytest.mark.parametrize("k_max, cv_folds, arg", [
+        (0, 5, "k_max"), (3, 1, "cv_folds"), (3, 0, "cv_folds")])
+    def test_fit_pls_rejects_bad_counts(self, k_max, cv_folds, arg):
+        table = make_toy_table("normal", 100, 4)
+        with pytest.raises(ValueError, match=f"^{arg} must be at least"):
+            fit_pls(table, k_max, cv_folds, rng=1)
 
     def test_fit_pls_scores_match_transform(self):
         rng = np.random.default_rng(13)
@@ -284,19 +295,40 @@ class TestPls:
                                    atol=1e-9)
 
 
-def nipals_cv(table, k_max, cv_folds, rng):
-    """Cross-validated RMSEP and recommended count by refitting NIPALS on
-    every fold, run to convergence (its default tolerance stops early on
-    folds whose leading singular values of X'Y are close)."""
+def exact_pls(x, y, k):
+    """PLS by regression deflation with each weight vector the exact
+    dominant left singular vector of the deflated ``X'Y``: the fixed point
+    of NIPALS, reached without iterating.  Returns the projection
+    ``R = W (P'W)^-1`` and the y-loadings Q of centered ``x`` and ``y``."""
+    x, y = x.copy(), y.copy()
+    w, pl, q = (np.zeros((x.shape[1], k)), np.zeros((x.shape[1], k)),
+                np.zeros((y.shape[1], k)))
+    for c in range(k):
+        w[:, c] = np.linalg.svd(x.T @ y)[0][:, 0]
+        t = x @ w[:, c]
+        pl[:, c] = x.T @ t / (t @ t)
+        q[:, c] = y.T @ t / (t @ t)
+        x -= np.outer(t, pl[:, c])
+        y -= np.outer(t, q[:, c])
+    return w @ np.linalg.inv(pl.T @ w), q
+
+
+def normalized(table):
+    """The Box-Cox normalized statistics, the standardized parameters and
+    the parameter sds, as ``fit_pls`` prepares them."""
+    stats = table.stats
+    z = np.column_stack([fit_boxcox(stats[:, j], name).apply(stats[:, j])
+                         for j, name in enumerate(table.stat_names)])
+    y_sd = table.params.std(axis=0)
+    return z, (table.params - table.params.mean(axis=0)) / y_sd, y_sd
+
+
+def exact_pls_cv(table, k_max, cv_folds, rng):
+    """Cross-validated RMSEP and recommended count by refitting
+    :func:`exact_pls` on every fold."""
     rng = np.random.default_rng(rng)
     n = table.n_rows
-    stats = table.stats
-    specs = [fit_boxcox(stats[:, j], name)
-             for j, name in enumerate(table.stat_names)]
-    z = np.column_stack([spec.apply(stats[:, j])
-                         for j, spec in enumerate(specs)])
-    y_sd = table.params.std(axis=0)
-    y = (table.params - table.params.mean(axis=0)) / y_sd
+    z, y, y_sd = normalized(table)
     folds = np.array_split(rng.permutation(n), cv_folds)
     sq_err = np.zeros((k_max, y.shape[1]))
     for fold in folds:
@@ -304,8 +336,7 @@ def nipals_cv(table, k_max, cv_folds, rng):
         mask[fold] = False
         zc = z[mask] - z[mask].mean(axis=0)
         yc = y[mask] - y[mask].mean(axis=0)
-        w, p, q, _ = _nipals(zc, yc, k_max, tol=1e-15, max_iter=100_000)
-        r = w @ np.linalg.inv(p.T @ w)
+        r, q = exact_pls(zc, yc, k_max)
         z_test = z[fold] - z[mask].mean(axis=0)
         for k in range(1, k_max + 1):
             pred = y[mask].mean(axis=0) + z_test @ (r[:, :k] @ q[:, :k].T)
@@ -315,32 +346,50 @@ def nipals_cv(table, k_max, cv_folds, rng):
     return rmsep, int(np.nonzero(ok)[0][0]) + 1
 
 
-class TestPlsCrossValidation:
-    """The folds are fitted by kernel PLS on cross-products; the errors
-    are those of NIPALS refits."""
+CV_TABLES = [
+    ("normal", 1500, 5, True, 5, 10),
+    ("normal", 1500, 3, True, 5, 10),
+    ("uniform", 1000, 11, True, 5, 10),
+    ("normal", 300, 21, False, 3, 5),
+]
 
-    @pytest.mark.parametrize("model, rows, seed, boosted, k_max, folds", [
-        ("normal", 1500, 5, True, 5, 10),
-        ("normal", 1500, 3, True, 5, 10),
-        ("uniform", 1000, 11, True, 5, 10),
-        ("normal", 300, 21, False, 3, 5),
-    ])
+
+class TestPlsCrossValidation:
+    """The definition and the folds are fitted by kernel PLS on
+    cross-products; they match PLS by exact SVD deflation, which is what
+    NIPALS converges to."""
+
+    @pytest.mark.parametrize("model, rows, seed, boosted, k_max, folds",
+                             CV_TABLES)
     def test_rmsep_matches_nipals_refits(self, model, rows, seed, boosted,
                                          k_max, folds):
         table = make_toy_table(model, rows, seed)
         if boosted:
             table = boost(table)
         res = fit_pls(table, k_max, folds, rng=seed)
-        want, recommended = nipals_cv(table, k_max, folds, seed)
+        want, recommended = exact_pls_cv(table, k_max, folds, seed)
         np.testing.assert_allclose(res.rmsep, want, rtol=1e-9, atol=0)
         assert res.recommended == recommended
+
+    @pytest.mark.parametrize("model, rows, seed, boosted, k_max, folds",
+                             CV_TABLES)
+    def test_loadings_match_exact_pls(self, model, rows, seed, boosted,
+                                      k_max, folds):
+        table = make_toy_table(model, rows, seed)
+        if boosted:
+            table = boost(table)
+        got = fit_pls(table, k_max, folds, rng=seed).definition.loadings
+        z, y, _ = normalized(table)
+        want = exact_pls(z - z.mean(axis=0), y - y.mean(axis=0), k_max)[0]
+        want *= np.sign(want[np.abs(want).argmax(axis=0), range(k_max)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_one_parameter(self):
         table = make_toy_table("normal", 400, 8)
         table = SimulationTable(table.names[1:], table.values[:, 1:], (0,),
                                 tuple(range(1, 9)))
         res = fit_pls(table, 4, 5, rng=8)
-        want, recommended = nipals_cv(table, 4, 5, 8)
+        want, recommended = exact_pls_cv(table, 4, 5, 8)
         np.testing.assert_allclose(res.rmsep, want, rtol=1e-9, atol=0)
         assert res.recommended == recommended
 
