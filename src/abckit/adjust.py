@@ -1,18 +1,15 @@
-"""Post-sampling adjustments of retained simulations.
+"""ABC-GLM posteriors and marginal densities of retained simulations.
 
-* :func:`ridge_adjust` regresses the retained parameter values on the
-  standardized statistics with Epanechnikov weights and projects them onto
-  the observation, giving a weighted posterior sample;
-  ``ridge_lambda=0`` is the plain local-linear adjustment.
-* ABC-GLM (Leuenberger & Wegmann 2010): a local Gaussian likelihood
-  ``S = c + B theta + eps``, ``eps ~ N(0, Sigma)``, fitted to the retained
-  (standardized) statistics by least squares.  Combined with a prior
-  represented as a Gaussian mixture with one narrow peak per retained
-  parameter vector, everything downstream is closed form: the model
-  marginal density used for model choice, grid posteriors, and joint
-  posteriors with credible levels.  All of it rests on one Gaussian core: a
-  Cholesky factor and the whitened squared distances between two point
-  sets, computed in blocks of bounded size.
+ABC-GLM (Leuenberger & Wegmann 2010) fits a local Gaussian likelihood
+``S = c + B theta + eps``, ``eps ~ N(0, Sigma)``, to the retained
+(standardized) statistics by least squares.  Combined with a prior
+represented as a Gaussian mixture with one narrow peak per retained
+parameter vector, everything downstream is closed form: the model marginal
+density used for model choice, grid posteriors, and joint posteriors with
+credible levels.  All of it rests on one Gaussian core: a Cholesky factor
+and the whitened squared distances between two point sets, computed in
+blocks of bounded size.  :func:`weighted_density` gives the kernel density
+of the retained values themselves (the rejection posterior).
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
@@ -22,21 +19,18 @@ retained range per parameter (default 0.01).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import CollinearityError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .rejection import RetainedSet
 
-log = logging.getLogger(__name__)
-
 __all__ = [
-    "AdjustedSample", "GlmFit", "GridPosterior", "JointGridPosterior",
-    "PosteriorCharacteristics", "ridge_adjust", "glm_fit", "glm_posterior",
+    "GlmFit", "GridPosterior", "JointGridPosterior",
+    "PosteriorCharacteristics", "glm_fit", "glm_posterior",
     "joint_posterior", "glm_log_marginal_density",
     "glm_log_marginal_densities", "log_sum_exp", "safe_exp",
     "weighted_density",
@@ -84,67 +78,6 @@ def log_sum_exp(a, axis=None):
             out = np.where(finite, out, direct)
     out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# regression adjustment
-
-
-@dataclass(frozen=True)
-class AdjustedSample:
-    """Projected parameter values with their regression weights."""
-
-    param_names: tuple[str, ...]
-    adjusted: np.ndarray      # (n, p)
-    weights: np.ndarray       # nonnegative, sums to 1
-    unadjusted: np.ndarray    # (n, p)
-
-
-def _epanechnikov(distances: np.ndarray, epsilon: float) -> np.ndarray:
-    if epsilon == 0:
-        return np.ones_like(distances)
-    w = 1.0 - (distances / epsilon) ** 2
-    return np.clip(w, 0.0, None)
-
-
-def ridge_adjust(retained: RetainedSet, ridge_lambda: float = 1e-4) -> AdjustedSample:
-    """Weighted local-linear regression adjustment, optionally ridged.
-
-    Each parameter is regressed on the standardized statistic offsets with
-    Epanechnikov weights on the rejection distance; the fitted slope is
-    used to project every retained value onto the observation.
-    ``ridge_lambda`` (on the standardized scale) is added to the slope
-    block of the normal equations, so collinear or duplicated statistics
-    stay finite.  With ``ridge_lambda=0`` (the plain local-linear
-    adjustment) a singular design raises :class:`CollinearityError`.
-    Statistic columns with no variation relative to the observation are
-    harmless and receive a zero coefficient.
-    """
-    theta = retained.params
-    n, d = len(theta), len(retained.stat_names)
-    if n <= d + 1:
-        raise NumericalError(
-            f"need more retained simulations ({n}) than statistics + 1 ({d + 1})")
-    x = retained.stats_std - retained.obs_std
-    w = _epanechnikov(retained.distances, retained.epsilon)
-    if w.sum() <= 0:
-        log.warning("all regression weights vanished (equidistant retained set); "
-                    "falling back to uniform weights")
-        w = np.ones_like(w)
-    live = np.abs(x).max(axis=0) > 0
-    design = np.column_stack([np.ones(n), x[:, live]])
-    if ridge_lambda == 0 and (np.linalg.matrix_rank(np.sqrt(w)[:, None] * design)
-                              < design.shape[1]):
-        raise CollinearityError(
-            "collinear design matrix in the local-linear adjustment; "
-            "use a positive ridge_lambda")
-    a = design.T @ (w[:, None] * design)
-    a[1:, 1:] += ridge_lambda * np.eye(design.shape[1] - 1)
-    coef = np.linalg.solve(a, design.T @ (w[:, None] * theta))
-    beta = np.zeros((d, theta.shape[1]))
-    beta[live] = coef[1:]
-    return AdjustedSample(retained.param_names, theta - x @ beta, w / w.sum(),
-                          theta)
 
 
 def weighted_density(samples, weights=None, n_grid: int = 512, bounds=None):
@@ -374,11 +307,6 @@ class GridPosterior:
     def mean(self, param: str) -> float:
         g, f = self.density(param)
         return float(np.trapezoid(g * f, g))
-
-    def sd(self, param: str) -> float:
-        g, f = self.density(param)
-        m = self.mean(param)
-        return float(math.sqrt(max(np.trapezoid((g - m) ** 2 * f, g), 0.0)))
 
     def _cdf(self, param: str):
         g, f = self.density(param)

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, adjust, statselect, validation
-from .errors import (AbckitError, CollinearityError, ConfigError, EvalError,
-                     NumericalError, SimulatorError, TableFormatError)
+from .errors import (AbckitError, ConfigError, EvalError, NumericalError,
+                     SimulatorError, TableFormatError)
 from .modelchoice import glm_model_choice, write_model_fit
 from .models import BUILTIN_MODELS
 from .orchestrate import McmcConfig, SimulatorBinding, run_mcmc, run_standard
@@ -362,10 +362,15 @@ def _task_estimate(cfg: Config, rng) -> None:
 
 
 def _log_coverage(rows, label: str) -> None:
+    # the validation files hold the successful replicates only
+    failed = sum(row.error is not None for row in rows)
+    counts = f"{label}: {failed} of {len(rows)} replicates failed"
     try:
         tests = validation.coverage_tests(rows)
-    except ValueError:
+    except ValueError as exc:
+        log.info("%s; coverage tests skipped: %s", counts, exc)
         return
+    log.info("%s", counts)
     for name, t in tests.items():
         log.info("%s %s: quantile KS %.4g (P=%.4g), HDI KS %.4g (P=%.4g)",
                  label, name, t["quantile_ks"], t["quantile_p"],
@@ -549,7 +554,7 @@ def main(argv=None) -> int:
     except (TableFormatError, OSError) as exc:
         log.error("input/output error: %s", exc)
         return 2
-    except (NumericalError, CollinearityError, EvalError) as exc:
+    except (NumericalError, EvalError) as exc:
         log.error("numerical failure: %s", exc)
         return 3
     except SimulatorError as exc:

@@ -37,10 +37,6 @@ class EvalError(AbckitError):
     """Expression evaluation failed (names the offending node)."""
 
 
-class CollinearityError(AbckitError):
-    """Singular regression design; the ridge variant should be used."""
-
-
 class NumericalError(AbckitError):
     """A numerical routine failed (singular covariance, empty grid, ...)."""
 

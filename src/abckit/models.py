@@ -22,7 +22,7 @@ from .errors import SimulatorError, TableFormatError
 __all__ = [
     "TOY_STAT_NAMES", "SFS_STAT_NAMES", "ToyParams", "Sfs",
     "toy_stats", "toy_stats_matrix", "simulate_toy", "sfs_stats",
-    "tau_to_generations", "read_daf_sfs", "daf_to_stats_file",
+    "read_daf_sfs", "daf_to_stats_file",
     "BUILTIN_MODELS",
 ]
 
@@ -174,14 +174,6 @@ def _sfs_stats_rows(counts: np.ndarray) -> np.ndarray:
         taj_d = (pi - S / a1) / np.sqrt(e1 * S + e2 * S * (S - 1))
     return np.column_stack([counts[:, 1], S, pi, theta_w,
                             np.where(S > 1, taj_d, 0.0)])
-
-
-def tau_to_generations(tau: float, n_cur: float) -> float:
-    """Convert an event age in units of the current population size into
-    generations: t = tau * 2 * N."""
-    if tau < 0 or n_cur <= 0:
-        raise ValueError("need tau >= 0 and n_cur > 0")
-    return tau * 2.0 * n_cur
 
 
 def read_daf_sfs(path) -> Sfs:

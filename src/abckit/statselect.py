@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -483,6 +484,14 @@ def fit_pls(table: SimulationTable, k_max: int, cv_folds: int = 10,
     n = table.n_rows
     if n <= k_max + cv_folds:
         raise ValueError(f"need more than {k_max + cv_folds} rows, have {n}")
+    # the centred statistics of t training rows have rank at most t - 1, so
+    # components beyond that would be fitted to rounding noise
+    n_train = n - math.ceil(n / cv_folds)
+    if n_train <= k_max:
+        raise ValueError(
+            f"the smallest training fold has {n_train} rows ({n} rows in "
+            f"{cv_folds} folds); {k_max} components need at least "
+            f"{k_max + 1}")
     if k_max > len(table.stat_names):
         raise ValueError("more components than statistics requested")
     stats = table.stats

@@ -12,13 +12,12 @@ the exact two-sided P-value of Simard & L'Ecuyer (2011, J. Stat. Softw.
 39(11)), ported from SciPy's ``scipy/stats/_ksstats.py`` into
 :mod:`abckit._kstwo` so that this module does not import ``scipy.stats``.
 Model choice is validated the same way, yielding a confusion matrix and
-the raw posterior probabilities used for calibration curves.
+the raw posterior model probabilities of each pseudo-observation.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ __all__ = [
     "FitPValues", "ValidationRow", "ConfusionMatrix", "GlmSettings",
     "ModelChoiceSettings", "marginal_density_pvalue", "tukey_depth",
     "tukey_pvalue", "fit_pvalues", "cross_validate", "coverage_tests",
-    "model_choice_validate", "calibration_curve",
+    "model_choice_validate",
 ]
 
 
@@ -385,7 +384,7 @@ def model_choice_validate(tables, n_val: int,
     Each drawn simulation is left out of its source table
     (``exclude=(model, row)``), model choice is run on the remainder, and
     the preferred model recorded.  Returns the confusion matrix and the
-    raw rows ``(true_model, probabilities)`` for calibration analysis.
+    raw rows ``(true_model, probabilities)``.
     """
     rng = np.random.default_rng(rng)
     settings = settings or ModelChoiceSettings()
@@ -403,29 +402,6 @@ def model_choice_validate(tables, n_val: int,
             counts[m, result.best_model] += 1
             raw.append((m, result.probabilities))
     return ConfusionMatrix(counts), raw
-
-
-def calibration_curve(raw, focal_model: int = 0, n_bins: int = 10):
-    """Bin pseudo-observations by their posterior probability for the focal
-    model and compare with the empirical frequency of that model.
-
-    Returns one row per bin: (bin_low, bin_high, mean_probability,
-    empirical_probability, count); empty bins carry count 0 and NaN.
-    """
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    p = np.array([probs[focal_model] for _, probs in raw])
-    true = np.array([t for t, _ in raw])
-    which = np.clip(np.digitize(p, edges[1:-1]), 0, n_bins - 1)
-    out = []
-    for b in range(n_bins):
-        mask = which == b
-        k = int(mask.sum())
-        if k == 0:
-            out.append((edges[b], edges[b + 1], math.nan, math.nan, 0))
-        else:
-            out.append((edges[b], edges[b + 1], float(p[mask].mean()),
-                        float((true[mask] == focal_model).mean()), k))
-    return out
 
 
 def confusion_table(cm: ConfusionMatrix):

@@ -9,9 +9,9 @@ from scipy.stats import multivariate_normal, norm
 from abckit import adjust
 from abckit.adjust import (GlmFit, glm_fit, glm_log_marginal_densities,
                            glm_log_marginal_density, glm_posterior,
-                           joint_posterior, log_sum_exp, ridge_adjust,
-                           safe_exp, weighted_density)
-from abckit.errors import CollinearityError, ConfigError, NumericalError
+                           joint_posterior, log_sum_exp, safe_exp,
+                           weighted_density)
+from abckit.errors import ConfigError, NumericalError
 from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
 
@@ -31,111 +31,6 @@ def retained_from(params, stats, obs_values, count=None, standardize=True):
     obs = ObservedStats(table.stat_names, np.asarray(obs_values, dtype=float))
     return retain(table, obs, count=count or table.n_rows,
                   standardize=standardize)
-
-
-class TestLoclinear:
-    def test_statistics_equal_to_observation(self):
-        rng = np.random.default_rng(30)
-        stats = np.tile([1.0, 2.0], (20, 1))
-        params = rng.normal(size=(20, 2))
-        r = retained_from(params, stats, [1.0, 2.0], standardize=False)
-        adj = ridge_adjust(r, ridge_lambda=0)
-        np.testing.assert_allclose(adj.adjusted, adj.unadjusted)
-
-    def test_exact_linear_model_collapses(self):
-        rng = np.random.default_rng(31)
-        s = rng.uniform(0, 3, size=(30, 1))
-        theta = 2.0 * s
-        r = retained_from(theta, s, [1.0])
-        adj = ridge_adjust(r, ridge_lambda=0)
-        np.testing.assert_allclose(adj.adjusted, 2.0, atol=1e-10)
-
-    def test_matches_weighted_normal_equations(self):
-        rng = np.random.default_rng(32)
-        params = rng.normal(size=(20, 2))
-        stats = rng.normal(size=(20, 3))
-        r = retained_from(params, stats, rng.normal(size=3))
-        adj = ridge_adjust(r, ridge_lambda=0)
-        # independent dense solve of the weighted normal equations
-        w = 1.0 - (r.distances / r.epsilon) ** 2
-        x = r.stats_std - r.obs_std
-        a = np.column_stack([np.ones(len(x)), x])
-        beta = np.linalg.solve(a.T @ (w[:, None] * a),
-                               a.T @ (w[:, None] * r.params))
-        expected = r.params - x @ beta[1:]
-        np.testing.assert_allclose(adj.adjusted, expected, atol=1e-8)
-
-    def test_weights_follow_distance_kernel(self):
-        rng = np.random.default_rng(33)
-        r = retained_from(rng.normal(size=(25, 1)), rng.normal(size=(25, 2)),
-                          rng.normal(size=2))
-        adj = ridge_adjust(r, ridge_lambda=0)
-        w = 1.0 - (r.distances / r.epsilon) ** 2
-        np.testing.assert_allclose(adj.weights, w / w.sum())
-        assert adj.weights.sum() == pytest.approx(1.0)
-
-    def test_collinear_design_signals_ridge(self):
-        rng = np.random.default_rng(34)
-        base = rng.normal(size=(30, 1))
-        stats = np.column_stack([base, base, rng.normal(size=(30, 1))])
-        r = retained_from(rng.normal(size=(30, 1)), stats, rng.normal(size=3))
-        with pytest.raises(CollinearityError, match="ridge"):
-            ridge_adjust(r, ridge_lambda=0)
-
-    def test_needs_enough_rows(self):
-        rng = np.random.default_rng(35)
-        r = retained_from(rng.normal(size=(4, 1)), rng.normal(size=(4, 4)),
-                          rng.normal(size=4))
-        with pytest.raises(NumericalError):
-            ridge_adjust(r, ridge_lambda=0)
-
-    def test_multivariate_exact_map_recovers_point_mass(self):
-        rng = np.random.default_rng(36)
-        s = rng.normal(size=(40, 2))
-        a = np.array([[1.5, -0.5], [0.2, 2.0]])
-        theta = s @ a.T
-        obs = np.array([0.3, -0.7])
-        r = retained_from(theta, s, obs)
-        adj = ridge_adjust(r, ridge_lambda=0)
-        truth = a @ obs
-        for j in range(2):
-            sd = math.sqrt(np.average((adj.adjusted[:, j] - truth[j]) ** 2,
-                                      weights=adj.weights))
-            spread = theta[:, j].max() - theta[:, j].min()
-            assert sd < 1e-6 * spread
-
-
-class TestRidge:
-    def test_small_lambda_matches_loclinear(self):
-        rng = np.random.default_rng(37)
-        r = retained_from(rng.normal(size=(25, 2)), rng.normal(size=(25, 3)),
-                          rng.normal(size=3))
-        a = ridge_adjust(r, ridge_lambda=0)
-        b = ridge_adjust(r, ridge_lambda=1e-12)
-        np.testing.assert_allclose(a.adjusted, b.adjusted, atol=1e-8)
-
-    def test_duplicated_columns_stay_finite(self):
-        rng = np.random.default_rng(38)
-        base = rng.normal(size=(30, 1))
-        stats = np.column_stack([base, base])
-        r = retained_from(rng.normal(size=(30, 1)), stats, [0.1, 0.1])
-        adj = ridge_adjust(r)
-        assert np.isfinite(adj.adjusted).all()
-
-    def test_matches_ridge_normal_equations(self):
-        rng = np.random.default_rng(39)
-        lam = 1e-4
-        r = retained_from(rng.normal(size=(20, 2)), rng.normal(size=(20, 3)),
-                          rng.normal(size=3))
-        adj = ridge_adjust(r, ridge_lambda=lam)
-        w = 1.0 - (r.distances / r.epsilon) ** 2
-        x = r.stats_std - r.obs_std
-        a = np.column_stack([np.ones(len(x)), x])
-        lhs = a.T @ (w[:, None] * a)
-        lhs[1:, 1:] += lam * np.eye(3)
-        beta = np.linalg.solve(lhs, a.T @ (w[:, None] * r.params))
-        np.testing.assert_allclose(adj.adjusted, r.params - x @ beta[1:],
-                                   atol=1e-8)
 
 
 class TestGlmFit:

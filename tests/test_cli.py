@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abckit import adjust, cli, orchestrate, statselect
+from abckit import adjust, cli, orchestrate, statselect, validation
+from abckit.errors import NumericalError
 from abckit.rejection import retain
 from abckit.tableio import (ObservedStats, OutputTag, format_value,
                             read_observed, read_table, write_tagged,
@@ -457,8 +458,41 @@ def test_scipy_stats_is_loaded_only_for_plot_data(tmp_path, norm_table,
     assert proc.stdout.split() == ["0", "False", str(loaded)], proc.stderr
     if not loaded:
         # every validation ran, and the coverage tests with it
+        assert proc.stderr.count(": 0 of 20 replicates failed\n") == 2 + 2
         assert proc.stderr.count(": quantile KS ") == 2 * 2 + 2 * 2
         assert (tmp_path / "ABC_GLM_confusionMatrix.txt").exists()
+
+
+def test_validation_logs_failed_replicates_and_skipped_coverage(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    estimator = validation._glm_estimator
+    calls = []
+
+    def every_third_fails(table, pseudo, exclude, settings):
+        calls.append(exclude)
+        if len(calls) % 3 == 0:
+            raise NumericalError("planted failure")
+        return estimator(table, pseudo, exclude, settings)
+
+    monkeypatch.setattr(validation, "_glm_estimator", every_third_fails)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=100",
+                     "maxReadSims=5000", "seed=4", "outputPrefix=ABC",
+                     "posteriorDensityPoints=40", "randomValidation=10"])
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.levelno == logging.INFO and "validation" in r.getMessage()]
+    # model 0 fails calls 3, 6 and 9; model 1 calls 12, 15 and 18
+    skipped = ("coverage tests skipped: need at least 20 successful rows, "
+               "have 7")
+    assert lines == [f"random validation (model {m}): 3 of 10 replicates "
+                     f"failed; {skipped}" for m in (0, 1)]
+    for m in (0, 1):
+        assert read_table(tmp_path / f"ABC_model{m}_RandomValidation.txt"
+                          ).n_rows == 7
 
 
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,

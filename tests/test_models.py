@@ -5,8 +5,8 @@ import pytest
 
 from abckit.models import (BUILTIN_MODELS, SFS_STAT_NAMES, TOY_STAT_NAMES,
                            Sfs, ToyParams, daf_to_stats_file, read_daf_sfs,
-                           sfs_stats, simulate_toy, tau_to_generations,
-                           toy_stats, toy_stats_matrix, uniform_bounds)
+                           sfs_stats, simulate_toy, toy_stats,
+                           toy_stats_matrix, uniform_bounds)
 
 # downsampled synonymous spectrum for a sample of 24 sequences
 TABLE8_COUNTS = (9906, 7, 5, 2, 0, 1, 1, 0, 0, 1, 0, 0, 0,
@@ -149,20 +149,6 @@ class TestSfsStats:
 
     def test_names(self):
         assert SFS_STAT_NAMES == ("sfs1", "S", "pi", "thita", "taj_D")
-
-
-class TestTau:
-    def test_examples(self):
-        assert tau_to_generations(0.5, 10_000) == 10_000
-        assert tau_to_generations(0.0, 123) == 0.0
-
-    def test_round_trip(self):
-        t = tau_to_generations(0.37, 2000)
-        assert t / (2 * 2000) == pytest.approx(0.37)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            tau_to_generations(-1, 10)
 
 
 class TestDafFiles:

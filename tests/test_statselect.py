@@ -274,6 +274,25 @@ class TestPls:
         with pytest.raises(ValueError, match=f"^{arg} must be at least"):
             fit_pls(table, k_max, cv_folds, rng=1)
 
+    @pytest.mark.parametrize("n, k_max, cv_folds, n_train", [
+        (8, 5, 2, 4),      # each fold trains on 4 rows, rank 3
+        (9, 4, 2, 4),      # folds of 5 and 4 rows: the smallest trains k_max
+        (10, 6, 3, 6)])    # folds of 4, 3 and 3 rows
+    def test_fit_pls_rejects_folds_below_k_max_plus_one(self, n, k_max,
+                                                        cv_folds, n_train):
+        table = make_toy_table("normal", n, 1)
+        with pytest.raises(ValueError,
+                           match=f"smallest training fold has {n_train} rows"):
+            fit_pls(table, k_max, cv_folds, rng=1)
+
+    @pytest.mark.parametrize("n, k_max, cv_folds", [(10, 4, 2), (10, 5, 3)])
+    def test_fit_pls_accepts_a_fold_of_k_max_plus_one(self, n, k_max,
+                                                     cv_folds):
+        # the smallest training fold has exactly k_max + 1 rows
+        res = fit_pls(make_toy_table("normal", n, 1), k_max, cv_folds, rng=1)
+        assert res.rmsep.shape == (k_max, 2)
+        assert np.isfinite(res.rmsep).all()
+
     def test_fit_pls_scores_match_transform(self):
         rng = np.random.default_rng(13)
         n = 400

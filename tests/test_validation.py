@@ -12,8 +12,7 @@ from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
                                ModelChoiceSettings, ValidationRow,
-                               calibration_curve, coverage_tests,
-                               cross_validate, fit_pvalues,
+                               coverage_tests, cross_validate, fit_pvalues,
                                marginal_density_pvalue,
                                model_choice_validate, tukey_depth,
                                tukey_pvalue, validation_table)
@@ -425,6 +424,31 @@ class TestCoverage:
             coverage_tests(self.make_rows([0.5] * 5))
 
 
+class TestSimulationBasedCalibration:
+    """SBC (Talts et al. 2018) of the ABC-GLM posterior: with truths drawn
+    from the prior, the posterior quantile of each truth is uniform on
+    [0, 1] when the posterior is right.  The model is conjugate normal,
+    ``theta ~ N(0, 1)`` with the statistics ``theta + N(0, 0.5^2)`` and
+    ``theta + N(0, 1)``, on which the local likelihood is exactly linear
+    and Gaussian.  The seeds and the 1% threshold were fixed before the
+    first run."""
+
+    SEED = 20180621
+    THRESHOLD = 0.01
+
+    def test_glm_posterior_quantiles_are_uniform(self):
+        rng = np.random.default_rng(self.SEED)
+        n = 5000
+        theta = rng.normal(size=n)
+        stats = theta[:, None] + rng.normal(size=(n, 2)) * [0.5, 1.0]
+        table = SimulationTable(("p0", "s0", "s1"),
+                                np.column_stack([theta, stats]), (0,), (1, 2))
+        rows = cross_validate(table, "random", 200,
+                              GlmSettings(num_retained=500), rng=self.SEED + 1)
+        assert all(r.error is None for r in rows)
+        assert coverage_tests(rows)["p0"]["quantile_p"] > self.THRESHOLD
+
+
 # (n, d) points reaching every branch of the method selection of the exact
 # two-sided KS survival function, with points just either side of each
 # threshold: on n (140, 100000), on n d (1/2, 1, n - 1), on d (1/2), on
@@ -560,23 +584,3 @@ class TestModelChoiceValidation:
         tables = two_tables(rng, separation=1.0)
         with pytest.raises(ValueError):
             model_choice_validate(tables, 401, rng=99)
-
-
-class TestCalibrationCurve:
-    def test_calibrated_synthetic_generator(self):
-        rng = np.random.default_rng(100)
-        n = 5000
-        p = rng.uniform(size=n)
-        true_model = np.where(rng.uniform(size=n) < p, 0, 1)
-        raw = [(int(t), np.array([pi, 1 - pi])) for t, pi in zip(true_model, p)]
-        for lo, hi, mean_p, p_emp, count in calibration_curve(raw, 0, 10):
-            if count == 0:
-                continue
-            se = math.sqrt(max(mean_p * (1 - mean_p), 1e-4) / count)
-            assert abs(p_emp - mean_p) < 3 * se + 0.01
-
-    def test_single_bin_and_empty_bins(self):
-        raw = [(0, np.array([1.0, 0.0]))] * 20
-        bins = calibration_curve(raw, 0, 10)
-        assert bins[-1][4] == 20 and bins[-1][3] == 1.0
-        assert all(b[4] == 0 and math.isnan(b[3]) for b in bins[:-1])
