@@ -23,8 +23,8 @@ from .errors import (AbckitError, ConfigError, EstParseError, EvalError,
                      NumericalError, SimulatorError, TableFormatError)
 from .modelchoice import (ModelChoiceResult, glm_model_choice,
                           rejection_model_choice)
-from .models import (SFS_STAT_NAMES, TOY_STAT_NAMES, Sfs, ToyParams,
-                     sfs_stats, simulate_toy, toy_stats)
+from .models import (SFS_STAT_NAMES, TOY_STAT_NAMES, ToyParams, sfs_stats,
+                     simulate_toy, toy_stats)
 from .orchestrate import (Calibration, McmcConfig, SimulatorBinding,
                           calibrate, run_mcmc, run_standard)
 from .priors import EstModel, ParamDraw, eval_expr, parse_est, sample

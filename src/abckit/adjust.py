@@ -13,8 +13,9 @@ of the retained values themselves (the rejection posterior).
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
-original scale.  The peak width of the prior mixture is a fraction of the
-retained range per parameter (default 0.01).
+original scale.  Every grid spans the retained range of its parameter
+padded by 10% on each side.  The peak width of the prior mixture is a
+fraction of the retained range per parameter (default 0.01).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .rejection import RetainedSet
 
 __all__ = [
     "GlmFit", "GridPosterior", "JointGridPosterior",
-    "PosteriorCharacteristics", "glm_fit", "glm_posterior",
-    "joint_posterior", "glm_log_marginal_density",
+    "PosteriorCharacteristics", "check_joint_grid", "glm_fit",
+    "glm_posterior", "joint_posterior", "glm_log_marginal_density",
     "glm_log_marginal_densities", "log_sum_exp", "safe_exp",
     "weighted_density",
 ]
@@ -80,11 +81,11 @@ def log_sum_exp(a, axis=None):
     return out[()] if out.ndim == 0 else out
 
 
-def weighted_density(samples, weights=None, n_grid: int = 512, bounds=None):
-    """Gaussian kernel density of a weighted sample on a padded grid.
+def weighted_density(samples):
+    """Gaussian kernel density of a sample on 512 points spanning its
+    range padded by 10% on each side.
 
-    Bandwidth follows Silverman's rule (weight-aware).  Returns
-    ``(grid, density)``.
+    Bandwidth follows Silverman's rule.  Returns ``(grid, density)``.
 
     The kernel estimate is ``scipy.stats.gaussian_kde``, imported here
     rather than with the module: the first call loads ``scipy.stats``
@@ -97,12 +98,8 @@ def weighted_density(samples, weights=None, n_grid: int = 512, bounds=None):
     if hi == lo:
         raise NumericalError("cannot estimate a density from a degenerate sample")
     pad = GRID_PADDING * (hi - lo)
-    glo, ghi = lo - pad, hi + pad
-    if bounds is not None:
-        glo = max(glo, bounds[0])
-        ghi = min(ghi, bounds[1])
-    grid = np.linspace(glo, ghi, n_grid)
-    kde = gaussian_kde(samples, weights=weights, bw_method="silverman")
+    grid = np.linspace(lo - pad, hi + pad, 512)
+    kde = gaussian_kde(samples, bw_method="silverman")
     return grid, kde(grid)
 
 
@@ -122,11 +119,6 @@ class GlmFit:
     sigma: np.ndarray         # (d, d) residual covariance
     lo: np.ndarray            # (p,) parameter range mapped to 0
     hi: np.ndarray            # (p,) parameter range mapped to 1
-
-    @property
-    def coeff_raw(self) -> np.ndarray:
-        """Coefficients against the original parameter scale."""
-        return self.coeff / (self.hi - self.lo)
 
     def to_internal(self, theta: np.ndarray) -> np.ndarray:
         return (theta - self.lo) / (self.hi - self.lo)
@@ -385,16 +377,6 @@ class JointGridPosterior:
         yield from map(tuple, self.matrix().tolist())
 
 
-def _param_grid(fit: GlmFit, k: int, n_points: int, bounds) -> np.ndarray:
-    lo_u, hi_u = -GRID_PADDING, 1.0 + GRID_PADDING
-    if bounds is not None and bounds[k] is not None:
-        b_lo, b_hi = bounds[k]
-        span = fit.hi[k] - fit.lo[k]
-        lo_u = max(lo_u, (b_lo - fit.lo[k]) / span)
-        hi_u = min(hi_u, (b_hi - fit.lo[k]) / span)
-    return np.linspace(lo_u, hi_u, n_points)
-
-
 def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     """Unnormalized density of the mixture's margin over parameters
     ``sel`` at the points of the tensor grid ``ugrids`` (first parameter
@@ -429,18 +411,16 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
 
 def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
                   n_points: int = DEFAULT_GRID_POINTS,
-                  dirac_peak_width: float = DEFAULT_PEAK_WIDTH,
-                  bounds=None):
+                  dirac_peak_width: float = DEFAULT_PEAK_WIDTH):
     """Marginal posterior densities and their characteristics.
 
-    The grid per parameter spans the retained range padded by 10% (clipped
-    to ``bounds`` when the prior support is known).  Returns
-    ``(GridPosterior, {param: PosteriorCharacteristics})``.
+    The grid per parameter spans the retained range padded by 10%.
+    Returns ``(GridPosterior, {param: PosteriorCharacteristics})``.
     """
     mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
+    ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
     grids, densities = [], []
     for k in range(len(fit.param_names)):
-        ug = _param_grid(fit, k, n_points, bounds)
         span = fit.hi[k] - fit.lo[k]
         g = fit.lo[k] + ug * span
         f = _mixture_on_grid(mix, [k], [ug]) / span
@@ -455,10 +435,24 @@ def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
     return post, chars
 
 
+def check_joint_grid(n_params: int, n_points: int) -> None:
+    """Raise a :class:`ConfigError` unless :func:`joint_posterior` can
+    compute a grid of ``n_points`` per parameter over ``n_params``."""
+    if n_points < 2:
+        raise ConfigError(f"a joint grid needs at least 2 points per "
+                          f"parameter, got {n_points}")
+    if n_points ** n_params > JOINT_GRID_MAX_POINTS:
+        feasible = int(JOINT_GRID_MAX_POINTS ** (1 / n_params) + 1e-9)
+        raise ConfigError(
+            f"a joint grid of {n_points}^{n_params} points exceeds the "
+            f"limit of {JOINT_GRID_MAX_POINTS}; use at most {feasible} points "
+            "per parameter")
+
+
 def joint_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
                     params=None, n_points: int = DEFAULT_GRID_POINTS,
-                    dirac_peak_width: float = DEFAULT_PEAK_WIDTH,
-                    bounds=None) -> JointGridPosterior:
+                    dirac_peak_width: float = DEFAULT_PEAK_WIDTH
+                    ) -> JointGridPosterior:
     """Joint posterior of 2 to 4 parameters on a tensor grid.
 
     The credible level at each grid point is the smallest posterior mass of
@@ -469,15 +463,11 @@ def joint_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
     if not 2 <= len(params) <= 4:
         raise ValueError("joint grids support 2 to 4 parameters "
                          f"(got {len(params)}); use sampling beyond that")
-    if n_points ** len(params) > JOINT_GRID_MAX_POINTS:
-        feasible = int(JOINT_GRID_MAX_POINTS ** (1 / len(params)) + 1e-9)
-        raise ConfigError(
-            f"a joint grid of {n_points}^{len(params)} points exceeds the "
-            f"limit of {JOINT_GRID_MAX_POINTS}; use at most {feasible} points "
-            "per parameter")
+    check_joint_grid(len(params), n_points)
     sel = [fit.param_names.index(name) for name in params]
     mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
-    ugrids = [_param_grid(fit, k, n_points, bounds) for k in sel]
+    ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
+    ugrids = [ug] * len(sel)
     dens = _mixture_on_grid(mix, sel, ugrids)
 
     spans = np.array([fit.hi[k] - fit.lo[k] for k in sel])

@@ -190,6 +190,8 @@ def _split_models(cfg: Config):
             raise TableFormatError(f"{name} contains no usable simulations")
     if cfg.get_bool("pruneCorrelatedStats", False):
         max_cor = cfg.get_float("maxCor", 1.0)
+        if not 0 < max_cor <= 1:
+            raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
         pruned, dropped = prune_correlated(tables[0], max_cor)
         keep = pruned.stat_names
         tables = [t.with_stats([n for n in keep if n in t.stat_names])
@@ -218,6 +220,28 @@ def _check_count(key: str, n, low: int, high: int, what: str) -> None:
                           f"got {n}")
 
 
+def _dirac_peak_width(cfg: Config) -> float:
+    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)
+    if not dirac > 0:
+        raise ConfigError(f"diracPeakWidth must be positive, got {dirac}")
+    return dirac
+
+
+def _joint_groups(cfg: Config, tables, n_points: int) -> list[list[str]]:
+    """The parameter groups of ``jointPosteriors``: ``;`` between groups,
+    ``,`` within one."""
+    groups = []
+    for group in filter(None, (cfg.get("jointPosteriors") or "").split(";")):
+        names = [n.strip() for n in group.split(",") if n.strip()]
+        if (len(set(names)) != len(names) or not 2 <= len(names) <= 4
+                or any(n not in t.param_names for t in tables for n in names)):
+            raise ConfigError(f"jointPosteriors group {group!r} must name 2 "
+                              "to 4 different parameters of every model")
+        adjust.check_joint_grid(len(names), n_points)
+        groups.append(names)
+    return groups
+
+
 def _densities_payload(post: adjust.GridPosterior):
     header, cols = [], []
     for name in post.param_names:
@@ -229,9 +253,9 @@ def _densities_payload(post: adjust.GridPosterior):
 
 
 def _characteristics_payload(chars: dict):
-    header = ["parameter", "mode", "mean", "median", "q0.025", "q0.25",
-              "q0.5", "q0.75", "q0.975", "HDI50lower", "HDI50upper",
-              "HDI95lower", "HDI95upper"]
+    header = ["parameter", "mode", "mean", "median",
+              *(f"q{q}" for q in adjust.QUANTILE_LEVELS),
+              "HDI50lower", "HDI50upper", "HDI95lower", "HDI95upper"]
     rows = []
     for name, ch in chars.items():
         rows.append([name, ch.mode, ch.mean, ch.median,
@@ -257,16 +281,19 @@ def _task_estimate(cfg: Config, rng) -> None:
     standardize = cfg.get_bool("standardizeStats", True)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     n_points = cfg.get_int("posteriorDensityPoints", 100)
-    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)
+    dirac = _dirac_peak_width(cfg)
     write_retained = cfg.get_bool("writeRetained", False)
-    joint_groups = [g for g in (cfg.get("jointPosteriors") or "").split(";") if g]
     joint_points = cfg.get_int("jointPosteriorDensityPoints", 100)
+    joint_groups = _joint_groups(cfg, tables, joint_points)
     n_marg = cfg.get_int("marDensPValue")
     n_tukey = cfg.get_int("tukeyPValue")
     n_random = cfg.get_int("randomValidation")
     n_retained_val = cfg.get_int("retainedValidation")
     n_mc_val = cfg.get_int("modelChoiceValidation")
     plot_data = cfg.get_bool("plotData", False)
+    if n_points < 2:
+        raise ConfigError(f"posteriorDensityPoints must be at least 2, "
+                          f"got {n_points}")
     # a validation count of 0, or none, turns that validation off
     min_rows = min(t.n_rows for t in tables)
     _check_count("randomValidation", n_random, 0, min_rows - 1,
@@ -284,20 +311,16 @@ def _task_estimate(cfg: Config, rng) -> None:
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):
+        choice = glm_model_choice(tables, obs, num_retained, dirac,
+                                  standardize=standardize)
         if len(tables) > 1:
-            choice = glm_model_choice(tables, obs, num_retained, dirac)
-            retained_sets, fits = choice.retained, choice.fits
             write_model_fit(choice, prefix, obs_index=k)
             for m in range(len(tables)):
                 log.info("obs %d model %d: marginal density %.6g, "
                          "posterior probability %.6g", k, m,
                          choice.densities[m], choice.probabilities[m])
-        else:
-            retained_sets = [retain(tables[0], obs, count=num_retained,
-                                    standardize=standardize)]
-            fits = [adjust.glm_fit(retained_sets[0])]
 
-        for m, (r, fit) in enumerate(zip(retained_sets, fits)):
+        for m, (r, fit) in enumerate(zip(choice.retained, choice.fits)):
             if write_retained:
                 write_tagged(prefix, OutputTag.BEST_SIMS,
                              _best_sims_payload(r), model_index=m, obs_index=k)
@@ -311,8 +334,7 @@ def _task_estimate(cfg: Config, rng) -> None:
             for name, ch in chars.items():
                 log.info("obs %d model %d %s: mode %.6g, mean %.6g, "
                          "median %.6g", k, m, name, ch.mode, ch.mean, ch.median)
-            for group in joint_groups:
-                names = [n.strip() for n in group.split(",") if n.strip()]
+            for names in joint_groups:
                 joint = adjust.joint_posterior(fit, r, params=names,
                                                n_points=joint_points,
                                                dirac_peak_width=dirac)
@@ -499,7 +521,7 @@ def _task_findstats(cfg: Config, rng) -> None:
                  min(t.n_rows for t in tables), "the rows of the smallest table")
     num_retained = _num_retained(cfg, tables, leave_one_out=True)
     max_cor = cfg.get_float("maxCorSSFinder", 1.0)
-    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)
+    dirac = _dirac_peak_width(cfg)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     settings = validation.ModelChoiceSettings("glm", num_retained, None, dirac)
     results = statselect.greedy_search(tables, n_val, settings, max_cor, rng)

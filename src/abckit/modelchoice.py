@@ -1,11 +1,14 @@
-"""Posterior model probabilities and Bayes factors from several simulation
-tables that share the same statistics.
+"""Posterior model probabilities and Bayes factors from one or more
+simulation tables that share the same statistics.
 
 Two estimators are provided.  The rejection path pools all simulations,
 retains the closest fraction, and counts which model they came from.  The
 likelihood path retains per model, fits the local Gaussian likelihood, and
-compares the resulting marginal densities.  Both standardize with a single
-transform fitted to the pooled statistics so the models live on one scale.
+compares the resulting marginal densities; with one table it is the
+estimation step alone.  Both standardize with a single transform fitted to
+the pooled statistics so the models live on one scale; the likelihood
+path takes ``standardize=False`` to measure distances on the raw
+statistics instead.  Model priors are equal.
 
 Both take ``exclude=(model, row)`` for a leave-one-out replicate: that
 simulation is left out of the pooled standardization and of the retention
@@ -64,8 +67,6 @@ class ModelChoiceResult:
 
 
 def _common_stats(tables) -> list[str]:
-    if len(tables) < 2:
-        raise ValueError("model choice needs at least two simulation tables")
     first = tables[0].stat_names
     for i, t in enumerate(tables[1:], start=1):
         if set(t.stat_names) != set(first):
@@ -74,15 +75,6 @@ def _common_stats(tables) -> list[str]:
                 f"model {i} does not expose the same statistics as model 0 "
                 f"(mismatch: {', '.join(sorted(extra))})")
     return list(first)
-
-
-def _model_log_prior(n_models: int, prior_weights) -> np.ndarray:
-    if prior_weights is None:
-        return np.zeros(n_models)
-    w = np.asarray(prior_weights, dtype=float)
-    if w.size != n_models or np.any(w <= 0):
-        raise ValueError("need one positive prior weight per model")
-    return np.log(w / w.sum())
 
 
 def _pooled_row(tables, exclude):
@@ -106,8 +98,7 @@ def _pooled_standardizer(tables, names, exclude=None) -> Standardizer:
 
 
 def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
-                           prior_weights=None, exclude=None
-                           ) -> ModelChoiceResult:
+                           exclude=None) -> ModelChoiceResult:
     """Model probabilities from the share of retained pooled simulations.
 
     All rows are pooled, standardized jointly, and the closest
@@ -117,7 +108,7 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     names = _common_stats(tables)
     row = _pooled_row(tables, exclude)
     sizes = np.array([t.n_rows for t in tables])
-    if len(set(sizes)) > 1 and prior_weights is None:
+    if len(set(sizes)) > 1:
         log.warning("tables have unequal sizes (%s); correcting acceptance "
                     "rates accordingly", ", ".join(map(str, sizes)))
     pooled_values = np.vstack([t.stat_matrix(names) for t in tables])
@@ -130,26 +121,27 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     kept = retain(pooled, obs, count=count, tol=tol, exclude=row)
     counts = np.bincount(origin[kept.indices], minlength=len(tables))
     rates = counts / sizes
-    log_prior = _model_log_prior(len(tables), prior_weights)
     with np.errstate(divide="ignore"):
-        log_rates = np.where(rates > 0, np.log(np.where(rates > 0, rates, 1.0)),
-                             -np.inf)
-    log_post = log_rates + log_prior
-    if np.all(np.isinf(log_post)):
+        log_rates = np.log(rates)
+    if np.all(np.isinf(log_rates)):
         raise ValueError("no simulations retained from any model")
-    finite = np.isfinite(log_post)
-    probs = np.exp(log_post - adjust.log_sum_exp(log_post[finite]))
+    finite = np.isfinite(log_rates)
+    probs = np.exp(log_rates - adjust.log_sum_exp(log_rates[finite]))
     probs = np.where(finite, probs, 0.0)
     return ModelChoiceResult("rejection", rates, log_rates, probs)
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,
                      dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH,
-                     prior_weights=None, exclude=None) -> ModelChoiceResult:
+                     exclude=None, standardize: bool = True
+                     ) -> ModelChoiceResult:
     """Model probabilities from the fitted local-likelihood marginal
-    densities, one model at a time, on the pooled standardization."""
+    densities, one model at a time, on the pooled standardization (on the
+    raw statistics with ``standardize=False``).  One table gives its
+    retained set and fit with probability 1."""
     names = _common_stats(tables)
-    pooled_std = _pooled_standardizer(tables, names, exclude)
+    pooled_std = (_pooled_standardizer(tables, names, exclude) if standardize
+                  else Standardizer.identity(names))
     retained, fits, log_dens = [], [], []
     for m, t in enumerate(tables):
         row = exclude[1] if exclude is not None and exclude[0] == m else None
@@ -160,8 +152,7 @@ def glm_model_choice(tables, obs: ObservedStats, count,
         retained.append(r)
         fits.append(fit)
     log_dens = np.array(log_dens)
-    log_post = log_dens + _model_log_prior(len(tables), prior_weights)
-    probs = np.exp(log_post - adjust.log_sum_exp(log_post))
+    probs = np.exp(log_dens - adjust.log_sum_exp(log_dens))
     dens = np.array([adjust.safe_exp(v) for v in log_dens])
     return ModelChoiceResult("glm", dens, log_dens, probs,
                              tuple(retained), tuple(fits))

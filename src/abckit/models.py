@@ -4,26 +4,24 @@ The toy models draw a sample of fixed size from a normal or a uniform
 distribution parameterized by mean and variance, and summarize it with
 eight classic statistics.  The population-genetics part computes the
 standard site-frequency-spectrum summaries (segregating sites, pairwise
-diversity, Watterson's theta, Tajima's D) and can read the DAF-style
-spectrum files produced by coalescent simulators.
+diversity, Watterson's theta, Tajima's D) of spectra given as count
+vectors, as the builtin ``sfs-neutral-growth`` simulator draws them.  A
+toy-model variance that is not positive is a :class:`SimulatorError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import SimulatorError, TableFormatError
+from .errors import SimulatorError
 
 __all__ = [
-    "TOY_STAT_NAMES", "SFS_STAT_NAMES", "ToyParams", "Sfs",
-    "toy_stats", "toy_stats_matrix", "simulate_toy", "sfs_stats",
-    "read_daf_sfs", "daf_to_stats_file",
-    "BUILTIN_MODELS",
+    "TOY_STAT_NAMES", "SFS_STAT_NAMES", "ToyParams", "toy_stats",
+    "toy_stats_matrix", "simulate_toy", "sfs_stats", "BUILTIN_MODELS",
 ]
 
 TOY_STAT_NAMES = ("mean", "var", "median", "min", "max", "range", "Q1", "Q3")
@@ -37,8 +35,9 @@ class ToyParams:
     sample_size: int = 100
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError(f"variance must be positive, got {self.sigma2}")
+        if not self.sigma2 > 0:
+            raise SimulatorError(f"toy model variance must be positive, "
+                                 f"got {self.sigma2}")
 
 
 def _type7(s: np.ndarray, q: float):
@@ -123,40 +122,19 @@ def uniform_bounds(mu, sigma2):
 # site frequency spectrum
 
 
-@dataclass(frozen=True)
-class Sfs:
-    """Site counts indexed by derived-allele count 0..n for a haploid
-    sample of size n (length n+1)."""
-
-    counts: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative site count")
-        if len(self.counts) < 5:
-            raise ValueError("sample size must be at least 4")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts) - 1
-
-
-def sfs_stats(sfs: Sfs) -> np.ndarray:
+def sfs_stats(counts) -> np.ndarray:
     """Summary statistics of a site frequency spectrum, in
     :data:`SFS_STAT_NAMES` order: singletons, segregating sites, pairwise
     diversity, Watterson's theta, Tajima's D.
 
-    Only the polymorphic classes 1..n-1 enter; D is defined as 0 when
-    S <= 1.
+    ``counts`` holds the site counts indexed by derived-allele count 0..n
+    of a haploid sample of size n (length n + 1), or one such spectrum per
+    row of a matrix, which gives one row of statistics per spectrum.  Only
+    the polymorphic classes 1..n-1 enter; D is defined as 0 when S <= 1.
     """
-    return _sfs_stats_rows(np.asarray(sfs.counts)[None, :])[0]
-
-
-def _sfs_stats_rows(counts: np.ndarray) -> np.ndarray:
-    """:func:`sfs_stats` of each row of an (B, n + 1) count matrix."""
-    n = counts.shape[1] - 1
-    c = counts[:, 1:n]
+    rows = np.atleast_2d(np.asarray(counts, dtype=float))
+    n = rows.shape[1] - 1
+    c = rows[:, 1:n]
     i = np.arange(1, n)
     S = c.sum(axis=1)
     pair_sum = (i * (n - i) * c).sum(axis=1)
@@ -172,36 +150,9 @@ def _sfs_stats_rows(counts: np.ndarray) -> np.ndarray:
     e2 = c2 / (a1**2 + a2)
     with np.errstate(divide="ignore", invalid="ignore"):
         taj_d = (pi - S / a1) / np.sqrt(e1 * S + e2 * S * (S - 1))
-    return np.column_stack([counts[:, 1], S, pi, theta_w,
-                            np.where(S > 1, taj_d, 0.0)])
-
-
-def read_daf_sfs(path) -> Sfs:
-    """Read a derived-allele-frequency spectrum file.
-
-    These files have two preamble lines, then one tab/space-separated line
-    whose first field is a row label followed by the counts for classes
-    0..n (so n is the field count minus two).
-    """
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    if len(lines) < 3:
-        raise TableFormatError("spectrum file needs 3 lines", path=path)
-    fields = lines[2].split()
-    try:
-        counts = [float(v) for v in fields[1:]]
-    except ValueError:
-        raise TableFormatError("non-numeric site count", path=path, line=3) from None
-    return Sfs(tuple(counts))
-
-
-def daf_to_stats_file(daf_path, out_path="summary_stats-temp.txt") -> Path:
-    """Summarize a spectrum file into a statistics file (header + values)."""
-    values = sfs_stats(read_daf_sfs(daf_path))
-    out = Path(out_path)
-    with open(out, "w") as fh:
-        fh.write("\t".join(SFS_STAT_NAMES) + "\n")
-        fh.write("\t".join(format(v, ".10g") for v in values) + "\n")
-    return out
+    out = np.column_stack([rows[:, 1], S, pi, theta_w,
+                           np.where(S > 1, taj_d, 0.0)])
+    return out if np.ndim(counts) == 2 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +187,10 @@ def _toy_matrix_args(names, values):
     :class:`ToyParams` checks one draw."""
     i, j = _toy_columns(names)
     sigma2 = values[:, j]
-    bad = np.flatnonzero(sigma2 <= 0)
+    bad = np.flatnonzero(~(sigma2 > 0))
     if bad.size:
-        raise ValueError(f"variance must be positive, got {sigma2[bad[0]]}")
+        raise SimulatorError(f"toy model variance must be positive, "
+                             f"got {sigma2[bad[0]]}")
     return values[:, i], sigma2
 
 
@@ -306,7 +258,7 @@ def _batch_sfs(names, values, rng):
     counts = np.zeros((rows, n + 1))
     counts[:, 1:n] = rng.poisson(np.clip(expected, 0.0, None))
     counts[:, 0] = np.maximum(sites - counts[:, 1:n].sum(axis=1), 0.0)
-    return SFS_STAT_NAMES, _sfs_stats_rows(counts)
+    return SFS_STAT_NAMES, sfs_stats(counts)
 
 
 # a per-draw model ``(draw, rng) -> (names, values)`` may carry a ``batch``

@@ -11,7 +11,8 @@ A :class:`SimulatorBinding` describes how one simulation is produced:
   token ``SIMINPUTNAME`` refers to the rendered file, whose name is the
   template name with ``-temp`` inserted before the extension;
 * ``easyabc``: an executable that reads a file ``input`` (one parameter
-  value per line) and writes a file ``output`` (statistic values only).
+  value per line) and writes a file ``output`` (statistic values only,
+  named ``stat_1`` to ``stat_k``).
 
 An optional post-processor runs after every simulation, e.g. to turn raw
 simulator output into a statistics file.  Statistics are read from a
@@ -96,7 +97,6 @@ class SimulatorBinding:
     sum_stat_program: str | None = None
     sum_stat_args: str = ""
     stats_file: str = DEFAULT_STATS_FILE
-    stat_names: tuple[str, ...] | None = None   # for headerless output
     timeout: float = 300.0
 
     @classmethod
@@ -117,9 +117,8 @@ class SimulatorBinding:
                    input_template=str(input_template), **kw)
 
     @classmethod
-    def easyabc(cls, program, stat_names=None) -> "SimulatorBinding":
-        return cls("easyabc", program=str(program),
-                   stat_names=tuple(stat_names) if stat_names else None)
+    def easyabc(cls, program) -> "SimulatorBinding":
+        return cls("easyabc", program=str(program))
 
     def validate(self) -> None:
         if self.mode == "builtin":
@@ -195,8 +194,7 @@ class _Runner:
         try:
             if binding.mode == "easyabc":
                 values = [float(v) for v in lines[0]]
-                names = binding.stat_names or tuple(
-                    f"stat_{i + 1}" for i in range(len(values)))
+                names = tuple(f"stat_{i + 1}" for i in range(len(values)))
             else:
                 if len(lines) < 2:
                     raise SimulatorError(

@@ -18,7 +18,8 @@
   ``boost``, ``boost_observed``, ``transform`` and the MCMC chain's
   distance apply such a map to a table or to one-row matrices.
 * A greedy search ranks statistic subsets by their power to discriminate
-  between models, measured by model-choice cross-validation.
+  between models, measured by model-choice cross-validation; it stops when
+  the best addition gains less than :data:`MIN_GAIN`.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ __all__ = [
 LAMBDA_GRID = np.round(np.arange(-2.0, 2.0 + 1e-9, 0.1), 10)
 LAMBDA_SNAP = 0.05
 COMPONENT_PREFIX = "LinearCombination"
+# smallest gain in power for which the greedy search adds a statistic
+MIN_GAIN = 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,6 @@ class SubsetResult:
     names: tuple[str, ...]
     power: float
     max_pair_cor: float
-    on_path: bool
 
     @property
     def size(self) -> int:
@@ -561,15 +563,14 @@ def _abs_correlations(tables, names):
 
 
 def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = None,
-                  max_cor: float = 1.0, rng=None, min_gain: float = 0.005
-                  ) -> list[SubsetResult]:
+                  max_cor: float = 1.0, rng=None) -> list[SubsetResult]:
     """Greedy forward search for the statistic subset that best separates
     the models.
 
     Every single statistic is scored first; statistics are then added to
     the best subset one at a time, skipping candidates whose absolute
     correlation with an included statistic exceeds ``max_cor``, until the
-    best addition improves the power by less than ``min_gain``.  Every
+    best addition improves the power by less than :data:`MIN_GAIN`.  Every
     evaluated subset is returned, ranked by power and then by size (the
     smallest of equally powerful sets first).
     """
@@ -593,10 +594,7 @@ def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = Non
             evaluated[key] = subset_power(tables, subset, n_val, settings, rng)
         return evaluated[key]
 
-    on_path: set[tuple[str, ...]] = set()
-    singles = sorted(names, key=lambda n: -power((n,)))
-    current = (singles[0],)
-    on_path.add(current)
+    current = (max(names, key=lambda n: power((n,))),)
     while True:
         candidates = []
         for n in names:
@@ -608,12 +606,11 @@ def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = Non
         if not candidates:
             break
         best = max(candidates, key=power)
-        if power(best) - power(current) < min_gain:
+        if power(best) - power(current) < MIN_GAIN:
             break
         current = best
-        on_path.add(current)
 
-    results = [SubsetResult(subset, pw, pair_cor(subset), subset in on_path)
+    results = [SubsetResult(subset, pw, pair_cor(subset))
                for subset, pw in evaluated.items()]
     results.sort(key=lambda r: (-r.power, r.size))
     return results

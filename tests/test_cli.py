@@ -526,6 +526,86 @@ def test_oversized_joint_grid_is_a_config_error(tmp_path, monkeypatch, caplog,
     assert len(errors) == 1 and "at most 1000 points" in errors[0]
 
 
+BAD_ESTIMATE_SETTINGS = [
+    (["diracPeakWidth=0"], "diracPeakWidth must be positive"),
+    (["posteriorDensityPoints=1"], "posteriorDensityPoints must be at least 2"),
+    (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=1"],
+     "at least 2 points per parameter"),
+    (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=2000"],
+     "at most 1000 points"),
+    (["jointPosteriors=mu"], "2 to 4 different parameters"),
+    (["jointPosteriors=mu,foo"], "2 to 4 different parameters"),
+    (["jointPosteriors=mu,mu"], "2 to 4 different parameters"),
+    (["pruneCorrelatedStats=1", "maxCor=2"], "maxCor must be in (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("settings, message", BAD_ESTIMATE_SETTINGS,
+                         ids=[" ".join(s) for s, _ in BAD_ESTIMATE_SETTINGS])
+def test_estimate_settings_are_checked_before_any_output(tmp_path, monkeypatch,
+                                                         caplog, norm_table,
+                                                         unif_table, toy_obs,
+                                                         settings, message):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=100",
+                     "maxReadSims=5000", "outputPrefix=ABC", "writeRetained=1",
+                     *settings])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1 and message in errors[0]
+    assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_two_models_unstandardized_keep_raw_distances(tmp_path, monkeypatch,
+                                                      norm_table, unif_table,
+                                                      toy_obs):
+    # standardizeStats=0 measures the distances on the raw statistics,
+    # with two models as with one
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=50",
+                     "maxReadSims=5000", "outputPrefix=ABC", "writeRetained=1",
+                     "standardizeStats=0"])
+    assert code == 0
+    for m in (0, 1):
+        best = read_table(tmp_path / f"ABC_model{m}_BestSimsParamStats_Obs0.txt",
+                          "1-2")
+        stats = best.stat_matrix(toy_obs.names)
+        raw = np.sqrt(((stats - toy_obs.values) ** 2).sum(axis=1))
+        np.testing.assert_allclose(_column(best, "distance"), raw, rtol=1e-4)
+
+
+TOY_EST_BAD_VARIANCE = """[PARAMETERS]
+0 mu unif -1 1 output
+0 sigma2 unif -1 1 output
+"""
+
+
+@pytest.mark.parametrize("program", ["toy-normal", "toy-uniform"])
+@pytest.mark.parametrize("sampler", [
+    [],
+    ["samplerType=MCMC", "numCaliSims=200", "obsName=obs.txt"],
+])
+def test_toy_variance_below_zero_is_a_simulator_failure(tmp_path, monkeypatch,
+                                                        caplog, toy_obs,
+                                                        sampler, program):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST_BAD_VARIANCE)
+    write_observed(tmp_path / "obs.txt", toy_obs)
+    code = cli.main(["task=simulate", "estName=toy.est",
+                     f"simProgram={program}", "numSims=100", "seed=1",
+                     *sampler])
+    assert code == 4
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert "simulator failure: toy model variance must be positive, got -" \
+        in errors[0]
+    assert not list(tmp_path.glob("*_sampling1.txt"))
+
+
 def test_non_finite_observed_statistic_exits_2(tmp_path, monkeypatch, caplog,
                                                norm_table, unif_table,
                                                toy_obs):

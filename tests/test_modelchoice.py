@@ -50,14 +50,6 @@ class TestRejectionPath:
         res = rejection_model_choice([a, b], obs, tol=1.0)
         np.testing.assert_allclose(res.probabilities, [0.5, 0.5])
 
-    def test_prior_weights(self):
-        rng = np.random.default_rng(62)
-        a = make_table(rng, 200)
-        obs = ObservedStats(a.stat_names, np.array([0.5, 0.5]))
-        res = rejection_model_choice([a, a], obs, tol=1.0,
-                                     prior_weights=[3, 1])
-        np.testing.assert_allclose(res.probabilities, [0.75, 0.25])
-
     def test_statistic_mismatch_rejected(self):
         rng = np.random.default_rng(63)
         a = make_table(rng, 50)

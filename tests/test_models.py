@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from abckit.errors import SimulatorError
 from abckit.models import (BUILTIN_MODELS, SFS_STAT_NAMES, TOY_STAT_NAMES,
-                           Sfs, ToyParams, daf_to_stats_file, read_daf_sfs,
-                           sfs_stats, simulate_toy, toy_stats,
+                           ToyParams, sfs_stats, simulate_toy, toy_stats,
                            toy_stats_matrix, uniform_bounds)
 
 # downsampled synonymous spectrum for a sample of 24 sequences
@@ -90,13 +90,13 @@ class TestSimulateToy:
         assert s[3] >= -2.0 and s[4] <= 4.0
 
     def test_bad_variance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulatorError, match="got 0.0"):
             ToyParams(0.0, 0.0)
 
 
 class TestSfsStats:
     def test_published_values(self):
-        vals = sfs_stats(Sfs(TABLE8_COUNTS))
+        vals = sfs_stats(TABLE8_COUNTS)
         assert [round_sig(v) for v in vals] == [7.0, 17.0, 3.06, 4.55, -1.17]
 
     def test_pi_by_direct_arithmetic(self):
@@ -106,27 +106,27 @@ class TestSfsStats:
         for i, c in enumerate(TABLE8_COUNTS[1:n], start=1):
             s += i * (n - i) * c
         assert s == 845
-        assert sfs_stats(Sfs(TABLE8_COUNTS))[2] == pytest.approx(1690 / 552)
+        assert sfs_stats(TABLE8_COUNTS)[2] == pytest.approx(1690 / 552)
 
     def test_monomorphic_spectrum(self):
-        vals = sfs_stats(Sfs((100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 50)))
+        vals = sfs_stats((100, 0, 0, 0, 0, 0, 0, 0, 0, 0, 50))
         np.testing.assert_allclose(vals, [0, 0, 0, 0, 0])
 
     def test_single_segregating_site_has_zero_d(self):
         counts = [0] * 25
         counts[3] = 1
-        assert sfs_stats(Sfs(tuple(counts)))[4] == 0.0
+        assert sfs_stats(counts)[4] == 0.0
 
     def test_monomorphic_classes_ignored(self):
-        base = sfs_stats(Sfs(TABLE8_COUNTS))
+        base = sfs_stats(TABLE8_COUNTS)
         bumped = list(TABLE8_COUNTS)
         bumped[0] += 1000
         bumped[-1] += 1000
-        np.testing.assert_allclose(sfs_stats(Sfs(tuple(bumped))), base)
+        np.testing.assert_allclose(sfs_stats(bumped), base)
 
     def test_linear_scaling(self):
-        base = sfs_stats(Sfs(TABLE8_COUNTS))
-        doubled = sfs_stats(Sfs(tuple(2 * c for c in TABLE8_COUNTS)))
+        base = sfs_stats(TABLE8_COUNTS)
+        doubled = sfs_stats([2 * c for c in TABLE8_COUNTS])
         # singletons, S, pi and theta scale linearly; D does not
         np.testing.assert_allclose(doubled[:4], 2 * base[:4])
 
@@ -138,40 +138,24 @@ class TestSfsStats:
             expected = 300.0 / np.arange(1, n)
             counts = np.zeros(n + 1)
             counts[1:n] = rng.poisson(expected)
-            vals = sfs_stats(Sfs(tuple(counts)))
+            vals = sfs_stats(counts)
             if vals[1] >= 50:
                 ds.append(vals[4])
         assert ds and max(abs(d) for d in ds) < 0.3
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            Sfs((1, -1, 0, 0, 0, 0))
+    def test_matrix_equals_row_by_row(self):
+        rng = np.random.default_rng(7)
+        counts = rng.poisson(3.0, size=(6, 25)).astype(float)
+        counts[0, 1:24] = 0                          # monomorphic
+        counts[1, 1:24] = 0
+        counts[1, 5] = 1                             # one segregating site
+        rows = sfs_stats(counts)
+        assert rows.shape == (6, len(SFS_STAT_NAMES))
+        for i in range(6):
+            np.testing.assert_array_equal(rows[i], sfs_stats(counts[i]))
 
     def test_names(self):
         assert SFS_STAT_NAMES == ("sfs1", "S", "pi", "thita", "taj_D")
-
-
-class TestDafFiles:
-    def daf_text(self, counts):
-        header = "\t".join(f"d0_{i}" for i in range(len(counts)))
-        values = "\t".join(str(c) for c in counts)
-        return f"1 observations\n{header}\n" + "deme0\t" + values + "\n"
-
-    def test_label_field_skipped(self, tmp_path):
-        p = tmp_path / "sim_DAFpop0.obs"
-        p.write_text(self.daf_text(TABLE8_COUNTS))
-        sfs = read_daf_sfs(p)
-        assert sfs.n == 24
-        assert sfs.counts == tuple(float(c) for c in TABLE8_COUNTS)
-
-    def test_stats_file_round_trip(self, tmp_path):
-        p = tmp_path / "sim_DAFpop0.obs"
-        p.write_text(self.daf_text(TABLE8_COUNTS))
-        out = daf_to_stats_file(p, tmp_path / "summary_stats-temp.txt")
-        lines = out.read_text().splitlines()
-        assert lines[0].split() == list(SFS_STAT_NAMES)
-        vals = [float(v) for v in lines[1].split()]
-        assert [round_sig(v) for v in vals] == [7.0, 17.0, 3.06, 4.55, -1.17]
 
 
 class TestBuiltinRegistry:

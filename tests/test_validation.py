@@ -426,14 +426,15 @@ class TestCoverage:
 
 class TestSimulationBasedCalibration:
     """SBC (Talts et al. 2018) of the ABC-GLM posterior: with truths drawn
-    from the prior, the posterior quantile of each truth is uniform on
-    [0, 1] when the posterior is right.  The model is conjugate normal,
-    ``theta ~ N(0, 1)`` with the statistics ``theta + N(0, 0.5^2)`` and
-    ``theta + N(0, 1)``, on which the local likelihood is exactly linear
-    and Gaussian.  The seeds and the 1% threshold were fixed before the
-    first run."""
+    from the prior, the posterior quantile of each truth and the smallest
+    credible level containing it are both uniform on [0, 1] when the
+    posterior is right.  The model is conjugate normal, ``theta ~ N(0, 1)``
+    with the statistics ``theta + N(0, 0.5^2)`` and ``theta + N(0, 1)``, on
+    which the local likelihood is exactly linear and Gaussian.  The seeds,
+    the 400 replicates and the 1% threshold were fixed before the first
+    run."""
 
-    SEED = 20180621
+    SEED = 20261018
     THRESHOLD = 0.01
 
     def test_glm_posterior_quantiles_are_uniform(self):
@@ -443,10 +444,12 @@ class TestSimulationBasedCalibration:
         stats = theta[:, None] + rng.normal(size=(n, 2)) * [0.5, 1.0]
         table = SimulationTable(("p0", "s0", "s1"),
                                 np.column_stack([theta, stats]), (0,), (1, 2))
-        rows = cross_validate(table, "random", 200,
+        rows = cross_validate(table, "random", 400,
                               GlmSettings(num_retained=500), rng=self.SEED + 1)
         assert all(r.error is None for r in rows)
-        assert coverage_tests(rows)["p0"]["quantile_p"] > self.THRESHOLD
+        tests = coverage_tests(rows)["p0"]
+        assert tests["quantile_p"] > self.THRESHOLD
+        assert tests["hdi_p"] > self.THRESHOLD
 
 
 # (n, d) points reaching every branch of the method selection of the exact
