@@ -27,7 +27,7 @@ from .models import (SFS_STAT_NAMES, TOY_STAT_NAMES, ToyParams, sfs_stats,
                      simulate_toy, toy_stats)
 from .orchestrate import (Calibration, McmcConfig, SimulatorBinding,
                           calibrate, run_mcmc, run_standard)
-from .priors import EstModel, ParamDraw, eval_expr, parse_est, sample
+from .priors import EstModel, eval_expr, parse_est, sample
 from .rejection import RetainedSet, Standardizer, prune_correlated, retain
 from .statselect import (BoxCoxSpec, LinearCombDef, boost, fit_boxcox,
                          fit_pls, greedy_search, transform)

@@ -9,7 +9,8 @@ density used for model choice, grid posteriors, and joint posteriors with
 credible levels.  All of it rests on one Gaussian core: a Cholesky factor
 and the whitened squared distances between two point sets, computed in
 blocks of bounded size.  :func:`weighted_density` gives the kernel density
-of the retained values themselves (the rejection posterior).
+of the retained values themselves (the rejection posterior).  The
+observation is always the one the retained set was retained for.
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
@@ -215,17 +216,17 @@ class _Mixture:
         return w / w.sum()
 
 
-def _glm_mixture(fit: GlmFit, retained: RetainedSet, obs,
+def _glm_mixture(fit: GlmFit, retained: RetainedSet,
                  dirac_peak_width: float) -> _Mixture:
-    """Combine the fitted likelihood at the observation with the
-    peak-mixture prior; all Gaussian algebra is closed form.
+    """Combine the fitted likelihood at the retained set's observation
+    with the peak-mixture prior; all Gaussian algebra is closed form.
 
     Each prior peak ``N(u_j, tau^2 I)`` contributes its evidence as the
     component weight and a posterior component with precision
     ``Q = B' Sigma^-1 B + I / tau^2``.
     """
     tau = float(dirac_peak_width)
-    z = retained.standardized(obs).ravel()
+    z = retained.obs_std
     _, log_w = next(_log_evidences(fit, retained, z, tau))
     b = fit.coeff
     sig_inv_b = sla.cho_solve(
@@ -245,9 +246,9 @@ def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, stats,
     """Log of the prior-weighted likelihood integral (the model marginal
     density) at many pseudo-observations at once.
 
-    ``stats`` is an (m, d) matrix of raw statistic vectors in
-    ``fit.stat_names`` order, or anything :meth:`RetainedSet.standardized`
-    accepts; rows are standardized with the retained set's transform.
+    ``stats`` is an (m, d) matrix of raw statistic vectors (or one
+    vector) in ``fit.stat_names`` order; rows are standardized with the
+    retained set's transform.
     """
     z = np.atleast_2d(retained.standardized(stats))
     out = np.empty(len(z))
@@ -257,11 +258,11 @@ def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, stats,
     return out - math.log(retained.n)
 
 
-def glm_log_marginal_density(fit: GlmFit, retained: RetainedSet, obs=None,
+def glm_log_marginal_density(fit: GlmFit, retained: RetainedSet,
                              dirac_peak_width: float = DEFAULT_PEAK_WIDTH) -> float:
-    """Log marginal density at one observation (the retained set's own by
-    default); :func:`safe_exp` gives the density itself."""
-    return float(glm_log_marginal_densities(fit, retained, obs,
+    """Log marginal density at the retained set's observation;
+    :func:`safe_exp` gives the density itself."""
+    return float(glm_log_marginal_densities(fit, retained, retained.obs,
                                             dirac_peak_width)[0])
 
 
@@ -409,7 +410,7 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     return dens
 
 
-def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
+def glm_posterior(fit: GlmFit, retained: RetainedSet,
                   n_points: int = DEFAULT_GRID_POINTS,
                   dirac_peak_width: float = DEFAULT_PEAK_WIDTH):
     """Marginal posterior densities and their characteristics.
@@ -417,7 +418,7 @@ def glm_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
     The grid per parameter spans the retained range padded by 10%.
     Returns ``(GridPosterior, {param: PosteriorCharacteristics})``.
     """
-    mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
+    mix = _glm_mixture(fit, retained, dirac_peak_width)
     ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
     grids, densities = [], []
     for k in range(len(fit.param_names)):
@@ -449,8 +450,8 @@ def check_joint_grid(n_params: int, n_points: int) -> None:
             "per parameter")
 
 
-def joint_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
-                    params=None, n_points: int = DEFAULT_GRID_POINTS,
+def joint_posterior(fit: GlmFit, retained: RetainedSet, params=None,
+                    n_points: int = DEFAULT_GRID_POINTS,
                     dirac_peak_width: float = DEFAULT_PEAK_WIDTH
                     ) -> JointGridPosterior:
     """Joint posterior of 2 to 4 parameters on a tensor grid.
@@ -465,7 +466,7 @@ def joint_posterior(fit: GlmFit, retained: RetainedSet, obs=None,
                          f"(got {len(params)}); use sampling beyond that")
     check_joint_grid(len(params), n_points)
     sel = [fit.param_names.index(name) for name in params]
-    mix = _glm_mixture(fit, retained, obs, dirac_peak_width)
+    mix = _glm_mixture(fit, retained, dirac_peak_width)
     ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
     ugrids = [ug] * len(sel)
     dens = _mixture_on_grid(mix, sel, ugrids)

@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, adjust, statselect, validation
-from .errors import (AbckitError, ConfigError, EvalError, NumericalError,
-                     SimulatorError, TableFormatError)
+from .errors import (ConfigError, EvalError, NumericalError, SimulatorError,
+                     TableFormatError)
 from .modelchoice import glm_model_choice, write_model_fit
 from .models import BUILTIN_MODELS
 from .orchestrate import McmcConfig, SimulatorBinding, run_mcmc, run_standard
 from .priors import parse_est_file
-from .rejection import prune_correlated, retain
+from .rejection import prune_correlated
 from .statselect import LinearCombDef
 from .tableio import (ObservedStats, OutputTag, read_observed, read_table,
                       write_table, write_tagged)
@@ -176,6 +176,7 @@ class Config:
 
 
 def _split_models(cfg: Config):
+    """The tables and the statistics ``pruneCorrelatedStats`` dropped."""
     sim_names = [s for s in cfg.require("simName").split(";") if s]
     specs = [s for s in cfg.require("params").split(";") if s]
     if len(specs) == 1 and len(sim_names) > 1:
@@ -198,7 +199,14 @@ def _split_models(cfg: Config):
                   for t in tables]
     else:
         cfg.get_float("maxCor", 1.0)
-    return sim_names, tables
+        dropped = []
+    return tables, dropped
+
+
+def _without(obs: ObservedStats, dropped) -> ObservedStats:
+    """The observation without the statistics pruned from the tables."""
+    keep = [n for n in obs.names if n not in dropped]
+    return ObservedStats(keep, obs.vector(keep))
 
 
 def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
@@ -271,13 +279,24 @@ def _best_sims_payload(retained):
     return header, rows.tolist()
 
 
+def _rejection_densities_payload(retained):
+    # gnuplot-ready kernel densities of the retained parameter values, none
+    # of them constant (glm_fit has checked)
+    header, cols = [], []
+    for j, name in enumerate(retained.param_names):
+        header += [name, f"{name}.density"]
+        cols += adjust.weighted_density(retained.params[:, j])
+    return header, np.column_stack(cols)
+
+
 # ---------------------------------------------------------------------------
 # tasks
 
 
 def _task_estimate(cfg: Config, rng) -> None:
-    sim_names, tables = _split_models(cfg)
-    obs_list = read_observed(cfg.require("obsName"))
+    tables, dropped = _split_models(cfg)
+    obs_list = [_without(obs, dropped)
+                for obs in read_observed(cfg.require("obsName"))]
     standardize = cfg.get_bool("standardizeStats", True)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     n_points = cfg.get_int("posteriorDensityPoints", 100)
@@ -331,6 +350,10 @@ def _task_estimate(cfg: Config, rng) -> None:
             write_tagged(prefix, OutputTag.MARGINAL_CHARACTERISTICS,
                          _characteristics_payload(chars),
                          model_index=m, obs_index=k)
+            if plot_data:
+                write_tagged(prefix, OutputTag.REJECTION_DENSITIES,
+                             _rejection_densities_payload(r),
+                             model_index=m, obs_index=k)
             for name, ch in chars.items():
                 log.info("obs %d model %d %s: mode %.6g, mean %.6g, "
                          "median %.6g", k, m, name, ch.mode, ch.mean, ch.median)
@@ -379,8 +402,6 @@ def _task_estimate(cfg: Config, rng) -> None:
         log.info("model choice validation accuracy: %s (overall %.4g)",
                  np.round(cm.per_model_accuracy, 4).tolist(),
                  cm.overall_accuracy)
-    if plot_data:
-        _write_plot_data(tables, obs_list, num_retained, standardize, prefix)
 
 
 def _log_coverage(rows, label: str) -> None:
@@ -397,25 +418,6 @@ def _log_coverage(rows, label: str) -> None:
         log.info("%s %s: quantile KS %.4g (P=%.4g), HDI KS %.4g (P=%.4g)",
                  label, name, t["quantile_ks"], t["quantile_p"],
                  t["hdi_ks"], t["hdi_p"])
-
-
-def _write_plot_data(tables, obs_list, num_retained, standardize, prefix):
-    # gnuplot-ready rejection-posterior densities of the retained samples
-    for k, obs in enumerate(obs_list):
-        for m, table in enumerate(tables):
-            r = retain(table, obs, count=num_retained, standardize=standardize)
-            header, cols = [], []
-            for j, name in enumerate(r.param_names):
-                try:
-                    g, f = adjust.weighted_density(r.params[:, j])
-                except NumericalError:
-                    continue
-                header += [name, f"{name}.density"]
-                cols += [g, f]
-            if cols:
-                write_tagged(prefix, OutputTag.REJECTION_DENSITIES,
-                             (header, np.column_stack(cols)),
-                             model_index=m, obs_index=k)
 
 
 def _binding_from_config(cfg: Config) -> SimulatorBinding:
@@ -512,7 +514,7 @@ def _task_transform(cfg: Config, rng) -> None:
 
 
 def _task_findstats(cfg: Config, rng) -> None:
-    sim_names, tables = _split_models(cfg)
+    tables, _ = _split_models(cfg)
     if len(tables) < 2:
         raise ConfigError("findStatsModelChoice needs at least two models")
     cfg.has("obsName")  # marks the key used: the search needs no observation

@@ -43,7 +43,6 @@ class ModelChoiceResult:
     representation actually used for the probabilities and Bayes factors.
     """
 
-    method: str
     densities: np.ndarray
     log_densities: np.ndarray
     probabilities: np.ndarray
@@ -128,7 +127,7 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
     finite = np.isfinite(log_rates)
     probs = np.exp(log_rates - adjust.log_sum_exp(log_rates[finite]))
     probs = np.where(finite, probs, 0.0)
-    return ModelChoiceResult("rejection", rates, log_rates, probs)
+    return ModelChoiceResult(rates, log_rates, probs)
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,
@@ -154,8 +153,8 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     log_dens = np.array(log_dens)
     probs = np.exp(log_dens - adjust.log_sum_exp(log_dens))
     dens = np.array([adjust.safe_exp(v) for v in log_dens])
-    return ModelChoiceResult("glm", dens, log_dens, probs,
-                             tuple(retained), tuple(fits))
+    return ModelChoiceResult(dens, log_dens, probs, tuple(retained),
+                             tuple(fits))
 
 
 def write_model_fit(result: ModelChoiceResult, prefix: str, obs_index=0,

@@ -1,7 +1,7 @@
 """Built-in simulators and statistic calculators.
 
-The toy models draw a sample of fixed size from a normal or a uniform
-distribution parameterized by mean and variance, and summarize it with
+The toy models draw ``TOY_SAMPLE_SIZE`` values from a normal or a uniform
+distribution parameterized by mean and variance, and summarize them with
 eight classic statistics.  The population-genetics part computes the
 standard site-frequency-spectrum summaries (segregating sites, pairwise
 diversity, Watterson's theta, Tajima's D) of spectra given as count
@@ -20,11 +20,13 @@ import numpy as np
 from .errors import SimulatorError
 
 __all__ = [
-    "TOY_STAT_NAMES", "SFS_STAT_NAMES", "ToyParams", "toy_stats",
-    "toy_stats_matrix", "simulate_toy", "sfs_stats", "BUILTIN_MODELS",
+    "TOY_STAT_NAMES", "TOY_SAMPLE_SIZE", "SFS_STAT_NAMES", "ToyParams",
+    "toy_stats", "toy_stats_matrix", "simulate_toy", "sfs_stats",
+    "BUILTIN_MODELS",
 ]
 
 TOY_STAT_NAMES = ("mean", "var", "median", "min", "max", "range", "Q1", "Q3")
+TOY_SAMPLE_SIZE = 100          # values per toy-model simulation
 SFS_STAT_NAMES = ("sfs1", "S", "pi", "thita", "taj_D")
 
 
@@ -32,7 +34,6 @@ SFS_STAT_NAMES = ("sfs1", "S", "pi", "thita", "taj_D")
 class ToyParams:
     mu: float
     sigma2: float
-    sample_size: int = 100
 
     def __post_init__(self):
         if not self.sigma2 > 0:
@@ -102,10 +103,10 @@ def simulate_toy(model: str, params: ToyParams, rng: np.random.Generator) -> np.
     a = mu - sqrt(3 sigma2) and b = mu + sqrt(3 sigma2).
     """
     if model == "normal":
-        x = rng.normal(params.mu, math.sqrt(params.sigma2), params.sample_size)
+        x = rng.normal(params.mu, math.sqrt(params.sigma2), TOY_SAMPLE_SIZE)
     elif model == "uniform":
         half = math.sqrt(3.0 * params.sigma2)
-        x = rng.uniform(params.mu - half, params.mu + half, params.sample_size)
+        x = rng.uniform(params.mu - half, params.mu + half, TOY_SAMPLE_SIZE)
     else:
         raise ValueError(f"unknown toy model {model!r}")
     return toy_stats(x)
@@ -159,13 +160,6 @@ def sfs_stats(counts) -> np.ndarray:
 # builtin simulator bindings
 
 
-def _draw_values(draw) -> dict:
-    # accept a ParamDraw or any plain mapping
-    if hasattr(draw, "output_names"):
-        return dict(draw.values)
-    return dict(draw)
-
-
 def _toy_columns(names) -> tuple[int, int]:
     # prefer canonical names, otherwise the first two values in order
     if "mu" in names and "sigma2" in names:
@@ -176,9 +170,8 @@ def _toy_columns(names) -> tuple[int, int]:
 
 
 def _toy_args(draw: Mapping[str, float]) -> ToyParams:
-    vals = _draw_values(draw)
-    i, j = _toy_columns(tuple(vals))
-    ordered = list(vals.values())
+    i, j = _toy_columns(tuple(draw))
+    ordered = list(draw.values())
     return ToyParams(float(ordered[i]), float(ordered[j]))
 
 
@@ -200,7 +193,7 @@ def _builtin_toy_normal(draw, rng):
 
 def _batch_toy_normal(names, values, rng):
     mu, sigma2 = _toy_matrix_args(names, values)
-    shape = (len(values), ToyParams.sample_size)
+    shape = (len(values), TOY_SAMPLE_SIZE)
     x = rng.normal(mu[:, None], np.sqrt(sigma2)[:, None], shape)
     return TOY_STAT_NAMES, toy_stats_matrix(x)
 
@@ -211,16 +204,14 @@ def _builtin_toy_uniform(draw, rng):
 
 def _batch_toy_uniform(names, values, rng):
     a, b = uniform_bounds(*_toy_matrix_args(names, values))
-    shape = (len(values), ToyParams.sample_size)
+    shape = (len(values), TOY_SAMPLE_SIZE)
     return TOY_STAT_NAMES, toy_stats_matrix(rng.uniform(a[:, None], b[:, None],
                                                         shape))
 
 
 def _builtin_sfs(draw, rng):
-    vals = _draw_values(draw)
-    names = tuple(vals)
-    _, stats = _batch_sfs(names, np.array([[float(vals[n]) for n in names]]),
-                          rng)
+    values = np.array([list(draw.values())], dtype=float)
+    _, stats = _batch_sfs(tuple(draw), values, rng)
     return SFS_STAT_NAMES, stats[0]
 
 

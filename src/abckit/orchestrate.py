@@ -45,14 +45,14 @@ import re
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, SimulatorError, TableFormatError
 from .models import BUILTIN_MODELS
-from .priors import (EstModel, ParamDraw, complete_draw, complete_rows,
+from .priors import (EstModel, complete_draw, complete_rows,
                      log_prior_density, sample_rows)
 from .rejection import RetainedSet, retain
 from .statselect import LinearCombDef, StatMap
@@ -69,6 +69,8 @@ SIMINPUT_TOKEN = "SIMINPUTNAME"
 DEFAULT_STATS_FILE = "summary_stats-temp.txt"
 # draws per call of a builtin model's batch function
 SIM_BLOCK = 256
+# seconds an external simulator or post-processor may run
+SIM_TIMEOUT = 300.0
 _NON_FINITE = "produced non-finite statistics"
 
 
@@ -97,7 +99,6 @@ class SimulatorBinding:
     sum_stat_program: str | None = None
     sum_stat_args: str = ""
     stats_file: str = DEFAULT_STATS_FILE
-    timeout: float = 300.0
 
     @classmethod
     def builtin(cls, name: str) -> "SimulatorBinding":
@@ -178,7 +179,7 @@ class _Runner:
     def _run(self, argv):
         try:
             proc = subprocess.run(argv, cwd=self.scratch, capture_output=True,
-                                  text=True, timeout=self.binding.timeout)
+                                  text=True, timeout=SIM_TIMEOUT)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise SimulatorError(f"failed to run {argv[0]}: {exc}") from None
         if proc.returncode != 0:
@@ -210,7 +211,7 @@ class _Runner:
                 f"{path.name}: {len(names)} names but {len(values)} values")
         return tuple(names), np.array(values)
 
-    def simulate(self, draw: ParamDraw, rng) -> tuple[tuple[str, ...], np.ndarray]:
+    def simulate(self, draw: dict, rng) -> tuple[tuple[str, ...], np.ndarray]:
         binding = self.binding
         if binding.mode == "builtin":
             names, values = BUILTIN_MODELS[binding.program](draw, rng)
@@ -220,13 +221,13 @@ class _Runner:
                                      f"{_NON_FINITE}")
             return tuple(names), values
 
-        subs = {name: _fmt_param(v) for name, v in draw.values.items()}
+        subs = {name: _fmt_param(v) for name, v in draw.items()}
         if binding.mode == "exec-files":
             rendered = _substitute(self.template_text, subs)
             (self.scratch / self.rendered_name).write_text(rendered)
             subs[SIMINPUT_TOKEN] = self.rendered_name
         if binding.mode == "easyabc":
-            lines = [_fmt_param(v) for v in draw.values.values()]
+            lines = [_fmt_param(v) for v in draw.values()]
             (self.scratch / "input").write_text("\n".join(lines) + "\n")
             argv = [self.program]
         else:
@@ -240,7 +241,7 @@ class _Runner:
         stats_name = "output" if binding.mode == "easyabc" else binding.stats_file
         return self._read_stats(self.scratch / stats_name)
 
-    def simulate_with_retry(self, draw: ParamDraw, rng, retry_rng,
+    def simulate_with_retry(self, draw: dict, rng, retry_rng,
                             on_failure: str):
         """:meth:`simulate`, retried once with the same parameters and noise
         from ``retry_rng``; ``None`` (and a warning ending in
@@ -250,7 +251,7 @@ class _Runner:
         except SimulatorError as exc:
             return self._retry(draw, retry_rng, on_failure, exc)
 
-    def _retry(self, draw: ParamDraw, retry_rng, on_failure: str, exc):
+    def _retry(self, draw: dict, retry_rng, on_failure: str, exc):
         log.debug("simulation failed, retrying once: %s", exc)
         try:
             return self.simulate(draw, retry_rng)
@@ -275,8 +276,7 @@ class _Runner:
         ok = np.isfinite(stats).all(axis=1)
         problem = f"builtin model {self.binding.program} {_NON_FINITE}"
         for i in np.flatnonzero(~ok):
-            draw = ParamDraw(dict(zip(est.all_names, values[i].tolist())),
-                             est.output_names)
+            draw = dict(zip(est.all_names, values[i].tolist()))
             result = self._retry(draw, retry_rng, on_failure, problem)
             if result is not None:
                 stats[i], ok[i] = result[1], True
@@ -286,7 +286,7 @@ class _Runner:
         stat_names, rows = None, []
         ok = np.zeros(len(values), dtype=bool)
         for i, row in enumerate(values.tolist()):
-            draw = ParamDraw(dict(zip(est.all_names, row)), est.output_names)
+            draw = dict(zip(est.all_names, row))
             result = self.simulate_with_retry(draw, rng, retry_rng, on_failure)
             if result is None:
                 continue
@@ -450,7 +450,7 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     chain = dict(boosting=cfg.do_boosting, comb=cfg.lincomb,
                  apply_boxcox=cfg.do_boxcox)
     ttable = StatMap(table.names, stat_idx=table.stat_idx, **chain).table(table)
-    tobs = StatMap(obs.names, source="observation", **chain).observed(obs)
+    tobs = StatMap(obs.names, source="observation", **chain).observation(obs)
     k = math.ceil(cfg.threshold_prop * ttable.n_rows)
     retained = retain(ttable, tobs, count=k)
     epsilon = retained.epsilon
@@ -530,9 +530,10 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     enters the acceptance test); draws violating a rule are rejected
     outright, and so are simulations with a statistic outside the domain
     of the calibration's Box-Cox transform (counted in
-    ``outside_domain``).  The chain state is recorded every
-    ``sampling_interval`` steps; the first ``burn_in_frac`` of the records
-    is discarded.
+    ``outside_domain``).  The chain state (the output values of its draw,
+    taken when it was accepted, its statistics and distance) is recorded
+    every ``sampling_interval`` steps; the first ``burn_in_frac`` of the
+    records is discarded.
     """
     rng = np.random.default_rng(rng)
     cal = calibration if calibration is not None else calibrate(
@@ -541,6 +542,8 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     prior_names = est.prior_names
 
     raw = dict(cal.start_raw)
+    draw = complete_draw(est, raw)
+    out = np.array([draw[n] for n in est.output_names])
     stats = np.asarray(cal.start_stats, dtype=float)
     dist = cal.start_distance
     log_prior = log_prior_density(est, raw)
@@ -564,9 +567,9 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                         x = _reflect(x + chain_rng.uniform(-w, w), lo, hi)
                 proposal[name] = x
             if all(rule.holds(proposal) for rule in est.rules):
+                draw = complete_draw(est, proposal)
                 result = runner.simulate_with_retry(
-                    complete_draw(est, proposal), noise_rng, retry_rng,
-                    "rejecting the proposal")
+                    draw, noise_rng, retry_rng, "rejecting the proposal")
                 if result is not None:
                     names, values = result
                     if tuple(names) != cal.sim_stat_names:
@@ -585,11 +588,11 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                             and math.log(chain_rng.uniform())
                             < new_log_prior - log_prior):
                         raw, stats, dist = proposal, values, new_dist
+                        out = np.array([draw[n] for n in est.output_names])
                         log_prior = new_log_prior
                         accepted += 1
             if step % cfg.sampling_interval == 0:
-                records.append(np.concatenate([
-                    complete_draw(est, raw).output_values(), stats, [dist]]))
+                records.append(np.concatenate([out, stats, [dist]]))
             if not checked_early and step >= min(1000, cfg.chain_length):
                 checked_early = True
                 if accepted / step < 0.001:

@@ -19,10 +19,11 @@ to [min, max]) and ``fixed``.  An integer prior puts its density on the
 integers within [min, max], ends included (the distribution the MCMC
 chain targets through :func:`log_prior_density`); an integer complex
 parameter or fixed value is truncated toward zero.  Rules constrain raw
-parameters and are enforced by rejecting the whole draw.  Complex-parameter expressions use
-``+ - * / ^`` (``^`` right-associative) and the functions ``exp, log,
-log10, pow10, sqrt, abs, min, max``.  Lines starting with ``//`` or ``#``
-are comments.
+parameters and are enforced by rejecting the whole draw.
+Complex-parameter expressions use ``+ - * / ^`` (``^`` right-associative)
+and the functions ``exp, log, log10, pow10, sqrt, abs, min, max``.  Lines
+starting with ``//`` or ``#`` are comments.  A draw is a plain ``dict``
+binding every declared name, hidden ones included, to its value.
 
 Seed rule of :func:`sample_rows` (and :func:`sample`, one row of it).
 Every raw prior value is the inverse CDF of one uniform.  A candidate draw
@@ -42,7 +43,7 @@ import logging
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -53,8 +54,8 @@ from .errors import EstParseError, EvalError
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "PriorSpec", "Rule", "ComplexParam", "EstModel", "ParamDraw",
-    "parse_est", "parse_expression", "eval_expr", "sample", "sample_rows",
+    "PriorSpec", "Rule", "ComplexParam", "EstModel", "parse_est",
+    "parse_expression", "eval_expr", "sample", "sample_rows",
     "complete_draw", "complete_rows",
 ]
 
@@ -342,7 +343,6 @@ class ComplexParam:
     integer: bool
     expression: tuple
     output: bool
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -367,20 +367,6 @@ class EstModel:
         out = [p.name for p in self.priors if p.output]
         out += [c.name for c in self.complex_params if c.output]
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class ParamDraw:
-    """One accepted draw: every declared name bound to a value."""
-
-    values: dict[str, float]
-    output_names: tuple[str, ...]
-
-    def output_values(self) -> np.ndarray:
-        return np.array([self.values[n] for n in self.output_names])
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +470,7 @@ def parse_est(text: str) -> EstModel:
                 err(lineno, f"expression for {name} references undeclared "
                             f"name(s): {', '.join(sorted(unknown))}")
             complex_params.append(ComplexParam(name, flag == "1", tree,
-                                               out_flag, expr_text))
+                                               out_flag))
             declared.add(name)
 
     if not priors:
@@ -634,7 +620,7 @@ def sample_rows(model: EstModel, rng: np.random.Generator,
     return np.concatenate(blocks)
 
 
-def sample(model: EstModel, rng: np.random.Generator) -> ParamDraw:
+def sample(model: EstModel, rng: np.random.Generator) -> dict:
     """Draw one parameter vector from the model: one row of
     :func:`sample_rows`, completed by :func:`complete_draw`."""
     raw = sample_rows(model, rng, 1)[0]
@@ -650,21 +636,21 @@ def complete_rows(model: EstModel, raw: np.ndarray) -> np.ndarray:
     names = model.all_names
     out = np.empty((len(raw), len(names)))
     for i, row in enumerate(raw.tolist()):
-        values = complete_draw(model, dict(zip(model.prior_names, row))).values
+        values = complete_draw(model, dict(zip(model.prior_names, row)))
         out[i] = [values[n] for n in names]
     return out
 
 
-def complete_draw(model: EstModel, raw: Mapping[str, float]) -> ParamDraw:
-    """Bind the complex parameters to values of the raw priors, evaluated
-    in declaration order (integer ones truncated)."""
+def complete_draw(model: EstModel, raw: Mapping[str, float]) -> dict:
+    """A new dict of the raw prior values and the complex parameters,
+    evaluated in declaration order (integer ones truncated)."""
     values = dict(raw)
     for cp in model.complex_params:
         x = eval_expr(cp.expression, values)
         if cp.integer:
             x = _truncate_int(x)
         values[cp.name] = x
-    return ParamDraw(values, model.output_names)
+    return values
 
 
 def log_prior_density(model: EstModel, values: Mapping[str, float]) -> float:

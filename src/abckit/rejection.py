@@ -69,6 +69,7 @@ class RetainedSet:
     Carries, gathered once, the pieces every downstream method needs:
     the matched statistic names, the standardizer that defined the
     distance, the (standardized) observed vector, and the retained rows.
+    Every estimate for the observation reads it from here (``obs``).
     """
 
     indices: np.ndarray
@@ -90,23 +91,14 @@ class RetainedSet:
     def n(self) -> int:
         return len(self.indices)
 
-    def observed(self, obs=None) -> np.ndarray:
-        """Raw values of an observation in ``stat_names`` order: ``None``
-        is the retained set's own, an :class:`ObservedStats` is matched by
-        name, an array is taken as it is (one vector, or one per row)."""
-        if obs is None:
-            return self.obs
-        if isinstance(obs, ObservedStats):
-            return obs.vector(self.stat_names)
-        values = np.asarray(obs, dtype=float)
+    def standardized(self, stats) -> np.ndarray:
+        """Raw statistic values in ``stat_names`` order (one vector, or
+        one per row) on the distance scale."""
+        values = np.asarray(stats, dtype=float)
         if values.ndim == 0 or values.shape[-1] != len(self.stat_names):
             raise ValueError(f"expected {len(self.stat_names)} statistics, "
                              f"got an array of shape {values.shape}")
-        return values
-
-    def standardized(self, obs=None) -> np.ndarray:
-        """An observation (see :meth:`observed`) on the distance scale."""
-        return self.standardizer.transform(self.observed(obs))
+        return self.standardizer.transform(values)
 
 
 def prune_correlated(table: SimulationTable, max_cor: float):

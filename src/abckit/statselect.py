@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, TableFormatError
-from .tableio import ObservedStats, SimulationTable, format_value
+from .tableio import ObservedStats, SimulationTable
 from .validation import ModelChoiceSettings, model_choice_validate
 
 log = logging.getLogger(__name__)
@@ -326,7 +326,7 @@ class StatMap:
             x = np.column_stack([x[:, self.keep], scores])
         return x if self.pick is None else x[:, self.pick]
 
-    def observed(self, obs: ObservedStats) -> ObservedStats:
+    def observation(self, obs: ObservedStats) -> ObservedStats:
         """The map of an observation, as a one-row matrix."""
         return ObservedStats(self.out_names, self(obs.values[None, :])[0])
 
@@ -350,7 +350,8 @@ def boost(table: SimulationTable) -> SimulationTable:
 
 
 def boost_observed(obs: ObservedStats) -> ObservedStats:
-    return StatMap(obs.names, boosting=True, source="observation").observed(obs)
+    return StatMap(obs.names, boosting=True,
+                   source="observation").observation(obs)
 
 
 def transform(data, comb: LinearCombDef, n_components=None,
@@ -365,7 +366,7 @@ def transform(data, comb: LinearCombDef, n_components=None,
     if isinstance(data, ObservedStats):
         return StatMap(data.names, comb=comb, n_components=n_components,
                        apply_boxcox=apply_boxcox,
-                       source="observation").observed(data)
+                       source="observation").observation(data)
     return StatMap(data.names, comb=comb, n_components=n_components,
                    apply_boxcox=apply_boxcox,
                    stat_idx=data.stat_idx).table(data)

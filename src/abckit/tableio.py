@@ -178,10 +178,6 @@ class SimulationTable:
 
     # -- derived tables --------------------------------------------------
 
-    def take_rows(self, idx) -> "SimulationTable":
-        return SimulationTable(self.names, self.values[np.asarray(idx)],
-                               self.param_idx, self.stat_idx)
-
     def with_stats(self, names: Sequence[str]) -> "SimulationTable":
         """Restrict the statistic set to ``names`` (params kept as-is)."""
         cols = list(self.param_idx)

@@ -1,9 +1,9 @@
 """Diagnostics for estimations and model choice.
 
-Model fit is probed with two statistics of the observation relative to the
-retained cloud: its marginal density under the fitted likelihood model,
-and its Tukey (halfspace) depth, each turned into a P-value by ranking the
-observation among retained simulations.  Estimation accuracy and bias are
+Model fit is probed with two statistics of the observation a retained set
+carries, relative to its cloud: its marginal density under the fitted
+likelihood model and its Tukey (halfspace) depth, each turned into a
+P-value by ranking it among the cloud.  Estimation accuracy and bias are
 probed by leave-one-out cross-validation on pseudo-observed data sets,
 recording point estimates, the posterior quantile of the true value, and
 the smallest credible level containing it; Kolmogorov-Smirnov tests of
@@ -53,8 +53,7 @@ class FitPValues:
     n_checked: int
 
 
-def marginal_density_pvalue(fit, retained: RetainedSet, obs=None,
-                            n_check=None,
+def marginal_density_pvalue(fit, retained: RetainedSet, n_check=None,
                             dirac_peak_width=adjust.DEFAULT_PEAK_WIDTH):
     """Fraction of retained simulations whose marginal density is at most
     the observation's.  Returns ``(pvalue, log_density_obs)``."""
@@ -63,7 +62,7 @@ def marginal_density_pvalue(fit, retained: RetainedSet, obs=None,
         raise ValueError(f"cannot check {n_check} of {retained.n} retained rows")
     # the observation and the cloud go through one call, so a cloud member
     # compared with itself ties exactly
-    stats = np.vstack([retained.observed(obs), retained.stats[:n_check]])
+    stats = np.vstack([retained.obs, retained.stats[:n_check]])
     ld = adjust.glm_log_marginal_densities(fit, retained, stats,
                                            dirac_peak_width)
     return float((ld[1:] <= ld[0]).mean()), float(ld[0])
@@ -164,18 +163,18 @@ def tukey_pvalue(points: np.ndarray, obs: np.ndarray, n_check=None,
     return float((sim_depth <= obs_depth).mean()), obs_depth
 
 
-def fit_pvalues(fit, retained: RetainedSet, obs=None, n_marginal=None,
-                n_tukey=None, n_projections: int = 1000, rng=None,
+def fit_pvalues(fit, retained: RetainedSet, n_marginal=None, n_tukey=None,
+                n_projections: int = 1000, rng=None,
                 dirac_peak_width=adjust.DEFAULT_PEAK_WIDTH) -> FitPValues:
-    """Both model-fit tests against one retained set, each on its first
-    ``n_marginal`` / ``n_tukey`` retained rows (all by default; a count
-    outside 1 to ``retained.n`` is a ``ValueError``).  ``n_checked`` is
-    the larger of the two counts."""
+    """Both model-fit tests of the retained set's observation against the
+    set itself, each on its first ``n_marginal`` / ``n_tukey`` retained
+    rows (all by default; a count outside 1 to ``retained.n`` is a
+    ``ValueError``).  ``n_checked`` is the larger of the two counts."""
     n_marginal = retained.n if n_marginal is None else int(n_marginal)
     n_tukey = retained.n if n_tukey is None else int(n_tukey)
-    marg_p, obs_ld = marginal_density_pvalue(fit, retained, obs, n_marginal,
+    marg_p, obs_ld = marginal_density_pvalue(fit, retained, n_marginal,
                                              dirac_peak_width)
-    tuk_p, depth = tukey_pvalue(retained.stats_std, retained.standardized(obs),
+    tuk_p, depth = tukey_pvalue(retained.stats_std, retained.obs_std,
                                 n_tukey, n_projections, rng)
     return FitPValues(adjust.safe_exp(obs_ld), obs_ld, marg_p, depth, tuk_p,
                       max(n_marginal, n_tukey))

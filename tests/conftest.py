@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ def make_toy_table(model: str, n_sims: int, seed: int,
     names = ("mu", "sigma2") + TOY_STAT_NAMES
     return SimulationTable(names, np.column_stack([mu, sigma2, stats]),
                            (0, 1), tuple(range(2, 10)))
+
+
+def take_rows(table: SimulationTable, idx) -> SimulationTable:
+    """The rows ``idx`` of ``table``, as a table of their own."""
+    return SimulationTable(table.names, table.values[np.asarray(idx)],
+                           table.param_idx, table.stat_idx)
+
+
+def observed_at(retained, stats):
+    """The retained set with its observation moved to the raw statistics
+    ``stats``."""
+    return dataclasses.replace(retained, obs=stats,
+                               obs_std=retained.standardized(stats))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,8 @@ from abckit.errors import ConfigError, NumericalError
 from abckit.rejection import retain
 from abckit.tableio import ObservedStats, SimulationTable
 
+from conftest import observed_at
+
 
 def build_table(params, stats, pnames=None, snames=None):
     params = np.atleast_2d(params)
@@ -197,7 +199,7 @@ class TestGaussianCore:
         fit = glm_fit(r2)
         joint = joint_posterior(fit, r2, n_points=25)
         # the mixture evaluated point by point with scipy, on the same grid
-        mix = adjust._glm_mixture(fit, r2, None, adjust.DEFAULT_PEAK_WIDTH)
+        mix = adjust._glm_mixture(fit, r2, adjust.DEFAULT_PEAK_WIDTH)
         ugrids = [(g - fit.lo[k]) / (fit.hi[k] - fit.lo[k])
                   for k, g in enumerate(joint.grids)]
         cov = mix.cov.copy()
@@ -445,7 +447,7 @@ class TestMarginalDensity:
                           [0.2, -0.2])
         fit = glm_fit(r)
         batch = glm_log_marginal_densities(fit, r, r.stats[:5])
-        singles = [glm_log_marginal_density(fit, r, r.stats[i])
+        singles = [glm_log_marginal_density(fit, observed_at(r, r.stats[i]))
                    for i in range(5)]
         np.testing.assert_allclose(batch, singles, rtol=1e-10)
 

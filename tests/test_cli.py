@@ -14,6 +14,8 @@ from abckit.tableio import (ObservedStats, OutputTag, format_value,
                             read_observed, read_table, write_tagged,
                             write_observed, write_table)
 
+from conftest import take_rows
+
 
 def test_estimate_two_models_end_to_end(tmp_path, monkeypatch, norm_table,
                                         unif_table, toy_obs):
@@ -140,8 +142,8 @@ def test_config_error_exits_1_without_traceback(tmp_path, toy_obs):
 def _write_toy_inputs(directory, norm_table, unif_table, toy_obs, rows=2000):
     """The first ``rows`` simulations of each toy model and the toy
     observation, as the CLI reads them."""
-    write_table(directory / "normal.txt", norm_table.take_rows(np.arange(rows)))
-    write_table(directory / "uniform.txt", unif_table.take_rows(np.arange(rows)))
+    write_table(directory / "normal.txt", take_rows(norm_table, range(rows)))
+    write_table(directory / "uniform.txt", take_rows(unif_table, range(rows)))
     write_observed(directory / "obs.txt", toy_obs)
 
 
@@ -239,9 +241,48 @@ def test_estimate_plot_data_writes_rejection_densities(tmp_path, monkeypatch,
         assert 0.9 < np.trapezoid(f, grid) <= 1.0 + 1e-4
 
 
+def test_two_model_rejection_densities_come_from_the_retained_rows(
+        tmp_path, monkeypatch, norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC",
+                     "plotData=1", "writeRetained=1"])
+    assert code == 0
+    for m in (0, 1):
+        best = read_table(tmp_path / f"ABC_model{m}_BestSimsParamStats_Obs0.txt")
+        dens = read_table(tmp_path / f"ABC_model{m}_rejectionDensities_Obs0.txt")
+        for name in ("mu", "sigma2"):
+            lo, hi = _column(best, name).min(), _column(best, name).max()
+            grid = _column(dens, name)
+            # the kernel grid spans the retained range padded by 10 %
+            np.testing.assert_allclose(
+                [grid[0], grid[-1]],
+                [lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)], rtol=1e-5)
+
+
+def test_pruned_statistics_leave_the_observation_too(tmp_path, monkeypatch,
+                                                      caplog, norm_table,
+                                                      unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC",
+                     "pruneCorrelatedStats=1", "maxCor=0.9",
+                     "writeRetained=1"])
+    assert code == 0
+    assert "pruned 2 correlated statistic(s): median, range" in caplog.text
+    for m in (0, 1):
+        best = read_table(tmp_path / f"ABC_model{m}_BestSimsParamStats_Obs0.txt")
+        assert best.names == ("mu", "sigma2", "mean", "var", "min", "max",
+                              "Q1", "Q3", "distance")
+
+
 def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
     monkeypatch.chdir(tmp_path)
-    table = norm_table.take_rows(np.arange(400))
+    table = take_rows(norm_table, np.arange(400))
     write_table(tmp_path / "sims.txt", table)
     comb = statselect.fit_pls(table, 3, 5, rng=4).definition
     comb.save(tmp_path / "lincomb.txt")
@@ -498,7 +539,7 @@ def test_validation_logs_failed_replicates_and_skipped_coverage(
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
                                                        caplog, norm_table):
     monkeypatch.chdir(tmp_path)
-    table = norm_table.take_rows(np.arange(200))
+    table = take_rows(norm_table, np.arange(200))
     write_table(tmp_path / "sims.txt", table)
     statselect.fit_pls(table, 1, 5, rng=4).definition.save(
         tmp_path / "lincomb.txt")

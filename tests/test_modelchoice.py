@@ -11,6 +11,8 @@ from abckit.models import TOY_STAT_NAMES, toy_stats
 from abckit.tableio import ObservedStats, SimulationTable, read_table
 from abckit.validation import ModelChoiceSettings, model_choice_validate
 
+from conftest import take_rows
+
 
 def make_table(rng, n, shift=0.0, noise=1.0, names=("s0", "s1")):
     theta = rng.uniform(0, 1, size=(n, 1))
@@ -157,7 +159,7 @@ class TestNormalVersusUniform:
 
 
 def without_row(table, i):
-    return table.take_rows(np.delete(np.arange(table.n_rows), i))
+    return take_rows(table, np.delete(np.arange(table.n_rows), i))
 
 
 class TestLeaveOneOut:
@@ -169,8 +171,8 @@ class TestLeaveOneOut:
 
     @pytest.fixture(scope="class")
     def tables(self, norm_table, unif_table):
-        return [norm_table.take_rows(np.arange(1500)),
-                unif_table.take_rows(np.arange(1200))]
+        return [take_rows(norm_table, np.arange(1500)),
+                take_rows(unif_table, np.arange(1200))]
 
     def pairs(self, tables):
         for m, i in self.EXCLUDED:
@@ -230,14 +232,14 @@ class TestUnequalSizeWarning:
                 if r.getMessage().startswith("tables have unequal sizes")]
 
     def test_equal_tables_never_warn(self, caplog, norm_table, unif_table):
-        tables = [norm_table.take_rows(np.arange(200)),
-                  unif_table.take_rows(np.arange(200))]
+        tables = [take_rows(norm_table, np.arange(200)),
+                  take_rows(unif_table, np.arange(200))]
         assert self.warnings(caplog, tables) == []
 
     def test_unequal_tables_warn_once_per_query(self, caplog, norm_table,
                                                 unif_table):
-        tables = [norm_table.take_rows(np.arange(200)),
-                  unif_table.take_rows(np.arange(150))]
+        tables = [take_rows(norm_table, np.arange(200)),
+                  take_rows(unif_table, np.arange(150))]
         found = self.warnings(caplog, tables)
         assert len(found) == 10
         assert all("(200, 150)" in r.getMessage() for r in found)

@@ -78,8 +78,8 @@ class TestSimulateToy:
 
     def test_normal_pooled_mean(self):
         rng = np.random.default_rng(2)
-        p = ToyParams(0.3, 1.0, sample_size=1000)
-        means = [simulate_toy("normal", p, rng)[0] for _ in range(100)]
+        p = ToyParams(0.3, 1.0)
+        means = [simulate_toy("normal", p, rng)[0] for _ in range(1000)]
         # 1e5 pooled draws: the pooled mean is within 0.01 of 0.3
         assert abs(np.mean(means) - 0.3) < 0.01
 

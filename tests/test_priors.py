@@ -230,7 +230,7 @@ class TestSampling:
         m = parse_est(POPGEN_EST)
         rng = np.random.default_rng(8)
         d = sample(m, rng)
-        assert "N_CUR" in d.values and "N_CUR" not in d.output_names
+        assert "N_CUR" in d and "N_CUR" not in m.output_names
         # N_CUR is integer-flagged, so it is truncated toward zero
         assert d["N_CUR"] == float(math.trunc(10 ** d["LOG10_N_CUR"]))
 
@@ -242,7 +242,7 @@ class TestSampling:
         assert d["N_CUR"] == float(math.trunc(10 ** 4.5))     # integer flag
         assert d["T1"] == float(math.trunc(0.25 * 2 * d["N_CUR"]))
         assert d["OMEGA"] == pytest.approx(10 ** 0.5)
-        assert d.output_names == m.output_names
+        assert type(d) is dict and set(d) == set(m.all_names)
         assert "N_CUR" not in raw                # the input is not modified
 
     def test_sample_is_complete_draw_of_its_priors(self):

@@ -7,6 +7,8 @@ from abckit.errors import NumericalError, TableFormatError
 from abckit.rejection import Standardizer, prune_correlated, retain
 from abckit.tableio import ObservedStats, SimulationTable
 
+from conftest import take_rows
+
 
 def random_table(rng, n_rows=100, n_stats=5, n_params=2):
     names = tuple(f"p{i}" for i in range(n_params)) + tuple(
@@ -215,7 +217,7 @@ class TestRetentionEngine:
     @pytest.mark.parametrize("decimals", [0, 1])
     def test_exact_ties_match_reference(self, norm_table, decimals):
         # two statistics on a coarse grid: many rows share their vector
-        table = rounded_table(norm_table.take_rows(np.arange(3000)).with_stats(
+        table = rounded_table(take_rows(norm_table, range(3000)).with_stats(
             norm_table.stat_names[:2]), decimals)
         rng = np.random.default_rng(32 + decimals)
         straddling = 0
@@ -242,7 +244,7 @@ class TestRetentionEngine:
 
     @pytest.mark.parametrize("where", ["first", "last"])
     def test_exclude_end_rows_keeping_all_others(self, unif_table, where):
-        table = unif_table.take_rows(np.arange(500))
+        table = take_rows(unif_table, np.arange(500))
         i = 0 if where == "first" else table.n_rows - 1
         pseudo = ObservedStats(table.stat_names, table.stats[i])
         r = retain(table, pseudo, count=table.n_rows - 1, exclude=i)
@@ -254,7 +256,7 @@ class TestRetentionEngine:
             retain(table, pseudo, count=table.n_rows, exclude=i)
 
     def test_tolerance_counts_the_remaining_rows(self, norm_table):
-        table = norm_table.take_rows(np.arange(1001))
+        table = take_rows(norm_table, np.arange(1001))
         rng = np.random.default_rng(34)
         for i, _, pseudo in self.queries(table, rng, 20):
             r = retain(table, pseudo, tol=0.05, exclude=i)
@@ -381,13 +383,17 @@ class TestStandardizedObservation:
         self.r = retain(self.table, self.obs, count=20)
 
     def test_none_is_own_observation(self):
-        np.testing.assert_array_equal(self.r.standardized(), self.r.obs_std)
-        np.testing.assert_array_equal(self.r.observed(), self.obs.values)
+        # the retained set carries its own observation, raw and standardized
+        np.testing.assert_array_equal(self.r.standardized(self.r.obs),
+                                      self.r.obs_std)
+        np.testing.assert_array_equal(self.r.obs, self.obs.values)
 
     def test_observed_stats_matched_by_name(self):
+        # retain matches the observation to the table by name
         shuffled = ObservedStats(self.obs.names[::-1], self.obs.values[::-1])
-        np.testing.assert_array_equal(self.r.standardized(shuffled),
-                                      self.r.obs_std)
+        r = retain(self.table, shuffled, count=20)
+        assert r.stat_names == self.r.stat_names[::-1]
+        np.testing.assert_array_equal(r.obs_std[::-1], self.r.obs_std)
 
     def test_arrays_one_vector_or_rows(self):
         rows = self.table.stats[:3]
@@ -399,4 +405,4 @@ class TestStandardizedObservation:
         with pytest.raises(ValueError, match="expected 5 statistics"):
             self.r.standardized(np.zeros(4))
         with pytest.raises(ValueError, match="expected 5 statistics"):
-            self.r.observed(np.zeros((2, 6)))
+            self.r.standardized(np.zeros((2, 6)))

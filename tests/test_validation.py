@@ -17,6 +17,8 @@ from abckit.validation import (ConfusionMatrix, GlmSettings,
                                model_choice_validate, tukey_depth,
                                tukey_pvalue, validation_table)
 
+from conftest import observed_at, take_rows
+
 
 def gaussian_cloud_retained(rng, n=400, d=2, obs=None):
     params = rng.uniform(size=(n, 1))
@@ -210,14 +212,14 @@ class TestMarginalDensityPValue:
         rng = np.random.default_rng(78)
         r = gaussian_cloud_retained(rng)
         fit = glm_fit(r)
-        p, _ = marginal_density_pvalue(fit, r, np.zeros(2))
+        p, _ = marginal_density_pvalue(fit, r)
         assert p > 0.95
 
     def test_far_observation_zero(self):
         rng = np.random.default_rng(79)
         r = gaussian_cloud_retained(rng, obs=[10.0, 10.0])
         fit = glm_fit(r)
-        p, _ = marginal_density_pvalue(fit, r, np.array([10.0, 10.0]))
+        p, _ = marginal_density_pvalue(fit, r)
         assert p == 0.0
 
     def test_uniform_over_cloud_members(self):
@@ -233,7 +235,8 @@ class TestMarginalDensityPValue:
         ps = (lds[None, :] <= lds[chosen, None]).mean(axis=1)
         assert sps.kstest(ps, "uniform").pvalue > 0.01
         for i in chosen[:3]:
-            got, obs_ld = marginal_density_pvalue(fit, r, r.stats[i])
+            got, obs_ld = marginal_density_pvalue(fit,
+                                                  observed_at(r, r.stats[i]))
             # the observation and the cloud share one evidence call, so a
             # member compared with itself ties exactly
             assert obs_ld == lds[i]
@@ -247,7 +250,8 @@ class TestMarginalDensityPValue:
         fit = glm_fit(r)
         lds = glm_log_marginal_densities(fit, r, r.stats)
         for i in range(r.n):
-            got, obs_ld = marginal_density_pvalue(fit, r, r.stats[i])
+            got, obs_ld = marginal_density_pvalue(fit,
+                                                  observed_at(r, r.stats[i]))
             assert obs_ld == lds[i]
             assert got == (lds <= lds[i]).mean()
 
@@ -256,7 +260,7 @@ class TestMarginalDensityPValue:
         r = gaussian_cloud_retained(rng, n=50)
         fit = glm_fit(r)
         with pytest.raises(ValueError):
-            marginal_density_pvalue(fit, r, np.zeros(2), n_check=51)
+            marginal_density_pvalue(fit, r, n_check=51)
 
 
 def uniform_prior_estimator(table, pseudo, exclude):
@@ -341,7 +345,7 @@ class TestCrossValidate:
 
 
 def without_row(table, i):
-    return table.take_rows(np.delete(np.arange(table.n_rows), i))
+    return take_rows(table, np.delete(np.arange(table.n_rows), i))
 
 
 def copying_estimator(settings):
@@ -363,7 +367,7 @@ class TestLeaveOneOutLoops:
 
     @pytest.mark.parametrize("mode", ["random", "retained"])
     def test_cross_validate_matches_copies(self, norm_table, toy_obs, mode):
-        table = norm_table.take_rows(np.arange(2000))
+        table = take_rows(norm_table, np.arange(2000))
         settings = GlmSettings(num_retained=200, n_points=50)
         obs = toy_obs if mode == "retained" else None
         got = cross_validate(table, mode, 15, settings, rng=41, obs=obs)
@@ -587,3 +591,52 @@ class TestModelChoiceValidation:
         tables = two_tables(rng, separation=1.0)
         with pytest.raises(ValueError):
             model_choice_validate(tables, 401, rng=99)
+
+
+class TestModelChoiceCalibration:
+    """Calibration of the ABC-GLM model probabilities: among
+    pseudo-observations given probability p for model 0, a share near p
+    comes from model 0.  Both models have the parameter ``t ~ U(0, 2)`` and
+    the statistics ``(t, c_m) + N(0, 0.5^2 I)`` with ``c = (0, 1)``, so the
+    local likelihood of each is exactly linear and Gaussian, and the second
+    statistic alone tells the models apart.  Equal draws per model make the
+    model prior uniform, as ``glm_model_choice`` assumes.  The raw rows are
+    binned by p0 into five equal bins; each bin of at least 20 rows must
+    hold a share of model-0 rows within 3 binomial standard errors of its
+    mean p0.  The seeds, sizes, bins and bound were fixed before the first
+    run."""
+
+    SEED = 20261020
+    ROWS, RETAINED, N_VAL = 3000, 300, 300
+    EDGES = np.linspace(0.0, 1.0, 6)
+    MIN_ROWS, BOUND = 20, 3.0
+
+    def test_model_probabilities_are_calibrated(self):
+        rng = np.random.default_rng(self.SEED)
+        tables = []
+        for c in (0.0, 1.0):
+            t = rng.uniform(0.0, 2.0, self.ROWS)
+            s = np.column_stack([t, np.full(self.ROWS, c)])
+            s += 0.5 * rng.normal(size=(self.ROWS, 2))
+            tables.append(SimulationTable(("t", "s0", "s1"),
+                                          np.column_stack([t, s]),
+                                          (0,), (1, 2)))
+        settings = ModelChoiceSettings("glm", num_retained=self.RETAINED)
+        _, raw = model_choice_validate(tables, self.N_VAL, settings,
+                                       rng=self.SEED + 1)
+        truth = np.array([m == 0 for m, _ in raw], dtype=float)
+        p0 = np.array([probs[0] for _, probs in raw])
+        bins = np.clip(np.digitize(p0, self.EDGES) - 1, 0, len(self.EDGES) - 2)
+        checked = 0
+        for b in range(len(self.EDGES) - 1):
+            inside = bins == b
+            n = int(inside.sum())
+            if n < self.MIN_ROWS:
+                continue
+            checked += 1
+            mean_p = p0[inside].mean()
+            se = np.sqrt(mean_p * (1.0 - mean_p) / n)
+            share = truth[inside].mean()
+            assert abs(share - mean_p) <= self.BOUND * se, (b, n, share,
+                                                            mean_p)
+        assert checked >= 3
