@@ -142,9 +142,9 @@ def glm_fit(retained: RetainedSet) -> GlmFit:
             f"parameter(s) constant among retained simulations: {', '.join(flat)}")
     u = (theta - lo) / (hi - lo)
     design = np.column_stack([np.ones(n), u])
-    if np.linalg.matrix_rank(design) < p + 1:
+    coef, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
+    if rank < p + 1:
         raise NumericalError("rank-deficient parameter design")
-    coef, *_ = np.linalg.lstsq(design, z, rcond=None)
     resid = z - design @ coef
     dof = max(n - p - 1, 1)
     sigma = resid.T @ resid / dof + 1e-8 * np.eye(z.shape[1])

@@ -189,18 +189,14 @@ def _split_models(cfg: Config):
     for name, t in zip(sim_names, tables):
         if t.n_rows == 0:
             raise TableFormatError(f"{name} contains no usable simulations")
-    if cfg.get_bool("pruneCorrelatedStats", False):
-        max_cor = cfg.get_float("maxCor", 1.0)
-        if not 0 < max_cor <= 1:
-            raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
-        pruned, dropped = prune_correlated(tables[0], max_cor)
-        keep = pruned.stat_names
-        tables = [t.with_stats([n for n in keep if n in t.stat_names])
-                  for t in tables]
-    else:
-        cfg.get_float("maxCor", 1.0)
-        dropped = []
-    return tables, dropped
+    max_cor = cfg.get_float("maxCor", 1.0)
+    if not cfg.get_bool("pruneCorrelatedStats", False):
+        return tables, []
+    if not 0 < max_cor <= 1:
+        raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
+    pruned, dropped = prune_correlated(tables[0], max_cor)
+    return [t.with_stats([n for n in pruned.stat_names if n in t.stat_names])
+            for t in tables], dropped
 
 
 def _without(obs: ObservedStats, dropped) -> ObservedStats:
@@ -392,7 +388,7 @@ def _task_estimate(cfg: Config, rng) -> None:
             _log_coverage(rows, f"random validation (model {m})")
     if n_mc_val:
         mc_settings = validation.ModelChoiceSettings("glm", num_retained, None,
-                                                     dirac)
+                                                     dirac, standardize)
         cm, raw = validation.model_choice_validate(tables, n_mc_val,
                                                    mc_settings, rng)
         write_tagged(prefix, OutputTag.CONFUSION_MATRIX,

@@ -19,6 +19,7 @@ without it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,54 +77,48 @@ def _common_stats(tables) -> list[str]:
     return list(first)
 
 
-def _pooled_row(tables, exclude):
-    """Row of the pooled statistic matrix that ``exclude=(model, row)``
-    names, or ``None``."""
+def _pooled(tables, names, exclude):
+    """The statistics of all tables stacked and the model of each row,
+    both without the row that ``exclude=(model, row)`` names."""
+    pooled = np.vstack([t.stat_matrix(names) for t in tables])
+    origin = np.repeat(np.arange(len(tables)), [t.n_rows for t in tables])
     if exclude is None:
-        return None
+        return pooled, origin
     model, row = exclude
     if not 0 <= row < tables[model].n_rows:
         raise ValueError(f"excluded row {row} outside model {model}'s "
                          f"{tables[model].n_rows} rows")
-    return sum(t.n_rows for t in tables[:model]) + row
-
-
-def _pooled_standardizer(tables, names, exclude=None) -> Standardizer:
-    pooled = np.vstack([t.stat_matrix(names) for t in tables])
-    row = _pooled_row(tables, exclude)
-    if row is not None:
-        pooled = np.delete(pooled, row, axis=0)
-    return Standardizer.fit(pooled, names)
+    row += sum(t.n_rows for t in tables[:model])
+    return np.delete(pooled, row, axis=0), np.delete(origin, row)
 
 
 def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
                            exclude=None) -> ModelChoiceResult:
     """Model probabilities from the share of retained pooled simulations.
 
-    All rows are pooled, standardized jointly, and the closest
-    ``ceil(tol * total)`` (or ``count``) kept; each model's evidence is its
-    acceptance rate, which corrects for unequal table sizes.
+    All rows are pooled, standardized jointly, and the closest ``count``
+    kept, or ``ceil(tol * total)`` when ``tol`` is given, the total less
+    any excluded row; each model's evidence is its acceptance rate, which
+    corrects for unequal table sizes.
     """
     names = _common_stats(tables)
-    row = _pooled_row(tables, exclude)
-    sizes = np.array([t.n_rows for t in tables])
-    if len(set(sizes)) > 1:
+    values, origin = _pooled(tables, names, exclude)
+    full_sizes = [t.n_rows for t in tables]
+    if len(set(full_sizes)) > 1:
         log.warning("tables have unequal sizes (%s); correcting acceptance "
-                    "rates accordingly", ", ".join(map(str, sizes)))
-    pooled_values = np.vstack([t.stat_matrix(names) for t in tables])
-    pooled = SimulationTable(tuple(names), pooled_values, (),
-                             tuple(range(len(names))))
-    origin = np.repeat(np.arange(len(tables)), sizes)
-    if row is not None:
-        sizes[exclude[0]] -= 1
+                    "rates accordingly", ", ".join(map(str, full_sizes)))
+    sizes = np.bincount(origin, minlength=len(tables))
+    if tol is not None:
+        if not 0 < tol <= 1:
+            raise ValueError(f"tolerance fraction must be in (0, 1], got {tol}")
+        count = math.ceil(tol * len(values))
 
-    kept = retain(pooled, obs, count=count, tol=tol, exclude=row)
+    pooled = SimulationTable(tuple(names), values, (), tuple(range(len(names))))
+    kept = retain(pooled, obs, count)
     counts = np.bincount(origin[kept.indices], minlength=len(tables))
     rates = counts / sizes
     with np.errstate(divide="ignore"):
         log_rates = np.log(rates)
-    if np.all(np.isinf(log_rates)):
-        raise ValueError("no simulations retained from any model")
     finite = np.isfinite(log_rates)
     probs = np.exp(log_rates - adjust.log_sum_exp(log_rates[finite]))
     probs = np.where(finite, probs, 0.0)
@@ -139,12 +134,12 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     raw statistics with ``standardize=False``).  One table gives its
     retained set and fit with probability 1."""
     names = _common_stats(tables)
-    pooled_std = (_pooled_standardizer(tables, names, exclude) if standardize
-                  else Standardizer.identity(names))
+    pooled_std = (Standardizer.fit(_pooled(tables, names, exclude)[0], names)
+                  if standardize else Standardizer.identity(names))
     retained, fits, log_dens = [], [], []
     for m, t in enumerate(tables):
         row = exclude[1] if exclude is not None and exclude[0] == m else None
-        r = retain(t, obs, count=count, standardizer=pooled_std, exclude=row)
+        r = retain(t, obs, count, pooled_std, exclude=row)
         fit = adjust.glm_fit(r)
         log_dens.append(adjust.glm_log_marginal_density(
             fit, r, dirac_peak_width=dirac_peak_width))

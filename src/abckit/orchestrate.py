@@ -450,7 +450,11 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     chain = dict(boosting=cfg.do_boosting, comb=cfg.lincomb,
                  apply_boxcox=cfg.do_boxcox)
     ttable = StatMap(table.names, stat_idx=table.stat_idx, **chain).table(table)
-    tobs = StatMap(obs.names, source="observation", **chain).observation(obs)
+    # boosted products are named in the simulator's column order
+    rank = {n: i for i, n in enumerate(sim_stat_names)}
+    names = sorted(obs.names, key=lambda n: rank.get(n, len(rank)))
+    tobs = StatMap(names, source="observation", **chain).observation(
+        ObservedStats(names, obs.vector(names)))
     k = math.ceil(cfg.threshold_prop * ttable.n_rows)
     retained = retain(ttable, tobs, count=k)
     epsilon = retained.epsilon

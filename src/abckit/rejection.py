@@ -2,10 +2,11 @@
 distance to the observed statistics, keep the closest.
 
 :func:`retain` is the one retention engine; estimation, model choice and
-every leave-one-out loop call it.  Distances are Euclidean over
-statistics standardized by the mean and standard deviation of the
-simulation set (or by a supplied transform, e.g. one pooled over several
-models); the observation is mapped through the same transform.
+every leave-one-out loop call it with a count and a scale.  Distances are
+Euclidean over statistics standardized by the mean and standard deviation
+of the simulation set, or by a supplied scale (pooled over several
+models, or :meth:`Standardizer.identity` for raw statistics); the
+observation is mapped through the same transform.
 
 Selection partitions the distances around the ``count``-th smallest and
 sorts only the rows below it plus the first rows, in row order, that tie
@@ -14,15 +15,16 @@ ties at the cutoff are broken by row order and results are deterministic.
 
 A leave-one-out replicate passes ``exclude=i`` instead of copying the
 table without row ``i``: that row is left out of the fitted
-standardization, of the row count that bounds ``count`` (and that ``tol``
-scales) and of the candidate rows, while the returned indices still refer
-to the full table.
+standardization, of the row count that bounds ``count`` and of the
+candidate rows, while the returned indices still refer to the full table.
+
+:func:`abs_correlations` is the correlation matrix that statistic pruning
+and the statistic-subset search read.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ from .tableio import ObservedStats, SimulationTable
 
 log = logging.getLogger(__name__)
 
-__all__ = ["Standardizer", "RetainedSet", "prune_correlated", "retain"]
+__all__ = ["Standardizer", "RetainedSet", "abs_correlations",
+           "prune_correlated", "retain"]
 
 
 @dataclass(frozen=True)
@@ -101,57 +104,40 @@ class RetainedSet:
         return self.standardizer.transform(values)
 
 
+def abs_correlations(tables, names) -> np.ndarray:
+    """Absolute Pearson correlations between the statistics ``names`` over
+    the rows of all ``tables`` pooled.  A constant statistic correlates 0
+    with every statistic, itself included."""
+    pooled = np.vstack([t.stat_matrix(names) for t in tables])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.corrcoef(pooled, rowvar=False)
+    return np.abs(np.nan_to_num(np.atleast_2d(c)))
+
+
 def prune_correlated(table: SimulationTable, max_cor: float):
     """Greedily drop statistics too correlated with an already kept one.
 
     Walks the statistic columns in order and drops any whose absolute
-    Pearson correlation with a kept statistic exceeds ``max_cor``
-    (``max_cor = 1.0`` keeps everything).  Returns ``(table, dropped)``.
+    Pearson correlation (:func:`abs_correlations`) with a kept statistic
+    exceeds ``max_cor`` (``max_cor = 1.0`` keeps everything).  Returns
+    ``(table, dropped)``.
     """
     if not 0 < max_cor <= 1:
         raise ValueError(f"max_cor must be in (0, 1], got {max_cor}")
     if table.n_rows < 2:
         raise TableFormatError("need at least 2 rows to measure correlations")
-    stats = table.stats
     names = table.stat_names
-    sd = stats.std(axis=0)
-    centered = stats - stats.mean(axis=0)
+    corr = abs_correlations([table], names)
     kept: list[int] = []
-    dropped: list[str] = []
     for j in range(len(names)):
-        too_close = False
-        for k in kept:
-            denom = sd[j] * sd[k] * table.n_rows
-            if denom == 0:
-                continue
-            r = abs(float(centered[:, j] @ centered[:, k]) / denom)
-            if r > max_cor:
-                too_close = True
-                break
-        if too_close:
-            dropped.append(names[j])
-        else:
+        if not any(corr[j, k] > max_cor for k in kept):
             kept.append(j)
+    dropped = [n for j, n in enumerate(names) if j not in kept]
     if dropped:
         log.warning("pruned %d correlated statistic(s): %s",
                     len(dropped), ", ".join(dropped))
         return table.with_stats([names[j] for j in kept]), dropped
     return table, dropped
-
-
-def _resolve_count(n_rows: int, count, tol) -> int:
-    if (count is None) == (tol is None):
-        raise ValueError("give exactly one of count and tol")
-    if tol is not None:
-        if not 0 < tol <= 1:
-            raise ValueError(f"tolerance fraction must be in (0, 1], got {tol}")
-        count = math.ceil(tol * n_rows)
-    count = int(count)
-    if count <= 0:
-        raise ValueError("retention count must be positive")
-    if count > n_rows:
-        raise ValueError(f"cannot retain {count} of {n_rows} rows")
-    return count
 
 
 def _nearest(dist: np.ndarray, count: int) -> np.ndarray:
@@ -168,21 +154,20 @@ def _nearest(dist: np.ndarray, count: int) -> np.ndarray:
     return rows[np.argsort(dist[rows], kind="stable")]
 
 
-def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
-           standardize: bool = True, standardizer: Standardizer | None = None,
+def retain(table: SimulationTable, obs: ObservedStats, count,
+           standardizer: Standardizer | None = None,
            exclude: int | None = None) -> RetainedSet:
-    """Retain the simulations closest to the observation.
+    """Retain the ``count`` simulations closest to the observation.
 
     Statistics are matched by exact name (order-independent); every
-    observed statistic must be present in the table and finite.  Either an
-    absolute ``count`` or a fraction ``tol`` (count = ceil(tol * rows)) must
-    be given.  A pre-fitted ``standardizer`` may be supplied (e.g. pooled
-    over several models); otherwise one is fitted to the table.
+    observed statistic must be present in the table and finite.  The
+    ``standardizer`` sets the scale (e.g. pooled over several models);
+    without one, a standardizer is fitted to the table.
 
     ``exclude`` names one row to leave out, as if the table had been copied
     without it: it is not in the fitted standardization, not counted in
-    the rows that bound ``count`` and scale ``tol``, and never retained.
-    The returned indices refer to the full table either way.
+    the rows that bound ``count``, and never retained.  The returned
+    indices refer to the full table either way.
 
     The kept rows are the ``count`` closest, ordered by distance with ties
     broken by row order (see :func:`_nearest`).
@@ -214,13 +199,13 @@ def retain(table: SimulationTable, obs: ObservedStats, count=None, tol=None,
             raise ValueError(f"excluded row {exclude} outside the table's "
                              f"{table.n_rows} rows")
         sims = np.delete(sims, exclude, axis=0)
-    count = _resolve_count(len(sims), count, tol)
-    if standardizer is not None:
-        std = standardizer.subset(matched)
-    elif standardize:
-        std = Standardizer.fit(sims, matched)
-    else:
-        std = Standardizer.identity(matched)
+    count = int(count)
+    if count <= 0:
+        raise ValueError("retention count must be positive")
+    if count > len(sims):
+        raise ValueError(f"cannot retain {count} of {len(sims)} rows")
+    std = (Standardizer.fit(sims, matched) if standardizer is None
+           else standardizer.subset(matched))
 
     keep = []
     for j, name in enumerate(matched):

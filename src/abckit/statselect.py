@@ -19,7 +19,8 @@
   distance apply such a map to a table or to one-row matrices.
 * A greedy search ranks statistic subsets by their power to discriminate
   between models, measured by model-choice cross-validation; it stops when
-  the best addition gains less than :data:`MIN_GAIN`.
+  the best addition gains less than :data:`MIN_GAIN`, skipping statistics
+  too correlated (:func:`abckit.rejection.abs_correlations`) with it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, TableFormatError
+from .rejection import abs_correlations
 from .tableio import ObservedStats, SimulationTable
 from .validation import ModelChoiceSettings, model_choice_validate
 
@@ -557,12 +559,6 @@ def subset_power(tables, names, n_val: int,
     return cm.overall_accuracy
 
 
-def _abs_correlations(tables, names):
-    pooled = np.vstack([t.stat_matrix(names) for t in tables])
-    c = np.corrcoef(pooled, rowvar=False)
-    return np.abs(np.nan_to_num(np.atleast_2d(c)))
-
-
 def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = None,
                   max_cor: float = 1.0, rng=None) -> list[SubsetResult]:
     """Greedy forward search for the statistic subset that best separates
@@ -577,7 +573,7 @@ def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = Non
     """
     rng = np.random.default_rng(rng)
     names = list(tables[0].stat_names)
-    corr = _abs_correlations(tables, names)
+    corr = abs_correlations(tables, names)
     idx_of = {n: i for i, n in enumerate(names)}
 
     def pair_cor(subset):

@@ -331,20 +331,15 @@ def write_tagged(prefix: str, tag: OutputTag, payload, model_index=None,
                  obs_index=None, joint_params=None, directory=".") -> Path:
     """Write a result table to its conventional filename and return the path.
 
-    ``payload`` is either a :class:`SimulationTable` or a ``(header, rows)``
-    pair, where rows may mix strings (labels) and numbers.
+    ``payload`` is a ``(header, rows)`` pair, where rows may mix strings
+    (labels) and numbers.
     """
-    name = tagged_filename(prefix, tag, model_index, obs_index, joint_params)
-    path = Path(directory) / name
-    if isinstance(payload, SimulationTable):
-        if payload.n_rows == 0:
-            raise TableFormatError("refusing to write an empty table", path=path)
-        _write_rows(path, payload.names, payload.values)
-    else:
-        header, rows = payload
-        if len(rows) == 0:
-            raise TableFormatError("refusing to write an empty table", path=path)
-        _write_rows(path, header, rows)
+    path = Path(directory) / tagged_filename(prefix, tag, model_index,
+                                             obs_index, joint_params)
+    header, rows = payload
+    if len(rows) == 0:
+        raise TableFormatError("refusing to write an empty table", path=path)
+    _write_rows(path, header, rows)
     return path
 
 

@@ -12,7 +12,9 @@ the exact two-sided P-value of Simard & L'Ecuyer (2011, J. Stat. Softw.
 39(11)), ported from SciPy's ``scipy/stats/_ksstats.py`` into
 :mod:`abckit._kstwo` so that this module does not import ``scipy.stats``.
 Model choice is validated the same way, yielding a confusion matrix and
-the raw posterior model probabilities of each pseudo-observation.
+the raw posterior model probabilities of each pseudo-observation.  The
+settings give every retention its count and, by ``standardize``, its
+scale.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import adjust
 from ._kstwo import kstwo_sf
 from .errors import AbckitError
 from .modelchoice import ModelChoiceResult, glm_model_choice, rejection_model_choice
-from .rejection import RetainedSet, retain
+from .rejection import RetainedSet, Standardizer, retain
 from .tableio import ObservedStats, SimulationTable
 
 log = logging.getLogger(__name__)
@@ -206,10 +208,15 @@ class ValidationRow:
     error: str | None = None
 
 
+def _scale(table: SimulationTable, settings: GlmSettings):
+    # None fits the scale to the table; the identity keeps raw statistics
+    return None if settings.standardize else Standardizer.identity(table.stat_names)
+
+
 def _glm_estimator(table: SimulationTable, pseudo: ObservedStats,
                    exclude: int, settings: GlmSettings) -> adjust.GridPosterior:
-    r = retain(table, pseudo, count=settings.num_retained,
-               standardize=settings.standardize, exclude=exclude)
+    r = retain(table, pseudo, settings.num_retained, _scale(table, settings),
+               exclude)
     fit = adjust.glm_fit(r)
     post, _ = adjust.glm_posterior(fit, r, n_points=settings.n_points,
                                    dirac_peak_width=settings.dirac_peak_width)
@@ -246,8 +253,8 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     elif mode == "retained":
         if obs is None:
             raise ValueError("retained validation needs the actual observation")
-        kept = retain(table, obs, count=settings.num_retained,
-                      standardize=settings.standardize)
+        kept = retain(table, obs, settings.num_retained,
+                      _scale(table, settings))
         pool = np.asarray(kept.indices)
     else:
         raise ValueError(f"unknown validation mode {mode!r}")
@@ -340,10 +347,15 @@ def coverage_tests(rows: list[ValidationRow]) -> dict[str, dict[str, float]]:
 
 @dataclass(frozen=True)
 class ModelChoiceSettings:
+    """``standardize=False`` gives the glm method raw distances; the
+    rejection method, with ``tol`` in place of ``num_retained`` when set,
+    always standardizes."""
+
     method: str = "glm"            # glm | rejection
     num_retained: int = 1000
     tol: float | None = None
     dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH
+    standardize: bool = True
 
 
 @dataclass(frozen=True)
@@ -364,14 +376,11 @@ class ConfusionMatrix:
 def _choose(tables, pseudo, settings: ModelChoiceSettings,
             exclude) -> ModelChoiceResult:
     if settings.method == "rejection":
-        if settings.tol is not None:
-            return rejection_model_choice(tables, pseudo, tol=settings.tol,
-                                          exclude=exclude)
-        return rejection_model_choice(tables, pseudo,
-                                      count=settings.num_retained,
-                                      exclude=exclude)
+        return rejection_model_choice(tables, pseudo, settings.tol,
+                                      settings.num_retained, exclude)
     return glm_model_choice(tables, pseudo, settings.num_retained,
-                            settings.dirac_peak_width, exclude=exclude)
+                            settings.dirac_peak_width, exclude,
+                            settings.standardize)
 
 
 def model_choice_validate(tables, n_val: int,

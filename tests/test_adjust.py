@@ -12,7 +12,7 @@ from abckit.adjust import (GlmFit, glm_fit, glm_log_marginal_densities,
                            joint_posterior, log_sum_exp, safe_exp,
                            weighted_density)
 from abckit.errors import ConfigError, NumericalError
-from abckit.rejection import retain
+from abckit.rejection import Standardizer, retain
 from abckit.tableio import ObservedStats, SimulationTable
 
 from conftest import observed_at
@@ -31,8 +31,8 @@ def build_table(params, stats, pnames=None, snames=None):
 def retained_from(params, stats, obs_values, count=None, standardize=True):
     table = build_table(params, stats)
     obs = ObservedStats(table.stat_names, np.asarray(obs_values, dtype=float))
-    return retain(table, obs, count=count or table.n_rows,
-                  standardize=standardize)
+    scale = None if standardize else Standardizer.identity(table.stat_names)
+    return retain(table, obs, count or table.n_rows, scale)
 
 
 class TestGlmFit:

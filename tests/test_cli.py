@@ -11,8 +11,8 @@ from abckit import adjust, cli, orchestrate, statselect, validation
 from abckit.errors import NumericalError
 from abckit.rejection import retain
 from abckit.tableio import (ObservedStats, OutputTag, format_value,
-                            read_observed, read_table, write_tagged,
-                            write_observed, write_table)
+                            read_observed, read_table, tagged_filename,
+                            write_observed, write_table, write_tagged)
 
 from conftest import take_rows
 
@@ -86,6 +86,27 @@ def test_simulate_standard_and_mcmc_end_to_end(tmp_path, monkeypatch,
     assert mcmc.stat_names[:8] == std.stat_names[:8]
     second = _simulate_pipeline(tmp_path / "b", monkeypatch, toy_obs)
     assert first == second
+
+
+def test_boosted_mcmc_ignores_the_observation_column_order(tmp_path,
+                                                          monkeypatch, toy_obs):
+    # the observation's boosted products are named in the simulator's
+    # column order, whatever the order of the observation file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    order = [1, 0] + list(range(2, len(toy_obs.names)))
+    permuted = ObservedStats([toy_obs.names[j] for j in order],
+                             toy_obs.values[order])
+    written = []
+    for name, obs in (("in", toy_obs), ("perm", permuted)):
+        write_observed(tmp_path / f"{name}.obs", obs)
+        assert cli.main(["task=simulate", "samplerType=MCMC",
+                         "estName=toy.est", "simProgram=toy-normal",
+                         "doBoosting=1", f"obsName={name}.obs",
+                         "numSims=200", "numCaliSims=200", "seed=1",
+                         f"outName={name}"]) == 0
+        written.append((tmp_path / f"{name}_sampling1.txt").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_simulate_table_does_not_depend_on_the_block_size(tmp_path,
@@ -617,6 +638,35 @@ def test_two_models_unstandardized_keep_raw_distances(tmp_path, monkeypatch,
         stats = best.stat_matrix(toy_obs.names)
         raw = np.sqrt(((stats - toy_obs.values) ** 2).sum(axis=1))
         np.testing.assert_allclose(_column(best, "distance"), raw, rtol=1e-4)
+
+
+def test_model_choice_validation_honours_standardize_stats(
+        tmp_path, monkeypatch, norm_table, unif_table, toy_obs):
+    # the files equal the library call with the same scale and seed; only
+    # model-choice validation is asked for, so it is the first to draw
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)
+    monkeypatch.chdir(tmp_path)
+    tables = [read_table(name, "1-2") for name in ("normal.txt", "uniform.txt")]
+    written = []
+    for flag in (0, 1):
+        assert cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                         "params=1-2", "obsName=obs.txt", "numRetained=50",
+                         "maxReadSims=5000", f"outputPrefix=S{flag}",
+                         f"standardizeStats={flag}",
+                         "modelChoiceValidation=15", "seed=3"]) == 0
+        settings = validation.ModelChoiceSettings(
+            "glm", 50, None, adjust.DEFAULT_PEAK_WIDTH, standardize=bool(flag))
+        cm, raw = validation.model_choice_validate(tables, 15, settings,
+                                                   np.random.default_rng(3))
+        for tag, payload in ((OutputTag.CONFUSION_MATRIX,
+                              validation.confusion_table(cm)),
+                             (OutputTag.MODEL_CHOICE_VALIDATION,
+                              validation.raw_choice_table(raw))):
+            want = write_tagged(f"lib{flag}", tag, payload).read_bytes()
+            assert (tmp_path / tagged_filename(f"S{flag}", tag)
+                    ).read_bytes() == want
+        written.append(want)
+    assert written[0] != written[1]
 
 
 TOY_EST_BAD_VARIANCE = """[PARAMETERS]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abckit.errors import NumericalError, TableFormatError
+from abckit.modelchoice import rejection_model_choice
 from abckit.rejection import Standardizer, prune_correlated, retain
 from abckit.tableio import ObservedStats, SimulationTable
 
@@ -43,8 +44,10 @@ class TestRetain:
         assert r.epsilon == pytest.approx(want_d[want_order[29]])
 
     def test_tolerance_fraction(self, norm_table, toy_obs):
-        r = retain(norm_table, toy_obs, tol=0.01)
-        assert r.n == 100
+        # the rejection path turns its fraction into ceil(tol * rows)
+        res = rejection_model_choice([norm_table], toy_obs, tol=0.01)
+        assert norm_table.n_rows == 10000
+        assert res.densities[0] == 100 / 10000
 
     def test_observation_equal_to_row(self):
         rng = np.random.default_rng(12)
@@ -122,8 +125,15 @@ class TestRetain:
         rng = np.random.default_rng(19)
         table = random_table(rng)
         obs = ObservedStats(table.stat_names, np.zeros(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             retain(table, obs)
+        with pytest.raises(TypeError):
+            rejection_model_choice([table], obs)
+        # a tolerance replaces the count: ceil(0.05 * 100) rows, not 10
+        res = rejection_model_choice([table], obs, tol=0.05, count=10)
+        assert res.densities[0] == 5 / 100
+        with pytest.raises(ValueError, match="tolerance fraction"):
+            rejection_model_choice([table], obs, tol=1.5)
 
     def test_constant_stat_matching_obs_excluded(self, caplog):
         values = np.column_stack([np.arange(10.0), np.full(10, 3.0),
@@ -145,7 +155,8 @@ class TestRetain:
         values = np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 5.0]])
         table = SimulationTable(("p", "s"), values, (0,), (1,))
         obs = ObservedStats(("s",), np.array([0.0]))
-        r = retain(table, obs, count=3, standardize=False)
+        r = retain(table, obs, count=3,
+                   standardizer=Standardizer.identity(("s",)))
         np.testing.assert_allclose(r.distances, [0.0, 2.0, 5.0])
 
     def test_external_standardizer(self):
@@ -154,8 +165,12 @@ class TestRetain:
         obs = ObservedStats(table.stat_names, rng.normal(size=5))
         std = Standardizer(table.stat_names, np.zeros(5), np.ones(5))
         r = retain(table, obs, count=10, standardizer=std)
-        raw = retain(table, obs, count=10, standardize=False)
-        np.testing.assert_array_equal(r.indices, raw.indices)
+        raw = np.linalg.norm(table.stats - obs.values, axis=1)
+        np.testing.assert_array_equal(r.indices,
+                                      np.argsort(raw, kind="stable")[:10])
+        np.testing.assert_array_equal(
+            r.indices, retain(table, obs, 10, Standardizer.identity(
+                table.stat_names)).indices)
 
 
 def reference_retain(table, obs, count=None, tol=None, exclude=None,
@@ -237,9 +252,10 @@ class TestRetentionEngine:
                            [4.0, -1.0], [5.0, 1.0]])
         table = SimulationTable(("p", "s"), values, (0,), (1,))
         obs = ObservedStats(("s",), np.array([0.0]))
-        r = retain(table, obs, count=3, standardize=False)
+        raw = Standardizer.identity(("s",))
+        r = retain(table, obs, count=3, standardizer=raw)
         assert r.indices.tolist() == [2, 1, 3]
-        r = retain(table, obs, count=3, standardize=False, exclude=1)
+        r = retain(table, obs, count=3, standardizer=raw, exclude=1)
         assert r.indices.tolist() == [2, 3, 4]
 
     @pytest.mark.parametrize("where", ["first", "last"])
@@ -259,8 +275,11 @@ class TestRetentionEngine:
         table = take_rows(norm_table, np.arange(1001))
         rng = np.random.default_rng(34)
         for i, _, pseudo in self.queries(table, rng, 20):
-            r = retain(table, pseudo, tol=0.05, exclude=i)
-            assert r.n == 50     # ceil(0.05 * 1000), not ceil(0.05 * 1001)
+            res = rejection_model_choice([table], pseudo, tol=0.05,
+                                         exclude=(0, i))
+            # ceil(0.05 * 1000) of 1000 rows, not ceil(0.05 * 1001)
+            assert res.densities[0] == 50 / 1000
+            r = retain(table, pseudo, 50, exclude=i)
             assert_same_retention(r, reference_retain(table, pseudo, tol=0.05,
                                                       exclude=i))
 
@@ -339,6 +358,18 @@ class TestPruneCorrelated:
         pruned, dropped = prune_correlated(table, 1.0)
         assert dropped == []
         assert pruned.stat_names == table.stat_names
+
+    def test_keep_exact_duplicates_at_one(self):
+        # |r| of a column with itself must not round past 1
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            table = random_table(rng, n_rows=int(rng.integers(5, 200)),
+                                 n_stats=3)
+            values = np.column_stack([table.values, table.stats[:, 1]])
+            dup = SimulationTable(table.names + ("dup",), values,
+                                  table.param_idx, table.stat_idx + (5,))
+            _, dropped = prune_correlated(dup, 1.0)
+            assert dropped == [], seed
 
     def test_duplicate_column_dropped(self):
         rng = np.random.default_rng(22)

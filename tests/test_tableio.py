@@ -161,7 +161,8 @@ class TestRoundTrip:
         rng = np.random.default_rng(7)
         values = rng.normal(size=(20, 4)) * 10.0 ** rng.integers(-8, 8, (20, 4))
         t = SimulationTable(("p1", "s1", "s2", "s3"), values, (0,), (1, 2, 3))
-        path = write_tagged("roundtrip", OutputTag.BEST_SIMS, t,
+        path = write_tagged("roundtrip", OutputTag.BEST_SIMS,
+                            (t.names, t.values),
                             model_index=0, obs_index=0, directory=tmp_path)
         back = read_table(path, "1")
         assert back.names == t.names

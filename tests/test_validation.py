@@ -8,7 +8,7 @@ from abckit._kstwo import kstwo_sf
 from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
 from abckit.errors import NumericalError
 from abckit.modelchoice import glm_model_choice, rejection_model_choice
-from abckit.rejection import retain
+from abckit.rejection import Standardizer, retain
 from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
                                ModelChoiceSettings, ValidationRow,
@@ -352,9 +352,10 @@ def copying_estimator(settings):
     """The default estimator, fitted on a copy of the table without the
     left-out row."""
     def estimate(table, pseudo, exclude):
+        scale = (None if settings.standardize
+                 else Standardizer.identity(table.stat_names))
         r = retain(without_row(table, exclude), pseudo,
-                   count=settings.num_retained,
-                   standardize=settings.standardize)
+                   settings.num_retained, scale)
         post, _ = glm_posterior(glm_fit(r), r, n_points=settings.n_points,
                                 dirac_peak_width=settings.dirac_peak_width)
         return post
@@ -365,10 +366,15 @@ class TestLeaveOneOutLoops:
     """The validation loops leave rows out with ``exclude=`` and give what
     copying the tables without those rows gives, to the last bit."""
 
-    @pytest.mark.parametrize("mode", ["random", "retained"])
-    def test_cross_validate_matches_copies(self, norm_table, toy_obs, mode):
+    @pytest.mark.parametrize("mode, standardize", [
+        ("random", True), ("retained", True), ("random", False),
+        ("retained", False)],
+        ids=["random", "retained", "random-raw", "retained-raw"])
+    def test_cross_validate_matches_copies(self, norm_table, toy_obs, mode,
+                                           standardize):
         table = take_rows(norm_table, np.arange(2000))
-        settings = GlmSettings(num_retained=200, n_points=50)
+        settings = GlmSettings(num_retained=200, n_points=50,
+                               standardize=standardize)
         obs = toy_obs if mode == "retained" else None
         got = cross_validate(table, mode, 15, settings, rng=41, obs=obs)
         want = cross_validate(table, mode, 15, settings, rng=41, obs=obs,
@@ -380,6 +386,7 @@ class TestLeaveOneOutLoops:
         ModelChoiceSettings("glm", num_retained=100),
         ModelChoiceSettings("rejection", tol=0.1),
         ModelChoiceSettings("rejection", num_retained=100),
+        ModelChoiceSettings("glm", num_retained=100, standardize=False),
     ])
     def test_model_choice_validate_matches_copies(self, settings):
         tables = two_tables(np.random.default_rng(42), separation=1.0)
@@ -394,7 +401,8 @@ class TestLeaveOneOutLoops:
                 if settings.method == "glm":
                     result = glm_model_choice(trimmed, pseudo,
                                               settings.num_retained,
-                                              settings.dirac_peak_width)
+                                              settings.dirac_peak_width,
+                                              standardize=settings.standardize)
                 elif settings.tol is not None:
                     result = rejection_model_choice(trimmed, pseudo,
                                                     tol=settings.tol)
