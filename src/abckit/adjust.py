@@ -8,8 +8,8 @@ parameter vector, everything downstream is closed form: the model marginal
 density used for model choice, grid posteriors, and joint posteriors with
 credible levels.  All of it rests on one Gaussian core: a Cholesky factor
 and the whitened squared distances between two point sets, computed in
-blocks of bounded size.  :func:`weighted_density` gives the kernel density
-of the retained values themselves (the rejection posterior).  The
+blocks of bounded size.  :func:`weighted_density` draws the kernel density
+of the retained values (the rejection posterior) on the same core.  The
 observation is always the one the retained set was retained for.
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
@@ -84,24 +84,27 @@ def log_sum_exp(a, axis=None):
 
 def weighted_density(samples):
     """Gaussian kernel density of a sample on 512 points spanning its
-    range padded by 10% on each side.
+    range padded by 10% on each side.  Returns ``(grid, density)``.
 
-    Bandwidth follows Silverman's rule.  Returns ``(grid, density)``.
-
-    The kernel estimate is ``scipy.stats.gaussian_kde``, imported here
-    rather than with the module: the first call loads ``scipy.stats``
-    (about half a second), which no other path of the program needs.
-    """
-    from scipy.stats import gaussian_kde
-
+    The equal-weight mixture of one component per value, with Silverman's
+    bandwidth (floored at half a grid step) and ``gaussian_kde``'s
+    normalization."""
     samples = np.asarray(samples, dtype=float).ravel()
     lo, hi = samples.min(), samples.max()
     if hi == lo:
         raise NumericalError("cannot estimate a density from a degenerate sample")
-    pad = GRID_PADDING * (hi - lo)
-    grid = np.linspace(lo - pad, hi + pad, 512)
-    kde = gaussian_kde(samples, bw_method="silverman")
-    return grid, kde(grid)
+    u = (samples - lo) / (hi - lo)
+    ug = _unit_grid(512)
+    var = max(u.var(ddof=1) * (0.75 * len(u)) ** -0.4,
+              ((ug[1] - ug[0]) / 2) ** 2)
+    mix = _Mixture(np.zeros(len(u)), u[:, None], np.array([[var]]))
+    f = _mixture_on_grid(mix, [0], [ug]) / math.sqrt(2 * math.pi * var)
+    return lo + ug * (hi - lo), f / (hi - lo)
+
+
+def _unit_grid(n_points: int) -> np.ndarray:
+    """``n_points`` over the unit range padded by ``GRID_PADDING``."""
+    return np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +293,8 @@ class GridPosterior:
     grids: tuple[np.ndarray, ...]
     densities: tuple[np.ndarray, ...]
 
-    def _index(self, param: str) -> int:
-        return self.param_names.index(param)
-
     def density(self, param: str):
-        i = self._index(param)
+        i = self.param_names.index(param)
         return self.grids[i], self.densities[i]
 
     def mean(self, param: str) -> float:
@@ -322,23 +322,22 @@ class GridPosterior:
         """Smallest highest-density credible level containing ``value``."""
         g, f = self.density(param)
         fv = float(np.interp(value, g, f, left=0.0, right=0.0))
-        mass = _cell_masses(g, f)
-        return float(mass[f >= fv].sum())
+        dens, levels, _ = _credible_levels(f, _cell_masses(g, f))
+        return float(levels[np.searchsorted(dens, fv)])
 
     def hdi_bounds(self, param: str, level: float) -> tuple[float, float]:
         g, f = self.density(param)
-        mass = _cell_masses(g, f)
-        order = np.argsort(f)[::-1]
-        cum = np.cumsum(mass[order])
-        k = int(np.searchsorted(cum, level))
-        thresh = f[order[min(k, len(g) - 1)]]
-        inside = g[f >= thresh]
+        # the densest group of equal densities whose level reaches
+        # ``level``, or the least dense group when none does
+        dens, levels, _ = _credible_levels(f, _cell_masses(g, f))
+        inside = g[f >= dens[max(np.count_nonzero(levels >= level) - 1, 0)]]
         return float(inside.min()), float(inside.max())
 
     def characteristics(self, param: str) -> PosteriorCharacteristics:
         g, f = self.density(param)
         mode = float(g[int(np.argmax(f))])
-        qs = {q: float(self.quantile(param, q)) for q in QUANTILE_LEVELS}
+        qs = dict(zip(QUANTILE_LEVELS,
+                      self.quantile(param, QUANTILE_LEVELS).tolist()))
         return PosteriorCharacteristics(
             param, mode, self.mean(param), qs[0.5], qs,
             self.hdi_bounds(param, 0.5), self.hdi_bounds(param, 0.95))
@@ -353,6 +352,14 @@ def _cell_masses(grid: np.ndarray, density: np.ndarray) -> np.ndarray:
     m = density * w
     total = m.sum()
     return m / total if total > 0 else m
+
+
+def _credible_levels(density: np.ndarray, mass: np.ndarray):
+    """Distinct densities (ascending), the credible level of each (the mass
+    of the cells at least as dense), and each cell's index among them."""
+    dens, cell = np.unique(density, return_inverse=True)
+    levels = np.cumsum(np.bincount(cell, weights=mass)[::-1])[::-1]
+    return dens, levels, cell
 
 
 @dataclass(frozen=True)
@@ -419,7 +426,7 @@ def glm_posterior(fit: GlmFit, retained: RetainedSet,
     Returns ``(GridPosterior, {param: PosteriorCharacteristics})``.
     """
     mix = _glm_mixture(fit, retained, dirac_peak_width)
-    ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
+    ug = _unit_grid(n_points)
     grids, densities = [], []
     for k in range(len(fit.param_names)):
         span = fit.hi[k] - fit.lo[k]
@@ -467,8 +474,7 @@ def joint_posterior(fit: GlmFit, retained: RetainedSet, params=None,
     check_joint_grid(len(params), n_points)
     sel = [fit.param_names.index(name) for name in params]
     mix = _glm_mixture(fit, retained, dirac_peak_width)
-    ug = np.linspace(-GRID_PADDING, 1.0 + GRID_PADDING, n_points)
-    ugrids = [ug] * len(sel)
+    ugrids = [_unit_grid(n_points)] * len(sel)
     dens = _mixture_on_grid(mix, sel, ugrids)
 
     spans = np.array([fit.hi[k] - fit.lo[k] for k in sel])
@@ -480,21 +486,12 @@ def joint_posterior(fit: GlmFit, retained: RetainedSet, params=None,
     cell_volume = cell_u * float(np.prod(spans))
     dens_raw = dens / np.prod(spans)
 
-    hdi = _hdi_levels(dens_raw, cell_volume)
+    _, levels, cell = _credible_levels(dens_raw, dens_raw * cell_volume)
     shape = tuple(len(g) for g in ugrids)
     grids = tuple(fit.lo[k] + ugrids[j] * spans[j] for j, k in enumerate(sel))
     return JointGridPosterior(
         tuple(params), grids,
         dens_raw.reshape(shape, order="F"),
-        hdi.reshape(shape, order="F"),
+        levels[cell].reshape(shape, order="F"),
         cell_volume)
 
-
-def _hdi_levels(density: np.ndarray, cell_volume: float) -> np.ndarray:
-    """Credible level of each cell: total mass of cells at least as dense
-    (equal densities share one level)."""
-    mass = density * cell_volume
-    uniq, inverse = np.unique(density, return_inverse=True)
-    mass_per = np.bincount(inverse, weights=mass)
-    cum_from_top = np.cumsum(mass_per[::-1])[::-1]
-    return cum_from_top[inverse]

@@ -323,6 +323,9 @@ def _task_estimate(cfg: Config, rng) -> None:
                  "numRetained")
     _check_count("marDensPValue", n_marg, 1, num_retained, "numRetained")
     _check_count("tukeyPValue", n_tukey, 1, num_retained, "numRetained")
+    if n_tukey and num_retained < 10:
+        raise ConfigError(f"tukeyPValue needs numRetained of at least 10, "
+                          f"got {num_retained}")
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):

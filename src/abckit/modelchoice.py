@@ -108,6 +108,9 @@ def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
         log.warning("tables have unequal sizes (%s); correcting acceptance "
                     "rates accordingly", ", ".join(map(str, full_sizes)))
     sizes = np.bincount(origin, minlength=len(tables))
+    if not sizes.all():
+        raise ValueError(f"model {int(np.argmin(sizes))} has no simulations "
+                         "left to retain")
     if tol is not None:
         if not 0 < tol <= 1:
             raise ValueError(f"tolerance fraction must be in (0, 1], got {tol}")

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from scipy.special import logsumexp
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import gaussian_kde, multivariate_normal, norm
 
 from abckit import adjust
-from abckit.adjust import (GlmFit, glm_fit, glm_log_marginal_densities,
+from abckit.adjust import (GlmFit, GridPosterior, glm_fit,
+                           glm_log_marginal_densities,
                            glm_log_marginal_density, glm_posterior,
                            joint_posterior, log_sum_exp, safe_exp,
                            weighted_density)
@@ -498,3 +499,79 @@ class TestWeightedDensity:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(NumericalError):
             weighted_density(np.ones(50))
+
+    def test_matches_gaussian_kde(self):
+        rng = np.random.default_rng(54)
+
+        def rounded(size):  # many ties
+            return np.round(rng.normal(size=size), 1)
+
+        for draw in (rng.normal, rng.uniform, rng.lognormal, rounded):
+            for n in (4, 9, 57, 400, 3000):
+                x = draw(size=n)
+                lo, hi = x.min(), x.max()
+                g, f = weighted_density(x)
+                pad = 0.1 * (hi - lo)
+                want = np.linspace(lo - pad, hi + pad, 512)
+                assert np.abs(g - want).max() <= 1e-14 * (hi - lo)
+                kde = gaussian_kde(x, "silverman")(want)
+                seen = kde >= 1e-10 * kde.max()
+                np.testing.assert_allclose(f[seen], kde[seen], rtol=1e-10)
+
+    def test_narrow_kernel_integrates_to_one(self):
+        # the Silverman bandwidth of the central cluster is far below a
+        # grid step of the range the two outliers set; floored at half a
+        # step, the kernels stay representable on the grid
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.normal(0, 1e-4, 20000), [-1.0, 1.0]])
+        g, f = weighted_density(x)
+        assert np.trapezoid(f, g) == pytest.approx(1.0, abs=0.02)
+
+
+class TestCredibleLevels:
+    """The credible level rule on random marginal grids with tied
+    densities and runs of zero cells."""
+
+    @staticmethod
+    def grids():
+        rng = np.random.default_rng(55)
+        for _ in range(300):
+            n = int(rng.integers(3, 120))
+            values = np.append(rng.uniform(size=int(rng.integers(1, 6))), 0.0)
+            f = np.sort(rng.choice(values, n))
+            f[-1] = max(f[-1], 0.5)
+            # rising then falling, so each credible set is one interval
+            left = rng.uniform(size=n) < 0.5
+            f = np.concatenate([f[left], f[~left][::-1]])
+            yield rng, np.cumsum(rng.uniform(0.5, 1.5, n)), f
+
+    @staticmethod
+    def masses(g, f):
+        # trapezoid mass of each grid point, normalized
+        d = np.diff(g)
+        mass = f * (np.append(d, 0.0) + np.insert(d, 0, 0.0)) / 2
+        return mass / mass.sum()
+
+    def test_hdi_bounds_hold_the_level(self):
+        for _, g, f in self.grids():
+            mass = self.masses(g, f)
+            post = GridPosterior(("p",), (g,), (f,))
+            for level in (0.5, 0.95):
+                lo, hi = post.hdi_bounds("p", level)
+                inside = (g >= lo) & (g <= hi)
+                threshold = f[inside].min()
+                np.testing.assert_array_equal(inside, f >= threshold)
+                assert mass[f >= threshold].sum() >= level - 1e-12
+                assert mass[f > threshold].sum() < level + 1e-12
+
+    def test_hdi_level_of_is_the_mass_at_least_as_dense(self):
+        for rng, g, f in self.grids():
+            f = rng.permutation(f)
+            mass = self.masses(g, f)
+            post = GridPosterior(("p",), (g,), (f,))
+            values = np.concatenate([rng.choice(g, 10),
+                                     rng.uniform(g[0] - 1, g[-1] + 1, 10)])
+            for v in values:
+                fv = np.interp(v, g, f, left=0.0, right=0.0)
+                assert abs(post.hdi_level_of("p", v)
+                           - mass[f >= fv].sum()) <= 1e-14

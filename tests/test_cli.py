@@ -160,6 +160,25 @@ def test_config_error_exits_1_without_traceback(tmp_path, toy_obs):
     assert "configuration error: numCaliSims" in proc.stderr
 
 
+def test_tukey_pvalue_on_too_few_retained_is_a_config_error(
+        tmp_path, norm_table, unif_table, toy_obs):
+    # the depth P-value needs at least 10 retained rows
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=200)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit.cli", "task=estimate",
+         "simName=normal.txt", "params=1-2", "obsName=obs.txt",
+         "numRetained=8", "maxReadSims=200", "tukeyPValue=5", "seed=1",
+         "outputPrefix=ABC"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "configuration error: tukeyPValue" in proc.stderr
+    assert "numRetained" in proc.stderr
+    assert not list(tmp_path.glob("ABC_*"))
+
+
 def _write_toy_inputs(directory, norm_table, unif_table, toy_obs, rows=2000):
     """The first ``rows`` simulations of each toy model and the toy
     observation, as the CLI reads them."""
@@ -499,15 +518,13 @@ print(code, imported, "scipy.stats" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("extra, loaded", [
-    (["retainedValidation=20", "randomValidation=20",
-      "modelChoiceValidation=2"], False),
-    # the rejection densities use scipy's gaussian_kde
-    (["plotData=1"], True),
-])
-def test_scipy_stats_is_loaded_only_for_plot_data(tmp_path, norm_table,
-                                                  unif_table, toy_obs, extra,
-                                                  loaded):
+@pytest.mark.parametrize("extra", [
+    ["retainedValidation=20", "randomValidation=20",
+     "modelChoiceValidation=2"],
+    ["plotData=1"],
+], ids=["validation", "plotData"])
+def test_scipy_stats_is_never_loaded(tmp_path, norm_table, unif_table,
+                                     toy_obs, extra):
     _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -517,8 +534,11 @@ def test_scipy_stats_is_loaded_only_for_plot_data(tmp_path, norm_table,
          "numRetained=100", "maxReadSims=5000", "seed=4",
          "posteriorDensityPoints=40", *extra],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.stdout.split() == ["0", "False", str(loaded)], proc.stderr
-    if not loaded:
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
+    if extra == ["plotData=1"]:
+        assert (tmp_path / "ABC_GLM_model1_rejectionDensities_Obs0.txt"
+                ).exists()
+    else:
         # every validation ran, and the coverage tests with it
         assert proc.stderr.count(": 0 of 20 replicates failed\n") == 2 + 2
         assert proc.stderr.count(": quantile KS ") == 2 * 2 + 2 * 2

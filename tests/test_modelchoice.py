@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ class TestLeaveOneOut:
                                                         count=50, exclude=e)):
             with pytest.raises(ValueError, match="outside model 1"):
                 method((1, 1200))
+
+    def test_excluding_the_only_row_of_a_model(self, tables):
+        one = take_rows(tables[0], [0])
+        pseudo = ObservedStats(one.stat_names, one.stats[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="model 0 has no simulations"):
+                rejection_model_choice([one, tables[1]], pseudo, count=1,
+                                       exclude=(0, 0))
 
 
 class TestUnequalSizeWarning:
