@@ -44,7 +44,8 @@ second).  The methods, chosen by ``n`` and ``n d^2``: Ruben-Gambino closed
 forms near the ends of the support, twice the one-sided ``smirnov``
 survival function for large ``d``, the Durbin matrix algorithm in the form
 of Marsaglia, Tsang & Wang (2003), the Pomeranz (1974) recursion, and the
-Pelz-Good (1976) asymptotic series.
+Pelz-Good (1976) asymptotic series.  ``scipy.special.smirnov`` is imported
+on first use, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import smirnov
 
 __all__ = ["kstwo_sf"]
 
@@ -296,6 +296,12 @@ def _pelz_good_cdf(n, x):
     return sum(K0to3)
 
 
+def _twice_smirnov(n, x):
+    """``2 * smirnov(n, x)``, the two-sided tail from the one-sided one."""
+    from scipy.special import smirnov
+    return 2 * smirnov(n, x)
+
+
 def _kolmogn_sf(n, x):
     """``Pr(D_n >= x)`` for an integer ``n >= 1`` and ``1/(2n) < x < 1``
     (the support, which :func:`kstwo_sf` checks); the method is picked as
@@ -313,7 +319,7 @@ def _kolmogn_sf(n, x):
         prob = 2 * (1.0 - x)**n
         return _clip_prob(prob)
     if x >= 0.5:  # exact: 2 * smirnov
-        prob = 2 * smirnov(n, x)
+        prob = _twice_smirnov(n, x)
         return _clip_prob(prob)
 
     nxsquared = t * x
@@ -325,13 +331,13 @@ def _kolmogn_sf(n, x):
             prob = _pomeranz_cdf(n, x)
             return _clip_prob(1.0 - prob)
         # Miller's approximation, 2 * smirnov
-        prob = 2 * smirnov(n, x)
+        prob = _twice_smirnov(n, x)
         return _clip_prob(prob)
 
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
-        prob = 2 * smirnov(n, x)
+        prob = _twice_smirnov(n, x)
         return _clip_prob(prob)
     # otherwise the survival function is one less the CDF
     if n <= 100000 and n * x**1.5 <= 1.4:

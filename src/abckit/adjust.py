@@ -6,11 +6,11 @@ ABC-GLM (Leuenberger & Wegmann 2010) fits a local Gaussian likelihood
 represented as a Gaussian mixture with one narrow peak per retained
 parameter vector, everything downstream is closed form: the model marginal
 density used for model choice, grid posteriors, and joint posteriors with
-credible levels.  All of it rests on one Gaussian core: a Cholesky factor
-and the whitened squared distances between two point sets, computed in
-blocks of bounded size.  :func:`weighted_density` draws the kernel density
-of the retained values (the rejection posterior) on the same core.  The
-observation is always the one the retained set was retained for.
+credible levels.  All of it rests on one Gaussian core, numpy only: a
+Cholesky factor and the whitened squared distances between two point sets,
+computed in blocks of bounded size.  :func:`weighted_density` draws the
+kernel density of the retained values (the rejection posterior) on the same
+core.  The observation is always the one the retained set was retained for.
 
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import ConfigError, NumericalError
 from .rejection import RetainedSet
@@ -157,9 +156,12 @@ def glm_fit(retained: RetainedSet) -> GlmFit:
 
 def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
     """Lower Cholesky factor of ``matrix``, or :class:`NumericalError`
-    naming ``what``."""
+    naming ``what`` when it is not finite or not positive definite (LAPACK
+    would factor NaN or inf entries into a NaN factor without an error)."""
+    if not np.isfinite(matrix).all():
+        raise NumericalError(f"{what} has non-finite entries")
     try:
-        return sla.cholesky(matrix, lower=True)
+        return np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{what} not positive definite: {exc}") from None
 
@@ -173,11 +175,13 @@ def _gaussian_log_kernel(chol: np.ndarray, a: np.ndarray, b: np.ndarray):
     ``a`` and row ``j`` of ``b``; a block holds at most ``_BLOCK_ELEMENTS``
     values and is one matrix product, ``x'y - |x|^2/2 - |y|^2/2`` of the
     whitened rows.  Both sets are centred on the mean of ``b`` first, which
-    keeps the cancellation small near ``b``.
+    keeps the cancellation small near ``b``, and whitened by one product
+    with ``L^-1``.
     """
     centre = b.mean(axis=0)
-    wa = sla.solve_triangular(chol, (a - centre).T, lower=True).T
-    wb = sla.solve_triangular(chol, (b - centre).T, lower=True)
+    chol_inv = np.linalg.inv(chol)
+    wa = (a - centre) @ chol_inv.T
+    wb = chol_inv @ (b - centre).T
     half_a = 0.5 * (wa**2).sum(axis=1)
     half_b = 0.5 * (wb**2).sum(axis=0)
     rows = max(1, _BLOCK_ELEMENTS // max(len(b), 1))
@@ -232,11 +236,12 @@ def _glm_mixture(fit: GlmFit, retained: RetainedSet,
     z = retained.obs_std
     _, log_w = next(_log_evidences(fit, retained, z, tau))
     b = fit.coeff
-    sig_inv_b = sla.cho_solve(
-        (_cholesky(fit.sigma, "residual covariance"), True), b)
-    eye = np.eye(b.shape[1])
-    prec = _cholesky(b.T @ sig_inv_b + eye / tau**2, "posterior precision")
-    cov = sla.cho_solve((prec, True), eye)
+    # with M = L L', M^-1 = L^-1' L^-1
+    l_inv = np.linalg.inv(_cholesky(fit.sigma, "residual covariance"))
+    sig_inv_b = l_inv.T @ (l_inv @ b)
+    p_inv = np.linalg.inv(_cholesky(
+        b.T @ sig_inv_b + np.eye(b.shape[1]) / tau**2, "posterior precision"))
+    cov = p_inv.T @ p_inv
     base = (z - fit.intercept) @ sig_inv_b           # B' Sigma^-1 (z - c)
     u = fit.to_internal(retained.params)
     means = (cov @ (base[:, None] + u.T / tau**2)).T

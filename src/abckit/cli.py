@@ -406,13 +406,13 @@ def _task_estimate(cfg: Config, rng) -> None:
 def _log_coverage(rows, label: str) -> None:
     # the validation files hold the successful replicates only
     failed = sum(row.error is not None for row in rows)
-    counts = f"{label}: {failed} of {len(rows)} replicates failed"
     try:
         tests = validation.coverage_tests(rows)
     except ValueError as exc:
-        log.info("%s; coverage tests skipped: %s", counts, exc)
+        log.info("%s: %d of %d replicates failed; coverage tests skipped: %s",
+                 label, failed, len(rows), exc)
         return
-    log.info("%s", counts)
+    log.info("%s: %d of %d replicates failed", label, failed, len(rows))
     for name, t in tests.items():
         log.info("%s %s: quantile KS %.4g (P=%.4g), HDI KS %.4g (P=%.4g)",
                  label, name, t["quantile_ks"], t["quantile_p"],

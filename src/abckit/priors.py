@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import EstParseError, EvalError
 
@@ -499,7 +498,9 @@ _NORM_WINDOW = 40
 def _truncnorm_ppf(a: float, b: float, u: np.ndarray) -> np.ndarray:
     """Standard normal truncated to [a, b] at the CDF levels ``u`` (1 - u
     when mirrored), computed on the side of 0 where ``ndtr`` keeps its
-    relative precision."""
+    relative precision.  ``scipy.special`` is imported here, on first use,
+    so that only truncated-normal priors load it."""
+    from scipy.special import ndtr, ndtri
     if a + b > 0:
         return -_truncnorm_ppf(-b, -a, u)
     pa, pb = ndtr(a), ndtr(b)

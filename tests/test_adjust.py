@@ -170,6 +170,23 @@ def manual_flat_fit(n_stats=2, n_params=2, sigma=None):
 
 
 class TestGaussianCore:
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, np.nan]],
+    ], ids=["nan-off-diagonal", "inf-diagonal", "nan-last"])
+    def test_cholesky_refuses_non_finite_input(self, matrix):
+        # LAPACK factors each of these into NaN entries without an error
+        with pytest.raises(NumericalError,
+                           match="^residual covariance has non-finite"):
+            adjust._cholesky(np.array(matrix), "residual covariance")
+
+    def test_cholesky_refuses_indefinite_input(self):
+        with pytest.raises(NumericalError,
+                           match="^posterior precision not positive definite"):
+            adjust._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]),
+                             "posterior precision")
+
     def test_log_kernel_matches_direct_solve(self, monkeypatch):
         rng = np.random.default_rng(53)
         a_mat = rng.normal(size=(3, 3))

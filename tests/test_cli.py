@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from abckit import adjust, cli, orchestrate, statselect, validation
+from abckit._kstwo import kstwo_sf
 from abckit.errors import NumericalError
 from abckit.rejection import retain
 from abckit.tableio import (ObservedStats, OutputTag, format_value,
@@ -507,42 +508,108 @@ def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
     assert len(written.read_bytes().splitlines()) == 1 + 40 * 40
 
 
-# a fresh interpreter: reports whether scipy.stats was loaded after the
-# import of the CLI and after a run with the arguments given
-STATS_PROBE = """
+# a fresh interpreter: runs the CLI with the arguments given and prints
+# its exit code, whether any scipy module was loaded after the import of the
+# CLI and after the run, and whether the run took a KS tail that needs
+# scipy.special.smirnov
+SCIPY_PROBE = """
 import sys
 import abckit.cli
-imported = "scipy.stats" in sys.modules
+from abckit import _kstwo
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+imported = scipy_loaded()
+twice_smirnov, tails = _kstwo._twice_smirnov, []
+_kstwo._twice_smirnov = lambda n, x: tails.append(x) or twice_smirnov(n, x)
 code = abckit.cli.main(sys.argv[1:])
-print(code, imported, "scipy.stats" in sys.modules)
+print(code, imported, scipy_loaded(), bool(tails))
 """
 
+ESTIMATE_ARGS = ["task=estimate", "simName=normal.txt;uniform.txt",
+                 "params=1-2", "obsName=obs.txt", "numRetained=100",
+                 "maxReadSims=5000", "seed=4", "posteriorDensityPoints=40"]
 
-@pytest.mark.parametrize("extra", [
-    ["retainedValidation=20", "randomValidation=20",
-     "modelChoiceValidation=2"],
-    ["plotData=1"],
-], ids=["validation", "plotData"])
-def test_scipy_stats_is_never_loaded(tmp_path, norm_table, unif_table,
-                                     toy_obs, extra):
-    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+
+def _run_fresh(directory, script, args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", STATS_PROBE, "task=estimate",
-         "simName=normal.txt;uniform.txt", "params=1-2", "obsName=obs.txt",
-         "numRetained=100", "maxReadSims=5000", "seed=4",
-         "posteriorDensityPoints=40", *extra],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.stdout.split() == ["0", "False", "False"], proc.stderr
-    if extra == ["plotData=1"]:
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          cwd=directory, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("args", [
+    [*ESTIMATE_ARGS, "retainedValidation=20", "randomValidation=20",
+     "modelChoiceValidation=2"],
+    [*ESTIMATE_ARGS, "plotData=1"],
+    ["task=simulate", "estName=toy.est", "simProgram=toy-normal",
+     "numSims=50", "seed=1", "outName=sim"],
+], ids=["validation", "plotData", "simulate"])
+def test_scipy_stats_is_never_loaded(tmp_path, norm_table, unif_table,
+                                     toy_obs, args):
+    # nor any other scipy module, unless a KS test of the validation lands
+    # on a tail computed by scipy.special.smirnov (which the toy's 20
+    # replicates do: its HDI KS statistics reach 0.5)
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    proc = _run_fresh(tmp_path, SCIPY_PROBE, args)
+    fields = proc.stdout.split()
+    assert fields[:2] == ["0", "False"], proc.stderr
+    _, _, loaded, tails = fields
+    assert loaded == tails
+    if "randomValidation=20" not in args:
+        assert tails == "False"
+    if "plotData=1" in args:
         assert (tmp_path / "ABC_GLM_model1_rejectionDensities_Obs0.txt"
                 ).exists()
+    elif args[0] == "task=simulate":
+        assert read_table(tmp_path / "sim_sampling1.txt").n_rows == 50
     else:
         # every validation ran, and the coverage tests with it
         assert proc.stderr.count(": 0 of 20 replicates failed\n") == 2 + 2
         assert proc.stderr.count(": quantile KS ") == 2 * 2 + 2 * 2
         assert (tmp_path / "ABC_GLM_confusionMatrix.txt").exists()
+
+
+# a fresh interpreter: the KS survival function at a branch that calls
+# scipy.special.smirnov, then a run with the arguments given
+LAZY_SCIPY_PROBE = """
+import sys
+import abckit.cli
+from abckit._kstwo import kstwo_sf
+
+special = "scipy.special" in sys.modules
+sf = kstwo_sf(0.6, 20)
+print(special, repr(sf), "scipy.special" in sys.modules)
+print(abckit.cli.main(sys.argv[1:]))
+"""
+
+NORM_EST = """[PARAMETERS]
+0 mu norm -1 1 0.5 0.3 output
+0 sigma2 unif 0.1 4 output
+"""
+
+
+def test_scipy_special_is_loaded_on_first_use(tmp_path, monkeypatch):
+    args = ["task=simulate", "estName=norm.est", "simProgram=toy-normal",
+            "numSims=50", "seed=1", "outName=sim"]
+    for name in ("fresh", "ref"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "norm.est").write_text(NORM_EST)
+    proc = _run_fresh(tmp_path / "fresh", LAZY_SCIPY_PROBE, args)
+    lines = proc.stdout.splitlines()
+    assert lines == ["False {!r} True".format(kstwo_sf(0.6, 20)), "0"], \
+        proc.stderr
+    # the truncated-normal prior draws what it draws in this process
+    monkeypatch.chdir(tmp_path / "ref")
+    assert cli.main(args) == 0
+    fresh, ref = (tmp_path / name / "sim_sampling1.txt"
+                  for name in ("fresh", "ref"))
+    assert fresh.read_bytes() == ref.read_bytes()
+    mu = read_table(fresh).values[:, 0]
+    assert len(mu) == 50 and mu.min() >= -1 and mu.max() <= 1
 
 
 def test_validation_logs_failed_replicates_and_skipped_coverage(
@@ -572,9 +639,30 @@ def test_validation_logs_failed_replicates_and_skipped_coverage(
                "have 7")
     assert lines == [f"random validation (model {m}): 3 of 10 replicates "
                      f"failed; {skipped}" for m in (0, 1)]
+    args = [r.args[:3] for r in caplog.records
+            if r.msg.startswith("%s: %d of %d replicates failed")]
+    assert args == [(f"random validation (model {m})", 3, 10) for m in (0, 1)]
     for m in (0, 1):
         assert read_table(tmp_path / f"ABC_model{m}_RandomValidation.txt"
                           ).n_rows == 7
+
+
+def test_failed_replicate_counts_are_record_args(tmp_path, monkeypatch,
+                                                caplog, norm_table,
+                                                unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    code = cli.main([*ESTIMATE_ARGS, "outputPrefix=ABC",
+                     "randomValidation=20"])
+    assert code == 0
+    records = [r for r in caplog.records
+               if r.msg == "%s: %d of %d replicates failed"]
+    assert [r.args for r in records] == [
+        (f"random validation (model {m})", 0, 20) for m in (0, 1)]
+    assert [r.getMessage() for r in records] == [
+        f"random validation (model {m}): 0 of 20 replicates failed"
+        for m in (0, 1)]
 
 
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
