@@ -510,8 +510,8 @@ def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
 
 # a fresh interpreter: runs the CLI with the arguments given and prints
 # its exit code, whether any scipy module was loaded after the import of the
-# CLI and after the run, and whether the run took a KS tail that needs
-# scipy.special.smirnov
+# CLI and after the run, whether the run took a KS tail that needs
+# scipy.special.smirnov, and whether scipy.stats was loaded after the run
 SCIPY_PROBE = """
 import sys
 import abckit.cli
@@ -524,7 +524,8 @@ imported = scipy_loaded()
 twice_smirnov, tails = _kstwo._twice_smirnov, []
 _kstwo._twice_smirnov = lambda n, x: tails.append(x) or twice_smirnov(n, x)
 code = abckit.cli.main(sys.argv[1:])
-print(code, imported, scipy_loaded(), bool(tails))
+print(code, imported, scipy_loaded(), bool(tails),
+      "scipy.stats" in sys.modules)
 """
 
 ESTIMATE_ARGS = ["task=estimate", "simName=normal.txt;uniform.txt",
@@ -551,14 +552,15 @@ def test_scipy_stats_is_never_loaded(tmp_path, norm_table, unif_table,
                                      toy_obs, args):
     # nor any other scipy module, unless a KS test of the validation lands
     # on a tail computed by scipy.special.smirnov (which the toy's 20
-    # replicates do: its HDI KS statistics reach 0.5)
+    # replicates do: its HDI KS statistics reach 0.5); scipy.stats never
     _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
     (tmp_path / "toy.est").write_text(TOY_EST)
     proc = _run_fresh(tmp_path, SCIPY_PROBE, args)
     fields = proc.stdout.split()
     assert fields[:2] == ["0", "False"], proc.stderr
-    _, _, loaded, tails = fields
+    _, _, loaded, tails, stats = fields
     assert loaded == tails
+    assert stats == "False"
     if "randomValidation=20" not in args:
         assert tails == "False"
     if "plotData=1" in args:
@@ -620,49 +622,37 @@ def test_validation_logs_failed_replicates_and_skipped_coverage(
     estimator = validation._glm_estimator
     calls = []
 
-    def every_third_fails(table, pseudo, exclude, settings):
+    def model1_every_third_fails(table, pseudo, exclude, settings):
         calls.append(exclude)
-        if len(calls) % 3 == 0:
+        if len(calls) > 20 and len(calls) % 3 == 0:
             raise NumericalError("planted failure")
         return estimator(table, pseudo, exclude, settings)
 
-    monkeypatch.setattr(validation, "_glm_estimator", every_third_fails)
+    monkeypatch.setattr(validation, "_glm_estimator",
+                        model1_every_third_fails)
     code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
                      "params=1-2", "obsName=obs.txt", "numRetained=100",
                      "maxReadSims=5000", "seed=4", "outputPrefix=ABC",
-                     "posteriorDensityPoints=40", "randomValidation=10"])
+                     "posteriorDensityPoints=40", "randomValidation=20"])
     assert code == 0
     lines = [r.getMessage() for r in caplog.records
              if r.levelno == logging.INFO and "validation" in r.getMessage()]
-    # model 0 fails calls 3, 6 and 9; model 1 calls 12, 15 and 18
-    skipped = ("coverage tests skipped: need at least 20 successful rows, "
-               "have 7")
-    assert lines == [f"random validation (model {m}): 3 of 10 replicates "
-                     f"failed; {skipped}" for m in (0, 1)]
+    # model 0 fails none and runs its coverage tests, one line a parameter;
+    # model 1 fails calls 21, 24, ..., 39
+    assert lines[0] == "random validation (model 0): 0 of 20 replicates failed"
+    for line, name in zip(lines[1:3], ("mu", "sigma2")):
+        assert line.startswith(f"random validation (model 0) {name}: "
+                               "quantile KS ")
+    assert lines[3:] == ["random validation (model 1): 7 of 20 replicates "
+                         "failed; coverage tests skipped: need at least 20 "
+                         "successful rows, have 13"]
     args = [r.args[:3] for r in caplog.records
             if r.msg.startswith("%s: %d of %d replicates failed")]
-    assert args == [(f"random validation (model {m})", 3, 10) for m in (0, 1)]
-    for m in (0, 1):
+    assert args == [("random validation (model 0)", 0, 20),
+                    ("random validation (model 1)", 7, 20)]
+    for m, rows in ((0, 20), (1, 13)):
         assert read_table(tmp_path / f"ABC_model{m}_RandomValidation.txt"
-                          ).n_rows == 7
-
-
-def test_failed_replicate_counts_are_record_args(tmp_path, monkeypatch,
-                                                caplog, norm_table,
-                                                unif_table, toy_obs):
-    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
-    monkeypatch.chdir(tmp_path)
-    caplog.set_level(logging.INFO)
-    code = cli.main([*ESTIMATE_ARGS, "outputPrefix=ABC",
-                     "randomValidation=20"])
-    assert code == 0
-    records = [r for r in caplog.records
-               if r.msg == "%s: %d of %d replicates failed"]
-    assert [r.args for r in records] == [
-        (f"random validation (model {m})", 0, 20) for m in (0, 1)]
-    assert [r.getMessage() for r in records] == [
-        f"random validation (model {m}): 0 of 20 replicates failed"
-        for m in (0, 1)]
+                          ).n_rows == rows
 
 
 def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
