@@ -21,8 +21,7 @@ from .adjust import (GlmFit, GridPosterior, JointGridPosterior,
                      glm_posterior, joint_posterior, safe_exp, weighted_density)
 from .errors import (AbckitError, ConfigError, EstParseError, EvalError,
                      NumericalError, SimulatorError, TableFormatError)
-from .modelchoice import (ModelChoiceResult, glm_model_choice,
-                          rejection_model_choice)
+from .modelchoice import ModelChoiceResult, glm_model_choice
 from .models import (SFS_STAT_NAMES, TOY_STAT_NAMES, ToyParams, sfs_stats,
                      simulate_toy, toy_stats)
 from .orchestrate import (Calibration, McmcConfig, SimulatorBinding,
@@ -33,9 +32,8 @@ from .statselect import (BoxCoxSpec, LinearCombDef, boost, fit_boxcox,
                          fit_pls, greedy_search, transform)
 from .tableio import (ObservedStats, OutputTag, SimulationTable,
                       read_observed, read_table, write_tagged)
-from .validation import (ConfusionMatrix, GlmSettings, ModelChoiceSettings,
-                         coverage_tests, cross_validate, fit_pvalues,
-                         marginal_density_pvalue, model_choice_validate,
-                         tukey_depth, tukey_pvalue)
+from .validation import (ConfusionMatrix, GlmSettings, coverage_tests,
+                         cross_validate, fit_pvalues, marginal_density_pvalue,
+                         model_choice_validate, tukey_depth, tukey_pvalue)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -137,7 +137,7 @@ class Config:
             return default
         try:
             return int(float(v))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ConfigError(f"{key} must be an integer, got {v!r}") from None
 
     def require_int(self, key: str) -> int:
@@ -390,10 +390,8 @@ def _task_estimate(cfg: Config, rng) -> None:
                          model_index=m)
             _log_coverage(rows, f"random validation (model {m})")
     if n_mc_val:
-        mc_settings = validation.ModelChoiceSettings("glm", num_retained, None,
-                                                     dirac, standardize)
         cm, raw = validation.model_choice_validate(tables, n_mc_val,
-                                                   mc_settings, rng)
+                                                   settings, rng)
         write_tagged(prefix, OutputTag.CONFUSION_MATRIX,
                      validation.confusion_table(cm))
         write_tagged(prefix, OutputTag.MODEL_CHOICE_VALIDATION,
@@ -524,7 +522,7 @@ def _task_findstats(cfg: Config, rng) -> None:
     max_cor = cfg.get_float("maxCorSSFinder", 1.0)
     dirac = _dirac_peak_width(cfg)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
-    settings = validation.ModelChoiceSettings("glm", num_retained, None, dirac)
+    settings = validation.GlmSettings(num_retained, dirac_peak_width=dirac)
     results = statselect.greedy_search(tables, n_val, settings, max_cor, rng)
     write_tagged(prefix, OutputTag.GREEDY_SEARCH,
                  statselect.greedy_search_table(results))
@@ -555,6 +553,8 @@ def dispatch(cfg: Config) -> int:
     seed = cfg.get_int("seed")
     if seed is None:
         seed = secrets.randbits(32)
+    elif seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     log.info("version %s, seed %d", __version__, seed)
     for key in sorted(cfg.values):
         log.info("setting %s = %s", key, cfg.values[key] or "(flag)")

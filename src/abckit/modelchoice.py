@@ -1,16 +1,13 @@
 """Posterior model probabilities and Bayes factors from one or more
-simulation tables that share the same statistics.
+simulation tables that share the same statistics, by ABC-GLM (Leuenberger
+& Wegmann 2010): retain per model, fit the local Gaussian likelihood, and
+compare the resulting marginal densities; with one table it is the
+estimation step alone.  Retention standardizes with a single transform
+fitted to the pooled statistics so the models live on one scale;
+``standardize=False`` measures distances on the raw statistics instead.
+Model priors are equal.
 
-Two estimators are provided.  The rejection path pools all simulations,
-retains the closest fraction, and counts which model they came from.  The
-likelihood path retains per model, fits the local Gaussian likelihood, and
-compares the resulting marginal densities; with one table it is the
-estimation step alone.  Both standardize with a single transform fitted to
-the pooled statistics so the models live on one scale; the likelihood
-path takes ``standardize=False`` to measure distances on the raw
-statistics instead.  Model priors are equal.
-
-Both take ``exclude=(model, row)`` for a leave-one-out replicate: that
+``exclude=(model, row)`` asks for a leave-one-out replicate: that
 simulation is left out of the pooled standardization and of the retention
 (see :func:`abckit.rejection.retain`), as if its table had been copied
 without it.
@@ -18,8 +15,6 @@ without it.
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +22,26 @@ import numpy as np
 from . import adjust
 from .errors import TableFormatError
 from .rejection import RetainedSet, Standardizer, retain
-from .tableio import ObservedStats, OutputTag, SimulationTable, write_tagged
+from .tableio import ObservedStats, OutputTag, write_tagged
 
-log = logging.getLogger(__name__)
-
-__all__ = ["ModelChoiceResult", "rejection_model_choice", "glm_model_choice",
-           "write_model_fit"]
+__all__ = ["ModelChoiceResult", "glm_model_choice", "write_model_fit"]
 
 
 @dataclass(frozen=True)
 class ModelChoiceResult:
     """Per-model evidence and the derived probabilities.
 
-    ``densities`` holds marginal densities (likelihood path) or per-model
-    acceptance rates (rejection path); ``log_densities`` is the stable
-    representation actually used for the probabilities and Bayes factors.
+    ``densities`` holds the ABC-GLM marginal densities; ``log_densities``
+    is the stable representation actually used for the probabilities and
+    Bayes factors.  ``retained`` and ``fits`` hold each model's retained
+    set and likelihood fit, in table order.
     """
 
     densities: np.ndarray
     log_densities: np.ndarray
     probabilities: np.ndarray
-    retained: tuple[RetainedSet, ...] = ()
-    fits: tuple = ()
+    retained: tuple[RetainedSet, ...]
+    fits: tuple
 
     @property
     def n_models(self) -> int:
@@ -78,54 +71,17 @@ def _common_stats(tables) -> list[str]:
 
 
 def _pooled(tables, names, exclude):
-    """The statistics of all tables stacked and the model of each row,
-    both without the row that ``exclude=(model, row)`` names."""
+    """The statistics of all tables stacked, without the row that
+    ``exclude=(model, row)`` names."""
     pooled = np.vstack([t.stat_matrix(names) for t in tables])
-    origin = np.repeat(np.arange(len(tables)), [t.n_rows for t in tables])
     if exclude is None:
-        return pooled, origin
+        return pooled
     model, row = exclude
     if not 0 <= row < tables[model].n_rows:
         raise ValueError(f"excluded row {row} outside model {model}'s "
                          f"{tables[model].n_rows} rows")
     row += sum(t.n_rows for t in tables[:model])
-    return np.delete(pooled, row, axis=0), np.delete(origin, row)
-
-
-def rejection_model_choice(tables, obs: ObservedStats, tol=None, count=None,
-                           exclude=None) -> ModelChoiceResult:
-    """Model probabilities from the share of retained pooled simulations.
-
-    All rows are pooled, standardized jointly, and the closest ``count``
-    kept, or ``ceil(tol * total)`` when ``tol`` is given, the total less
-    any excluded row; each model's evidence is its acceptance rate, which
-    corrects for unequal table sizes.
-    """
-    names = _common_stats(tables)
-    values, origin = _pooled(tables, names, exclude)
-    full_sizes = [t.n_rows for t in tables]
-    if len(set(full_sizes)) > 1:
-        log.warning("tables have unequal sizes (%s); correcting acceptance "
-                    "rates accordingly", ", ".join(map(str, full_sizes)))
-    sizes = np.bincount(origin, minlength=len(tables))
-    if not sizes.all():
-        raise ValueError(f"model {int(np.argmin(sizes))} has no simulations "
-                         "left to retain")
-    if tol is not None:
-        if not 0 < tol <= 1:
-            raise ValueError(f"tolerance fraction must be in (0, 1], got {tol}")
-        count = math.ceil(tol * len(values))
-
-    pooled = SimulationTable(tuple(names), values, (), tuple(range(len(names))))
-    kept = retain(pooled, obs, count)
-    counts = np.bincount(origin[kept.indices], minlength=len(tables))
-    rates = counts / sizes
-    with np.errstate(divide="ignore"):
-        log_rates = np.log(rates)
-    finite = np.isfinite(log_rates)
-    probs = np.exp(log_rates - adjust.log_sum_exp(log_rates[finite]))
-    probs = np.where(finite, probs, 0.0)
-    return ModelChoiceResult(rates, log_rates, probs)
+    return np.delete(pooled, row, axis=0)
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,
@@ -137,7 +93,7 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     raw statistics with ``standardize=False``).  One table gives its
     retained set and fit with probability 1."""
     names = _common_stats(tables)
-    pooled_std = (Standardizer.fit(_pooled(tables, names, exclude)[0], names)
+    pooled_std = (Standardizer.fit(_pooled(tables, names, exclude), names)
                   if standardize else Standardizer.identity(names))
     retained, fits, log_dens = [], [], []
     for m, t in enumerate(tables):

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NumericalError, TableFormatError
 from .rejection import abs_correlations
 from .tableio import ObservedStats, SimulationTable
-from .validation import ModelChoiceSettings, model_choice_validate
+from .validation import GlmSettings, model_choice_validate
 
 log = logging.getLogger(__name__)
 
@@ -551,7 +551,7 @@ class SubsetResult:
 
 
 def subset_power(tables, names, n_val: int,
-                 settings: ModelChoiceSettings | None = None, rng=None) -> float:
+                 settings: GlmSettings | None = None, rng=None) -> float:
     """Discriminating power of a statistic subset: overall accuracy of
     model-choice cross-validation restricted to those statistics."""
     restricted = [t.with_stats(names) for t in tables]
@@ -559,7 +559,7 @@ def subset_power(tables, names, n_val: int,
     return cm.overall_accuracy
 
 
-def greedy_search(tables, n_val: int, settings: ModelChoiceSettings | None = None,
+def greedy_search(tables, n_val: int, settings: GlmSettings | None = None,
                   max_cor: float = 1.0, rng=None) -> list[SubsetResult]:
     """Greedy forward search for the statistic subset that best separates
     the models.

@@ -11,9 +11,10 @@ those two columns against the uniform distribution check coverage, with
 the exact two-sided P-value of Simard & L'Ecuyer (2011, J. Stat. Softw.
 39(11)), ported from SciPy's ``scipy/stats/_ksstats.py`` into
 :mod:`abckit._kstwo` so that this module does not import ``scipy.stats``.
-Model choice is validated the same way, yielding a confusion matrix and
-the raw posterior model probabilities of each pseudo-observation.  The
-settings give every retention its count and, by ``standardize``, its
+Model choice by ABC-GLM marginal densities is validated the same way,
+yielding a confusion matrix and the raw posterior model probabilities of
+each pseudo-observation.  One settings type, :class:`GlmSettings`, serves
+both: it gives every retention its count and, by ``standardize``, its
 scale.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import adjust
 from ._kstwo import kstwo_sf
 from .errors import AbckitError
-from .modelchoice import ModelChoiceResult, glm_model_choice, rejection_model_choice
+from .modelchoice import glm_model_choice
 from .rejection import RetainedSet, Standardizer, retain
 from .tableio import ObservedStats, SimulationTable
 
@@ -35,9 +36,8 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "FitPValues", "ValidationRow", "ConfusionMatrix", "GlmSettings",
-    "ModelChoiceSettings", "marginal_density_pvalue", "tukey_depth",
-    "tukey_pvalue", "fit_pvalues", "cross_validate", "coverage_tests",
-    "model_choice_validate",
+    "marginal_density_pvalue", "tukey_depth", "tukey_pvalue", "fit_pvalues",
+    "cross_validate", "coverage_tests", "model_choice_validate",
 ]
 
 
@@ -188,8 +188,8 @@ def fit_pvalues(fit, retained: RetainedSet, n_marginal=None, n_tukey=None,
 
 @dataclass(frozen=True)
 class GlmSettings:
-    """Settings shared by estimation runs (retention size and posterior
-    grid resolution)."""
+    """Settings shared by estimation and model-choice runs (retention size,
+    posterior grid resolution, Dirac peak width and the distance scale)."""
 
     num_retained: int = 1000
     n_points: int = adjust.DEFAULT_GRID_POINTS
@@ -214,13 +214,13 @@ def _scale(table: SimulationTable, settings: GlmSettings):
 
 
 def _glm_estimator(table: SimulationTable, pseudo: ObservedStats,
-                   exclude: int, settings: GlmSettings) -> adjust.GridPosterior:
+                   exclude: int, settings: GlmSettings
+                   ) -> tuple[adjust.GridPosterior, dict]:
     r = retain(table, pseudo, settings.num_retained, _scale(table, settings),
                exclude)
     fit = adjust.glm_fit(r)
-    post, _ = adjust.glm_posterior(fit, r, n_points=settings.n_points,
-                                   dirac_peak_width=settings.dirac_peak_width)
-    return post
+    return adjust.glm_posterior(fit, r, n_points=settings.n_points,
+                                dirac_peak_width=settings.dirac_peak_width)
 
 
 def cross_validate(table: SimulationTable, mode: str, n_val: int,
@@ -237,10 +237,12 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     smallest credible level of the true value are recorded.  Estimator
     failures are recorded per row rather than aborting the run.
 
-    ``estimator(table, pseudo, exclude)`` returns a :class:`GridPosterior`
-    for the pseudo-observation from the full table without row
-    ``exclude``; the default retains (``retain(..., exclude=exclude)``) and
-    fits ABC-GLM with ``settings``.
+    ``estimator(table, pseudo, exclude)`` returns the pair ``(post,
+    chars)`` for the pseudo-observation from the full table without row
+    ``exclude``: a :class:`GridPosterior` and its
+    :class:`PosteriorCharacteristics` by parameter name, as
+    :func:`abckit.adjust.glm_posterior` returns them.  The default retains
+    (``retain(..., exclude=exclude)``) and fits ABC-GLM with ``settings``.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
@@ -268,9 +270,9 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
         pseudo = ObservedStats(snames, table.values[i, list(table.stat_idx)])
         row = ValidationRow(truth)
         try:
-            post = estimator(table, pseudo, int(i))
+            post, chars = estimator(table, pseudo, int(i))
             for name in pnames:
-                ch = post.characteristics(name)
+                ch = chars[name]
                 row.mode[name] = ch.mode
                 row.mean[name] = ch.mean
                 row.median[name] = ch.median
@@ -346,19 +348,6 @@ def coverage_tests(rows: list[ValidationRow]) -> dict[str, dict[str, float]]:
 
 
 @dataclass(frozen=True)
-class ModelChoiceSettings:
-    """``standardize=False`` gives the glm method raw distances; the
-    rejection method, with ``tol`` in place of ``num_retained`` when set,
-    always standardizes."""
-
-    method: str = "glm"            # glm | rejection
-    num_retained: int = 1000
-    tol: float | None = None
-    dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH
-    standardize: bool = True
-
-
-@dataclass(frozen=True)
 class ConfusionMatrix:
     counts: np.ndarray            # [true, chosen]
 
@@ -373,29 +362,19 @@ class ConfusionMatrix:
         return float(np.trace(self.counts) / self.counts.sum())
 
 
-def _choose(tables, pseudo, settings: ModelChoiceSettings,
-            exclude) -> ModelChoiceResult:
-    if settings.method == "rejection":
-        return rejection_model_choice(tables, pseudo, settings.tol,
-                                      settings.num_retained, exclude)
-    return glm_model_choice(tables, pseudo, settings.num_retained,
-                            settings.dirac_peak_width, exclude,
-                            settings.standardize)
-
-
 def model_choice_validate(tables, n_val: int,
-                          settings: ModelChoiceSettings | None = None,
-                          rng=None):
+                          settings: GlmSettings | None = None, rng=None):
     """Cross-validate model choice with ``n_val`` pseudo-observations drawn
     from each model.
 
     Each drawn simulation is left out of its source table
     (``exclude=(model, row)``), model choice is run on the remainder, and
-    the preferred model recorded.  Returns the confusion matrix and the
-    raw rows ``(true_model, probabilities)``.
+    the preferred model recorded.  Only the retention count, the Dirac
+    peak width and ``standardize`` of ``settings`` are used.  Returns the
+    confusion matrix and the raw rows ``(true_model, probabilities)``.
     """
     rng = np.random.default_rng(rng)
-    settings = settings or ModelChoiceSettings()
+    settings = settings or GlmSettings()
     n_models = len(tables)
     if n_val > min(t.n_rows for t in tables):
         raise ValueError("n_val exceeds the smallest table")
@@ -406,7 +385,9 @@ def model_choice_validate(tables, n_val: int,
         snames, sidx = table.stat_names, list(table.stat_idx)
         for i in chosen:
             pseudo = ObservedStats(snames, table.values[i, sidx])
-            result = _choose(tables, pseudo, settings, (m, int(i)))
+            result = glm_model_choice(tables, pseudo, settings.num_retained,
+                                      settings.dirac_peak_width, (m, int(i)),
+                                      settings.standardize)
             counts[m, result.best_model] += 1
             raw.append((m, result.probabilities))
     return ConfusionMatrix(counts), raw
@@ -430,3 +411,20 @@ def raw_choice_table(raw):
     header = ["trueModel"] + [f"pABCmodel{j}" for j in range(n_models)]
     rows = [[t, *probs.tolist()] for t, probs in raw]
     return header, rows
+
+
+def ModelChoiceSettings(method: str = "glm", num_retained: int = 1000,
+                        tol: float | None = None,
+                        dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH,
+                        standardize: bool = True) -> GlmSettings:
+    """The :class:`GlmSettings` equal to the former model-choice settings.
+
+    It exists only for the call in ``perfbench/workloads.py`` and is
+    deleted with ROADMAP item 1.  ABC-GLM is the only model-choice method,
+    so any other ``method`` or a ``tol`` is a ``ValueError``.
+    """
+    if method != "glm" or tol is not None:
+        raise ValueError(f"model choice is by ABC-GLM with a retention "
+                         f"count only, got method={method!r}, tol={tol!r}")
+    return GlmSettings(num_retained, dirac_peak_width=dirac_peak_width,
+                       standardize=standardize)

@@ -129,6 +129,8 @@ def test_simulate_table_does_not_depend_on_the_block_size(tmp_path,
     ("thresholdProp=2", "thresholdProp"),
     ("mcmcBurnIn=1.5", "mcmcBurnIn"),
     ("numSims=0", "numSims"),
+    ("numSims=inf", "numSims"),
+    ("seed=-1", "seed"),
 ])
 def test_simulate_mcmc_range_check_is_a_config_error(tmp_path, monkeypatch,
                                                      caplog, toy_obs,
@@ -752,8 +754,7 @@ def test_model_choice_validation_honours_standardize_stats(
                          "maxReadSims=5000", f"outputPrefix=S{flag}",
                          f"standardizeStats={flag}",
                          "modelChoiceValidation=15", "seed=3"]) == 0
-        settings = validation.ModelChoiceSettings(
-            "glm", 50, None, adjust.DEFAULT_PEAK_WIDTH, standardize=bool(flag))
+        settings = validation.GlmSettings(50, standardize=bool(flag))
         cm, raw = validation.model_choice_validate(tables, 15, settings,
                                                    np.random.default_rng(3))
         for tag, payload in ((OutputTag.CONFUSION_MATRIX,

@@ -1,16 +1,11 @@
-import logging
-import warnings
-
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from abckit.errors import TableFormatError
-from abckit.modelchoice import (glm_model_choice, rejection_model_choice,
-                                write_model_fit)
+from abckit.modelchoice import glm_model_choice, write_model_fit
 from abckit.models import TOY_STAT_NAMES, toy_stats
 from abckit.tableio import ObservedStats, SimulationTable, read_table
-from abckit.validation import ModelChoiceSettings, model_choice_validate
 
 from conftest import take_rows
 
@@ -23,45 +18,6 @@ def make_table(rng, n, shift=0.0, noise=1.0, names=("s0", "s1")):
                            tuple(range(1, len(names) + 1)))
 
 
-class TestRejectionPath:
-    def test_identical_tables_split_evenly(self):
-        rng = np.random.default_rng(60)
-        t = make_table(rng, 500)
-        obs = ObservedStats(t.stat_names, np.array([0.5, 0.5]))
-        res = rejection_model_choice([t, t], obs, tol=0.1)
-        np.testing.assert_allclose(res.probabilities, [0.5, 0.5])
-        np.testing.assert_allclose(res.bayes_factors, np.ones((2, 2)))
-
-    def test_counts_match_exhaustive_check(self):
-        # three hand-built rows per model with known nearest neighbours
-        a = SimulationTable(("t", "s"),
-                            np.array([[0, 0.0], [0, 0.1], [0, 5.0]]),
-                            (0,), (1,))
-        b = SimulationTable(("t", "s"),
-                            np.array([[0, 4.0], [0, 4.5], [0, 6.0]]),
-                            (0,), (1,))
-        obs = ObservedStats(("s",), np.array([0.05]))
-        res = rejection_model_choice([a, b], obs, count=2)
-        # the two nearest pooled rows are both from model 0
-        np.testing.assert_allclose(res.probabilities, [1.0, 0.0])
-
-    def test_tol_one_returns_prior_proportions(self):
-        rng = np.random.default_rng(61)
-        a = make_table(rng, 300)
-        b = make_table(rng, 100)
-        obs = ObservedStats(a.stat_names, np.array([0.5, 0.5]))
-        res = rejection_model_choice([a, b], obs, tol=1.0)
-        np.testing.assert_allclose(res.probabilities, [0.5, 0.5])
-
-    def test_statistic_mismatch_rejected(self):
-        rng = np.random.default_rng(63)
-        a = make_table(rng, 50)
-        b = make_table(rng, 50, names=("s0", "other"))
-        obs = ObservedStats(a.stat_names, np.array([0.5, 0.5]))
-        with pytest.raises(TableFormatError, match="same statistics"):
-            rejection_model_choice([a, b], obs, tol=0.1)
-
-
 class TestGlmPath:
     def test_same_table_twice_gives_unit_bayes_factor(self):
         rng = np.random.default_rng(64)
@@ -70,6 +26,14 @@ class TestGlmPath:
         res = glm_model_choice([t, t], obs, count=100)
         assert res.bayes_factors[0, 1] == pytest.approx(1.0)
         np.testing.assert_allclose(res.probabilities, [0.5, 0.5])
+
+    def test_statistic_mismatch_rejected(self):
+        rng = np.random.default_rng(63)
+        a = make_table(rng, 50)
+        b = make_table(rng, 50, names=("s0", "other"))
+        obs = ObservedStats(a.stat_names, np.array([0.5, 0.5]))
+        with pytest.raises(TableFormatError, match="same statistics"):
+            glm_model_choice([a, b], obs, count=10)
 
     def test_analytic_evidence_ratio(self):
         # theta ~ N(0,1); model m: s = theta + e_m with different noise.
@@ -116,10 +80,6 @@ class TestGlmPath:
         obs2 = ObservedStats(obs.names, np.array([0.6 * 10 + 3, 0.6]))
         scaled = glm_model_choice([rescale(a), rescale(b)], obs2, count=120)
         np.testing.assert_allclose(base.probabilities, scaled.probabilities,
-                                   atol=1e-6)
-        rej = rejection_model_choice([a, b], obs, tol=0.1)
-        rej2 = rejection_model_choice([rescale(a), rescale(b)], obs2, tol=0.1)
-        np.testing.assert_allclose(rej.probabilities, rej2.probabilities,
                                    atol=1e-6)
 
 
@@ -201,55 +161,7 @@ class TestLeaveOneOut:
                 np.testing.assert_array_equal(r.standardizer.scale,
                                               w.standardizer.scale)
 
-    @pytest.mark.parametrize("size", [{"tol": 0.1}, {"count": 150}])
-    def test_rejection_matches_copy(self, tables, size):
-        for m, i, pseudo, trimmed in self.pairs(tables):
-            got = rejection_model_choice(tables, pseudo, exclude=(m, i),
-                                         **size)
-            want = rejection_model_choice(trimmed, pseudo, **size)
-            np.testing.assert_array_equal(got.densities, want.densities)
-            np.testing.assert_array_equal(got.probabilities,
-                                          want.probabilities)
-
     def test_excluded_row_out_of_range(self, tables):
         pseudo = ObservedStats(tables[0].stat_names, tables[0].stats[0])
-        for method in (lambda e: glm_model_choice(tables, pseudo, 50,
-                                                  exclude=e),
-                       lambda e: rejection_model_choice(tables, pseudo,
-                                                        count=50, exclude=e)):
-            with pytest.raises(ValueError, match="outside model 1"):
-                method((1, 1200))
-
-    def test_excluding_the_only_row_of_a_model(self, tables):
-        one = take_rows(tables[0], [0])
-        pseudo = ObservedStats(one.stat_names, one.stats[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="model 0 has no simulations"):
-                rejection_model_choice([one, tables[1]], pseudo, count=1,
-                                       exclude=(0, 0))
-
-
-class TestUnequalSizeWarning:
-    """The warning compares the tables as given, before a leave-one-out
-    query leaves its row out."""
-
-    def warnings(self, caplog, tables):
-        settings = ModelChoiceSettings(method="rejection", num_retained=20)
-        with caplog.at_level(logging.WARNING, logger="abckit"):
-            model_choice_validate(tables, 5, settings, rng=1)
-        return [r for r in caplog.records
-                if r.getMessage().startswith("tables have unequal sizes")]
-
-    def test_equal_tables_never_warn(self, caplog, norm_table, unif_table):
-        tables = [take_rows(norm_table, np.arange(200)),
-                  take_rows(unif_table, np.arange(200))]
-        assert self.warnings(caplog, tables) == []
-
-    def test_unequal_tables_warn_once_per_query(self, caplog, norm_table,
-                                                unif_table):
-        tables = [take_rows(norm_table, np.arange(200)),
-                  take_rows(unif_table, np.arange(150))]
-        found = self.warnings(caplog, tables)
-        assert len(found) == 10
-        assert all("(200, 150)" in r.getMessage() for r in found)
+        with pytest.raises(ValueError, match="outside model 1"):
+            glm_model_choice(tables, pseudo, 50, exclude=(1, 1200))

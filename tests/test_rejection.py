@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from abckit.errors import NumericalError, TableFormatError
-from abckit.modelchoice import rejection_model_choice
 from abckit.rejection import Standardizer, prune_correlated, retain
 from abckit.tableio import ObservedStats, SimulationTable
 
@@ -42,12 +39,6 @@ class TestRetain:
         np.testing.assert_array_equal(r.indices, want_order[:30])
         np.testing.assert_allclose(r.distances, want_d[want_order[:30]])
         assert r.epsilon == pytest.approx(want_d[want_order[29]])
-
-    def test_tolerance_fraction(self, norm_table, toy_obs):
-        # the rejection path turns its fraction into ceil(tol * rows)
-        res = rejection_model_choice([norm_table], toy_obs, tol=0.01)
-        assert norm_table.n_rows == 10000
-        assert res.densities[0] == 100 / 10000
 
     def test_observation_equal_to_row(self):
         rng = np.random.default_rng(12)
@@ -127,13 +118,6 @@ class TestRetain:
         obs = ObservedStats(table.stat_names, np.zeros(5))
         with pytest.raises(TypeError):
             retain(table, obs)
-        with pytest.raises(TypeError):
-            rejection_model_choice([table], obs)
-        # a tolerance replaces the count: ceil(0.05 * 100) rows, not 10
-        res = rejection_model_choice([table], obs, tol=0.05, count=10)
-        assert res.densities[0] == 5 / 100
-        with pytest.raises(ValueError, match="tolerance fraction"):
-            rejection_model_choice([table], obs, tol=1.5)
 
     def test_constant_stat_matching_obs_excluded(self, caplog):
         values = np.column_stack([np.arange(10.0), np.full(10, 3.0),
@@ -173,8 +157,7 @@ class TestRetain:
                 table.stat_names)).indices)
 
 
-def reference_retain(table, obs, count=None, tol=None, exclude=None,
-                     standardizer=None):
+def reference_retain(table, obs, count, exclude=None, standardizer=None):
     """Retention from a copy of the table without row ``exclude``, by a
     full stable sort; indices refer to the full table."""
     rows = np.arange(table.n_rows)
@@ -182,8 +165,6 @@ def reference_retain(table, obs, count=None, tol=None, exclude=None,
     if exclude is not None:
         rows = np.delete(rows, exclude)
         sims = np.delete(sims, exclude, axis=0)
-    if tol is not None:
-        count = math.ceil(tol * len(rows))
     std = (Standardizer.fit(sims, obs.names) if standardizer is None
            else standardizer.subset(obs.names))
     diff = std.transform(sims) - std.transform(obs.values)
@@ -275,12 +256,8 @@ class TestRetentionEngine:
         table = take_rows(norm_table, np.arange(1001))
         rng = np.random.default_rng(34)
         for i, _, pseudo in self.queries(table, rng, 20):
-            res = rejection_model_choice([table], pseudo, tol=0.05,
-                                         exclude=(0, i))
-            # ceil(0.05 * 1000) of 1000 rows, not ceil(0.05 * 1001)
-            assert res.densities[0] == 50 / 1000
             r = retain(table, pseudo, 50, exclude=i)
-            assert_same_retention(r, reference_retain(table, pseudo, tol=0.05,
+            assert_same_retention(r, reference_retain(table, pseudo, count=50,
                                                       exclude=i))
 
     def test_supplied_standardizer(self, norm_table, unif_table):

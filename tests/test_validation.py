@@ -7,7 +7,7 @@ from scipy import stats as sps
 from abckit._kstwo import kstwo_sf
 from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
 from abckit.errors import NumericalError
-from abckit.modelchoice import glm_model_choice, rejection_model_choice
+from abckit.modelchoice import glm_model_choice
 from abckit.rejection import Standardizer, retain
 from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
@@ -265,7 +265,8 @@ class TestMarginalDensityPValue:
 
 def uniform_prior_estimator(table, pseudo, exclude):
     grid = np.linspace(0.0, 1.0, 256)
-    return GridPosterior(("p0",), (grid,), (np.ones_like(grid),))
+    post = GridPosterior(("p0",), (grid,), (np.ones_like(grid),))
+    return post, {"p0": post.characteristics("p0")}
 
 
 class TestCrossValidate:
@@ -356,9 +357,8 @@ def copying_estimator(settings):
                  else Standardizer.identity(table.stat_names))
         r = retain(without_row(table, exclude), pseudo,
                    settings.num_retained, scale)
-        post, _ = glm_posterior(glm_fit(r), r, n_points=settings.n_points,
-                                dirac_peak_width=settings.dirac_peak_width)
-        return post
+        return glm_posterior(glm_fit(r), r, n_points=settings.n_points,
+                             dirac_peak_width=settings.dirac_peak_width)
     return estimate
 
 
@@ -383,10 +383,8 @@ class TestLeaveOneOutLoops:
         assert got == want
 
     @pytest.mark.parametrize("settings", [
-        ModelChoiceSettings("glm", num_retained=100),
-        ModelChoiceSettings("rejection", tol=0.1),
-        ModelChoiceSettings("rejection", num_retained=100),
-        ModelChoiceSettings("glm", num_retained=100, standardize=False),
+        GlmSettings(num_retained=100),
+        GlmSettings(num_retained=100, standardize=False),
     ])
     def test_model_choice_validate_matches_copies(self, settings):
         tables = two_tables(np.random.default_rng(42), separation=1.0)
@@ -398,17 +396,10 @@ class TestLeaveOneOutLoops:
                 pseudo = ObservedStats(table.stat_names, table.stats[i])
                 trimmed = list(tables)
                 trimmed[m] = without_row(table, i)
-                if settings.method == "glm":
-                    result = glm_model_choice(trimmed, pseudo,
-                                              settings.num_retained,
-                                              settings.dirac_peak_width,
-                                              standardize=settings.standardize)
-                elif settings.tol is not None:
-                    result = rejection_model_choice(trimmed, pseudo,
-                                                    tol=settings.tol)
-                else:
-                    result = rejection_model_choice(
-                        trimmed, pseudo, count=settings.num_retained)
+                result = glm_model_choice(trimmed, pseudo,
+                                          settings.num_retained,
+                                          settings.dirac_peak_width,
+                                          standardize=settings.standardize)
                 want.append((m, result.probabilities))
         assert len(got) == len(want) == 40
         for (m, probs), (m_want, probs_want) in zip(got, want):
@@ -565,7 +556,7 @@ class TestModelChoiceValidation:
     def test_indistinguishable_models_near_half(self):
         rng = np.random.default_rng(92)
         tables = two_tables(rng)
-        settings = ModelChoiceSettings("glm", num_retained=100)
+        settings = GlmSettings(num_retained=100)
         cm, raw = model_choice_validate(tables, 100, settings, rng=93)
         assert cm.counts.sum(axis=1).tolist() == [100, 100]
         assert 0.35 < cm.overall_accuracy < 0.65
@@ -582,17 +573,28 @@ class TestModelChoiceValidation:
             tables.append(SimulationTable(("t", "s0", "s1"),
                                           np.column_stack([p, s]),
                                           (0,), (1, 2)))
-        settings = ModelChoiceSettings("glm", num_retained=50)
+        settings = GlmSettings(num_retained=50)
         cm, _ = model_choice_validate(tables, 40, settings, rng=95)
         assert cm.overall_accuracy == 1.0
         np.testing.assert_allclose(cm.per_model_accuracy, 1.0)
 
-    def test_rejection_method(self):
-        rng = np.random.default_rng(96)
-        tables = two_tables(rng, separation=5.0)
-        settings = ModelChoiceSettings("rejection", tol=0.1)
-        cm, _ = model_choice_validate(tables, 50, settings, rng=97)
-        assert cm.overall_accuracy > 0.95
+    def test_former_settings_call(self):
+        # the one call perfbench/workloads.py makes
+        dirac = 0.003
+        settings = ModelChoiceSettings("glm", 50, None, dirac)
+        assert settings == GlmSettings(50, dirac_peak_width=dirac)
+        tables = two_tables(np.random.default_rng(96), separation=1.0)
+        cm, raw = model_choice_validate(tables, 10, settings, rng=97)
+        cm_want, raw_want = model_choice_validate(
+            tables, 10, GlmSettings(50, dirac_peak_width=dirac), rng=97)
+        np.testing.assert_array_equal(cm.counts, cm_want.counts)
+        for (m, probs), (m_want, probs_want) in zip(raw, raw_want, strict=True):
+            assert m == m_want
+            np.testing.assert_array_equal(probs, probs_want)
+        with pytest.raises(ValueError, match="rejection"):
+            ModelChoiceSettings("rejection", 50, None, dirac)
+        with pytest.raises(ValueError, match="tol=0.1"):
+            ModelChoiceSettings("glm", 50, 0.1, dirac)
 
     def test_n_val_bound(self):
         rng = np.random.default_rng(98)
@@ -629,7 +631,7 @@ class TestModelChoiceCalibration:
             tables.append(SimulationTable(("t", "s0", "s1"),
                                           np.column_stack([t, s]),
                                           (0,), (1, 2)))
-        settings = ModelChoiceSettings("glm", num_retained=self.RETAINED)
+        settings = GlmSettings(num_retained=self.RETAINED)
         _, raw = model_choice_validate(tables, self.N_VAL, settings,
                                        rng=self.SEED + 1)
         truth = np.array([m == 0 for m, _ in raw], dtype=float)
