@@ -384,6 +384,8 @@ class TestLeaveOneOutLoops:
 
     @pytest.mark.parametrize("settings", [
         GlmSettings(num_retained=100),
+        GlmSettings(num_retained=40),
+        GlmSettings(num_retained=100, dirac_peak_width=0.05),
         GlmSettings(num_retained=100, standardize=False),
     ])
     def test_model_choice_validate_matches_copies(self, settings):
