@@ -132,13 +132,21 @@ class Config:
         return v
 
     def get_int(self, key: str, default=None):
+        """An integer literal, or an integral float literal up to 2**53."""
         v = self.get(key)
         if v is None:
             return default
         try:
-            return int(float(v))
-        except (ValueError, OverflowError):
-            raise ConfigError(f"{key} must be an integer, got {v!r}") from None
+            return int(v)
+        except ValueError:
+            pass
+        try:
+            x = float(v)
+            if x.is_integer() and abs(x) <= 2**53:
+                return int(x)
+        except ValueError:
+            pass
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
 
     def require_int(self, key: str) -> int:
         self.require(key)
@@ -418,7 +426,14 @@ def _log_coverage(rows, label: str) -> None:
 
 
 def _binding_from_config(cfg: Config) -> SimulatorBinding:
+    # builtin and easyabc leave the post-processor keys unread (and warned)
     program = cfg.require("simProgram")
+    if program in BUILTIN_MODELS:
+        return SimulatorBinding.builtin(program)
+    sim_args = cfg.get("simArgs", "")
+    template = cfg.get("simInputName")
+    if not template and not sim_args:
+        return SimulatorBinding.easyabc(program)
     sum_kw = {}
     if cfg.has("sumStatProgram"):
         sum_kw["sum_stat_program"] = cfg.get("sumStatProgram")
@@ -426,15 +441,9 @@ def _binding_from_config(cfg: Config) -> SimulatorBinding:
     stats_file = cfg.get("sumStatName")
     if stats_file:
         sum_kw["stats_file"] = stats_file
-    if program in BUILTIN_MODELS:
-        return SimulatorBinding.builtin(program)
-    sim_args = cfg.get("simArgs", "")
-    template = cfg.get("simInputName")
     if template:
         return SimulatorBinding.exec_files(program, template, sim_args, **sum_kw)
-    if sim_args:
-        return SimulatorBinding.exec_args(program, sim_args, **sum_kw)
-    return SimulatorBinding.easyabc(program)
+    return SimulatorBinding.exec_args(program, sim_args, **sum_kw)
 
 
 # McmcConfig fields and the keys that set them (numSims, the chain length,

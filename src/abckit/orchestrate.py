@@ -19,6 +19,16 @@ simulator output into a statistics file.  Statistics are read from a
 header + values file (default ``summary_stats-temp.txt``).  Each run works
 inside a private scratch directory so fixed filenames cannot collide.
 
+Failure rule.  Whatever the binding, a simulation fails when the simulator
+raises or exits non-zero, leaves no statistics file, or gives a non-finite
+statistic.  Only the statistics file is removed before each external run,
+so a run that writes none cannot pass off the previous run's; the rest of
+the scratch directory is kept (Hudson's ``ms`` keeps its ``seedms`` there).
+A failed simulation is retried once with the same parameters, then skipped
+by the standard sampler or rejected by the chain, with a warning.  Header
+rule: the first success fixes the statistic names (the chain takes its
+calibration's); other names abort the run with :class:`SimulatorError`.
+
 Seed rule.  A sampler derives its own generators from the one it is given
 (``Generator.spawn``), each consumed in a fixed order:
 
@@ -71,7 +81,6 @@ DEFAULT_STATS_FILE = "summary_stats-temp.txt"
 SIM_BLOCK = 256
 # seconds an external simulator or post-processor may run
 SIM_TIMEOUT = 300.0
-_NON_FINITE = "produced non-finite statistics"
 
 
 def _fmt_param(v: float) -> str:
@@ -102,10 +111,6 @@ class SimulatorBinding:
 
     @classmethod
     def builtin(cls, name: str) -> "SimulatorBinding":
-        if name not in BUILTIN_MODELS:
-            raise SimulatorError(
-                f"no builtin model {name!r}; available: "
-                + ", ".join(sorted(BUILTIN_MODELS)))
         return cls("builtin", program=name)
 
     @classmethod
@@ -121,60 +126,56 @@ class SimulatorBinding:
     def easyabc(cls, program) -> "SimulatorBinding":
         return cls("easyabc", program=str(program))
 
-    def validate(self) -> None:
-        if self.mode == "builtin":
-            if self.program not in BUILTIN_MODELS:
-                raise SimulatorError(f"unknown builtin model {self.program!r}")
-            return
-        prog = Path(self.program)
-        if not prog.exists() or not os.access(prog, os.X_OK):
-            raise SimulatorError(f"simulator {self.program!r} is not an "
-                                 "executable file")
-        if self.mode == "exec-files":
-            if not self.input_template or not Path(self.input_template).exists():
-                raise SimulatorError(
-                    f"input template {self.input_template!r} not found")
-        if self.sum_stat_program is not None:
-            p = Path(self.sum_stat_program)
-            if not p.exists() or not os.access(p, os.X_OK):
-                raise SimulatorError(
-                    f"post-processor {self.sum_stat_program!r} is not an "
-                    "executable file")
 
-
-def _rendered_input_name(template: str) -> str:
-    t = Path(template)
-    return t.stem + "-temp" + t.suffix
+def _executable(path: str, role: str) -> str:
+    p = Path(path)
+    if not p.is_file() or not os.access(p, os.X_OK):
+        raise SimulatorError(f"{role} {path!r} is not an executable file")
+    return str(p.resolve())
 
 
 class _Runner:
-    """Executes a binding inside one scratch directory."""
+    """Runs one binding's simulations by the failure and header rules of
+    the module docstring; the binding is checked here, next to the paths
+    the checks guard.  :meth:`_attempt` removes the statistics file it will
+    read, runs once and raises :class:`SimulatorError` on a failure;
+    :meth:`simulate` retries once.  ``stat_names`` is set by the first
+    success, or given (the chain's are its calibration's); a success with
+    other names raises :class:`SimulatorError`."""
 
-    def __init__(self, binding: SimulatorBinding):
-        binding.validate()
+    def __init__(self, binding: SimulatorBinding,
+                 stat_names: tuple[str, ...] | None = None):
         self.binding = binding
+        self.stat_names = stat_names
+        self.model = None
         self.scratch = None
-        self.template_text = None
-        if binding.mode != "builtin":
-            self.scratch = Path(tempfile.mkdtemp(prefix="abck-sim-"))
-            self.program = str(Path(binding.program).resolve())
-            if binding.sum_stat_program:
-                self.post = str(Path(binding.sum_stat_program).resolve())
-            else:
-                self.post = None
-            if binding.mode == "exec-files":
-                self.template_text = Path(binding.input_template).read_text()
-                self.rendered_name = _rendered_input_name(binding.input_template)
-
-    def close(self):
-        if self.scratch is not None:
-            shutil.rmtree(self.scratch, ignore_errors=True)
+        if binding.mode == "builtin":
+            self.model = BUILTIN_MODELS.get(binding.program)
+            if self.model is None:
+                raise SimulatorError(
+                    f"no builtin model {binding.program!r}; available: "
+                    + ", ".join(sorted(BUILTIN_MODELS)))
+            return
+        self.program = _executable(binding.program, "simulator")
+        self.post = binding.sum_stat_program and _executable(
+            binding.sum_stat_program, "post-processor")
+        if binding.mode == "exec-files":
+            template = Path(binding.input_template or "")
+            if not template.is_file():
+                raise SimulatorError(
+                    f"input template {binding.input_template!r} not found")
+            self.template_text = template.read_text()
+            self.rendered_name = template.stem + "-temp" + template.suffix
+        self.stats_name = ("output" if binding.mode == "easyabc"
+                           else binding.stats_file)
+        self.scratch = Path(tempfile.mkdtemp(prefix="abck-sim-"))
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if self.scratch is not None:
+            shutil.rmtree(self.scratch, ignore_errors=True)
 
     def _run(self, argv):
         try:
@@ -187,40 +188,8 @@ class _Runner:
             raise SimulatorError(
                 f"{argv[0]} exited with {proc.returncode}: " + " | ".join(tail))
 
-    def _read_stats(self, path: Path):
-        if not path.exists():
-            raise SimulatorError(f"statistics file {path.name} was not produced")
-        lines = [l.split() for l in path.read_text().splitlines() if l.strip()]
+    def _run_external(self, draw: dict):
         binding = self.binding
-        try:
-            if binding.mode == "easyabc":
-                values = [float(v) for v in lines[0]]
-                names = tuple(f"stat_{i + 1}" for i in range(len(values)))
-            else:
-                if len(lines) < 2:
-                    raise SimulatorError(
-                        f"statistics file {path.name} needs a header and a "
-                        "value line")
-                names = tuple(lines[0])
-                values = [float(v) for v in lines[1]]
-        except ValueError as exc:
-            raise SimulatorError(
-                f"non-numeric statistic in {path.name}: {exc}") from None
-        if len(names) != len(values):
-            raise SimulatorError(
-                f"{path.name}: {len(names)} names but {len(values)} values")
-        return tuple(names), np.array(values)
-
-    def simulate(self, draw: dict, rng) -> tuple[tuple[str, ...], np.ndarray]:
-        binding = self.binding
-        if binding.mode == "builtin":
-            names, values = BUILTIN_MODELS[binding.program](draw, rng)
-            values = np.asarray(values, dtype=float)
-            if not np.isfinite(values).all():
-                raise SimulatorError(f"builtin model {binding.program} "
-                                     f"{_NON_FINITE}")
-            return tuple(names), values
-
         subs = {name: _fmt_param(v) for name, v in draw.items()}
         if binding.mode == "exec-files":
             rendered = _substitute(self.template_text, subs)
@@ -233,77 +202,100 @@ class _Runner:
         else:
             argv = [self.program] + [
                 _substitute(tok, subs) for tok in binding.sim_args.split()]
+        path = self.scratch / self.stats_name
+        path.unlink(missing_ok=True)
         self._run(argv)
-        if self.post is not None:
-            post_argv = [self.post] + [
-                _substitute(tok, subs) for tok in binding.sum_stat_args.split()]
-            self._run(post_argv)
-        stats_name = "output" if binding.mode == "easyabc" else binding.stats_file
-        return self._read_stats(self.scratch / stats_name)
-
-    def simulate_with_retry(self, draw: dict, rng, retry_rng,
-                            on_failure: str):
-        """:meth:`simulate`, retried once with the same parameters and noise
-        from ``retry_rng``; ``None`` (and a warning ending in
-        ``on_failure``) if both attempts fail."""
+        if self.post:
+            self._run([self.post] + [
+                _substitute(tok, subs) for tok in binding.sum_stat_args.split()])
+        if not path.exists():
+            raise SimulatorError(f"statistics file {path.name} was not produced")
+        lines = [l.split() for l in path.read_text().splitlines() if l.strip()]
+        if binding.mode == "easyabc" and lines:      # values only
+            lines.insert(0, [f"stat_{i + 1}" for i in range(len(lines[0]))])
+        if len(lines) < 2:
+            raise SimulatorError(f"statistics file {path.name} has no value "
+                                 "line")
         try:
-            return self.simulate(draw, rng)
+            values = [float(v) for v in lines[1]]
+        except ValueError as exc:
+            raise SimulatorError(
+                f"non-numeric statistic in {path.name}: {exc}") from None
+        if len(lines[0]) != len(values):
+            raise SimulatorError(f"{path.name}: {len(lines[0])} names but "
+                                 f"{len(values)} values")
+        return lines[0], values
+
+    def _attempt(self, draw: dict, rng):
+        """One simulation of ``draw``: its statistic names and values, or
+        :class:`SimulatorError` by the failure rule."""
+        if self.model is not None:
+            names, values = self.model(draw, rng)
+        else:
+            names, values = self._run_external(draw)
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise SimulatorError(f"simulator {self.binding.program!r} "
+                                 "produced non-finite statistics")
+        return tuple(names), values
+
+    def _check_header(self, names: tuple[str, ...]) -> None:
+        if self.stat_names is None:
+            self.stat_names = names
+        elif names != self.stat_names:
+            raise SimulatorError("statistics header changed between simulations "
+                                 f"({self.stat_names} -> {names})")
+
+    def simulate(self, draw: dict, rng, retry_rng, on_failure: str):
+        """The statistics of ``draw`` (in ``stat_names`` order): an attempt
+        on ``rng``, retried once with noise from ``retry_rng``; ``None``,
+        after a warning ending in ``on_failure``, if both fail."""
+        try:
+            names, values = self._attempt(draw, rng)
         except SimulatorError as exc:
             return self._retry(draw, retry_rng, on_failure, exc)
+        self._check_header(names)
+        return values
 
     def _retry(self, draw: dict, retry_rng, on_failure: str, exc):
         log.debug("simulation failed, retrying once: %s", exc)
         try:
-            return self.simulate(draw, retry_rng)
+            names, values = self._attempt(draw, retry_rng)
         except SimulatorError as exc:
             log.warning("simulation failed twice, %s: %s", on_failure, exc)
             return None
+        self._check_header(names)
+        return values
 
-    def simulate_rows(self, est: EstModel, values: np.ndarray, rng, retry_rng,
+    def simulate_rows(self, names, values: np.ndarray, rng, retry_rng,
                       on_failure: str):
-        """Simulate each row of ``values`` (columns ``est.all_names``) as
-        :meth:`simulate_with_retry` does.  Returns the statistic names
-        (``None`` if every row failed), a statistics matrix and the mask of
-        the rows that succeeded.  A builtin with a batch function simulates
-        all rows in one call; any other binding goes row by row."""
-        batch = None
-        if self.binding.mode == "builtin":
-            batch = getattr(BUILTIN_MODELS[self.binding.program], "batch", None)
+        """Simulate each row of ``values`` (columns ``names``) as
+        :meth:`simulate` does.  Returns a statistics matrix (columns
+        ``stat_names``) and the mask of the rows that succeeded.  A builtin
+        with a batch function simulates all rows in one call, then the rows
+        with a non-finite statistic are retried in order; any other binding
+        goes row by row."""
+        batch = getattr(self.model, "batch", None)
         if batch is None:
-            return self._simulate_each(est, values, rng, retry_rng, on_failure)
-        stat_names, stats = batch(est.all_names, values, rng)
+            rows = [self.simulate(dict(zip(names, row)), rng, retry_rng,
+                                  on_failure) for row in values.tolist()]
+            ok = np.array([r is not None for r in rows], dtype=bool)
+            stats = np.zeros((len(rows), len(self.stat_names or ())))
+            if ok.any():
+                stats[ok] = [r for r in rows if r is not None]
+            return stats, ok
+        stat_names, stats = batch(names, values, rng)
         stats = np.asarray(stats, dtype=float)
         ok = np.isfinite(stats).all(axis=1)
-        problem = f"builtin model {self.binding.program} {_NON_FINITE}"
+        if ok.any():
+            self._check_header(tuple(stat_names))
         for i in np.flatnonzero(~ok):
-            draw = dict(zip(est.all_names, values[i].tolist()))
-            result = self._retry(draw, retry_rng, on_failure, problem)
+            draw = dict(zip(names, values[i].tolist()))
+            result = self._retry(draw, retry_rng, on_failure,
+                                 "non-finite statistics")
             if result is not None:
-                stats[i], ok[i] = result[1], True
-        return tuple(stat_names), stats, ok
-
-    def _simulate_each(self, est, values, rng, retry_rng, on_failure):
-        stat_names, rows = None, []
-        ok = np.zeros(len(values), dtype=bool)
-        for i, row in enumerate(values.tolist()):
-            draw = dict(zip(est.all_names, row))
-            result = self.simulate_with_retry(draw, rng, retry_rng, on_failure)
-            if result is None:
-                continue
-            stat_names = _same_header(stat_names, result[0])
-            rows.append(result[1])
-            ok[i] = True
-        stats = np.zeros((len(values), len(stat_names or ())))
-        if rows:
-            stats[ok] = rows
-        return stat_names, stats, ok
-
-
-def _same_header(known, names):
-    if known is not None and names != known:
-        raise SimulatorError("statistics header changed between simulations "
-                             f"({known} -> {names})")
-    return names
+                stats[i], ok[i] = result, True
+        return stats, ok
 
 
 @dataclass(frozen=True)
@@ -332,19 +324,18 @@ def run_standard(est: EstModel, binding: SimulatorBinding, n_sims: int,
     param_names = est.all_names if record == "all" else est.output_names
     param_cols = [est.all_names.index(n) for n in param_names]
     blocks = []
-    stat_names = None
     failures = 0
     with _Runner(binding) as runner:
         for start in range(0, n_sims, SIM_BLOCK):
             raw = sample_rows(est, prior_rng, min(SIM_BLOCK, n_sims - start))
             values = complete_rows(est, raw)
-            names, stats, ok = runner.simulate_rows(est, values, noise_rng,
-                                                    retry_rng, "skipping draw")
+            stats, ok = runner.simulate_rows(est.all_names, values, noise_rng,
+                                             retry_rng, "skipping draw")
             failures += int(np.count_nonzero(~ok))
-            if names is None:
-                continue
-            stat_names = _same_header(stat_names, names)
-            blocks.append(np.hstack([values[ok][:, param_cols], stats[ok]]))
+            if ok.any():
+                blocks.append(np.hstack([values[ok][:, param_cols],
+                                         stats[ok]]))
+    stat_names = runner.stat_names
     if stat_names is None:
         raise SimulatorError("every simulation failed; nothing to report")
     log.info("performed %d simulation(s), %d failure(s)", n_sims - failures,
@@ -556,7 +547,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     accepted = 0
     outside_domain = 0
     checked_early = False
-    with _Runner(binding) as runner:
+    with _Runner(binding, cal.sim_stat_names) as runner:
         for step in range(1, cfg.chain_length + 1):
             proposal = {}
             for j, name in enumerate(prior_names):
@@ -572,13 +563,9 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                 proposal[name] = x
             if all(rule.holds(proposal) for rule in est.rules):
                 draw = complete_draw(est, proposal)
-                result = runner.simulate_with_retry(
-                    draw, noise_rng, retry_rng, "rejecting the proposal")
-                if result is not None:
-                    names, values = result
-                    if tuple(names) != cal.sim_stat_names:
-                        raise SimulatorError(
-                            "statistics header changed during the chain")
+                values = runner.simulate(draw, noise_rng, retry_rng,
+                                         "rejecting the proposal")
+                if values is not None:
                     try:
                         new_dist = cal.distance(values)
                     except TableFormatError as exc:

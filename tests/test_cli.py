@@ -1,4 +1,5 @@
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -130,7 +131,9 @@ def test_simulate_table_does_not_depend_on_the_block_size(tmp_path,
     ("mcmcBurnIn=1.5", "mcmcBurnIn"),
     ("numSims=0", "numSims"),
     ("numSims=inf", "numSims"),
+    ("numSims=50.7", "numSims"),
     ("seed=-1", "seed"),
+    ("seed=1e30", "seed"),
 ])
 def test_simulate_mcmc_range_check_is_a_config_error(tmp_path, monkeypatch,
                                                      caplog, toy_obs,
@@ -146,6 +149,17 @@ def test_simulate_mcmc_range_check_is_a_config_error(tmp_path, monkeypatch,
               if r.levelno == logging.ERROR]
     assert len(errors) == 1 and key in errors[0]
     assert not list(tmp_path.glob("*_sampling1.txt"))
+
+
+@pytest.mark.parametrize("value, want", [
+    ("12", 12), ("1e3", 1000), ("-0.0", 0), ("2.0e1", 20),
+    ("9007199254740993", 2**53 + 1),
+])
+def test_get_int_takes_integer_and_integral_float_literals(value, want):
+    cfg = cli.Config()
+    cfg.set("seed", value)
+    got = cfg.get_int("seed")
+    assert got == want and type(got) is int
 
 
 def test_config_error_exits_1_without_traceback(tmp_path, toy_obs):
@@ -828,12 +842,14 @@ def test_threads_is_an_unknown_key(tmp_path, monkeypatch, caplog):
 
 
 # External simulators for the exec-args, exec-files and easyabc bindings.
-# Each writes the parameters it is given back as its statistics, logs its
-# call number and arguments, and fails on the call numbers listed in the
-# file "fail".  They are POSIX sh scripts: every simulation starts a
-# process, and a Python interpreter takes about 0.1 s to start on a 2-vCPU
-# VM, which would make the three MCMC runs (140 simulations each) take
-# most of a minute.
+# Each writes the parameters it is given back as its statistics and logs its
+# call number and arguments.  On the call numbers listed in the file
+# "fail" it exits 1, on those in "silent" it exits 0 without writing its
+# statistics, on those in "empty" it writes an empty statistics file, and
+# on those in "nan" it writes "nan" for mu.  They are POSIX sh scripts:
+# every simulation starts a process, and a Python interpreter takes about
+# 0.1 s to start on a 2-vCPU VM, which would make the three MCMC runs (140
+# simulations each) take most of a minute.
 SIM_PREAMBLE = """#!/bin/sh
 n=$(( $(cat '{state}/calls' 2>/dev/null || echo 0) + 1 ))
 echo "$n" > '{state}/calls'
@@ -842,6 +858,16 @@ SIM_FAIL = """echo "$n $mu $sigma2" >> '{state}/log'
 if grep -qx "$n" '{state}/fail' 2>/dev/null; then
     echo "call $n failed" >&2
     exit 1
+fi
+if grep -qx "$n" '{state}/silent' 2>/dev/null; then
+    exit 0
+fi
+if grep -qx "$n" '{state}/empty' 2>/dev/null; then
+    : > output; : > summary_stats-temp.txt
+    exit 0
+fi
+if grep -qx "$n" '{state}/nan' 2>/dev/null; then
+    mu=nan
 fi
 """
 SIMULATORS = {
@@ -863,14 +889,16 @@ BINDING_KEYS = {
 }
 
 
-def _external_simulator(directory, mode, fail=()):
+def _external_simulator(directory, mode, fail=(), kind="fail"):
     """Write the simulator of ``mode`` (and its template) into
-    ``directory``; returns the CLI settings that select it."""
+    ``directory``, failing as ``kind`` ("fail", "silent", "empty" or
+    "nan") on the calls ``fail``; returns the CLI settings that select
+    it."""
     sim = directory / "sim.sh"
     sim.write_text(SIMULATORS[mode].format(state=directory))
     sim.chmod(0o755)
     (directory / "input.tpl").write_text("mu\nsigma2\n")
-    (directory / "fail").write_text("".join(f"{n}\n" for n in fail))
+    (directory / kind).write_text("".join(f"{n}\n" for n in fail))
     (directory / "toy.est").write_text(TOY_EST)
     return ["task=simulate", "estName=toy.est", f"simProgram={sim}",
             *BINDING_KEYS[mode]]
@@ -883,23 +911,22 @@ def _simulator_calls(directory):
     return [(int(n), float(mu), float(s2)) for n, mu, s2 in rows]
 
 
-@pytest.mark.parametrize("mode", sorted(SIMULATORS))
-def test_external_standard_sampler_retries_then_skips(tmp_path, monkeypatch,
-                                                      caplog, mode):
-    # call 2 fails and its retry (call 3) succeeds; calls 5 and 6 fail, so
-    # the fourth draw is skipped
-    monkeypatch.chdir(tmp_path)
-    settings = _external_simulator(tmp_path, mode, fail=(2, 5, 6))
+def _retried_then_skipped(directory, monkeypatch, caplog, mode, kind):
+    """Run five draws with calls 2, 5 and 6 failing as ``kind``: call 2's
+    retry (call 3) succeeds, the fourth draw fails twice and is skipped.
+    Returns the one warning."""
+    monkeypatch.chdir(directory)
+    settings = _external_simulator(directory, mode, (2, 5, 6), kind)
     with caplog.at_level(logging.INFO, logger="abckit"):
         code = cli.main(settings + ["numSims=5", "seed=2", "outName=ext"])
     assert code == 0
-    calls = _simulator_calls(tmp_path)
+    calls = _simulator_calls(directory)
     assert [n for n, *_ in calls] == list(range(1, 8))
     assert calls[1][1:] == calls[2][1:] and calls[4][1:] == calls[5][1:]
     assert len({c[1:] for c in calls}) == 5
     # the table holds the successful calls' values, in order, written
-    # with 6 significant digits
-    table = read_table(tmp_path / "ext_sampling1.txt", "1-2")
+    # with 6 significant digits: no row carries another draw's statistics
+    table = read_table(directory / "ext_sampling1.txt", "1-2")
     want = np.array([c[1:] for c in calls if c[0] in (1, 3, 4, 7)])
     np.testing.assert_allclose(table.params, want, rtol=1e-5)
     np.testing.assert_allclose(table.stats, want, rtol=1e-5)
@@ -909,9 +936,35 @@ def test_external_standard_sampler_retries_then_skips(tmp_path, monkeypatch,
                 if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert warnings[0].startswith("simulation failed twice, skipping draw: ")
-    assert warnings[0].endswith("exited with 1: call 6 failed")
     assert any(r.getMessage() == "performed 4 simulation(s), 1 failure(s)"
                for r in caplog.records)
+    return warnings[0]
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATORS))
+def test_external_standard_sampler_retries_then_skips(tmp_path, monkeypatch,
+                                                      caplog, mode):
+    warning = _retried_then_skipped(tmp_path, monkeypatch, caplog, mode,
+                                    "fail")
+    assert warning.endswith("exited with 1: call 6 failed")
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("silent", "statistics file {stats} was not produced"),
+    ("empty", "statistics file {stats} has no value line"),
+    ("nan", "simulator '{sim}' produced non-finite statistics"),
+], ids=["silent", "empty", "nan"])
+@pytest.mark.parametrize("mode", sorted(SIMULATORS))
+def test_silent_or_non_finite_simulation_is_retried_then_skipped(
+        tmp_path, monkeypatch, caplog, mode, kind, message):
+    # a simulator that exits 0 without writing its statistics file must not
+    # be credited with the previous call's file, and an empty file or a
+    # non-finite statistic fails the simulation as an exit code would
+    warning = _retried_then_skipped(tmp_path, monkeypatch, caplog, mode,
+                                    kind)
+    stats = "output" if mode == "easyabc" else "summary_stats-temp.txt"
+    assert warning.endswith(message.format(stats=stats,
+                                           sim=tmp_path / "sim.sh"))
 
 
 @pytest.mark.parametrize("mode", sorted(SIMULATORS))
@@ -936,3 +989,94 @@ def test_external_mcmc_sampler(tmp_path, monkeypatch, caplog, mode):
     chains = [r.args for r in caplog.records
               if r.msg.startswith("chain of %d steps")]
     assert len(chains) == 1 and chains[0][0] == 40 and chains[0][1] > 0
+
+
+def test_external_mcmc_non_finite_simulation_rejects_the_proposal(
+        tmp_path, monkeypatch, caplog):
+    # calls 1-100 calibrate; call 110 is step 10 and call 111 its retry
+    monkeypatch.chdir(tmp_path)
+    settings = _external_simulator(tmp_path, "exec-args", (110, 111), "nan")
+    write_observed(tmp_path / "obs.txt",
+                   ObservedStats(("s1", "s2"), np.array([0.2, 2.0])))
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(settings + ["samplerType=MCMC", "numSims=40",
+                                    "numCaliSims=100", "obsName=obs.txt",
+                                    "seed=3", "outName=chain"])
+    assert code == 0
+    calls = _simulator_calls(tmp_path)
+    assert len(calls) == 141 and calls[109][1:] == calls[110][1:]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == [
+        "simulation failed twice, rejecting the proposal: simulator "
+        f"'{tmp_path / 'sim.sh'}' produced non-finite statistics"]
+    # the rejected step 10 repeats the state of step 9 (rows 4 and 5 after
+    # the burn-in of 4 records)
+    chain = read_table(tmp_path / "chain_sampling1.txt", "1-2")
+    assert chain.n_rows == 36 and np.isfinite(chain.values).all()
+    np.testing.assert_array_equal(chain.values[5], chain.values[4])
+
+
+def renaming_model(after):
+    """A builtin whose second statistic is named "t" on its first ``after``
+    calls and "u" from then on; with ``batch``, its batch function makes
+    every row's statistics non-finite, so each row goes to the per-draw
+    retry."""
+    calls = []
+
+    def model(draw, rng):
+        calls.append(1)
+        second = "t" if len(calls) <= after else "u"
+        return ("s", second), [draw["mu"] + rng.normal(), draw["sigma2"]]
+
+    def batch(names, values, rng):
+        return ("s", "t"), np.full((len(values), 2), math.nan)
+
+    model.batch = batch
+    return model
+
+
+@pytest.mark.parametrize("sampler, after, batch", [
+    ([], 10, False),
+    ([], 10, True),
+    (["samplerType=MCMC", "numCaliSims=100", "obsName=obs.txt"], 105, False),
+], ids=["standard", "standard-batch", "mcmc"])
+def test_statistics_header_change_exits_4(tmp_path, monkeypatch, caplog,
+                                          sampler, after, batch):
+    model = renaming_model(after)
+    if not batch:
+        del model.batch
+    monkeypatch.setitem(orchestrate.BUILTIN_MODELS, "renaming", model)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    write_observed(tmp_path / "obs.txt",
+                   ObservedStats(("s", "t"), np.array([0.2, 2.0])))
+    code = cli.main(["task=simulate", "estName=toy.est",
+                     "simProgram=renaming", "numSims=20", "seed=1",
+                     *sampler])
+    assert code == 4
+    assert _error_lines(caplog) == [
+        "simulator failure: statistics header changed between simulations "
+        "(('s', 't') -> ('s', 'u'))"]
+    assert not list(tmp_path.glob("*_sampling1.txt"))
+
+
+@pytest.mark.parametrize("mode", ["builtin", "easyabc"])
+def test_post_processor_keys_are_unused_without_an_exec_binding(
+        tmp_path, monkeypatch, caplog, mode):
+    monkeypatch.chdir(tmp_path)
+    if mode == "builtin":
+        (tmp_path / "toy.est").write_text(TOY_EST)
+        settings = ["task=simulate", "estName=toy.est",
+                    "simProgram=toy-normal"]
+    else:
+        settings = _external_simulator(tmp_path, mode)
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(settings + ["sumStatProgram=/bin/false",
+                                    "sumStatName=foo.txt", "numSims=5",
+                                    "seed=1"])
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["setting sumStatName='foo.txt' was not used",
+                        "setting sumStatProgram='/bin/false' was not used"]

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -236,6 +237,62 @@ class TestBatchInvariance:
         run = run_standard(est, SimulatorBinding.builtin("spiky"), 400,
                            np.random.default_rng(15))
         assert run.table.values.tobytes() == runs[0].table.values.tobytes()
+
+
+class TestBindingChecks:
+    """A binding is checked before any scratch directory is made."""
+
+    @pytest.fixture(autouse=True)
+    def scratch(self, tmp_path, monkeypatch):
+        self.tmp = tmp_path / "tmp"
+        self.tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(self.tmp))
+        sim = tmp_path / "sim.sh"
+        sim.write_text("#!/bin/sh\n")
+        sim.chmod(0o755)
+        self.sim = sim
+        (tmp_path / "plain.sh").write_text("#!/bin/sh\n")
+
+    def check(self, binding, message):
+        with pytest.raises(SimulatorError, match=message):
+            run_standard(parse_est(TOY_EST), binding, 5, 1)
+        assert not list(self.tmp.iterdir())
+
+    def test_missing_simulator(self, tmp_path):
+        self.check(SimulatorBinding.exec_args(tmp_path / "none.sh", "mu"),
+                   "^simulator '.*none.sh' is not an executable file$")
+
+    def test_simulator_that_is_not_executable(self, tmp_path):
+        self.check(SimulatorBinding.easyabc(tmp_path / "plain.sh"),
+                   "^simulator '.*plain.sh' is not an executable file$")
+
+    def test_missing_post_processor(self, tmp_path):
+        self.check(SimulatorBinding.exec_args(
+            self.sim, "mu", sum_stat_program=str(tmp_path / "post.sh")),
+            "^post-processor '.*post.sh' is not an executable file$")
+
+    def test_missing_template(self, tmp_path):
+        self.check(SimulatorBinding.exec_files(
+            self.sim, tmp_path / "none.tpl", "SIMINPUTNAME"),
+            "^input template '.*none.tpl' not found$")
+
+    def test_unknown_builtin(self):
+        self.check(SimulatorBinding.builtin("no-such-model"),
+                   "^no builtin model 'no-such-model'; available: .*"
+                   "toy-normal")
+
+
+def test_every_simulation_failing_is_a_simulator_error(monkeypatch):
+    # the batch and its retries all give non-finite statistics
+    def per_draw(draw, rng):
+        return ("s",), [math.inf]
+
+    per_draw.batch = lambda names, values, rng: (
+        ("s",), np.full((len(values), 1), math.inf))
+    monkeypatch.setitem(models.BUILTIN_MODELS, "broken", per_draw)
+    with pytest.raises(SimulatorError, match="^every simulation failed"):
+        run_standard(parse_est(TOY_EST), SimulatorBinding.builtin("broken"),
+                     5, 1)
 
 
 def noise_model(draw, rng):
