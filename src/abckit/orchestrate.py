@@ -510,6 +510,7 @@ class McmcRun:
     steps: int
     calibration: Calibration
     outside_domain: int         # proposals rejected by the Box-Cox domain
+    failed_simulations: int     # proposals whose simulation failed twice
 
 
 def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
@@ -525,10 +526,11 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     enters the acceptance test); draws violating a rule are rejected
     outright, and so are simulations with a statistic outside the domain
     of the calibration's Box-Cox transform (counted in
-    ``outside_domain``).  The chain state (the output values of its draw,
-    taken when it was accepted, its statistics and distance) is recorded
-    every ``sampling_interval`` steps; the first ``burn_in_frac`` of the
-    records is discarded.
+    ``outside_domain``) and proposals whose simulation failed twice
+    (counted in ``failed_simulations``).  The chain state (the output
+    values of its draw, taken when it was accepted, its statistics and
+    distance) is recorded every ``sampling_interval`` steps; the first
+    ``burn_in_frac`` of the records is discarded.
     """
     rng = np.random.default_rng(rng)
     cal = calibration if calibration is not None else calibrate(
@@ -545,7 +547,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
 
     records = []
     accepted = 0
-    outside_domain = 0
+    outside_domain = failed_simulations = 0
     checked_early = False
     with _Runner(binding, cal.sim_stat_names) as runner:
         for step in range(1, cfg.chain_length + 1):
@@ -565,7 +567,9 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                 draw = complete_draw(est, proposal)
                 values = runner.simulate(draw, noise_rng, retry_rng,
                                          "rejecting the proposal")
-                if values is not None:
+                if values is None:
+                    failed_simulations += 1
+                else:
                     try:
                         new_dist = cal.distance(values)
                     except TableFormatError as exc:
@@ -602,5 +606,7 @@ def run_mcmc(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                                         len(names) - 1)))
     log.info("%d proposal(s) rejected outside the transform domain",
              outside_domain)
+    log.info("%d proposal(s) rejected after their simulation failed twice",
+             failed_simulations)
     return McmcRun(table, accepted / cfg.chain_length, cal.epsilon,
-                   cfg.chain_length, cal, outside_domain)
+                   cfg.chain_length, cal, outside_domain, failed_simulations)

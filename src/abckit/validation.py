@@ -16,11 +16,29 @@ yielding a confusion matrix and the raw posterior model probabilities of
 each pseudo-observation.  One settings type, :class:`GlmSettings`, serves
 both: it gives every retention its count and, by ``standardize``, its
 scale.
+
+The replicates of a cross-validation and the queries of a model-choice
+validation are independent, so :func:`_fork_map` runs them on every CPU
+this process may use (``os.sched_getaffinity``; ``taskset`` or a cpuset
+limits them): the process itself and one forked child per other CPU take
+the items in order, each the next one whenever it is free, so a CPU that
+a busy machine slows takes fewer.  The random draws are all made before
+the items run, and the results and the log records of every item are
+gathered and emitted in item order, so the outputs and the log do not
+depend on the number of CPUs or on which process ran which item.  What an
+item changes in a child's memory besides its result and its log records
+(a counter, a cache) is lost with the child.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +201,169 @@ def fit_pvalues(fit, retained: RetainedSet, n_marginal=None, n_tukey=None,
 
 
 # ---------------------------------------------------------------------------
+# independent items on every CPU
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on; 1 on a platform
+    without ``fork`` or ``sched_getaffinity``."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a child, as its cause."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+# blocks of items handed out through the claim pipe, each by a 4-byte
+# index: at most one page, which a pipe holds without blocking the writer
+_MAX_BLOCKS = 1024
+
+
+def _portable(record: logging.LogRecord) -> logging.LogRecord:
+    # a record crosses the pipe as it is when it pickles, and with its
+    # message and traceback formatted when it does not
+    try:
+        pickle.dumps(record)
+    except Exception:
+        if record.exc_info:
+            record.exc_text = logging.Formatter().formatException(
+                record.exc_info)
+        record.msg, record.args = record.getMessage(), None
+        record.exc_info = None
+    return record
+
+
+def _run_claimed(fn, items, size: int, claims: int) -> list:
+    """Run ``fn`` over the blocks of ``size`` items whose indices this
+    process reads from the pipe ``claims``, until the pipe is empty.
+    Returns one ``(index, records, value, error)`` per item run: the log
+    records it made (kept, not emitted), its result, and the exception it
+    raised.  An exception empties the pipe, since no later item is
+    needed."""
+    out, records = [], []
+    handle = logging.Logger.handle
+    logging.Logger.handle = lambda logger, record: records.append(record)
+    try:
+        while claim := os.read(claims, 4):
+            start = int.from_bytes(claim, "little") * size
+            for i in range(start, min(start + size, len(items))):
+                value = error = None
+                try:
+                    value = fn(items[i])
+                except Exception as exc:
+                    error = exc
+                out.append((i, records[:], value, error))
+                records.clear()
+                if error is not None:
+                    while os.read(claims, 4096):
+                        pass
+                    return out
+    finally:
+        logging.Logger.handle = handle
+    return out
+
+
+def _serve(fn, items, size: int, claims: int, fd: int) -> None:
+    """:func:`_run_claimed` in a forked child: writes its list, pickled,
+    to ``fd``, each entry followed by the formatted traceback of its
+    exception.  Never returns."""
+    code = 1
+    try:
+        out = []
+        for i, records, value, error in _run_claimed(fn, items, size, claims):
+            text = None
+            if error is not None:
+                text = "".join(traceback.format_exception(error))
+                try:
+                    pickle.loads(pickle.dumps(error))
+                except Exception:
+                    error = RuntimeError(f"{type(error).__name__}: {error}")
+            out.append((i, [_portable(r) for r in records], value, error,
+                        text))
+        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on every CPU: this process and a
+    forked child per other CPU take the items in order, a block at a time
+    (one item while there are at most :data:`_MAX_BLOCKS`), whenever they
+    are free, so a CPU that runs slower takes fewer.  Results come back in
+    item order, and so are the log records emitted, here; the first
+    exception in item order is raised here with its type and message (a
+    child's traceback is its cause).  A child that ends without its
+    results is a ``ChildProcessError``.  With one CPU (:func:`_cpu_count`)
+    or one item, or while another thread runs (a child would inherit the
+    locks it holds), the items run here one by one."""
+    items = list(items)
+    n = min(_cpu_count(), len(items))
+    if n < 2 or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    size = -(-len(items) // _MAX_BLOCKS)
+    claims, queue = os.pipe()
+    os.write(queue, b"".join(k.to_bytes(4, "little")
+                             for k in range(-(-len(items) // size))))
+    os.close(queue)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []                   # (pid, read end of its result pipe)
+    statuses = []
+    try:
+        for _ in range(n - 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _serve(fn, items, size, claims, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        done = {i: (records, value, error, None) for i, records, value, error
+                in _run_claimed(fn, items, size, claims)}
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code or not payload:
+            how = (f"killed by signal {-code}" if code < 0
+                   else f"exit status {code}")
+            raise ChildProcessError(
+                f"a validation worker ended without its results ({how})")
+        for i, *entry in pickle.loads(payload):
+            done[i] = entry
+    results = []
+    for i in range(len(items)):
+        records, value, error, text = done[i]
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if text is not None:
+            raise error from _ChildTraceback(text)
+        if error is not None:
+            raise error
+        results.append(value)
+    return results
+
+
+# ---------------------------------------------------------------------------
 # cross-validation of parameter estimates
 
 
@@ -243,6 +424,9 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     :class:`PosteriorCharacteristics` by parameter name, as
     :func:`abckit.adjust.glm_posterior` returns them.  The default retains
     (``retain(..., exclude=exclude)``) and fits ABC-GLM with ``settings``.
+    The replicates run through :func:`_fork_map`, so the estimator may run
+    in a forked child: it must be a function of its arguments, and what
+    else it changes stays in the child.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
@@ -264,13 +448,13 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
 
     pnames = table.param_names
     snames = table.stat_names
-    rows: list[ValidationRow] = []
-    for i in chosen:
+
+    def replicate(i: int) -> ValidationRow:
         truth = dict(zip(pnames, table.values[i, list(table.param_idx)]))
         pseudo = ObservedStats(snames, table.values[i, list(table.stat_idx)])
         row = ValidationRow(truth)
         try:
-            post, chars = estimator(table, pseudo, int(i))
+            post, chars = estimator(table, pseudo, i)
             for name in pnames:
                 ch = chars[name]
                 row.mode[name] = ch.mode
@@ -281,8 +465,9 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
         except AbckitError as exc:
             row.error = str(exc)
             log.warning("validation replicate failed: %s", exc)
-        rows.append(row)
-    return rows
+        return row
+
+    return _fork_map(replicate, [int(i) for i in chosen])
 
 
 def validation_table(rows: list[ValidationRow], param_names):
@@ -370,26 +555,32 @@ def model_choice_validate(tables, n_val: int,
     Each drawn simulation is left out of its source table
     (``exclude=(model, row)``), model choice is run on the remainder, and
     the preferred model recorded.  Only the retention count, the Dirac
-    peak width and ``standardize`` of ``settings`` are used.  Returns the
-    confusion matrix and the raw rows ``(true_model, probabilities)``.
+    peak width and ``standardize`` of ``settings`` are used.  Every
+    model's rows are drawn first; the queries then run through
+    :func:`_fork_map`.  Returns the confusion matrix and the raw rows
+    ``(true_model, probabilities)``.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
     n_models = len(tables)
     if n_val > min(t.n_rows for t in tables):
         raise ValueError("n_val exceeds the smallest table")
+    queries = [(m, int(i)) for m, table in enumerate(tables)
+               for i in rng.choice(table.n_rows, size=n_val, replace=False)]
+
+    def query(exclude: tuple[int, int]) -> np.ndarray:
+        table = tables[exclude[0]]
+        pseudo = ObservedStats(table.stat_names,
+                               table.values[exclude[1], list(table.stat_idx)])
+        return glm_model_choice(tables, pseudo, settings.num_retained,
+                                settings.dirac_peak_width, exclude,
+                                settings.standardize).probabilities
+
     counts = np.zeros((n_models, n_models), dtype=int)
     raw: list[tuple[int, np.ndarray]] = []
-    for m, table in enumerate(tables):
-        chosen = rng.choice(table.n_rows, size=n_val, replace=False)
-        snames, sidx = table.stat_names, list(table.stat_idx)
-        for i in chosen:
-            pseudo = ObservedStats(snames, table.values[i, sidx])
-            result = glm_model_choice(tables, pseudo, settings.num_retained,
-                                      settings.dirac_peak_width, (m, int(i)),
-                                      settings.standardize)
-            counts[m, result.best_model] += 1
-            raw.append((m, result.probabilities))
+    for (m, _), probs in zip(queries, _fork_map(query, queries)):
+        counts[m, int(np.argmax(probs))] += 1
+        raw.append((m, probs))
     return ConfusionMatrix(counts), raw
 
 

@@ -526,7 +526,9 @@ def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
 
 # a fresh interpreter: runs the CLI with the arguments given and prints
 # its exit code, whether any scipy module was loaded after the import of the
-# CLI and after the run, whether the run took a KS tail that needs
+# CLI, whether multiprocessing or concurrent.futures was (the validation
+# workers are forked without them), whether any scipy module was loaded
+# after the run, whether the run took a KS tail that needs
 # scipy.special.smirnov, and whether scipy.stats was loaded after the run
 SCIPY_PROBE = """
 import sys
@@ -537,10 +539,11 @@ def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 imported = scipy_loaded()
+pools = any(m in sys.modules for m in ("multiprocessing", "concurrent.futures"))
 twice_smirnov, tails = _kstwo._twice_smirnov, []
 _kstwo._twice_smirnov = lambda n, x: tails.append(x) or twice_smirnov(n, x)
 code = abckit.cli.main(sys.argv[1:])
-print(code, imported, scipy_loaded(), bool(tails),
+print(code, imported, pools, scipy_loaded(), bool(tails),
       "scipy.stats" in sys.modules)
 """
 
@@ -573,8 +576,8 @@ def test_scipy_stats_is_never_loaded(tmp_path, norm_table, unif_table,
     (tmp_path / "toy.est").write_text(TOY_EST)
     proc = _run_fresh(tmp_path, SCIPY_PROBE, args)
     fields = proc.stdout.split()
-    assert fields[:2] == ["0", "False"], proc.stderr
-    _, _, loaded, tails, stats = fields
+    assert fields[:3] == ["0", "False", "False"], proc.stderr
+    _, _, _, loaded, tails, stats = fields
     assert loaded == tails
     assert stats == "False"
     if "randomValidation=20" not in args:
@@ -636,37 +639,50 @@ def test_validation_logs_failed_replicates_and_skipped_coverage(
     monkeypatch.chdir(tmp_path)
     caplog.set_level(logging.INFO)
     estimator = validation._glm_estimator
-    calls = []
+    uniform = read_table(tmp_path / "uniform.txt", "1-2").values
 
-    def model1_every_third_fails(table, pseudo, exclude, settings):
-        calls.append(exclude)
-        if len(calls) > 20 and len(calls) % 3 == 0:
+    def model1_every_third_row_fails(table, pseudo, exclude, settings):
+        # a replicate may run in a forked child: the failures are planted
+        # by the left-out row, and each replicate appends its row to a file
+        model = int(np.array_equal(table.values, uniform))
+        with open(tmp_path / "left_out.txt", "a") as fh:
+            fh.write(f"{model} {exclude}\n")
+        if model == 1 and exclude % 3 == 0:
             raise NumericalError("planted failure")
         return estimator(table, pseudo, exclude, settings)
 
     monkeypatch.setattr(validation, "_glm_estimator",
-                        model1_every_third_fails)
+                        model1_every_third_row_fails)
     code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
                      "params=1-2", "obsName=obs.txt", "numRetained=100",
                      "maxReadSims=5000", "seed=4", "outputPrefix=ABC",
                      "posteriorDensityPoints=40", "randomValidation=20"])
     assert code == 0
+    left_out = [tuple(map(int, line.split())) for line in
+                (tmp_path / "left_out.txt").read_text().splitlines()]
+    assert sorted(m for m, _ in left_out) == [0] * 20 + [1] * 20
+    failed = sum(m == 1 and i % 3 == 0 for m, i in left_out)
+    assert failed == 4
     lines = [r.getMessage() for r in caplog.records
              if r.levelno == logging.INFO and "validation" in r.getMessage()]
     # model 0 fails none and runs its coverage tests, one line a parameter;
-    # model 1 fails calls 21, 24, ..., 39
+    # model 1 fails the 4 of its 20 left-out rows that 3 divides (60, 144,
+    # 147 and 171)
     assert lines[0] == "random validation (model 0): 0 of 20 replicates failed"
     for line, name in zip(lines[1:3], ("mu", "sigma2")):
         assert line.startswith(f"random validation (model 0) {name}: "
                                "quantile KS ")
-    assert lines[3:] == ["random validation (model 1): 7 of 20 replicates "
+    assert lines[3:] == ["random validation (model 1): 4 of 20 replicates "
                          "failed; coverage tests skipped: need at least 20 "
-                         "successful rows, have 13"]
+                         "successful rows, have 16"]
     args = [r.args[:3] for r in caplog.records
             if r.msg.startswith("%s: %d of %d replicates failed")]
     assert args == [("random validation (model 0)", 0, 20),
-                    ("random validation (model 1)", 7, 20)]
-    for m, rows in ((0, 20), (1, 13)):
+                    ("random validation (model 1)", 4, 20)]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert warnings == ["validation replicate failed: planted failure"] * 4
+    for m, rows in ((0, 20), (1, 16)):
         assert read_table(tmp_path / f"ABC_model{m}_RandomValidation.txt"
                           ).n_rows == rows
 
@@ -1015,6 +1031,37 @@ def test_external_mcmc_non_finite_simulation_rejects_the_proposal(
     chain = read_table(tmp_path / "chain_sampling1.txt", "1-2")
     assert chain.n_rows == 36 and np.isfinite(chain.values).all()
     np.testing.assert_array_equal(chain.values[5], chain.values[4])
+
+
+def test_external_mcmc_counts_proposals_whose_simulation_failed(
+        tmp_path, monkeypatch, caplog):
+    # calls 1-100 calibrate, step n is call 100 + n until the first retry:
+    # steps 10 and 18 fail twice (calls 110-111 and 119-120), call 130 fails
+    # once and its retry (call 131) succeeds
+    monkeypatch.chdir(tmp_path)
+    settings = _external_simulator(tmp_path, "exec-args",
+                                   (110, 111, 119, 120, 130))
+    write_observed(tmp_path / "obs.txt",
+                   ObservedStats(("s1", "s2"), np.array([0.2, 2.0])))
+    runs = []
+    run_mcmc = cli.run_mcmc
+    monkeypatch.setattr(cli, "run_mcmc",
+                        lambda *a, **kw: runs.append(run_mcmc(*a, **kw))
+                        or runs[-1])
+    with caplog.at_level(logging.INFO, logger="abckit"):
+        code = cli.main(settings + ["samplerType=MCMC", "numSims=40",
+                                    "numCaliSims=100", "obsName=obs.txt",
+                                    "seed=3", "outName=chain"])
+    assert code == 0
+    assert len(_simulator_calls(tmp_path)) == 100 + 40 + 3
+    assert [(run.failed_simulations, run.outside_domain) for run in runs] \
+        == [(2, 0)]
+    messages = [r.getMessage() for r in caplog.records]
+    at = messages.index("0 proposal(s) rejected outside the transform domain")
+    assert messages[at + 1] == ("2 proposal(s) rejected after their "
+                                "simulation failed twice")
+    assert sum(m.startswith("simulation failed twice, rejecting the "
+                            "proposal: ") for m in messages) == 2
 
 
 def renaming_model(after):
