@@ -300,8 +300,8 @@ def _fork_map(fn, items) -> list:
     """``[fn(item) for item in items]`` on every CPU: this process and a
     forked child per other CPU take the items in order, a block at a time
     (one item while there are at most :data:`_MAX_BLOCKS`), whenever they
-    are free, so a CPU that runs slower takes fewer.  Results come back in
-    item order, and so are the log records emitted, here; the first
+    are free, so a CPU that runs slower takes fewer.  Here the results are
+    gathered, and the log records emitted, in item order; the first
     exception in item order is raised here with its type and message (a
     child's traceback is its cause).  A child that ends without its
     results is a ``ChildProcessError``.  With one CPU (:func:`_cpu_count`)
