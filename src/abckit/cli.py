@@ -314,9 +314,9 @@ def _task_estimate(cfg: Config, rng) -> None:
     n_retained_val = cfg.get_int("retainedValidation")
     n_mc_val = cfg.get_int("modelChoiceValidation")
     plot_data = cfg.get_bool("plotData", False)
-    if n_points < 2:
-        raise ConfigError(f"posteriorDensityPoints must be at least 2, "
-                          f"got {n_points}")
+    if not 2 <= n_points <= adjust.JOINT_GRID_MAX_POINTS:
+        raise ConfigError(f"posteriorDensityPoints must be at least 2 and at "
+                          f"most {adjust.JOINT_GRID_MAX_POINTS}, got {n_points}")
     # a validation count of 0, or none, turns that validation off
     min_rows = min(t.n_rows for t in tables)
     _check_count("randomValidation", n_random, 0, min_rows - 1,

@@ -20,9 +20,15 @@ integers within [min, max], ends included (the distribution the MCMC
 chain targets through :func:`log_prior_density`); an integer complex
 parameter or fixed value is truncated toward zero.  Rules constrain raw
 parameters and are enforced by rejecting the whole draw.
-Complex-parameter expressions use ``+ - * / ^`` (``^`` right-associative)
-and the functions ``exp, log, log10, pow10, sqrt, abs, min, max``.  Lines
-starting with ``//`` or ``#`` are comments.  A draw is a plain ``dict``
+Complex-parameter expressions use ``+ - * / ^`` and the functions ``exp,
+log, log10, pow10, sqrt, abs, min, max``.  ``^`` binds tightest and is
+right-associative (``2^3^2`` is 512); a sign binds looser than ``^`` and
+tighter than ``* /`` (``-X^2`` is ``-(X^2)``, ``2^-1`` is 0.5).  Every
+value is a finite real number: a step that fails (division by zero, an
+overflow, the log of a negative value, a fractional power of a negative
+value) or a value that is inf or nan raises :class:`EvalError`, which the
+command line reports as a numerical failure (exit 3).  Lines starting with
+``//`` or ``#`` are comments.  A draw is a plain ``dict``
 binding every declared name, hidden ones included, to its value.
 
 Seed rule of :func:`sample_rows` (and :func:`sample`, one row of it).
@@ -43,8 +49,8 @@ import logging
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -70,13 +76,23 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>\*|/|\+|-|\^|\(|\)|,))"
 )
 
+# binding power, right-associative, and the function of each operator
+_BINARY = {
+    "+": (1, False, operator.add),
+    "-": (1, False, operator.sub),
+    "*": (2, False, operator.mul),
+    "/": (2, False, operator.truediv),
+    "^": (4, True, math.pow),
+}
+_SIGN = 3           # binding power of a sign: looser than ^, tighter than * /
+
 _FUNCTIONS = {
     "exp": (1, math.exp),
-    "log": (1, None),     # domain-checked
-    "log10": (1, None),
-    "pow10": (1, lambda x: 10.0 ** x),
-    "sqrt": (1, None),
-    "abs": (1, abs),
+    "log": (1, math.log),
+    "log10": (1, math.log10),
+    "pow10": (1, functools.partial(math.pow, 10.0)),
+    "sqrt": (1, math.sqrt),
+    "abs": (1, math.fabs),
     "min": (2, min),
     "max": (2, max),
 }
@@ -98,164 +114,89 @@ def _tokenize(text: str):
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent parser producing a small tuple-based AST."""
+@dataclass(frozen=True)
+class Expression:
+    """A parsed expression: its source text, the names it reads, and
+    ``fn``, its value as a function of the bindings."""
 
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+    text: str
+    names: frozenset[str]
+    fn: Callable[..., float] = field(compare=False, repr=False)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _binary(op, lhs, rhs):
+    return lambda b: op(lhs(b), rhs(b))
 
-    def expect(self, value):
-        kind, val = self.advance()
+
+def parse_expression(text: str) -> Expression:
+    """Parse an infix expression for :func:`eval_expr`, by precedence
+    climbing over ``_BINARY``."""
+    tokens = _tokenize(text)[::-1]       # the next token is the last
+    names = set()
+
+    def expect(value):
+        val = tokens.pop()[1]
         if val != value:
-            raise EstParseError(f"expected {value!r} in expression {self.text!r}, "
+            raise EstParseError(f"expected {value!r} in expression {text!r}, "
                                 f"got {val!r}")
 
-    def parse(self):
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise EstParseError(f"trailing {val!r} in expression {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = ("bin", op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = ("bin", op, node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.unary()
-        if self.peek()[1] == "^":
-            self.advance()
-            node = ("bin", "^", node, self.factor())  # right associative
-        return node
-
-    def unary(self):
-        if self.peek()[1] == "-":
-            self.advance()
-            return ("neg", self.unary())
-        return self.primary()
-
-    def primary(self):
-        kind, val = self.advance()
+    def operand():
+        kind, val = tokens.pop()
+        if val == "-":
+            arg = climb(_SIGN)
+            return lambda b: -arg(b)
         if kind == "num":
-            return ("num", float(val))
+            x = float(val)
+            return lambda b: x
+        if kind == "name" and tokens[-1][1] != "(":
+            names.add(val)
+            return lambda b: float(b[val])
         if kind == "name":
-            if self.peek()[1] == "(":
-                if val not in _FUNCTIONS:
-                    raise EstParseError(f"unknown function {val!r}")
-                self.advance()
-                nargs = _FUNCTIONS[val][0]
-                args = [self.expr()]
-                while self.peek()[1] == ",":
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != nargs:
-                    raise EstParseError(f"{val}() takes {nargs} argument(s), "
-                                        f"got {len(args)}")
-                return ("call", val, tuple(args))
-            return ("var", val)
+            if val not in _FUNCTIONS:
+                raise EstParseError(f"unknown function {val!r}")
+            tokens.pop()
+            nargs, fn = _FUNCTIONS[val]
+            args = [climb(1)]
+            while tokens[-1][1] == ",":
+                tokens.pop()
+                args.append(climb(1))
+            expect(")")
+            if len(args) != nargs:
+                raise EstParseError(f"{val}() takes {nargs} argument(s), "
+                                    f"got {len(args)}")
+            return lambda b: fn(*[a(b) for a in args])
         if val == "(":
-            node = self.expr()
-            self.expect(")")
+            node = climb(1)
+            expect(")")
             return node
-        raise EstParseError(f"unexpected {val!r} in expression {self.text!r}")
+        raise EstParseError(f"unexpected {val!r} in expression {text!r}")
+
+    def climb(min_bp):
+        node = operand()
+        while tokens[-1][1] in _BINARY and _BINARY[tokens[-1][1]][0] >= min_bp:
+            bp, right, op = _BINARY[tokens.pop()[1]]
+            node = _binary(op, node, climb(bp if right else bp + 1))
+        return node
+
+    fn = climb(1)
+    if tokens[-1][0] != "end":
+        raise EstParseError(f"trailing {tokens[-1][1]!r} in expression {text!r}")
+    return Expression(text, frozenset(names), fn)
 
 
-def parse_expression(text: str):
-    """Parse an infix expression to an AST usable with :func:`eval_expr`."""
-    return _ExprParser(text).parse()
-
-
-def expr_names(node) -> set[str]:
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind == "num":
-        return set()
-    if kind == "neg":
-        return expr_names(node[1])
-    if kind == "bin":
-        return expr_names(node[2]) | expr_names(node[3])
-    return set().union(*(expr_names(a) for a in node[2]))
-
-
-def eval_expr(node, bindings: Mapping[str, float]) -> float:
-    """Evaluate an expression tree under the given name bindings."""
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        try:
-            return float(bindings[node[1]])
-        except KeyError:
-            raise EvalError(f"unbound identifier {node[1]!r}") from None
-    if kind == "neg":
-        return -eval_expr(node[1], bindings)
-    if kind == "bin":
-        op, a, b = node[1], eval_expr(node[2], bindings), eval_expr(node[3], bindings)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise EvalError(f"division by zero in {_unparse(node)}")
-            return a / b
-        try:
-            return float(a) ** float(b)
-        except (OverflowError, ValueError) as exc:
-            raise EvalError(f"power failed in {_unparse(node)}: {exc}") from None
-    # function call
-    fname, args = node[1], [eval_expr(a, bindings) for a in node[2]]
-    x = args[0]
-    if fname == "log":
-        if x <= 0:
-            raise EvalError(f"log of non-positive value {x} in log({x})")
-        return math.log(x)
-    if fname == "log10":
-        if x <= 0:
-            raise EvalError(f"log10 of non-positive value {x} in log10({x})")
-        return math.log10(x)
-    if fname == "sqrt":
-        if x < 0:
-            raise EvalError(f"sqrt of negative value {x}")
-        return math.sqrt(x)
-    return float(_FUNCTIONS[fname][1](*args))
-
-
-def _unparse(node) -> str:
-    kind = node[0]
-    if kind == "num":
-        return format(node[1], "g")
-    if kind == "var":
-        return node[1]
-    if kind == "neg":
-        return f"-{_unparse(node[1])}"
-    if kind == "bin":
-        return f"({_unparse(node[2])} {node[1]} {_unparse(node[3])})"
-    return f"{node[1]}({', '.join(_unparse(a) for a in node[2])})"
+def eval_expr(expr: Expression, bindings: Mapping[str, float]) -> float:
+    """The value of an expression under the given name bindings; an
+    unbound name, an ``ArithmeticError`` or ``ValueError`` in any step, or a
+    value that is not finite raises :class:`EvalError`."""
+    try:
+        x = expr.fn(bindings)
+    except KeyError as exc:
+        raise EvalError(f"unbound identifier {exc.args[0]!r}") from None
+    except (ArithmeticError, ValueError) as exc:
+        raise EvalError(f"{exc} in {expr.text!r}") from None
+    if not math.isfinite(x):
+        raise EvalError(f"{expr.text!r} is {x}, not a finite real number")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +221,12 @@ class PriorSpec:
             raise EstParseError(
                 f"prior {self.kind!r} for {self.name} takes "
                 f"{_PRIOR_ARITY[self.kind]} argument(s), got {len(self.args)}")
+        # a continuous normal may be untruncated
+        finite = (self.args[2:] if self.kind == "norm" and not self.integer
+                  else self.args)
+        if not all(map(math.isfinite, finite)):
+            raise EstParseError(f"{self.name}: prior arguments must be "
+                                f"finite, got {' '.join(map(str, self.args))}")
         if self.kind in ("unif", "logunif", "norm"):
             lo, hi = self.args[0], self.args[1]
             if not lo < hi:
@@ -340,7 +287,7 @@ class Rule:
 class ComplexParam:
     name: str
     integer: bool
-    expression: tuple
+    expression: Expression
     output: bool
 
 
@@ -385,11 +332,12 @@ def _is_number(tok: str) -> bool:
         return False
 
 
-def parse_est(text: str) -> EstModel:
+def parse_est(text: str, path=None) -> EstModel:
     """Parse est-file text into an :class:`EstModel`.
 
-    Raises :class:`EstParseError` with a line number on any malformed or
-    inconsistent input; there are no partial results.
+    Raises :class:`EstParseError` with a line number (after ``path``, when
+    given) on any malformed or inconsistent input; there are no partial
+    results.
     """
     section = None
     priors: list[PriorSpec] = []
@@ -398,7 +346,7 @@ def parse_est(text: str) -> EstModel:
     declared: set[str] = set()
 
     def err(lineno, msg):
-        raise EstParseError(msg, line=lineno)
+        raise EstParseError(msg, path=path, line=lineno)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -461,28 +409,26 @@ def parse_est(text: str) -> EstModel:
                 expr_fields = expr_fields[:-1]
             expr_text = " ".join(expr_fields)
             try:
-                tree = parse_expression(expr_text)
+                expr = parse_expression(expr_text)
             except EstParseError as exc:
                 err(lineno, str(exc))
-            unknown = expr_names(tree) - declared
+            unknown = expr.names - declared
             if unknown:
                 err(lineno, f"expression for {name} references undeclared "
                             f"name(s): {', '.join(sorted(unknown))}")
-            complex_params.append(ComplexParam(name, flag == "1", tree,
+            complex_params.append(ComplexParam(name, flag == "1", expr,
                                                out_flag))
             declared.add(name)
 
     if not priors:
-        raise EstParseError("no [PARAMETERS] section (it is mandatory)")
+        raise EstParseError("no [PARAMETERS] section (it is mandatory)",
+                            path=path)
     return EstModel(tuple(priors), tuple(rules), tuple(complex_params))
 
 
 def parse_est_file(path) -> EstModel:
     from pathlib import Path
-    try:
-        return parse_est(Path(path).read_text())
-    except EstParseError as exc:
-        raise EstParseError(f"{path}: {exc}") from None
+    return parse_est(Path(path).read_text(), path)
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,7 @@ def test_oversized_joint_grid_is_a_config_error(tmp_path, monkeypatch, caplog,
 BAD_ESTIMATE_SETTINGS = [
     (["diracPeakWidth=0"], "diracPeakWidth must be positive"),
     (["posteriorDensityPoints=1"], "posteriorDensityPoints must be at least 2"),
+    (["posteriorDensityPoints=1000001"], "at most 1000000, got 1000001"),
     (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=1"],
      "at least 2 points per parameter"),
     (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=2000"],
@@ -823,6 +824,36 @@ def test_toy_variance_below_zero_is_a_simulator_failure(tmp_path, monkeypatch,
     assert len(errors) == 1
     assert "simulator failure: toy model variance must be positive, got -" \
         in errors[0]
+    assert not list(tmp_path.glob("*_sampling1.txt"))
+
+
+@pytest.mark.parametrize("prior, expression", [
+    ("unif 700 800", "exp(X)"),
+    ("unif 400 500", "pow10(X)"),
+    ("unif -2 -1", "X^0.5"),
+    ("unif 1 2", "X*1e308*10"),
+])
+@pytest.mark.parametrize("sampler", [
+    [],
+    ["samplerType=MCMC", "numCaliSims=200", "obsName=obs.txt"],
+], ids=["standard", "mcmc"])
+def test_complex_parameter_failure_is_a_numerical_failure(
+        tmp_path, monkeypatch, caplog, capsys, toy_obs, sampler, prior,
+        expression):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(
+        f"{TOY_EST}0 X {prior} hide\n"
+        f"[COMPLEX PARAMETERS]\n0 C = {expression} output\n")
+    write_observed(tmp_path / "obs.txt", toy_obs)
+    code = cli.main(["task=simulate", "estName=toy.est",
+                     "simProgram=toy-normal", "numSims=100", "seed=1",
+                     *sampler])
+    assert code == 3
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert errors[0].startswith("numerical failure: ")
+    assert repr(expression) in errors[0]
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
     assert not list(tmp_path.glob("*_sampling1.txt"))
 
 

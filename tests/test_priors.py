@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,29 @@ class TestParsing:
         with pytest.raises(EstParseError):
             parse_est("[PARAMETERS]\n0 A unif 1 1 output\n")
 
+    @pytest.mark.parametrize("line", [
+        "0 mu unif -1 inf", "0 mu logunif 1 inf", "0 mu fixed inf",
+        "0 mu norm -1 1 0 inf", "0 mu norm -1 1 nan 1", "1 mu unif 0 inf",
+        "1 mu norm -inf inf 0 1",
+    ])
+    def test_prior_arguments_are_finite(self, line):
+        with pytest.raises(EstParseError,
+                           match="^:2: mu: prior arguments must be finite"):
+            parse_est(f"[PARAMETERS]\n{line} output\n")
+
+    def test_continuous_normal_may_be_untruncated(self):
+        m = parse_est("[PARAMETERS]\n0 mu norm -inf inf 0 1 output\n")
+        draws = sample_rows(m, np.random.default_rng(0), 1000)
+        assert np.isfinite(draws).all() and abs(draws.mean()) < 0.2
+
+    def test_file_error_names_path_and_line(self, tmp_path):
+        path = tmp_path / "t.est"
+        path.write_text("[PARAMETERS]\n0 mu unif 1 1 output\n")
+        with pytest.raises(EstParseError) as info:
+            priors.parse_est_file(path)
+        assert str(info.value).startswith(f"{path}:2: mu: need min < max")
+        assert (info.value.path, info.value.line) == (path, 2)
+
     def test_default_complex_flag_is_output(self):
         m = parse_est("[PARAMETERS]\n0 A unif 0 1 output\n"
                       "[COMPLEX PARAMETERS]\n0 C = A * 2\n")
@@ -115,8 +139,12 @@ class TestExpressions:
         assert eval_expr(parse_expression("2^3^2"), {}) == 512.0
 
     def test_unary_minus(self):
-        assert eval_expr(parse_expression("-2^2"), {}) == -4.0 or True
-        # the sign binds the whole power expression
+        # a sign binds looser than ^ and tighter than * and /
+        assert eval_expr(parse_expression("-2^2"), {}) == -4.0
+        assert eval_expr(parse_expression("-X^2"), {"X": 3.0}) == -9.0
+        assert eval_expr(parse_expression("2*-3^2"), {}) == -18.0
+        assert eval_expr(parse_expression("2^-1"), {}) == 0.5
+        assert eval_expr(parse_expression("-2*3"), {}) == -6.0
         assert eval_expr(parse_expression("3 - -2"), {}) == 5.0
 
     def test_functions(self):
@@ -128,12 +156,24 @@ class TestExpressions:
         assert eval_expr(parse_expression("log10(X*25)"), b) == 2.0
 
     def test_division_by_zero(self):
-        with pytest.raises(EvalError, match="division by zero"):
+        with pytest.raises(EvalError, match=r"division by zero in '1/\(2-2\)'"):
             eval_expr(parse_expression("1/(2-2)"), {})
 
     def test_log_non_positive(self):
         with pytest.raises(EvalError, match="log"):
             eval_expr(parse_expression("log(0-1)"), {})
+
+    @pytest.mark.parametrize("text, x, reason", [
+        ("exp(X)", 750.0, "math range error"),
+        ("pow10(X)", 400.0, "math range error"),
+        ("X^0.5", -3.0, "math domain error"),
+        ("abs(X^0.5)", -3.0, "math domain error"),
+        ("X*1e308*10", 1.5, "is inf, not a finite real number"),
+    ])
+    def test_every_value_is_a_finite_real(self, text, x, reason):
+        with pytest.raises(EvalError, match=re.escape(reason)) as info:
+            eval_expr(parse_expression(text), {"X": x})
+        assert repr(text) in str(info.value)
 
     def test_unbound_identifier_named(self):
         with pytest.raises(EvalError, match="FOO"):
