@@ -298,26 +298,28 @@ def _rejection_densities_payload(retained):
 
 
 def _task_estimate(cfg: Config, rng) -> None:
-    tables, dropped = _split_models(cfg)
-    obs_list = [_without(obs, dropped)
-                for obs in read_observed(cfg.require("obsName"))]
+    # the settings that need no table are checked before any is read
     standardize = cfg.get_bool("standardizeStats", True)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     n_points = cfg.get_int("posteriorDensityPoints", 100)
+    if not 2 <= n_points <= adjust.JOINT_GRID_MAX_POINTS:
+        raise ConfigError(f"posteriorDensityPoints must be at least 2 and at "
+                          f"most {adjust.JOINT_GRID_MAX_POINTS}, got {n_points}")
     dirac = _dirac_peak_width(cfg)
     write_retained = cfg.get_bool("writeRetained", False)
     joint_points = cfg.get_int("jointPosteriorDensityPoints", 100)
-    joint_groups = _joint_groups(cfg, tables, joint_points)
     n_marg = cfg.get_int("marDensPValue")
     n_tukey = cfg.get_int("tukeyPValue")
     n_random = cfg.get_int("randomValidation")
     n_retained_val = cfg.get_int("retainedValidation")
     n_mc_val = cfg.get_int("modelChoiceValidation")
     plot_data = cfg.get_bool("plotData", False)
-    if not 2 <= n_points <= adjust.JOINT_GRID_MAX_POINTS:
-        raise ConfigError(f"posteriorDensityPoints must be at least 2 and at "
-                          f"most {adjust.JOINT_GRID_MAX_POINTS}, got {n_points}")
-    # a validation count of 0, or none, turns that validation off
+    tables, dropped = _split_models(cfg)
+    obs_list = [_without(obs, dropped)
+                for obs in read_observed(cfg.require("obsName"))]
+    joint_groups = _joint_groups(cfg, tables, joint_points)
+    # a validation count of 0, or none, turns that validation off; the
+    # range of each is reported with its upper bound, read from the tables
     min_rows = min(t.n_rows for t in tables)
     _check_count("randomValidation", n_random, 0, min_rows - 1,
                  "the rows of the smallest table less one")
@@ -520,17 +522,20 @@ def _task_transform(cfg: Config, rng) -> None:
 
 
 def _task_findstats(cfg: Config, rng) -> None:
+    cfg.has("obsName")  # marks the key used: the search needs no observation
+    n_val = cfg.require_int("modelChoiceValidation")
+    max_cor = cfg.get_float("maxCorSSFinder", 1.0)
+    if not 0 <= max_cor <= 1:
+        raise ConfigError(f"maxCorSSFinder must be between 0 and 1, "
+                          f"got {max_cor}")
+    dirac = _dirac_peak_width(cfg)
+    prefix = cfg.get("outputPrefix", "ABC_GLM")
     tables, _ = _split_models(cfg)
     if len(tables) < 2:
         raise ConfigError("findStatsModelChoice needs at least two models")
-    cfg.has("obsName")  # marks the key used: the search needs no observation
-    n_val = cfg.require_int("modelChoiceValidation")
     _check_count("modelChoiceValidation", n_val, 1,
                  min(t.n_rows for t in tables), "the rows of the smallest table")
     num_retained = _num_retained(cfg, tables, leave_one_out=True)
-    max_cor = cfg.get_float("maxCorSSFinder", 1.0)
-    dirac = _dirac_peak_width(cfg)
-    prefix = cfg.get("outputPrefix", "ABC_GLM")
     settings = validation.GlmSettings(num_retained, dirac_peak_width=dirac)
     results = statselect.greedy_search(tables, n_val, settings, max_cor, rng)
     write_tagged(prefix, OutputTag.GREEDY_SEARCH,

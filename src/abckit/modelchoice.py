@@ -10,7 +10,12 @@ Model priors are equal.
 ``exclude=(model, row)`` asks for a leave-one-out replicate: that
 simulation is left out of the pooled standardization and of the retention
 (see :func:`abckit.rejection.retain`), as if its table had been copied
-without it.
+without it.  ``stats`` selects statistics in the same way: the pooled
+standardization, the retentions and the observation read only those
+columns of the full tables, as if the tables had been copied with those
+statistics alone (``SimulationTable.with_stats``).  A model-choice
+validation queries one selection per statistic subset that the greedy
+search scores.
 """
 
 from __future__ import annotations
@@ -86,13 +91,19 @@ def _pooled(tables, names, exclude):
 
 def glm_model_choice(tables, obs: ObservedStats, count,
                      dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH,
-                     exclude=None, standardize: bool = True
-                     ) -> ModelChoiceResult:
+                     exclude=None, standardize: bool = True,
+                     stats=None) -> ModelChoiceResult:
     """Model probabilities from the fitted local-likelihood marginal
     densities, one model at a time, on the pooled standardization (on the
     raw statistics with ``standardize=False``).  One table gives its
-    retained set and fit with probability 1."""
-    names = _common_stats(tables)
+    retained set and fit with probability 1.  ``stats`` names the
+    statistics to use, in that order; all those of the tables by
+    default."""
+    if stats is None:
+        names = _common_stats(tables)
+    else:
+        names = list(stats)
+        obs = ObservedStats(names, obs.vector(names))
     pooled_std = (Standardizer.fit(_pooled(tables, names, exclude), names)
                   if standardize else Standardizer.identity(names))
     retained, fits, log_dens = [], [], []

@@ -231,6 +231,10 @@ class PriorSpec:
             lo, hi = self.args[0], self.args[1]
             if not lo < hi:
                 raise EstParseError(f"{self.name}: need min < max, got {lo} >= {hi}")
+            # a uniform draw is min + (max - min) * u
+            if self.kind == "unif" and not math.isfinite(hi - lo):
+                raise EstParseError(f"{self.name}: prior width max - min "
+                                    f"must be finite, got {hi} - {lo}")
             if self.kind == "logunif" and lo <= 0:
                 raise EstParseError(f"{self.name}: logunif needs min > 0")
         if self.kind == "norm" and self.args[3] <= 0:

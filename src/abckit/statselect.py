@@ -21,6 +21,9 @@
   between models, measured by model-choice cross-validation; it stops when
   the best addition gains less than :data:`MIN_GAIN`, skipping statistics
   too correlated (:func:`abckit.rejection.abs_correlations`) with it.
+  Each step validates all its new subsets with one fork-map
+  (:func:`abckit.validation.model_choice_validations`), on column
+  selections of the tables rather than copies.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import NumericalError, TableFormatError
 from .rejection import abs_correlations
 from .tableio import ObservedStats, SimulationTable
-from .validation import GlmSettings, model_choice_validate
+from .validation import GlmSettings, model_choice_validations
 
 log = logging.getLogger(__name__)
 
@@ -550,13 +553,20 @@ class SubsetResult:
         return len(self.names)
 
 
+def _powers(tables, subsets, n_val: int, settings: GlmSettings | None,
+            rng) -> list[float]:
+    """The power of each subset, all validated with one fork-map."""
+    return [cm.overall_accuracy for cm, _ in model_choice_validations(
+        tables, subsets, n_val, settings, rng)]
+
+
 def subset_power(tables, names, n_val: int,
                  settings: GlmSettings | None = None, rng=None) -> float:
     """Discriminating power of a statistic subset: overall accuracy of
-    model-choice cross-validation restricted to those statistics."""
-    restricted = [t.with_stats(names) for t in tables]
-    cm, _ = model_choice_validate(restricted, n_val, settings, rng)
-    return cm.overall_accuracy
+    model-choice cross-validation restricted to those statistics.  This is
+    the case of one subset of what :func:`greedy_search` scores per step;
+    the queries read the subset's columns of the full tables."""
+    return _powers(tables, [tuple(names)], n_val, settings, rng)[0]
 
 
 def greedy_search(tables, n_val: int, settings: GlmSettings | None = None,
@@ -570,6 +580,11 @@ def greedy_search(tables, n_val: int, settings: GlmSettings | None = None,
     best addition improves the power by less than :data:`MIN_GAIN`.  Every
     evaluated subset is returned, ranked by power and then by size (the
     smallest of equally powerful sets first).
+
+    The subsets of one step (the singles, then each step's candidates) are
+    scored together: their validation rows are drawn in order, as scoring
+    them one by one would draw them, and all their queries run through one
+    fork-map.  On equal power the first subset in that order wins.
     """
     rng = np.random.default_rng(rng)
     names = list(tables[0].stat_names)
@@ -585,13 +600,14 @@ def greedy_search(tables, n_val: int, settings: GlmSettings | None = None,
 
     evaluated: dict[tuple[str, ...], float] = {}
 
-    def power(subset):
-        key = tuple(subset)
-        if key not in evaluated:
-            evaluated[key] = subset_power(tables, subset, n_val, settings, rng)
-        return evaluated[key]
+    def best_of(subsets):
+        new = [s for s in subsets if s not in evaluated]
+        if new:
+            evaluated.update(zip(new, _powers(tables, new, n_val, settings,
+                                              rng)))
+        return max(subsets, key=evaluated.__getitem__)
 
-    current = (max(names, key=lambda n: power((n,))),)
+    current = best_of([(n,) for n in names])
     while True:
         candidates = []
         for n in names:
@@ -599,11 +615,11 @@ def greedy_search(tables, n_val: int, settings: GlmSettings | None = None,
                 continue
             if any(corr[idx_of[n], idx_of[m]] > max_cor for m in current):
                 continue
-            candidates.append(tuple(list(current) + [n]))
+            candidates.append(current + (n,))
         if not candidates:
             break
-        best = max(candidates, key=power)
-        if power(best) - power(current) < MIN_GAIN:
+        best = best_of(candidates)
+        if evaluated[best] - evaluated[current] < MIN_GAIN:
             break
         current = best
 

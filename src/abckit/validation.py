@@ -27,7 +27,12 @@ the items run, and the results and the log records of every item are
 gathered and emitted in item order, so the outputs and the log do not
 depend on the number of CPUs or on which process ran which item.  What an
 item changes in a child's memory besides its result and its log records
-(a counter, a cache) is lost with the child.
+(a counter, a cache) is lost with the child.  The model-choice
+validations of several statistic subsets (one step of the greedy
+statistic search) go through one fork-map: :func:`model_choice_validations`
+draws the rows of every subset first, in the order that one validation
+per subset would draw them, and each query reads only its subset's
+columns of the full tables.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "FitPValues", "ValidationRow", "ConfusionMatrix", "GlmSettings",
     "marginal_density_pvalue", "tukey_depth", "tukey_pvalue", "fit_pvalues",
     "cross_validate", "coverage_tests", "model_choice_validate",
+    "model_choice_validations",
 ]
 
 
@@ -558,30 +564,51 @@ def model_choice_validate(tables, n_val: int,
     peak width and ``standardize`` of ``settings`` are used.  Every
     model's rows are drawn first; the queries then run through
     :func:`_fork_map`.  Returns the confusion matrix and the raw rows
-    ``(true_model, probabilities)``.
+    ``(true_model, probabilities)``.  This is the case of one subset, all
+    the statistics, of :func:`model_choice_validations`.
+    """
+    return model_choice_validations(tables, [None], n_val, settings, rng)[0]
+
+
+def model_choice_validations(tables, subsets, n_val: int,
+                             settings: GlmSettings | None = None, rng=None):
+    """:func:`model_choice_validate` of the tables restricted to each
+    statistic subset in ``subsets`` (a sequence of statistic names, or
+    ``None`` for all of them), with one :func:`_fork_map` for all.
+
+    The rows of every subset are drawn first, subset by subset and model
+    by model, as one validation per subset in turn would draw them.  A
+    query passes its subset as the ``stats`` of
+    :func:`abckit.modelchoice.glm_model_choice`, which reads only those
+    columns of the full tables and of the pseudo-observation's row, so
+    each result equals that of the tables copied with the subset alone
+    (``SimulationTable.with_stats``).  Returns one ``(confusion matrix,
+    raw rows)`` per subset, in order.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
     n_models = len(tables)
     if n_val > min(t.n_rows for t in tables):
         raise ValueError("n_val exceeds the smallest table")
-    queries = [(m, int(i)) for m, table in enumerate(tables)
+    queries = [(k, m, int(i)) for k in range(len(subsets))
+               for m, table in enumerate(tables)
                for i in rng.choice(table.n_rows, size=n_val, replace=False)]
 
-    def query(exclude: tuple[int, int]) -> np.ndarray:
-        table = tables[exclude[0]]
+    def query(item: tuple[int, int, int]) -> np.ndarray:
+        k, m, row = item
+        table = tables[m]
         pseudo = ObservedStats(table.stat_names,
-                               table.values[exclude[1], list(table.stat_idx)])
+                               table.values[row, list(table.stat_idx)])
         return glm_model_choice(tables, pseudo, settings.num_retained,
-                                settings.dirac_peak_width, exclude,
-                                settings.standardize).probabilities
+                                settings.dirac_peak_width, (m, row),
+                                settings.standardize, subsets[k]).probabilities
 
-    counts = np.zeros((n_models, n_models), dtype=int)
-    raw: list[tuple[int, np.ndarray]] = []
-    for (m, _), probs in zip(queries, _fork_map(query, queries)):
+    out = [(np.zeros((n_models, n_models), dtype=int), []) for _ in subsets]
+    for (k, m, _), probs in zip(queries, _fork_map(query, queries)):
+        counts, raw = out[k]
         counts[m, int(np.argmax(probs))] += 1
         raw.append((m, probs))
-    return ConfusionMatrix(counts), raw
+    return [(ConfusionMatrix(counts), raw) for counts, raw in out]
 
 
 def confusion_table(cm: ConfusionMatrix):

@@ -465,6 +465,34 @@ def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("ABC_*"))
 
 
+@pytest.mark.parametrize("task, setting, message", [
+    ("estimate", "posteriorDensityPoints=1",
+     "posteriorDensityPoints must be at least 2"),
+    ("estimate", "diracPeakWidth=0", "diracPeakWidth must be positive"),
+    ("findStatsModelChoice", "diracPeakWidth=-1",
+     "diracPeakWidth must be positive"),
+    ("findStatsModelChoice", "maxCorSSFinder=nan",
+     "maxCorSSFinder must be between 0 and 1, got nan"),
+    ("findStatsModelChoice", "maxCorSSFinder=-1",
+     "maxCorSSFinder must be between 0 and 1, got -1.0"),
+    ("findStatsModelChoice", "maxCorSSFinder=1.5",
+     "maxCorSSFinder must be between 0 and 1, got 1.5"),
+])
+def test_bad_setting_is_reported_before_the_tables_are_read(
+        tmp_path, monkeypatch, caplog, task, setting, message):
+    # the simulation table does not exist: reading it would exit 2
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([f"task={task}", "simName=missing.txt;missing2.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=20",
+                     "modelChoiceValidation=5", "maxReadSims=5000",
+                     "outputPrefix=ABC", setting])
+    assert code == 1
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert message in errors[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_model_choice_validation_with_one_model_is_a_config_error(
         tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
     _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)

@@ -165,3 +165,45 @@ class TestLeaveOneOut:
         pseudo = ObservedStats(tables[0].stat_names, tables[0].stats[0])
         with pytest.raises(ValueError, match="outside model 1"):
             glm_model_choice(tables, pseudo, 50, exclude=(1, 1200))
+
+
+class TestColumnSelection:
+    """``stats=`` gives what model choice gives on copies of the tables
+    with those statistics alone, to the last bit."""
+
+    # selections in an order other than the tables'
+    SELECTIONS = [("Q3",), ("range", "mean"), ("max", "var", "Q1")]
+
+    @pytest.fixture(scope="class")
+    def tables(self, norm_table, unif_table):
+        return [take_rows(norm_table, np.arange(900)),
+                take_rows(unif_table, np.arange(700))]
+
+    @pytest.mark.parametrize("standardize", [True, False],
+                             ids=["standardized", "raw"])
+    @pytest.mark.parametrize("exclude", [None, (0, 311), (1, 0)],
+                             ids=["all-rows", "exclude-0-311", "exclude-1-0"])
+    @pytest.mark.parametrize("names", SELECTIONS,
+                             ids=lambda names: f"{len(names)}-stats")
+    def test_selection_equals_copies(self, tables, toy_obs, names, exclude,
+                                     standardize):
+        obs = toy_obs
+        if exclude is not None:
+            m, i = exclude
+            obs = ObservedStats(tables[m].stat_names, tables[m].stats[i])
+        got = glm_model_choice(tables, obs, 150, 0.01, exclude, standardize,
+                               list(names))
+        want = glm_model_choice([t.with_stats(names) for t in tables],
+                                ObservedStats(names, obs.vector(names)), 150,
+                                0.01, exclude, standardize)
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.log_densities.tobytes() == want.log_densities.tobytes()
+        for r, w in zip(got.retained, want.retained, strict=True):
+            assert r.stat_names == w.stat_names == names
+            np.testing.assert_array_equal(r.indices, w.indices)
+            assert r.distances.tobytes() == w.distances.tobytes()
+
+    def test_statistic_missing_from_the_tables(self, tables):
+        obs = ObservedStats(("mean", "nope"), np.array([0.1, 0.2]))
+        with pytest.raises(TableFormatError, match="not in table: nope$"):
+            glm_model_choice(tables, obs, 50, stats=["mean", "nope"])

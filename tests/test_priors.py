@@ -102,6 +102,19 @@ class TestParsing:
                            match="^:2: mu: prior arguments must be finite"):
             parse_est(f"[PARAMETERS]\n{line} output\n")
 
+    @pytest.mark.parametrize("line", [
+        "0 mu unif -1e308 1e308", "1 mu unif -1e308 1e308",
+        "0 mu unif -1.7e308 1e308",
+    ])
+    def test_uniform_width_is_finite(self, line):
+        with pytest.raises(EstParseError, match="^:2: mu: prior width max - "
+                                                "min must be finite, got "):
+            parse_est(f"[PARAMETERS]\n{line} output\n")
+
+    def test_widest_finite_uniform_draws_finite_values(self):
+        m = parse_est("[PARAMETERS]\n0 mu unif -8e307 8e307 output\n")
+        assert np.isfinite(sample_rows(m, np.random.default_rng(0), 100)).all()
+
     def test_continuous_normal_may_be_untruncated(self):
         m = parse_est("[PARAMETERS]\n0 mu norm -inf inf 0 1 output\n")
         draws = sample_rows(m, np.random.default_rng(0), 1000)

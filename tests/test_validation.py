@@ -14,7 +14,8 @@ from abckit._kstwo import kstwo_sf
 from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
 from abckit.errors import NumericalError
 from abckit.modelchoice import glm_model_choice
-from abckit.rejection import Standardizer, retain
+from abckit.rejection import Standardizer, abs_correlations, retain
+from abckit.statselect import MIN_GAIN, greedy_search, subset_power
 from abckit.tableio import ObservedStats, SimulationTable
 from abckit.validation import (ConfusionMatrix, GlmSettings,
                                ModelChoiceSettings, ValidationRow,
@@ -843,3 +844,118 @@ class TestForkMap:
 
         with pytest.raises(NumericalError, match="^first item$"):
             validation._fork_map(item, range(6))
+
+
+def reference_greedy_search(tables, n_val, settings, max_cor, rng):
+    """The greedy search scoring one subset at a time, each validated on
+    copies of the tables with its statistics alone.  Returns the power of
+    every subset and the subsets each step scored, in order."""
+    rng = np.random.default_rng(rng)
+    names = list(tables[0].stat_names)
+    corr = abs_correlations(tables, names)
+    idx_of = {n: i for i, n in enumerate(names)}
+    evaluated, steps = {}, [[]]
+
+    def power(subset):
+        if subset not in evaluated:
+            cm, _ = model_choice_validate(
+                [t.with_stats(subset) for t in tables], n_val, settings, rng)
+            evaluated[subset] = cm.overall_accuracy
+            steps[-1].append(subset)
+        return evaluated[subset]
+
+    current = (max(names, key=lambda n: power((n,))),)
+    while True:
+        candidates = [current + (n,) for n in names if n not in current
+                      and not any(corr[idx_of[n], idx_of[m]] > max_cor
+                                  for m in current)]
+        if not candidates:
+            break
+        steps.append([])
+        best = max(candidates, key=power)
+        if power(best) - power(current) < MIN_GAIN:
+            break
+        current = best
+    return evaluated, steps
+
+
+class TestBatchedGreedySearch:
+    """The greedy search scores each step's subsets with one fork-map, on
+    column selections, and finds what scoring them one by one on copies
+    finds, to the last bit, at any number of CPUs."""
+
+    N_VAL = 8
+    SETTINGS = GlmSettings(num_retained=60)
+
+    def make_tables(self, n=300):
+        # weakly informative statistics, and s1copy an exact copy of s1
+        rng = np.random.default_rng(4)
+        tables = []
+        for m in range(2):
+            t = rng.uniform(size=n)
+            s = 0.35 * m + rng.normal(size=(n, 4)) + 0.3 * t[:, None]
+            tables.append(SimulationTable(
+                ("t", "s0", "s1", "s2", "s3", "s1copy"),
+                np.column_stack([t, s, s[:, 1]]), (0,), tuple(range(1, 6))))
+        return tables
+
+    def test_batched_scores_equal_the_one_by_one_loop(self, workers,
+                                                      monkeypatch):
+        tables = self.make_tables()
+        calls = []
+        fork_map = validation._fork_map
+
+        def counting_fork_map(fn, items):
+            items = list(items)
+            calls.append(len(items))
+            return fork_map(fn, items)
+
+        if workers == 2:
+            handshake, choose = Handshake(), validation.glm_model_choice
+
+            def glm_model_choice(*args):
+                handshake.in_child()
+                return choose(*args)
+
+            monkeypatch.setattr(validation, "glm_model_choice",
+                                glm_model_choice)
+        monkeypatch.setattr(validation, "_fork_map", counting_fork_map)
+        results = greedy_search(tables, self.N_VAL, self.SETTINGS, 1.0,
+                                rng=104)
+        monkeypatch.undo()     # the reference below runs the originals
+        monkeypatch.setattr(validation, "_cpu_count", lambda: 1)
+        want, steps = reference_greedy_search(tables, self.N_VAL,
+                                              self.SETTINGS, 1.0, 104)
+        # a free search of at least three scored steps, one of which has
+        # a tie for the best subset
+        assert len(steps) >= 3
+        assert any(sum(want[s] == max(want[s] for s in step) for s in step)
+                   > 1 for step in steps)
+        assert [(r.names, r.power.hex()) for r in results] == sorted(
+            ((s, p.hex()) for s, p in want.items()),
+            key=lambda item: (-float.fromhex(item[1]), len(item[0])))
+        assert calls == [len(step) * 2 * self.N_VAL for step in steps]
+
+    def test_subset_power_is_the_one_subset_case(self, workers):
+        tables = self.make_tables()
+        names = ("s3", "s0")
+        cm, _ = model_choice_validate([t.with_stats(names) for t in tables],
+                                      self.N_VAL, self.SETTINGS, rng=105)
+        got = subset_power(tables, names, self.N_VAL, self.SETTINGS, rng=105)
+        assert got.hex() == cm.overall_accuracy.hex()
+
+    def test_validations_split_back_per_subset(self):
+        tables = self.make_tables()
+        subsets = [("s1",), None, ("s2", "s1copy")]
+        got = validation.model_choice_validations(
+            tables, subsets, self.N_VAL, self.SETTINGS, rng=106)
+        rng = np.random.default_rng(106)
+        assert len(got) == len(subsets)
+        for names, (cm, raw) in zip(subsets, got):
+            restricted = tables if names is None else [
+                t.with_stats(names) for t in tables]
+            cm_want, raw_want = model_choice_validate(
+                restricted, self.N_VAL, self.SETTINGS, rng)
+            np.testing.assert_array_equal(cm.counts, cm_want.counts)
+            assert [(m, p.tobytes()) for m, p in raw] == [
+                (m, p.tobytes()) for m, p in raw_want]
