@@ -183,8 +183,25 @@ class Config:
 # shared pieces
 
 
-def _split_models(cfg: Config):
-    """The tables and the statistics ``pruneCorrelatedStats`` dropped."""
+def _narrowed(path, table, names):
+    """The table read from ``path`` with the statistics ``names`` alone,
+    copied only when it has others; an empty table, or one without some of
+    ``names``, is a ``TableFormatError`` naming ``path``."""
+    if table.n_rows == 0:
+        raise TableFormatError(f"{path} contains no usable simulations")
+    if set(table.stat_names) == set(names):
+        return table
+    try:
+        return table.with_stats(names)
+    except TableFormatError as exc:
+        raise TableFormatError(str(exc), path=path) from None
+
+
+def _split_models(cfg: Config, observed=None):
+    """The tables narrowed to the run's statistics: those ``observed``
+    names (the first table's without it), in the first table's order, less
+    those ``pruneCorrelatedStats`` drops among them.  Every table must hold
+    them all; other statistics are not used."""
     sim_names = [s for s in cfg.require("simName").split(";") if s]
     specs = [s for s in cfg.require("params").split(";") if s]
     if len(specs) == 1 and len(sim_names) > 1:
@@ -194,23 +211,18 @@ def _split_models(cfg: Config):
     max_read = cfg.require_int("maxReadSims")
     tables = [read_table(name, spec, max_rows=max_read)
               for name, spec in zip(sim_names, specs)]
-    for name, t in zip(sim_names, tables):
-        if t.n_rows == 0:
-            raise TableFormatError(f"{name} contains no usable simulations")
+    first = tables[0].stat_names
+    # the first table's order; a statistic it lacks comes last, to be named
+    names = sorted(observed[0].names if observed else first,
+                   key=lambda n: first.index(n) if n in first else len(first))
     max_cor = cfg.get_float("maxCor", 1.0)
-    if not cfg.get_bool("pruneCorrelatedStats", False):
-        return tables, []
-    if not 0 < max_cor <= 1:
-        raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
-    pruned, dropped = prune_correlated(tables[0], max_cor)
-    return [t.with_stats([n for n in pruned.stat_names if n in t.stat_names])
-            for t in tables], dropped
-
-
-def _without(obs: ObservedStats, dropped) -> ObservedStats:
-    """The observation without the statistics pruned from the tables."""
-    keep = [n for n in obs.names if n not in dropped]
-    return ObservedStats(keep, obs.vector(keep))
+    if cfg.get_bool("pruneCorrelatedStats", False):
+        if not 0 < max_cor <= 1:
+            raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
+        tables[0], _ = prune_correlated(
+            _narrowed(sim_names[0], tables[0], names), max_cor)
+        names = tables[0].stat_names
+    return [_narrowed(*pair, names) for pair in zip(sim_names, tables)]
 
 
 def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
@@ -222,6 +234,15 @@ def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
                           "rows of the smallest table, less one with "
                           f"leave-one-out validation), got {k}")
     return k
+
+
+def _get_count(cfg: Config, key: str, low: int):
+    """The count ``key`` sets, or None.  Its lower bound ``low`` needs no
+    table, so a count below it is a ``ConfigError`` before any is read."""
+    n = cfg.get_int(key)
+    if n is not None and n < low:
+        raise ConfigError(f"{key} must be at least {low}, got {n}")
+    return n
 
 
 def _check_count(key: str, n, low: int, high: int, what: str) -> None:
@@ -278,9 +299,8 @@ def _characteristics_payload(chars: dict):
 
 def _best_sims_payload(retained):
     header = list(retained.param_names) + list(retained.stat_names) + ["distance"]
-    rows = np.column_stack([retained.params, retained.stats,
-                            retained.distances])
-    return header, rows.tolist()
+    return header, np.column_stack([retained.params, retained.stats,
+                                    retained.distances])
 
 
 def _rejection_densities_payload(retained):
@@ -308,18 +328,20 @@ def _task_estimate(cfg: Config, rng) -> None:
     dirac = _dirac_peak_width(cfg)
     write_retained = cfg.get_bool("writeRetained", False)
     joint_points = cfg.get_int("jointPosteriorDensityPoints", 100)
-    n_marg = cfg.get_int("marDensPValue")
-    n_tukey = cfg.get_int("tukeyPValue")
-    n_random = cfg.get_int("randomValidation")
-    n_retained_val = cfg.get_int("retainedValidation")
-    n_mc_val = cfg.get_int("modelChoiceValidation")
+    n_marg = _get_count(cfg, "marDensPValue", 1)
+    n_tukey = _get_count(cfg, "tukeyPValue", 1)
+    n_random = _get_count(cfg, "randomValidation", 0)
+    n_retained_val = _get_count(cfg, "retainedValidation", 0)
+    n_mc_val = _get_count(cfg, "modelChoiceValidation", 0)
     plot_data = cfg.get_bool("plotData", False)
-    tables, dropped = _split_models(cfg)
-    obs_list = [_without(obs, dropped)
-                for obs in read_observed(cfg.require("obsName"))]
+    observed = read_observed(cfg.require("obsName"))
+    tables = _split_models(cfg, observed)
+    # every step reads the run's statistics, in the observation's order
+    names = [n for n in observed[0].names if n in tables[0].stat_names]
+    obs_list = [ObservedStats(names, obs.vector(names)) for obs in observed]
     joint_groups = _joint_groups(cfg, tables, joint_points)
     # a validation count of 0, or none, turns that validation off; the
-    # range of each is reported with its upper bound, read from the tables
+    # upper bound of each is read from the tables
     min_rows = min(t.n_rows for t in tables)
     _check_count("randomValidation", n_random, 0, min_rows - 1,
                  "the rows of the smallest table less one")
@@ -523,14 +545,15 @@ def _task_transform(cfg: Config, rng) -> None:
 
 def _task_findstats(cfg: Config, rng) -> None:
     cfg.has("obsName")  # marks the key used: the search needs no observation
-    n_val = cfg.require_int("modelChoiceValidation")
+    cfg.require("modelChoiceValidation")
+    n_val = _get_count(cfg, "modelChoiceValidation", 1)
     max_cor = cfg.get_float("maxCorSSFinder", 1.0)
     if not 0 <= max_cor <= 1:
         raise ConfigError(f"maxCorSSFinder must be between 0 and 1, "
                           f"got {max_cor}")
     dirac = _dirac_peak_width(cfg)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
-    tables, _ = _split_models(cfg)
+    tables = _split_models(cfg)
     if len(tables) < 2:
         raise ConfigError("findStatsModelChoice needs at least two models")
     _check_count("modelChoiceValidation", n_val, 1,

@@ -1,21 +1,20 @@
 """Posterior model probabilities and Bayes factors from one or more
-simulation tables that share the same statistics, by ABC-GLM (Leuenberger
-& Wegmann 2010): retain per model, fit the local Gaussian likelihood, and
-compare the resulting marginal densities; with one table it is the
-estimation step alone.  Retention standardizes with a single transform
-fitted to the pooled statistics so the models live on one scale;
-``standardize=False`` measures distances on the raw statistics instead.
-Model priors are equal.
+simulation tables, by ABC-GLM (Leuenberger & Wegmann 2010): retain per
+model, fit the local Gaussian likelihood, and compare the resulting
+marginal densities; with one table it is the estimation step alone.
+Retention standardizes with a single transform fitted to the pooled
+statistics so the models live on one scale; ``standardize=False``
+measures distances on the raw statistics instead.  Model priors are equal.
+
+The observation names the statistics, in its order; every table must
+hold them, and no other statistic is read.  A query on a subset of the
+statistics (a subset that the greedy search scores) passes an
+observation of that subset.
 
 ``exclude=(model, row)`` asks for a leave-one-out replicate: that
 simulation is left out of the pooled standardization and of the retention
 (see :func:`abckit.rejection.retain`), as if its table had been copied
-without it.  ``stats`` selects statistics in the same way: the pooled
-standardization, the retentions and the observation read only those
-columns of the full tables, as if the tables had been copied with those
-statistics alone (``SimulationTable.with_stats``).  A model-choice
-validation queries one selection per statistic subset that the greedy
-search scores.
+without it.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjust
-from .errors import TableFormatError
 from .rejection import RetainedSet, Standardizer, retain
 from .tableio import ObservedStats, OutputTag, write_tagged
 
@@ -64,17 +62,6 @@ class ModelChoiceResult:
         return int(np.argmax(self.probabilities))
 
 
-def _common_stats(tables) -> list[str]:
-    first = tables[0].stat_names
-    for i, t in enumerate(tables[1:], start=1):
-        if set(t.stat_names) != set(first):
-            extra = set(t.stat_names) ^ set(first)
-            raise TableFormatError(
-                f"model {i} does not expose the same statistics as model 0 "
-                f"(mismatch: {', '.join(sorted(extra))})")
-    return list(first)
-
-
 def _pooled(tables, names, exclude):
     """The statistics of all tables stacked, without the row that
     ``exclude=(model, row)`` names."""
@@ -91,19 +78,14 @@ def _pooled(tables, names, exclude):
 
 def glm_model_choice(tables, obs: ObservedStats, count,
                      dirac_peak_width: float = adjust.DEFAULT_PEAK_WIDTH,
-                     exclude=None, standardize: bool = True,
-                     stats=None) -> ModelChoiceResult:
+                     exclude=None, standardize: bool = True
+                     ) -> ModelChoiceResult:
     """Model probabilities from the fitted local-likelihood marginal
     densities, one model at a time, on the pooled standardization (on the
-    raw statistics with ``standardize=False``).  One table gives its
-    retained set and fit with probability 1.  ``stats`` names the
-    statistics to use, in that order; all those of the tables by
-    default."""
-    if stats is None:
-        names = _common_stats(tables)
-    else:
-        names = list(stats)
-        obs = ObservedStats(names, obs.vector(names))
+    raw statistics with ``standardize=False``) of the statistics ``obs``
+    names; a table without one of them is a ``TableFormatError``.  One
+    table gives its retained set and fit with probability 1."""
+    names = obs.names
     pooled_std = (Standardizer.fit(_pooled(tables, names, exclude), names)
                   if standardize else Standardizer.identity(names))
     retained, fits, log_dens = [], [], []

@@ -178,21 +178,17 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
     """
     if table.n_rows == 0:
         raise NumericalError("cannot retain from an empty table")
-    matched = [n for n in obs.names if n in table.stat_names]
-    unmatched = [n for n in obs.names if n not in table.stat_names]
-    if not matched:
+    if not set(obs.names) & set(table.stat_names):
         raise TableFormatError("no statistic names shared between table and "
                                "observation")
-    if unmatched:
-        raise TableFormatError(
-            f"observed statistics missing from table: {', '.join(unmatched)}")
+    matched = list(obs.names)
+    sims = table.stat_matrix(matched)
     obs_vec = obs.vector(matched)
     bad = [n for n, v in zip(matched, obs_vec) if not np.isfinite(v)]
     if bad:
         raise TableFormatError(
             f"observed statistic(s) not finite: {', '.join(bad)}")
 
-    sims = table.stat_matrix(matched)
     if exclude is not None:
         exclude = int(exclude)
         if not 0 <= exclude < table.n_rows:

@@ -180,16 +180,12 @@ class SimulationTable:
 
     def with_stats(self, names: Sequence[str]) -> "SimulationTable":
         """Restrict the statistic set to ``names`` (params kept as-is)."""
-        cols = list(self.param_idx)
-        lookup = {self.names[i]: i for i in self.stat_idx}
-        missing = [n for n in names if n not in lookup]
-        if missing:
-            raise TableFormatError(f"statistics not in table: {', '.join(missing)}")
-        cols += [lookup[n] for n in names]
-        new_names = tuple(self.names[i] for i in cols)
+        names = tuple(names)
+        stats = self.stat_matrix(names)
         p = len(self.param_idx)
-        return SimulationTable(new_names, self.values[:, cols],
-                               tuple(range(p)), tuple(range(p, len(cols))))
+        return SimulationTable(self.param_names + names,
+                               np.hstack([self.params, stats]),
+                               tuple(range(p)), tuple(range(p, p + len(names))))
 
 
 @dataclass

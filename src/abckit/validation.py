@@ -578,12 +578,11 @@ def model_choice_validations(tables, subsets, n_val: int,
 
     The rows of every subset are drawn first, subset by subset and model
     by model, as one validation per subset in turn would draw them.  A
-    query passes its subset as the ``stats`` of
-    :func:`abckit.modelchoice.glm_model_choice`, which reads only those
-    columns of the full tables and of the pseudo-observation's row, so
-    each result equals that of the tables copied with the subset alone
-    (``SimulationTable.with_stats``).  Returns one ``(confusion matrix,
-    raw rows)`` per subset, in order.
+    query passes :func:`abckit.modelchoice.glm_model_choice` its row as an
+    observation of the subset, which reads only those columns of the full
+    tables, so each result equals that of the tables copied with the
+    subset alone (``SimulationTable.with_stats``).  Returns one
+    ``(confusion matrix, raw rows)`` per subset, in order.
     """
     rng = np.random.default_rng(rng)
     settings = settings or GlmSettings()
@@ -599,9 +598,11 @@ def model_choice_validations(tables, subsets, n_val: int,
         table = tables[m]
         pseudo = ObservedStats(table.stat_names,
                                table.values[row, list(table.stat_idx)])
+        if subsets[k] is not None:
+            pseudo = ObservedStats(subsets[k], pseudo.vector(subsets[k]))
         return glm_model_choice(tables, pseudo, settings.num_retained,
                                 settings.dirac_peak_width, (m, row),
-                                settings.standardize, subsets[k]).probabilities
+                                settings.standardize).probabilities
 
     out = [(np.zeros((n_models, n_models), dtype=int), []) for _ in subsets]
     for (k, m, _), probs in zip(queries, _fork_map(query, queries)):

@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abckit import adjust, cli, orchestrate, statselect, validation
+from abckit import (adjust, cli, modelchoice, orchestrate, statselect,
+                    validation)
 from abckit._kstwo import kstwo_sf
 from abckit.errors import NumericalError
 from abckit.rejection import retain
-from abckit.tableio import (ObservedStats, OutputTag, format_value,
+from abckit.tableio import (ObservedStats, OutputTag, SimulationTable,
+                            format_value,
                             read_observed, read_table, tagged_filename,
                             write_observed, write_table, write_tagged)
 
@@ -337,6 +339,100 @@ def test_pruned_statistics_leave_the_observation_too(tmp_path, monkeypatch,
                               "Q1", "Q3", "distance")
 
 
+def _write_observation_of(path, obs, names):
+    write_observed(path, ObservedStats(names, obs.vector(names)))
+
+
+def test_every_retention_reads_the_observed_statistics(
+        tmp_path, monkeypatch, norm_table, unif_table, toy_obs):
+    # the estimate and all three validations retain on the 3 statistics
+    # the observation names, not on the 8 of the tables
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    names = ("var", "mean", "Q3")
+    _write_observation_of(tmp_path / "obs.txt", toy_obs, names)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(validation, "_cpu_count", lambda: 1)
+    seen = []
+
+    def spy(table, obs, *args, **kwargs):
+        seen.append(frozenset(obs.names))
+        return retain(table, obs, *args, **kwargs)
+
+    monkeypatch.setattr(validation, "retain", spy)
+    monkeypatch.setattr(modelchoice, "retain", spy)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=100",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC",
+                     "randomValidation=20", "retainedValidation=20",
+                     "modelChoiceValidation=5"])
+    assert code == 0
+    # per model: the estimate, the retained-validation pool and 40
+    # replicates; per model-choice query, one retention per model
+    assert len(seen) == 2 * (1 + 1 + 40) + 2 * 5 * 2
+    assert set(seen) == {frozenset(names)}
+
+
+def test_pruning_walks_the_observed_statistics_only(tmp_path, monkeypatch,
+                                                    caplog, norm_table,
+                                                    unif_table, toy_obs):
+    # median correlates with mean beyond 0.9, but the run does not use mean
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    _write_observation_of(tmp_path / "obs.txt", toy_obs, ("var", "median"))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=200",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC",
+                     "pruneCorrelatedStats=1", "maxCor=0.9",
+                     "writeRetained=1"])
+    assert code == 0
+    assert "pruned" not in caplog.text
+    for m in (0, 1):
+        best = read_table(tmp_path / f"ABC_model{m}_BestSimsParamStats_Obs0.txt")
+        assert best.names == ("mu", "sigma2", "var", "median", "distance")
+
+
+def test_model_without_an_observed_statistic_is_an_input_error(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    short = [n for n in unif_table.stat_names if n != "Q1"]
+    write_table(tmp_path / "uniform.txt",
+                take_rows(unif_table, range(300)).with_stats(short))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=100",
+                     "maxReadSims=5000", "seed=2", "outputPrefix=ABC"])
+    assert code == 2
+    errors = _error_lines(caplog)
+    assert len(errors) == 1
+    assert errors[0].endswith("uniform.txt: statistics not in table: Q1")
+    assert not list(tmp_path.glob("ABC_*"))
+
+
+def test_extra_statistic_of_a_model_is_not_used(tmp_path, monkeypatch,
+                                                norm_table, unif_table,
+                                                toy_obs):
+    # the same bytes as a run on the table without that column
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    table = read_table(tmp_path / "uniform.txt", "1-2")
+    extra = np.random.default_rng(5).normal(size=(table.n_rows, 1))
+    write_table(tmp_path / "wide.txt", SimulationTable(
+        table.names + ("extra",), np.hstack([table.values, extra]),
+        table.param_idx, table.stat_idx + (len(table.names),)))
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for second in ("uniform", "wide"):
+        (tmp_path / second).mkdir()
+        code = cli.main(["task=estimate", f"simName=normal.txt;{second}.txt",
+                         "params=1-2", "obsName=obs.txt", "numRetained=100",
+                         "maxReadSims=5000", "seed=2",
+                         f"outputPrefix={second}/ABC", "writeRetained=1",
+                         "randomValidation=5", "modelChoiceValidation=3"])
+        assert code == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / second).iterdir())})
+    assert len(written[0]) > 10 and written[0] == written[1]
+
+
 def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
     monkeypatch.chdir(tmp_path)
     table = take_rows(norm_table, np.arange(400))
@@ -424,8 +520,12 @@ def test_fit_pvalue_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1
-    assert errors[0].endswith(f"{key} must be between 1 and numRetained "
-                              f"(200), got {value}")
+    # the lower bound needs no table, so it is checked before any is read
+    if value < 1:
+        assert errors[0].endswith(f"{key} must be at least 1, got {value}")
+    else:
+        assert errors[0].endswith(f"{key} must be between 1 and numRetained "
+                                  f"(200), got {value}")
     assert not list(tmp_path.glob("ABC_*"))
 
 
@@ -460,8 +560,13 @@ def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     key, value = setting.split("=")
     low = 1 if task == "findStatsModelChoice" else 0
     assert len(errors) == 1
-    assert errors[0].endswith(f"{key} must be between {low} and {limit}, "
-                              f"got {value}")
+    # the lower bound needs no table, so it is checked before any is read
+    if int(value) < low:
+        assert errors[0].endswith(f"{key} must be at least {low}, "
+                                  f"got {value}")
+    else:
+        assert errors[0].endswith(f"{key} must be between {low} and {limit}, "
+                                  f"got {value}")
     assert not list(tmp_path.glob("ABC_*"))
 
 
@@ -477,6 +582,16 @@ def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
      "maxCorSSFinder must be between 0 and 1, got -1.0"),
     ("findStatsModelChoice", "maxCorSSFinder=1.5",
      "maxCorSSFinder must be between 0 and 1, got 1.5"),
+    ("estimate", "randomValidation=-1",
+     "randomValidation must be at least 0, got -1"),
+    ("estimate", "retainedValidation=-1",
+     "retainedValidation must be at least 0, got -1"),
+    ("estimate", "modelChoiceValidation=-1",
+     "modelChoiceValidation must be at least 0, got -1"),
+    ("estimate", "marDensPValue=0", "marDensPValue must be at least 1, got 0"),
+    ("estimate", "tukeyPValue=0", "tukeyPValue must be at least 1, got 0"),
+    ("findStatsModelChoice", "modelChoiceValidation=0",
+     "modelChoiceValidation must be at least 1, got 0"),
 ])
 def test_bad_setting_is_reported_before_the_tables_are_read(
         tmp_path, monkeypatch, caplog, task, setting, message):
