@@ -248,17 +248,17 @@ def _glm_mixture(fit: GlmFit, retained: RetainedSet,
     return _Mixture(log_w[0], means, cov)
 
 
-def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, stats,
+def glm_log_marginal_densities(fit: GlmFit, retained: RetainedSet, z,
                                dirac_peak_width: float = DEFAULT_PEAK_WIDTH
                                ) -> np.ndarray:
     """Log of the prior-weighted likelihood integral (the model marginal
     density) at many pseudo-observations at once.
 
-    ``stats`` is an (m, d) matrix of raw statistic vectors (or one
-    vector) in ``fit.stat_names`` order; rows are standardized with the
-    retained set's transform.
+    ``z`` is an (m, d) matrix of statistic vectors (or one vector) in
+    ``fit.stat_names`` order, on the retained set's distance scale, as
+    ``retained.obs_std`` and ``retained.stats_std`` are.
     """
-    z = np.atleast_2d(retained.standardized(stats))
+    z = np.atleast_2d(z)
     out = np.empty(len(z))
     for start, log_ev in _log_evidences(fit, retained, z,
                                         float(dirac_peak_width)):
@@ -270,7 +270,7 @@ def glm_log_marginal_density(fit: GlmFit, retained: RetainedSet,
                              dirac_peak_width: float = DEFAULT_PEAK_WIDTH) -> float:
     """Log marginal density at the retained set's observation;
     :func:`safe_exp` gives the density itself."""
-    return float(glm_log_marginal_densities(fit, retained, retained.obs,
+    return float(glm_log_marginal_densities(fit, retained, retained.obs_std,
                                             dirac_peak_width)[0])
 
 

@@ -16,9 +16,11 @@ key selects what to do:
   best discriminates between models.
 
 Unknown keys warn but do not abort.  Every run logs a header with the
-version, the random seed, and the resolved configuration, so runs can be
-replicated.  Exit codes: 0 success, 1 configuration error, 2 input/output
-error, 3 numerical failure, 4 simulator failure.
+version, the random seed (drawn when none is given) and every setting
+given in the input file or on the command line, so runs can be
+replicated; defaults are not logged.  Exit codes: 0 success, 1
+configuration error, 2 input/output error, 3 numerical failure, 4
+simulator failure.
 """
 
 from __future__ import annotations
@@ -184,12 +186,13 @@ class Config:
 
 
 def _narrowed(path, table, names):
-    """The table read from ``path`` with the statistics ``names`` alone,
-    copied only when it has others; an empty table, or one without some of
-    ``names``, is a ``TableFormatError`` naming ``path``."""
+    """The table read from ``path`` with the statistics ``names`` alone, in
+    their order, copied only when it has others or another order; an empty
+    table, or one without some of ``names``, is a ``TableFormatError``
+    naming ``path``."""
     if table.n_rows == 0:
         raise TableFormatError(f"{path} contains no usable simulations")
-    if set(table.stat_names) == set(names):
+    if table.stat_names == tuple(names):
         return table
     try:
         return table.with_stats(names)
@@ -201,7 +204,8 @@ def _split_models(cfg: Config, observed=None):
     """The tables narrowed to the run's statistics: those ``observed``
     names (the first table's without it), in the first table's order, less
     those ``pruneCorrelatedStats`` drops among them.  Every table must hold
-    them all; other statistics are not used."""
+    them all and comes back with them alone, in that one order; other
+    statistics are not used."""
     sim_names = [s for s in cfg.require("simName").split(";") if s]
     specs = [s for s in cfg.require("params").split(";") if s]
     if len(specs) == 1 and len(sim_names) > 1:
@@ -515,8 +519,6 @@ def _task_simulate(cfg: Config, rng) -> None:
     elif sampler.lower() == "standard":
         cfg.has("obsName")  # marks the key used: only the chain needs it
         result = run_standard(est, binding, n_sims, rng)
-        log.info("%d simulation(s) kept, %d failed", result.table.n_rows,
-                 result.failures)
         table = result.table
         if boost_flag:
             table = statselect.boost(table)

@@ -71,8 +71,10 @@ class RetainedSet:
 
     Carries, gathered once, the pieces every downstream method needs:
     the matched statistic names, the standardizer that defined the
-    distance, the (standardized) observed vector, and the retained rows.
-    Every estimate for the observation reads it from here (``obs``).
+    distance, the observed vector and the retained rows, raw and on the
+    distance scale.  Every estimate for the observation reads it from here;
+    ABC-GLM fits and scores on the distance scale (``obs_std``,
+    ``stats_std``).
     """
 
     indices: np.ndarray
@@ -93,15 +95,6 @@ class RetainedSet:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    def standardized(self, stats) -> np.ndarray:
-        """Raw statistic values in ``stat_names`` order (one vector, or
-        one per row) on the distance scale."""
-        values = np.asarray(stats, dtype=float)
-        if values.ndim == 0 or values.shape[-1] != len(self.stat_names):
-            raise ValueError(f"expected {len(self.stat_names)} statistics, "
-                             f"got an array of shape {values.shape}")
-        return self.standardizer.transform(values)
 
 
 def abs_correlations(tables, names) -> np.ndarray:
@@ -183,7 +176,7 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
                                "observation")
     matched = list(obs.names)
     sims = table.stat_matrix(matched)
-    obs_vec = obs.vector(matched)
+    obs_vec = obs.values
     bad = [n for n, v in zip(matched, obs_vec) if not np.isfinite(v)]
     if bad:
         raise TableFormatError(

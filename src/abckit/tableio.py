@@ -18,10 +18,11 @@ parse as a Python ``float`` and each row must have one field per header
 name.  ``#`` is not a comment.  A simulation-table row holding a
 non-finite value is dropped, counted in ``dropped_rows`` and logged once;
 ``max_rows`` counts kept rows, only rows dropped before the cut are
-counted, and lines after the cut are not read.  Bodies are parsed in bulk
-by ``np.loadtxt``, which rounds as ``float`` does; on any error, or a row
-width other than the header's, the line-by-line parser decides the result
-and names the offending line.
+counted, and lines after the cut are not read.  A simulation table's body
+is parsed in bulk by ``np.loadtxt``, which rounds as ``float`` does; on
+any error, or a row width other than the header's, the line-by-line parser
+decides the result and names the offending line.  An observed-statistics
+file, a few lines, is parsed by the line-by-line parser alone.
 
 Writing.  Values are written with 6 significant digits, using scientific
 notation outside ``[1e-4, 1e6)``, separated by single tabs: the bytes are
@@ -356,7 +357,7 @@ def _header(lines: list[str]) -> tuple[int, list[str]]:
 
 
 def _parse_lines(path: Path, lines: list[str], start: int, ncol: int,
-                 max_rows) -> np.ndarray:
+                 max_rows=None) -> np.ndarray:
     """Parse ``lines[start:]`` one line at a time; the reference semantics.
 
     Blank lines are skipped, any run of whitespace separates fields, every
@@ -419,16 +420,6 @@ def _parse_bulk(lines: list[str], start: int, ncol: int, max_rows):
         want *= 2
 
 
-def _parse_body(path: Path, lines: list[str], start: int, ncol: int,
-                max_rows=None) -> np.ndarray:
-    """Rows of ``lines[start:]`` as an ``(n, ncol)`` matrix, non-finite
-    rows included, cut as :func:`_parse_lines` cuts them."""
-    values = _parse_bulk(lines, start, ncol, max_rows)
-    if values is None:
-        values = _parse_lines(path, lines, start, ncol, max_rows)
-    return values
-
-
 def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> SimulationTable:
     """Read a simulation table.
 
@@ -453,7 +444,9 @@ def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> Sim
             raise TableFormatError(
                 f"parameter column {i + 1} beyond the {ncol} available", path=path)
 
-    values = _parse_body(path, lines, start + 1, ncol, max_rows)
+    values = _parse_bulk(lines, start + 1, ncol, max_rows)
+    if values is None:
+        values = _parse_lines(path, lines, start + 1, ncol, max_rows)
     finite = np.isfinite(values).all(axis=1)
     dropped = len(values) - int(np.count_nonzero(finite))
     if dropped:
@@ -472,7 +465,7 @@ def read_observed(path) -> list[ObservedStats]:
     path = Path(path)
     lines = path.read_text().splitlines()
     start, names = _header(lines)
-    values = _parse_body(path, lines, start + 1, len(names)) if names else []
+    values = _parse_lines(path, lines, start + 1, len(names)) if names else []
     if len(values) == 0:
         raise TableFormatError("need a header line and at least one value line",
                                path=path)

@@ -88,9 +88,8 @@ def marginal_density_pvalue(fit, retained: RetainedSet, n_check=None,
         raise ValueError(f"cannot check {n_check} of {retained.n} retained rows")
     # the observation and the cloud go through one call, so a cloud member
     # compared with itself ties exactly
-    stats = np.vstack([retained.obs, retained.stats[:n_check]])
-    ld = adjust.glm_log_marginal_densities(fit, retained, stats,
-                                           dirac_peak_width)
+    z = np.vstack([retained.obs_std, retained.stats_std[:n_check]])
+    ld = adjust.glm_log_marginal_densities(fit, retained, z, dirac_peak_width)
     return float((ld[1:] <= ld[0]).mean()), float(ld[0])
 
 
@@ -564,24 +563,27 @@ def model_choice_validate(tables, n_val: int,
     peak width and ``standardize`` of ``settings`` are used.  Every
     model's rows are drawn first; the queries then run through
     :func:`_fork_map`.  Returns the confusion matrix and the raw rows
-    ``(true_model, probabilities)``.  This is the case of one subset, all
-    the statistics, of :func:`model_choice_validations`.
+    ``(true_model, probabilities)``.  This is the case of one subset, the
+    first table's statistics in its order, of
+    :func:`model_choice_validations`.
     """
-    return model_choice_validations(tables, [None], n_val, settings, rng)[0]
+    return model_choice_validations(tables, [tables[0].stat_names], n_val,
+                                    settings, rng)[0]
 
 
 def model_choice_validations(tables, subsets, n_val: int,
                              settings: GlmSettings | None = None, rng=None):
     """:func:`model_choice_validate` of the tables restricted to each
-    statistic subset in ``subsets`` (a sequence of statistic names, or
-    ``None`` for all of them), with one :func:`_fork_map` for all.
+    statistic subset in ``subsets`` (a sequence of statistic names, in the
+    order the distances read them), with one :func:`_fork_map` for all.
 
     The rows of every subset are drawn first, subset by subset and model
-    by model, as one validation per subset in turn would draw them.  A
-    query passes :func:`abckit.modelchoice.glm_model_choice` its row as an
-    observation of the subset, which reads only those columns of the full
-    tables, so each result equals that of the tables copied with the
-    subset alone (``SimulationTable.with_stats``).  Returns one
+    by model, as one validation per subset in turn would draw them; each
+    row's values of the subset are its query's observation, and a subset
+    that a table lacks is a ``TableFormatError`` before any query runs.
+    :func:`abckit.modelchoice.glm_model_choice` reads only the columns the
+    observation names, so each result equals that of the tables copied
+    with the subset alone (``SimulationTable.with_stats``).  Returns one
     ``(confusion matrix, raw rows)`` per subset, in order.
     """
     rng = np.random.default_rng(rng)
@@ -589,23 +591,22 @@ def model_choice_validations(tables, subsets, n_val: int,
     n_models = len(tables)
     if n_val > min(t.n_rows for t in tables):
         raise ValueError("n_val exceeds the smallest table")
-    queries = [(k, m, int(i)) for k in range(len(subsets))
-               for m, table in enumerate(tables)
-               for i in rng.choice(table.n_rows, size=n_val, replace=False)]
+    queries = []
+    for k, names in enumerate(subsets):
+        for m, table in enumerate(tables):
+            rows = rng.choice(table.n_rows, size=n_val, replace=False)
+            stats = table.stat_matrix(names)[rows]
+            queries += [(k, m, int(row), ObservedStats(names, values))
+                        for row, values in zip(rows, stats)]
 
-    def query(item: tuple[int, int, int]) -> np.ndarray:
-        k, m, row = item
-        table = tables[m]
-        pseudo = ObservedStats(table.stat_names,
-                               table.values[row, list(table.stat_idx)])
-        if subsets[k] is not None:
-            pseudo = ObservedStats(subsets[k], pseudo.vector(subsets[k]))
+    def query(item: tuple[int, int, int, ObservedStats]) -> np.ndarray:
+        _, m, row, pseudo = item
         return glm_model_choice(tables, pseudo, settings.num_retained,
                                 settings.dirac_peak_width, (m, row),
                                 settings.standardize).probabilities
 
     out = [(np.zeros((n_models, n_models), dtype=int), []) for _ in subsets]
-    for (k, m, _), probs in zip(queries, _fork_map(query, queries)):
+    for (k, m, *_), probs in zip(queries, _fork_map(query, queries)):
         counts, raw = out[k]
         counts[m, int(np.argmax(probs))] += 1
         raw.append((m, probs))

@@ -45,7 +45,7 @@ def observed_at(retained, stats):
     """The retained set with its observation moved to the raw statistics
     ``stats``."""
     return dataclasses.replace(retained, obs=stats,
-                               obs_std=retained.standardized(stats))
+                               obs_std=retained.standardizer.transform(stats))
 
 
 @pytest.fixture(scope="session")

@@ -433,6 +433,36 @@ def test_extra_statistic_of_a_model_is_not_used(tmp_path, monkeypatch,
     assert len(written[0]) > 10 and written[0] == written[1]
 
 
+def test_model_tables_share_one_statistic_order(tmp_path, monkeypatch,
+                                               norm_table, unif_table,
+                                               toy_obs):
+    # a model table with its statistic columns in another order is copied
+    # into the first table's order, and the run writes the same bytes
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    table = read_table(tmp_path / "uniform.txt", "1-2")
+    write_table(tmp_path / "reversed.txt",
+                table.with_stats(table.stat_names[::-1]))
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.Config()
+    cfg.load_args(["simName=normal.txt;reversed.txt", "params=1-2",
+                   "maxReadSims=5000"])
+    tables = cli._split_models(cfg, read_observed("obs.txt"))
+    assert tables[1].stat_names == tables[0].stat_names
+    written = []
+    for second in ("uniform", "reversed"):
+        (tmp_path / second).mkdir()
+        code = cli.main(["task=estimate", f"simName=normal.txt;{second}.txt",
+                         "params=1-2", "obsName=obs.txt", "numRetained=100",
+                         "maxReadSims=5000", "seed=2",
+                         f"outputPrefix={second}/ABC", "writeRetained=1",
+                         "retainedValidation=5", "randomValidation=5",
+                         "modelChoiceValidation=3"])
+        assert code == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / second).iterdir())})
+    assert len(written[0]) > 10 and written[0] == written[1]
+
+
 def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
     monkeypatch.chdir(tmp_path)
     table = take_rows(norm_table, np.arange(400))
@@ -659,7 +689,7 @@ def test_joint_grid_file_equals_the_row_list(tmp_path, monkeypatch,
     ref.mkdir()
     path = write_tagged("ABC", OutputTag.JOINT_POSTERIOR,
                         (["sigma2", "mu", "density", "HDI"],
-                         list(joint.rows())),
+                         joint.matrix()),
                         model_index=0, obs_index=0, joint_params=[2, 1],
                         directory=ref)
     written = tmp_path / path.name

@@ -330,6 +330,49 @@ class TestIntegerProposals:
         assert sps.chisquare(counts, expected).pvalue > 0.001
 
 
+def shift_model(draw, rng):
+    """A builtin whose one statistic is its parameter plus unit normal
+    noise."""
+    return ("s",), [draw["theta"] + rng.normal()]
+
+
+shift_model.batch = lambda names, values, rng: (
+    ("s",), values[:, [list(names).index("theta")]]
+    + rng.normal(size=(len(values), 1)))
+
+
+class TestChainTarget:
+    """At a finite tolerance the chain samples the prior restricted to
+    ``distance < epsilon`` (Marjoram et al. 2003), which rejection of prior
+    draws gives exactly.  The normal prior checks the prior ratio of the
+    acceptance test; the uniform prior, whose lower bound the tolerance
+    region reaches, checks the reflection of proposals at the bounds."""
+
+    @pytest.mark.parametrize("prior, observed", [
+        ("norm -10 10 0 1", 2.0), ("unif 0 3", 0.3),
+    ], ids=["normal", "uniform"])
+    def test_thinned_chain_matches_rejection(self, monkeypatch, prior,
+                                             observed):
+        monkeypatch.setitem(models.BUILTIN_MODELS, "shift", shift_model)
+        est = parse_est(f"[PARAMETERS]\n0 theta {prior} output\n")
+        binding = SimulatorBinding.builtin("shift")
+        obs = ObservedStats(("s",), np.array([observed]))
+        # a wide tolerance and every 40th step keep the records of the
+        # chain nearly independent
+        cfg = McmcConfig(n_calibration=1000, threshold_prop=0.5,
+                         chain_length=20_000, sampling_interval=40,
+                         burn_in_frac=0.05, do_boxcox=False)
+        rng = np.random.default_rng(24)
+        cal = calibrate(est, binding, obs, cfg, rng)
+        chain = run_mcmc(est, binding, obs, cfg, rng, calibration=cal)
+        draws = run_standard(est, binding, 10_000, rng).table
+        kept = [cal.distance(s) < cal.epsilon for s in draws.stats]
+        reference = draws.values[kept, 0]
+        # the threshold was fixed before the first run
+        assert sps.ks_2samp(chain.table.values[:, 0],
+                            reference).pvalue > 0.001
+
+
 def old_distance(cal, cfg, names, values):
     """The chain distance as it was composed before the statistic map:
     boost the named vector, apply the definition to it by name (as a

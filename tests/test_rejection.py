@@ -392,8 +392,8 @@ class TestStandardizedObservation:
 
     def test_none_is_own_observation(self):
         # the retained set carries its own observation, raw and standardized
-        np.testing.assert_array_equal(self.r.standardized(self.r.obs),
-                                      self.r.obs_std)
+        np.testing.assert_array_equal(
+            self.r.standardizer.transform(self.r.obs), self.r.obs_std)
         np.testing.assert_array_equal(self.r.obs, self.obs.values)
 
     def test_observed_stats_matched_by_name(self):
@@ -402,15 +402,3 @@ class TestStandardizedObservation:
         r = retain(self.table, shuffled, count=20)
         assert r.stat_names == self.r.stat_names[::-1]
         np.testing.assert_array_equal(r.obs_std[::-1], self.r.obs_std)
-
-    def test_arrays_one_vector_or_rows(self):
-        rows = self.table.stats[:3]
-        z = self.r.standardized(rows)
-        np.testing.assert_array_equal(z, self.r.standardizer.transform(rows))
-        np.testing.assert_array_equal(self.r.standardized(rows[1]), z[1])
-
-    def test_size_checked(self):
-        with pytest.raises(ValueError, match="expected 5 statistics"):
-            self.r.standardized(np.zeros(4))
-        with pytest.raises(ValueError, match="expected 5 statistics"):
-            self.r.standardized(np.zeros((2, 6)))

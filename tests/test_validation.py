@@ -12,7 +12,7 @@ from scipy import stats as sps
 from abckit import validation
 from abckit._kstwo import kstwo_sf
 from abckit.adjust import GlmFit, GridPosterior, glm_fit, glm_posterior
-from abckit.errors import NumericalError
+from abckit.errors import NumericalError, TableFormatError
 from abckit.modelchoice import glm_model_choice
 from abckit.rejection import Standardizer, abs_correlations, retain
 from abckit.statselect import MIN_GAIN, greedy_search, subset_power
@@ -237,7 +237,7 @@ class TestMarginalDensityPValue:
         fit = glm_fit(r)
         # the P-value of a cloud member is its density rank, which must be
         # uniform; spot-check a few members against the one-at-a-time path
-        lds = glm_log_marginal_densities(fit, r, r.stats)
+        lds = glm_log_marginal_densities(fit, r, r.stats_std)
         chosen = rng.choice(1000, size=500, replace=False)
         ps = (lds[None, :] <= lds[chosen, None]).mean(axis=1)
         assert sps.kstest(ps, "uniform").pvalue > 0.01
@@ -255,7 +255,7 @@ class TestMarginalDensityPValue:
         rng = np.random.default_rng(80)
         r = gaussian_cloud_retained(rng, n=200)
         fit = glm_fit(r)
-        lds = glm_log_marginal_densities(fit, r, r.stats)
+        lds = glm_log_marginal_densities(fit, r, r.stats_std)
         for i in range(r.n):
             got, obs_ld = marginal_density_pvalue(fit,
                                                   observed_at(r, r.stats[i]))
@@ -944,16 +944,27 @@ class TestBatchedGreedySearch:
         got = subset_power(tables, names, self.N_VAL, self.SETTINGS, rng=105)
         assert got.hex() == cm.overall_accuracy.hex()
 
+    def test_subset_missing_from_a_table_fails_before_any_query(
+            self, monkeypatch):
+        tables = self.make_tables()
+        maps = []
+        monkeypatch.setattr(validation, "_fork_map",
+                            lambda fn, items: maps.append(items))
+        with pytest.raises(TableFormatError, match="not in table: nope"):
+            validation.model_choice_validations(
+                tables, [("s1",), ("s2", "nope")], self.N_VAL, self.SETTINGS,
+                rng=107)
+        assert maps == []
+
     def test_validations_split_back_per_subset(self):
         tables = self.make_tables()
-        subsets = [("s1",), None, ("s2", "s1copy")]
+        subsets = [("s1",), tables[0].stat_names, ("s2", "s1copy")]
         got = validation.model_choice_validations(
             tables, subsets, self.N_VAL, self.SETTINGS, rng=106)
         rng = np.random.default_rng(106)
         assert len(got) == len(subsets)
         for names, (cm, raw) in zip(subsets, got):
-            restricted = tables if names is None else [
-                t.with_stats(names) for t in tables]
+            restricted = [t.with_stats(names) for t in tables]
             cm_want, raw_want = model_choice_validate(
                 restricted, self.N_VAL, self.SETTINGS, rng)
             np.testing.assert_array_equal(cm.counts, cm_want.counts)
