@@ -5,6 +5,9 @@ marginal densities; with one table it is the estimation step alone.
 Retention standardizes with a single transform fitted to the pooled
 statistics so the models live on one scale; ``standardize=False``
 measures distances on the raw statistics instead.  Model priors are equal.
+The pooled scale is fitted once for each table set and statistic names:
+the observations after the first that name the same statistics reuse it
+(a key of the tables' ``token``s, one slot).
 
 The observation names the statistics, in its order; every table must
 hold them, and no other statistic is read.  A query on a subset of the
@@ -15,6 +18,8 @@ observation of that subset.
 simulation is left out of the pooled standardization and of the retention
 (see :func:`abckit.rejection.retain`), as if its table had been copied
 without it.
+Its pooled scale differs from one replicate to the next, so it is fitted
+for each query and never read from, or stored in, the one slot.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjust
-from .rejection import RetainedSet, Standardizer, retain
+from .rejection import RetainedSet, Standardizer, pooled_stats, retain
 from .tableio import ObservedStats, OutputTag, write_tagged
 
 __all__ = ["ModelChoiceResult", "glm_model_choice", "write_model_fit"]
@@ -57,23 +62,20 @@ class ModelChoiceResult:
         with np.errstate(over="ignore"):
             return np.exp(ld[:, None] - ld[None, :])
 
-    @property
-    def best_model(self) -> int:
-        return int(np.argmax(self.probabilities))
+
+# the pooled scale last fitted, under its key: the tables' tokens and the
+# statistic names (one slot)
+_last_scale: tuple = (None, None)
 
 
-def _pooled(tables, names, exclude):
-    """The statistics of all tables stacked, without the row that
-    ``exclude=(model, row)`` names."""
-    pooled = np.vstack([t.stat_matrix(names) for t in tables])
-    if exclude is None:
-        return pooled
-    model, row = exclude
-    if not 0 <= row < tables[model].n_rows:
-        raise ValueError(f"excluded row {row} outside model {model}'s "
-                         f"{tables[model].n_rows} rows")
-    row += sum(t.n_rows for t in tables[:model])
-    return np.delete(pooled, row, axis=0)
+def _pooled_scale(tables, names) -> Standardizer:
+    """:meth:`Standardizer.fit` of :func:`pooled_stats`, fitted once for
+    each table set and statistic names."""
+    global _last_scale
+    key = (tuple(t.token for t in tables), names)
+    if _last_scale[0] != key:
+        _last_scale = (key, Standardizer.fit(pooled_stats(tables, names), names))
+    return _last_scale[1]
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,
@@ -86,8 +88,13 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     names; a table without one of them is a ``TableFormatError``.  One
     table gives its retained set and fit with probability 1."""
     names = obs.names
-    pooled_std = (Standardizer.fit(_pooled(tables, names, exclude), names)
-                  if standardize else Standardizer.identity(names))
+    if not standardize:
+        pooled_std = Standardizer.identity(names)
+    elif exclude is None:
+        pooled_std = _pooled_scale(tables, names)
+    else:
+        pooled_std = Standardizer.fit(pooled_stats(tables, names, exclude),
+                                      names)
     retained, fits, log_dens = [], [], []
     for m, t in enumerate(tables):
         row = exclude[1] if exclude is not None and exclude[0] == m else None

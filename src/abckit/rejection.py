@@ -35,7 +35,7 @@ from .tableio import ObservedStats, SimulationTable
 log = logging.getLogger(__name__)
 
 __all__ = ["Standardizer", "RetainedSet", "abs_correlations",
-           "prune_correlated", "retain"]
+           "pooled_stats", "prune_correlated", "retain"]
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,52 @@ class RetainedSet:
         return len(self.indices)
 
 
+def _gather(table: SimulationTable, cols, exclude=None, out=None) -> np.ndarray:
+    """``table.values[:, cols]`` without row ``exclude``, written into
+    ``out`` when given.  The block is column-major, as numpy's column
+    gather is, because the rounding of the reductions over it (the fitted
+    scale, the distances) depends on the layout."""
+    values = table.values
+    if out is None:
+        out = np.empty((table.n_rows - (exclude is not None), len(cols)),
+                       order="F")
+    if exclude is None:
+        blocks = [(values, out)]
+    else:
+        blocks = [(values[:exclude], out[:exclude]),
+                  (values[exclude + 1:], out[exclude:])]
+    for src, dst in blocks:
+        for j, c in enumerate(cols):
+            dst[:, j] = src[:, c]
+    return out
+
+
+def pooled_stats(tables, names, exclude=None) -> np.ndarray:
+    """The statistics ``names`` of all ``tables`` stacked in one block,
+    without the row that ``exclude=(model, row)`` names."""
+    skip = [None] * len(tables)
+    if exclude is not None:
+        model, row = exclude
+        if not 0 <= row < tables[model].n_rows:
+            raise ValueError(f"excluded row {row} outside model {model}'s "
+                             f"{tables[model].n_rows} rows")
+        skip[model] = row
+    cols = [t.stat_columns(names) for t in tables]
+    sizes = [t.n_rows - (s is not None) for t, s in zip(tables, skip)]
+    pooled = np.empty((sum(sizes), len(names)), order="F")
+    start = 0
+    for t, c, s, n in zip(tables, cols, skip, sizes):
+        _gather(t, c, s, out=pooled[start:start + n])
+        start += n
+    return pooled
+
+
 def abs_correlations(tables, names) -> np.ndarray:
     """Absolute Pearson correlations between the statistics ``names`` over
     the rows of all ``tables`` pooled.  A constant statistic correlates 0
     with every statistic, itself included."""
-    pooled = np.vstack([t.stat_matrix(names) for t in tables])
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.corrcoef(pooled, rowvar=False)
+        c = np.corrcoef(pooled_stats(tables, names), rowvar=False)
     return np.abs(np.nan_to_num(np.atleast_2d(c)))
 
 
@@ -175,7 +214,7 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
         raise TableFormatError("no statistic names shared between table and "
                                "observation")
     matched = list(obs.names)
-    sims = table.stat_matrix(matched)
+    cols = table.stat_columns(matched)
     obs_vec = obs.values
     bad = [n for n, v in zip(matched, obs_vec) if not np.isfinite(v)]
     if bad:
@@ -187,12 +226,14 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
         if not 0 <= exclude < table.n_rows:
             raise ValueError(f"excluded row {exclude} outside the table's "
                              f"{table.n_rows} rows")
-        sims = np.delete(sims, exclude, axis=0)
     count = int(count)
+    n_rows = table.n_rows - (exclude is not None)
     if count <= 0:
         raise ValueError("retention count must be positive")
-    if count > len(sims):
-        raise ValueError(f"cannot retain {count} of {len(sims)} rows")
+    if count > n_rows:
+        raise ValueError(f"cannot retain {count} of {n_rows} rows")
+    # the one gather of the candidate rows, the buffer of the distances
+    sims = _gather(table, cols, exclude)
     std = (Standardizer.fit(sims, matched) if standardizer is None
            else standardizer.subset(matched))
 
@@ -209,15 +250,23 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
                 f"{obs_vec[j]}; the model cannot reproduce the data")
     if not keep:
         raise NumericalError("no usable statistics left for the distance")
-    matched = [matched[j] for j in keep]
-    std = std.subset(matched)
-    sims = sims[:, keep]
-    sims_std, obs_std = std.transform(sims), std.transform(obs_vec[keep])
-    dist = np.sqrt(((sims_std - obs_std)**2).sum(axis=1))
+    if len(keep) < len(matched):
+        matched = [matched[j] for j in keep]
+        cols = [cols[j] for j in keep]
+        std = std.subset(matched)
+        sims = sims[:, keep]
+    # Standardizer.transform, then the distance, in place: every kept
+    # scale is positive
+    obs_std = std.transform(obs_vec[keep])
+    sims -= std.center
+    sims /= std.scale
+    sims -= obs_std
+    dist = np.sqrt(np.square(sims, out=sims).sum(axis=1))
 
     order = _nearest(dist, count)
     indices = order if exclude is None else order + (order >= exclude)
     params = table.values[np.ix_(indices, table.param_idx)]
+    stats = table.values[np.ix_(indices, cols)]
     return RetainedSet(indices, dist[order], tuple(matched), std,
                        obs_vec[keep], obs_std, table.param_names, params,
-                       sims[order], sims_std[order])
+                       stats, std.transform(stats))

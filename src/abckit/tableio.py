@@ -1,4 +1,4 @@
-"""Reading and writing of the text tables exchanged by the pipeline.
+r"""Reading and writing of the text tables exchanged by the pipeline.
 
 Three kinds of files are handled:
 
@@ -12,17 +12,27 @@ Three kinds of files are handled:
   not apply (validation files that span observations drop the ``Obs``
   suffix, model-spanning files drop the ``model`` part).
 
-Reading.  The header is the first non-blank line.  Every later non-blank
-line is one row; any run of whitespace separates fields, every field must
-parse as a Python ``float`` and each row must have one field per header
-name.  ``#`` is not a comment.  A simulation-table row holding a
-non-finite value is dropped, counted in ``dropped_rows`` and logged once;
-``max_rows`` counts kept rows, only rows dropped before the cut are
-counted, and lines after the cut are not read.  A simulation table's body
-is parsed in bulk by ``np.loadtxt``, which rounds as ``float`` does; on
-any error, or a row width other than the header's, the line-by-line parser
-decides the result and names the offending line.  An observed-statistics
-file, a few lines, is parsed by the line-by-line parser alone.
+Reading.  A line ends at ``\n``, ``\r\n`` or ``\r``, as :func:`open`
+reads lines; every other whitespace character (``\f``, ``\v``,
+``\x1c``-``\x1e``, ``\x85``, ``\u2028``, ``\u2029`` among them) only
+separates fields, as it does for ``str.split`` and ``np.loadtxt``.  The
+header is the first non-blank line.  Every later non-blank line is one row;
+any run of whitespace separates fields, every field must parse as a Python
+``float`` and each row must have one field per header name.  ``#`` is not a
+comment.  A simulation-table row holding a non-finite value is dropped,
+counted in ``dropped_rows`` and logged once; ``max_rows`` counts kept rows
+and only rows dropped before the cut are counted.
+
+Both readers parse from the open file, the header by ``readline``.  A
+simulation table's body is parsed in bulk by ``np.loadtxt``, which rounds
+as ``float`` does; on any error, or a row width other than the header's,
+the line-by-line parser reads the body again from its start, decides the
+result and names the offending line.  With ``max_rows`` neither parser
+reads far past the cut: ``np.loadtxt`` reads ``max_rows`` rows, and reads
+again with twice as many while non-finite rows leave it short.  So the
+time and memory of a read grow with the rows kept, not with the file.  An
+observed-statistics file, a few lines, is parsed by the line-by-line
+parser alone.
 
 Writing.  Values are written with 6 significant digits, using scientific
 notation outside ``[1e-4, 1e6)``, separated by single tabs: the bytes are
@@ -113,7 +123,9 @@ class SimulationTable:
     ``param_idx`` and ``stat_idx`` partition the columns used by the
     pipeline; any remaining columns are carried along but ignored.
     The value matrix is locked read-only after construction, so tables can
-    be shared freely.
+    be shared freely.  ``token`` is an object made for each table built:
+    a key to what is computed from the table, which unlike ``id(table)``
+    is never reused while the key is held.
     """
 
     names: tuple[str, ...]
@@ -121,6 +133,8 @@ class SimulationTable:
     param_idx: tuple[int, ...]
     stat_idx: tuple[int, ...]
     dropped_rows: int = 0
+    token: object = field(default_factory=object, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.names = tuple(self.names)
@@ -169,13 +183,18 @@ class SimulationTable:
     def stats(self) -> np.ndarray:
         return self.values[:, list(self.stat_idx)]
 
-    def stat_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Statistic columns in the order of ``names`` (exact-name match)."""
+    def stat_columns(self, names: Sequence[str]) -> list[int]:
+        """Column indices of the statistics ``names``, in their order
+        (exact-name match)."""
         lookup = {self.names[i]: i for i in self.stat_idx}
         missing = [n for n in names if n not in lookup]
         if missing:
             raise TableFormatError(f"statistics not in table: {', '.join(missing)}")
-        return self.values[:, [lookup[n] for n in names]]
+        return [lookup[n] for n in names]
+
+    def stat_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Statistic columns in the order of ``names`` (exact-name match)."""
+        return self.values[:, self.stat_columns(names)]
 
     # -- derived tables --------------------------------------------------
 
@@ -347,28 +366,30 @@ def write_table(path, table: SimulationTable) -> Path:
     return path
 
 
-def _header(lines: list[str]) -> tuple[int, list[str]]:
-    """Index and fields of the first non-blank line (``-1, []`` if none)."""
-    for i, line in enumerate(lines):
+def _header(fh) -> tuple[int, list[str]]:
+    """Index and fields of the first non-blank line of ``fh``, read with
+    ``readline`` so that ``fh.tell()`` stays usable (``-1, []`` if none)."""
+    for i, line in enumerate(iter(fh.readline, "")):
         fields = line.split()
         if fields:
             return i, fields
     return -1, []
 
 
-def _parse_lines(path: Path, lines: list[str], start: int, ncol: int,
+def _parse_lines(path: Path, lines, first: int, ncol: int,
                  max_rows=None) -> np.ndarray:
-    """Parse ``lines[start:]`` one line at a time; the reference semantics.
+    """Parse ``lines``, whose first is line ``first`` (0-based) of the
+    file, one line at a time; the reference semantics.
 
     Blank lines are skipped, any run of whitespace separates fields, every
     field must parse with ``float``.  Rows are returned up to and including
     the one that brings the count of finite rows to ``max_rows``; lines
-    after it are not looked at.  Errors name the offending line.
+    after it are not read.  Errors name the offending line.
     """
     rows = []
     kept = 0
-    for i in range(start, len(lines)):
-        fields = lines[i].split()
+    for i, line in enumerate(lines, first):
+        fields = line.split()
         if not fields:
             continue
         if max_rows is not None and kept >= max_rows:
@@ -387,25 +408,26 @@ def _parse_lines(path: Path, lines: list[str], start: int, ncol: int,
     return np.array(rows).reshape(len(rows), ncol)
 
 
-def _parse_bulk(lines: list[str], start: int, ncol: int, max_rows):
-    """:func:`_parse_lines` through ``np.loadtxt``, which rounds as
-    ``float`` does.  Returns ``None`` where the line parser must decide:
-    any error or warning, a row width other than ``ncol``, ``max_rows < 1``.
-    When non-finite rows leave a ``max_rows`` read short, the read is
-    repeated with twice the row count.
+def _parse_bulk(fh, ncol: int, max_rows):
+    """:func:`_parse_lines` of the rest of ``fh`` through ``np.loadtxt``,
+    which rounds as ``float`` does.  Returns ``None`` where the line parser
+    must decide: any error or warning, a row width other than ``ncol``,
+    ``max_rows < 1``.  When non-finite rows leave a ``max_rows`` read short,
+    ``fh`` is sought back and the read repeated with twice the row count.
     """
     # imported here so that importing tableio costs what it did
     import warnings
 
     if max_rows is not None and max_rows < 1:
         return None
+    body = fh.tell()
     want = max_rows
     while True:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                values = np.loadtxt(lines, dtype=float, comments=None, ndmin=2,
-                                    skiprows=start, max_rows=want)
+                values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2,
+                                    max_rows=want)
         except (ValueError, Warning):
             return None
         if values.shape[1] != ncol:
@@ -418,6 +440,7 @@ def _parse_bulk(lines: list[str], start: int, ncol: int, max_rows):
         if len(values) < want:
             return values
         want *= 2
+        fh.seek(body)
 
 
 def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> SimulationTable:
@@ -430,23 +453,25 @@ def read_table(path, param_spec: str | Sequence[int] = (), max_rows=None) -> Sim
     kept; rows after the cut are not read.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    start, header = _header(lines)
-    if not header:
-        raise TableFormatError("empty file", path=path)
-    ncol = len(header)
-    if isinstance(param_spec, str):
-        pidx = parse_param_spec(param_spec) if param_spec else ()
-    else:
-        pidx = tuple(param_spec)
-    for i in pidx:
-        if i >= ncol:
-            raise TableFormatError(
-                f"parameter column {i + 1} beyond the {ncol} available", path=path)
-
-    values = _parse_bulk(lines, start + 1, ncol, max_rows)
-    if values is None:
-        values = _parse_lines(path, lines, start + 1, ncol, max_rows)
+    with open(path) as fh:
+        start, header = _header(fh)
+        if not header:
+            raise TableFormatError("empty file", path=path)
+        ncol = len(header)
+        if isinstance(param_spec, str):
+            pidx = parse_param_spec(param_spec) if param_spec else ()
+        else:
+            pidx = tuple(param_spec)
+        for i in pidx:
+            if i >= ncol:
+                raise TableFormatError(
+                    f"parameter column {i + 1} beyond the {ncol} available",
+                    path=path)
+        body = fh.tell()
+        values = _parse_bulk(fh, ncol, max_rows)
+        if values is None:
+            fh.seek(body)
+            values = _parse_lines(path, fh, start + 1, ncol, max_rows)
     finite = np.isfinite(values).all(axis=1)
     dropped = len(values) - int(np.count_nonzero(finite))
     if dropped:
@@ -463,9 +488,9 @@ def read_observed(path) -> list[ObservedStats]:
     suffixed ``Obs0``, ``Obs1``, ...).
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    start, names = _header(lines)
-    values = _parse_lines(path, lines, start + 1, len(names)) if names else []
+    with open(path) as fh:
+        start, names = _header(fh)
+        values = _parse_lines(path, fh, start + 1, len(names)) if names else []
     if len(values) == 0:
         raise TableFormatError("need a header line and at least one value line",
                                path=path)

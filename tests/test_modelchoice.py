@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from abckit import modelchoice
 from abckit.errors import TableFormatError
 from abckit.modelchoice import glm_model_choice, write_model_fit
 from abckit.models import TOY_STAT_NAMES, toy_stats
+from abckit.rejection import Standardizer
 from abckit.tableio import ObservedStats, SimulationTable, read_table
 
 from conftest import take_rows
@@ -104,7 +106,7 @@ class TestNormalVersusUniform:
     def test_normal_observation_picks_normal(self, norm_table, unif_table,
                                              toy_obs):
         res = glm_model_choice([norm_table, unif_table], toy_obs, 500)
-        assert res.best_model == 0
+        assert np.argmax(res.probabilities) == 0
         assert res.probabilities[0] > 0.99
         swapped = glm_model_choice([unif_table, norm_table], toy_obs, 500)
         np.testing.assert_allclose(swapped.probabilities,
@@ -115,7 +117,7 @@ class TestNormalVersusUniform:
         q = (np.arange(100) + 0.5) / 100
         obs = ObservedStats(TOY_STAT_NAMES, toy_stats(np.sqrt(3) * (2 * q - 1)))
         res = glm_model_choice([norm_table, unif_table], obs, 500)
-        assert res.best_model == 1
+        assert np.argmax(res.probabilities) == 1
         assert res.probabilities[1] > 0.99
 
 
@@ -206,3 +208,77 @@ class TestColumnSelection:
         obs = ObservedStats(("mean", "nope"), np.array([0.1, 0.2]))
         with pytest.raises(TableFormatError, match="not in table: nope$"):
             glm_model_choice(tables, obs, 50)
+
+
+def assert_same_choice(got, want):
+    assert got.log_densities.tobytes() == want.log_densities.tobytes()
+    assert got.probabilities.tobytes() == want.probabilities.tobytes()
+    for r, w in zip(got.retained, want.retained):
+        assert r.indices.tobytes() == w.indices.tobytes()
+        assert r.distances.tobytes() == w.distances.tobytes()
+        assert r.stats_std.tobytes() == w.stats_std.tobytes()
+
+
+class TestPooledScaleMemo:
+    """The pooled scale is fitted once for each table set and statistic
+    names, and never serves another set or a leave-one-out query."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(modelchoice, "_last_scale", (None, None))
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        calls = []
+        original = Standardizer.fit
+
+        def fit(matrix, names):
+            calls.append(tuple(names))
+            return original(matrix, names)
+        monkeypatch.setattr(Standardizer, "fit", staticmethod(fit))
+        return calls
+
+    def test_table_sets_built_and_dropped_in_turn(self, norm_table,
+                                                  unif_table, toy_obs,
+                                                  monkeypatch):
+        # each set's first table is freed before the next is built, so a
+        # key on id() would find the previous set's scale
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            rows = np.sort(rng.choice(1200, size=400, replace=False))
+            tables = [take_rows(norm_table, rows), unif_table]
+            got = glm_model_choice(tables, toy_obs, 60)
+            monkeypatch.setattr(modelchoice, "_last_scale", (None, None))
+            assert_same_choice(got, glm_model_choice(tables, toy_obs, 60))
+            del tables, got
+
+    def test_second_observation_reuses_the_fit(self, norm_table, unif_table,
+                                               toy_obs, fits):
+        tables = [norm_table, unif_table]
+        other = ObservedStats(toy_obs.names, norm_table.stats[7])
+        glm_model_choice(tables, toy_obs, 200)
+        got = glm_model_choice(tables, other, 200)
+        assert fits == [toy_obs.names]
+        modelchoice._last_scale = (None, None)
+        assert_same_choice(got, glm_model_choice(tables, other, 200))
+        assert fits == [toy_obs.names] * 2
+        # other statistics, or another table set, are fitted anew
+        sub = ObservedStats(("mean", "var"), toy_obs.values[:2])
+        glm_model_choice(tables, sub, 200)
+        glm_model_choice(tables[::-1], sub, 200)
+        assert fits == [toy_obs.names] * 2 + [("mean", "var")] * 2
+
+    @pytest.mark.parametrize("query", [{"exclude": (1, 5)},
+                                       {"standardize": False}])
+    def test_other_queries_never_read_the_memo(self, norm_table, unif_table,
+                                               toy_obs, fits, query):
+        tables = [norm_table, unif_table]
+        want = glm_model_choice(tables, toy_obs, 200, **query)
+        # a wrong scale stored under these tables and statistics
+        key = (tuple(t.token for t in tables), toy_obs.names)
+        planted = (key, Standardizer.identity(toy_obs.names))
+        modelchoice._last_scale = planted
+        assert_same_choice(glm_model_choice(tables, toy_obs, 200, **query),
+                           want)
+        assert modelchoice._last_scale is planted
+        assert len(fits) == 2 * ("exclude" in query)

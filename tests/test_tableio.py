@@ -344,49 +344,129 @@ class TestFormatBlock:
             ["a", "b", "density", "HDI"], values)
 
 
-def parse_both(text, ncol, start=1, max_rows=None):
-    """Body of ``text`` through the bulk path and through the line parser."""
-    from abckit.tableio import _parse_bulk, _parse_lines
-    lines = text.splitlines()
-    bulk = _parse_bulk(lines, start, ncol, max_rows)
-    exact = _parse_lines("t", lines, start, ncol, max_rows)
+def parse_both(path, max_rows=None):
+    """The body of the table at ``path`` through the bulk path and through
+    the line parser, each from the open file positioned after the header,
+    as ``read_table`` runs them."""
+    from abckit.tableio import _header, _parse_bulk, _parse_lines
+    with open(path) as fh:
+        start, header = _header(fh)
+        body = fh.tell()
+        bulk = _parse_bulk(fh, len(header), max_rows)
+        fh.seek(body)
+        exact = _parse_lines(path, fh, start + 1, len(header), max_rows)
     return bulk, exact
+
+
+def write_bytes(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_bytes(text.encode())
+    return p
 
 
 class TestReaderEquivalence:
     CASES = {
         "crlf": "a\tb\r\n1 2\r\n3 4\r\n",
+        "cr": "a\tb\r1 2\r3 4\r",
+        "mixed_line_ends": "a b\r\n1 2\r3 4\n\r\n5 6",
         "mixed_whitespace": "a b\n1\t 2\n 3  \t4 \t\n\t5 6\n",
         "blank_lines": "a b\n\n1 2\n   \n\t\n3 4\n\n",
+        "no_final_newline": "a b\n\n1 2\n  \n3 4",
+        "field_whitespace": "a\fb\n1\f2\n3\v4\n5\x1c6\n7\x1d8\n9\x1e10\n"
+                            "11\x8512\n13\u202814\n15\u202916\n",
         "nonfinite_tokens": "a b\n1 nan\nNaN 2\n3 inf\n-Infinity 4\n5 6\n",
         "header_only": "a b c\n",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bulk_matches_line_parser(self, tmp_path, name):
-        text = self.CASES[name]
-        ncol = len(text.split("\n")[0].split())
-        bulk, exact = parse_both(text.replace("\r\n", "\n"), ncol)
+        p = write_bytes(tmp_path, "t.txt", self.CASES[name])
+        bulk, exact = parse_both(p)
         if name != "header_only":         # empty input is left to the line parser
             assert bulk is not None
             assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
-        p = tmp_path / "t.txt"
-        p.write_bytes(text.encode())
         t = read_table(p, "1")
         finite = np.isfinite(exact).all(axis=1)
         assert t.values.tobytes() == exact[finite].tobytes()
         assert t.dropped_rows == int((~finite).sum())
 
+    def test_line_ends_and_field_whitespace(self, tmp_path):
+        """A line ends at \\n, \\r\\n or \\r; every other whitespace
+        character separates fields, in the header, the rows and the
+        observed-statistics file alike."""
+        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0], [9.0, 10.0],
+                [11.0, 12.0], [13.0, 14.0], [15.0, 16.0]]
+        for name in ("crlf", "cr", "field_whitespace"):
+            t = read_table(write_bytes(tmp_path, "t.txt", self.CASES[name]))
+            assert t.names == ("a", "b")
+            assert t.values.tolist() == rows[:t.n_rows]
+        assert t.n_rows == 8
+        obs = read_observed(write_bytes(tmp_path, "o.obs", "a\fb\r\n1\f2\r3 4"))
+        assert [o.values.tolist() for o in obs] == [[1.0, 2.0], [3.0, 4.0]]
+
     @pytest.mark.parametrize("max_rows", [1, 2, 3, 4])
     def test_max_rows_after_dropped_rows(self, tmp_path, max_rows):
         text = "a b\nnan 1\n1 2\ninf 3\n-inf 4\n2 3\n3 4\nnan 5\n4 5\n"
-        bulk, exact = parse_both(text, 2, max_rows=max_rows)
+        p = write(tmp_path, "t.txt", text)
+        bulk, exact = parse_both(p, max_rows=max_rows)
         assert bulk.tobytes() == exact.tobytes()
-        t = read_table(write(tmp_path, "t.txt", text), "1", max_rows=max_rows)
+        t = read_table(p, "1", max_rows=max_rows)
         expected_dropped = {1: 1, 2: 3, 3: 3, 4: 4}[max_rows]
         assert t.n_rows == max_rows
         assert t.dropped_rows == expected_dropped
         assert t.values[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0][:max_rows]
+
+    @staticmethod
+    def long_text(n_rows, line_end="\n"):
+        """A header and ``n_rows`` rows of three distinct finite values."""
+        rows = np.arange(3 * n_rows, dtype=float).reshape(n_rows, 3) / 8
+        return line_end.join(["a b c"] + [" ".join(map(repr, r))
+                                          for r in rows.tolist()]) + line_end
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_bad_line_far_into_the_file(self, tmp_path, line_end):
+        lines = self.long_text(70000, line_end).split(line_end)
+        lines[59999] = "1 2 x"                 # line 60000 of the file
+        p = write_bytes(tmp_path, "t.txt", line_end.join(lines))
+        with pytest.raises(TableFormatError) as exact:
+            parse_both(p)
+        with pytest.raises(TableFormatError) as info:
+            read_table(p, "1")
+        assert info.value.line == exact.value.line == 60000
+        # a cut before the bad line never reads it
+        assert read_table(p, "1", max_rows=59998).n_rows == 59998
+
+    @pytest.mark.parametrize("max_rows", [49999, 50000, 50001, 50004])
+    def test_nonfinite_rows_around_a_far_cut(self, tmp_path, max_rows):
+        lines = self.long_text(60000).split("\n")
+        for row in (10, 49998, 50000, 50001, 50003, 50010):
+            lines[1 + row] = "nan 1 2" if row % 2 else "1 inf 2"
+        p = write(tmp_path, "t.txt", "\n".join(lines))
+        bulk, exact = parse_both(p, max_rows=max_rows)
+        assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+        t = read_table(p, "1", max_rows=max_rows)
+        finite = np.isfinite(exact).all(axis=1)
+        assert t.n_rows == max_rows
+        assert t.values.tobytes() == exact[finite].tobytes()
+        assert t.dropped_rows == int((~finite).sum())
+
+    def test_max_rows_reads_in_proportion_to_the_rows_kept(self, tmp_path):
+        import tracemalloc
+        bound = 1_000_000                      # bytes, fixed before the first run
+        rng = np.random.default_rng(3)
+        block = "".join(" ".join(map(repr, row)) + "\n"
+                        for row in rng.normal(size=(1000, 4)).tolist())
+        p = write(tmp_path, "t.txt", "a b c d\n" + block * 200)
+        assert p.stat().st_size > 10 * bound
+        tracemalloc.start()
+        try:
+            t = read_table(p, "1", max_rows=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.n_rows == 1000
+        assert t.values.tolist() == read_table(p, "1").values[:1000].tolist()
+        assert peak < bound
 
     def test_max_rows_stops_before_a_bad_line(self, tmp_path):
         p = write(tmp_path, "t.txt", "a b\nnan 1\n1 2\n2 3\nnot a row\n")
