@@ -197,8 +197,8 @@ def _log_evidences(fit: GlmFit, retained: RetainedSet, z: np.ndarray,
     """Log evidence of each standardized observation (row of ``z``) under
     each prior peak ``N(u_j, tau^2 I)``: ``log N(z; c + B u_j, Sigma +
     tau^2 B B')``, yielded in row blocks as ``(start, block)``."""
-    if not tau > 0:
-        raise ValueError("dirac peak width must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"dirac peak width must be finite and positive, got {tau}")
     b = fit.coeff
     centres = fit.intercept + fit.to_internal(retained.params) @ b.T
     chol = _cholesky(fit.sigma + tau**2 * (b @ b.T), "likelihood covariance")

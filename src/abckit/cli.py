@@ -15,12 +15,17 @@ key selects what to do:
 * ``findStatsModelChoice``: greedy search for the statistic subset that
   best discriminates between models.
 
-Unknown keys warn but do not abort.  Every run logs a header with the
-version, the random seed (drawn when none is given) and every setting
-given in the input file or on the command line, so runs can be
-replicated; defaults are not logged.  Exit codes: 0 success, 1
-configuration error, 2 input/output error, 3 numerical failure, 4
-simulator failure.
+Every number a setting gives must be finite.  Each bound that needs no
+input is checked before any input is read, so a bad setting exits 1
+whether the files exist or not; the bounds that come from the inputs (the
+rows of the smallest table, the components of a definition, the
+parameters of ``jointPosteriors``) are checked after they are read.
+Unknown keys, and keys the task does not use, warn but do not abort.
+Every run logs a header with the version, the random seed (drawn when
+none is given) and every setting given in the input file or on the
+command line, so runs can be replicated; defaults are not logged.  Exit
+codes: 0 success, 1 configuration error, 2 input/output error, 3
+numerical failure, 4 simulator failure.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ from .orchestrate import McmcConfig, SimulatorBinding, run_mcmc, run_standard
 from .priors import parse_est_file
 from .rejection import prune_correlated
 from .statselect import LinearCombDef
-from .tableio import (ObservedStats, OutputTag, read_observed, read_table,
-                      write_table, write_tagged)
+from .tableio import (ObservedStats, OutputTag, SimulationTable, read_observed,
+                      read_table, write_table, write_tagged)
 
 log = logging.getLogger("abckit")
 
@@ -133,35 +138,35 @@ class Config:
             raise ConfigError(f"the task requires the key {key!r}")
         return v
 
-    def get_int(self, key: str, default=None):
-        """An integer literal, or an integral float literal up to 2**53."""
+    def get_int(self, key: str, default=None, low=None, high=None, what=None):
+        """An integer, or an integral float literal up to 2**53, in range."""
         v = self.get(key)
         if v is None:
             return default
         try:
-            return int(v)
+            n = int(v)
         except ValueError:
-            pass
-        try:
-            x = float(v)
-            if x.is_integer() and abs(x) <= 2**53:
-                return int(x)
-        except ValueError:
-            pass
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
+            x = _float(v)
+            if not (x.is_integer() and abs(x) <= 2**53):
+                raise ConfigError(f"{key} must be an integer, got {v!r}") from None
+            n = int(x)
+        _check_range(key, n, low, high, what=what)
+        return n
 
-    def require_int(self, key: str) -> int:
+    def require_int(self, key: str, low=None) -> int:
         self.require(key)
-        return self.get_int(key)
+        return self.get_int(key, low=low)
 
-    def get_float(self, key: str, default=None):
+    def get_float(self, key: str, default=None, low=None, high=None, above=None):
+        """A finite number, in range."""
         v = self.get(key)
         if v is None:
             return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {v!r}") from None
+        x = _float(v)
+        if not np.isfinite(x):
+            raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        _check_range(key, x, low, high, above)
+        return x
 
     def get_bool(self, key: str, default=False) -> bool:
         v = self.get(key)
@@ -181,102 +186,96 @@ class Config:
                         self.values[key], note)
 
 
+def _float(v: str) -> float:
+    """``v`` as a float, NaN when it is not a number."""
+    try:
+        return float(v)
+    except ValueError:
+        return float("nan")
+
+
+def _check_range(key: str, x, low=None, high=None, above=None,
+                 what=None) -> None:
+    """Raise the ``ConfigError`` of a setting ``key`` whose value ``x``, if
+    set, breaks ``x >= low``, ``x > above`` or ``x <= high`` (``what``)."""
+    if x is not None and ((low is not None and x < low)
+                          or (above is not None and x <= above)
+                          or (high is not None and x > high)):
+        at_most = high if what is None else f"{what} ({high})"
+        rules = [f"{rule} {bound}" for rule, bound in (
+            ("at least", low), ("greater than", above), ("at most", at_most))
+            if bound is not None]
+        raise ConfigError(f"{key} must be {' and '.join(rules)}, got {x}")
+
+
 # ---------------------------------------------------------------------------
 # shared pieces
 
 
 def _narrowed(path, table, names):
     """The table read from ``path`` with the statistics ``names`` alone, in
-    their order, copied only when it has others or another order; an empty
-    table, or one without some of ``names``, is a ``TableFormatError``
-    naming ``path``."""
+    their order, over the same values; an empty table, or one without some
+    of ``names``, is a ``TableFormatError`` naming ``path``."""
     if table.n_rows == 0:
         raise TableFormatError(f"{path} contains no usable simulations")
-    if table.stat_names == tuple(names):
-        return table
     try:
-        return table.with_stats(names)
+        cols = table.stat_columns(names)
     except TableFormatError as exc:
         raise TableFormatError(str(exc), path=path) from None
+    return SimulationTable(table.names, table.values, table.param_idx, cols)
 
 
-def _split_models(cfg: Config, observed=None):
-    """The tables narrowed to the run's statistics: those ``observed``
-    names (the first table's without it), in the first table's order, less
-    those ``pruneCorrelatedStats`` drops among them.  Every table must hold
-    them all and comes back with them alone, in that one order; other
-    statistics are not used."""
+def _split_models(cfg: Config, obs_path=None, two_models=None):
+    """The observations at ``obs_path`` (None without it) and the tables
+    narrowed to the run's statistics, which each must hold: those observed
+    (the first table's without it), in its order, less those
+    ``pruneCorrelatedStats`` drops.  ``two_models`` names what needs two
+    models or more.  The settings are checked before anything is read."""
     sim_names = [s for s in cfg.require("simName").split(";") if s]
     specs = [s for s in cfg.require("params").split(";") if s]
     if len(specs) == 1 and len(sim_names) > 1:
         specs = specs * len(sim_names)
     if len(specs) != len(sim_names):
         raise ConfigError("simName and params list different model counts")
-    max_read = cfg.require_int("maxReadSims")
+    if two_models and len(sim_names) < 2:
+        raise ConfigError(f"{two_models} needs at least two models")
+    max_read = cfg.require_int("maxReadSims", low=1)
+    prune = cfg.get_bool("pruneCorrelatedStats", False)
+    max_cor = cfg.get_float("maxCor", 1.0, above=0, high=1) if prune else None
+    observed = read_observed(obs_path) if obs_path else None
     tables = [read_table(name, spec, max_rows=max_read)
               for name, spec in zip(sim_names, specs)]
     first = tables[0].stat_names
     # the first table's order; a statistic it lacks comes last, to be named
     names = sorted(observed[0].names if observed else first,
                    key=lambda n: first.index(n) if n in first else len(first))
-    max_cor = cfg.get_float("maxCor", 1.0)
-    if cfg.get_bool("pruneCorrelatedStats", False):
-        if not 0 < max_cor <= 1:
-            raise ConfigError(f"maxCor must be in (0, 1], got {max_cor}")
+    if prune:
         tables[0], _ = prune_correlated(
             _narrowed(sim_names[0], tables[0], names), max_cor)
         names = tables[0].stat_names
-    return [_narrowed(*pair, names) for pair in zip(sim_names, tables)]
+    return observed, [_narrowed(*pair, names)
+                      for pair in zip(sim_names, tables)]
 
 
-def _num_retained(cfg: Config, tables, leave_one_out: bool) -> int:
-    # a leave-one-out replicate retains from a table one row short
-    k = cfg.require_int("numRetained")
-    limit = min(t.n_rows for t in tables) - int(leave_one_out)
-    if not 1 <= k <= limit:
-        raise ConfigError(f"numRetained must be between 1 and {limit} (the "
-                          "rows of the smallest table, less one with "
-                          f"leave-one-out validation), got {k}")
-    return k
+# bounds read from the tables: leave-one-out retains from one row fewer
+_ROWS = "the rows of the smallest table"
+_ROWS_LESS_ONE = _ROWS + " less one"
 
 
-def _get_count(cfg: Config, key: str, low: int):
-    """The count ``key`` sets, or None.  Its lower bound ``low`` needs no
-    table, so a count below it is a ``ConfigError`` before any is read."""
-    n = cfg.get_int(key)
-    if n is not None and n < low:
-        raise ConfigError(f"{key} must be at least {low}, got {n}")
-    return n
-
-
-def _check_count(key: str, n, low: int, high: int, what: str) -> None:
-    """Raise a ``ConfigError`` unless the count ``n`` set by ``key`` is
-    unset or between ``low`` and ``high``, which ``what`` names."""
-    if n is not None and not low <= n <= high:
-        raise ConfigError(f"{key} must be between {low} and {what} ({high}), "
-                          f"got {n}")
-
-
-def _dirac_peak_width(cfg: Config) -> float:
-    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH)
-    if not dirac > 0:
-        raise ConfigError(f"diracPeakWidth must be positive, got {dirac}")
-    return dirac
-
-
-def _joint_groups(cfg: Config, tables, n_points: int) -> list[list[str]]:
-    """The parameter groups of ``jointPosteriors``: ``;`` between groups,
-    ``,`` within one."""
-    groups = []
+def _joint_groups(cfg: Config):
+    """The groups of ``jointPosteriors`` (``;`` between groups, ``,`` within
+    one) and, if there is one, ``jointPosteriorDensityPoints``."""
+    groups, n_points = [], None
     for group in filter(None, (cfg.get("jointPosteriors") or "").split(";")):
         names = [n.strip() for n in group.split(",") if n.strip()]
-        if (len(set(names)) != len(names) or not 2 <= len(names) <= 4
-                or any(n not in t.param_names for t in tables for n in names)):
+        if len(set(names)) != len(names) or not 2 <= len(names) <= 4:
             raise ConfigError(f"jointPosteriors group {group!r} must name 2 "
-                              "to 4 different parameters of every model")
+                              "to 4 different parameters")
+        if n_points is None:
+            n_points = cfg.get_int("jointPosteriorDensityPoints", 100, low=2)
         adjust.check_joint_grid(len(names), n_points)
         groups.append(names)
-    return groups
+    return groups, n_points
 
 
 def _densities_payload(post: adjust.GridPosterior):
@@ -322,46 +321,43 @@ def _rejection_densities_payload(retained):
 
 
 def _task_estimate(cfg: Config, rng) -> None:
-    # the settings that need no table are checked before any is read
     standardize = cfg.get_bool("standardizeStats", True)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
-    n_points = cfg.get_int("posteriorDensityPoints", 100)
-    if not 2 <= n_points <= adjust.JOINT_GRID_MAX_POINTS:
-        raise ConfigError(f"posteriorDensityPoints must be at least 2 and at "
-                          f"most {adjust.JOINT_GRID_MAX_POINTS}, got {n_points}")
-    dirac = _dirac_peak_width(cfg)
+    n_points = cfg.get_int("posteriorDensityPoints", 100, low=2,
+                           high=adjust.JOINT_GRID_MAX_POINTS)
+    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH,
+                          above=0)
     write_retained = cfg.get_bool("writeRetained", False)
-    joint_points = cfg.get_int("jointPosteriorDensityPoints", 100)
-    n_marg = _get_count(cfg, "marDensPValue", 1)
-    n_tukey = _get_count(cfg, "tukeyPValue", 1)
-    n_random = _get_count(cfg, "randomValidation", 0)
-    n_retained_val = _get_count(cfg, "retainedValidation", 0)
-    n_mc_val = _get_count(cfg, "modelChoiceValidation", 0)
-    plot_data = cfg.get_bool("plotData", False)
-    observed = read_observed(cfg.require("obsName"))
-    tables = _split_models(cfg, observed)
-    # every step reads the run's statistics, in the observation's order
-    names = [n for n in observed[0].names if n in tables[0].stat_names]
-    obs_list = [ObservedStats(names, obs.vector(names)) for obs in observed]
-    joint_groups = _joint_groups(cfg, tables, joint_points)
-    # a validation count of 0, or none, turns that validation off; the
-    # upper bound of each is read from the tables
-    min_rows = min(t.n_rows for t in tables)
-    _check_count("randomValidation", n_random, 0, min_rows - 1,
-                 "the rows of the smallest table less one")
-    _check_count("modelChoiceValidation", n_mc_val, 0, min_rows,
-                 "the rows of the smallest table")
-    if n_mc_val and len(tables) < 2:
-        raise ConfigError("modelChoiceValidation needs at least two models")
-    num_retained = _num_retained(cfg, tables,
-                                 bool(n_random or n_retained_val or n_mc_val))
-    _check_count("retainedValidation", n_retained_val, 0, num_retained,
-                 "numRetained")
-    _check_count("marDensPValue", n_marg, 1, num_retained, "numRetained")
-    _check_count("tukeyPValue", n_tukey, 1, num_retained, "numRetained")
+    joint_groups, joint_points = _joint_groups(cfg)
+    num_retained = cfg.require_int("numRetained", low=1)
+    per_retained = dict(high=num_retained, what="numRetained")
+    # a validation count of 0, or none, turns that validation off
+    n_marg = cfg.get_int("marDensPValue", low=1, **per_retained)
+    n_tukey = cfg.get_int("tukeyPValue", low=1, **per_retained)
+    n_random = cfg.get_int("randomValidation", low=0)
+    n_retained_val = cfg.get_int("retainedValidation", low=0, **per_retained)
+    n_mc_val = cfg.get_int("modelChoiceValidation", low=0)
     if n_tukey and num_retained < 10:
         raise ConfigError(f"tukeyPValue needs numRetained of at least 10, "
                           f"got {num_retained}")
+    plot_data = cfg.get_bool("plotData", False)
+    observed, tables = _split_models(
+        cfg, cfg.require("obsName"),
+        two_models="modelChoiceValidation" if n_mc_val else None)
+    # every step reads the run's statistics, in the observation's order
+    names = [n for n in observed[0].names if n in tables[0].stat_names]
+    obs_list = [ObservedStats(names, obs.vector(names)) for obs in observed]
+    missing = [n for group in joint_groups for n in group
+               if any(n not in t.param_names for t in tables)]
+    if missing:
+        raise ConfigError(f"jointPosteriors names {', '.join(missing)}, not a "
+                          "parameter of every model")
+    rows = min(t.n_rows for t in tables)
+    loo = bool(n_random or n_retained_val or n_mc_val)
+    _check_range("numRetained", num_retained, high=rows - int(loo),
+                 what=_ROWS_LESS_ONE if loo else _ROWS)
+    _check_range("randomValidation", n_random, high=rows - 1, what=_ROWS_LESS_ONE)
+    _check_range("modelChoiceValidation", n_mc_val, high=rows, what=_ROWS)
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
     for k, obs in enumerate(obs_list):
@@ -474,30 +470,32 @@ def _binding_from_config(cfg: Config) -> SimulatorBinding:
     return SimulatorBinding.exec_args(program, sim_args, **sum_kw)
 
 
-# McmcConfig fields and the keys that set them (numSims, the chain length,
-# is checked before); McmcConfig's range checks name the fields
+# the keys that set McmcConfig's fields, which its range checks name
 _MCMC_KEYS = {
     "n_calibration": "numCaliSims", "threshold_prop": "thresholdProp",
     "range_prop": "rangeProp", "starting_point": "startingPoint",
-    "sampling_interval": "mcmcSampling", "burn_in_frac": "mcmcBurnIn",
+    "sampling_interval": "mcmcSampling", "chain_length": "numSims",
+    "burn_in_frac": "mcmcBurnIn",
 }
 
 
 def _task_simulate(cfg: Config, rng) -> None:
-    est = parse_est_file(cfg.require("estName"))
-    n_sims = cfg.require_int("numSims")
-    if n_sims < 1:
-        raise ConfigError(f"numSims must be at least 1, got {n_sims}")
-    binding = _binding_from_config(cfg)
+    est_path = cfg.require("estName")
+    n_sims = cfg.require_int("numSims", low=1)
     sampler = cfg.get("samplerType", "standard")
+    mcmc = sampler.lower() == "mcmc"
+    if not mcmc and sampler.lower() != "standard":
+        raise ConfigError(f"unsupported samplerType {sampler!r} "
+                          "(use standard or MCMC)")
+    binding = _binding_from_config(cfg)
     out_name = cfg.get("outName", "sims")
     boost_flag = cfg.get_bool("doBoosting", False)
-
-    if sampler.lower() == "mcmc":
-        obs = read_observed(cfg.require("obsName"))[0]
+    cfg.has("obsName")  # marks the key used: only the chain needs it
+    if mcmc:
+        obs_path = cfg.require("obsName")
         comb_path = cfg.get("linearCombName")
-        comb = LinearCombDef.load(comb_path) if comb_path else None
         try:
+            # the definition is loaded with the other inputs, below
             mcfg = McmcConfig(
                 n_calibration=cfg.get_int("numCaliSims", 1000),
                 threshold_prop=cfg.get_float("thresholdProp", 0.1),
@@ -506,39 +504,40 @@ def _task_simulate(cfg: Config, rng) -> None:
                 chain_length=n_sims,
                 sampling_interval=cfg.get_int("mcmcSampling", 1),
                 burn_in_frac=cfg.get_float("mcmcBurnIn", 0.1),
-                lincomb=comb,
-                do_boxcox=cfg.get_bool("doBoxCox", comb is not None),
+                do_boxcox=cfg.get_bool("doBoxCox", bool(comb_path)),
                 do_boosting=boost_flag)
         except ValueError as exc:
             keys = [key for field, key in _MCMC_KEYS.items() if field in str(exc)]
             raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+
+    est = parse_est_file(est_path)
+    if mcmc:
+        obs = read_observed(obs_path)[0]
+        if comb_path:
+            from dataclasses import replace
+            mcfg = replace(mcfg, lincomb=LinearCombDef.load(comb_path))
         run = run_mcmc(est, binding, obs, mcfg, rng)
         log.info("chain of %d steps, acceptance rate %.4g, tolerance %.6g",
                  run.steps, run.acceptance_rate, run.epsilon)
         table = run.table
-    elif sampler.lower() == "standard":
-        cfg.has("obsName")  # marks the key used: only the chain needs it
-        result = run_standard(est, binding, n_sims, rng)
-        table = result.table
+    else:
+        table = run_standard(est, binding, n_sims, rng).table
         if boost_flag:
             table = statselect.boost(table)
-    else:
-        raise ConfigError(f"unsupported samplerType {sampler!r} "
-                          "(use standard or MCMC)")
     path = write_table(f"{out_name}_sampling1.txt", table)
     log.info("wrote %s", path)
 
 
 def _task_transform(cfg: Config, rng) -> None:
-    comb = LinearCombDef.load(cfg.require("linearCombName"))
+    comb_path = cfg.require("linearCombName")
     in_path = cfg.require("input")
     out_path = cfg.require("output")
-    k = cfg.get_int("numLinearComb", comb.n_components)
-    if not 1 <= k <= comb.n_components:
-        raise ConfigError(f"numLinearComb must be between 1 and "
-                          f"{comb.n_components} (the components in "
-                          f"{cfg.get('linearCombName')}), got {k}")
+    k = cfg.get_int("numLinearComb", low=1)
     apply_boxcox = cfg.get_bool("doBoxCox", True)
+    comb = LinearCombDef.load(comb_path)
+    k = comb.n_components if k is None else k
+    _check_range("numLinearComb", k, high=comb.n_components,
+                 what=f"the components in {comb_path}")
     table = read_table(in_path, cfg.get("params", ""))
     out = statselect.transform(table, comb, k, apply_boxcox)
     write_table(out_path, out)
@@ -547,20 +546,16 @@ def _task_transform(cfg: Config, rng) -> None:
 
 def _task_findstats(cfg: Config, rng) -> None:
     cfg.has("obsName")  # marks the key used: the search needs no observation
-    cfg.require("modelChoiceValidation")
-    n_val = _get_count(cfg, "modelChoiceValidation", 1)
-    max_cor = cfg.get_float("maxCorSSFinder", 1.0)
-    if not 0 <= max_cor <= 1:
-        raise ConfigError(f"maxCorSSFinder must be between 0 and 1, "
-                          f"got {max_cor}")
-    dirac = _dirac_peak_width(cfg)
+    n_val = cfg.require_int("modelChoiceValidation", low=1)
+    max_cor = cfg.get_float("maxCorSSFinder", 1.0, low=0, high=1)
+    dirac = cfg.get_float("diracPeakWidth", adjust.DEFAULT_PEAK_WIDTH,
+                          above=0)
     prefix = cfg.get("outputPrefix", "ABC_GLM")
-    tables = _split_models(cfg)
-    if len(tables) < 2:
-        raise ConfigError("findStatsModelChoice needs at least two models")
-    _check_count("modelChoiceValidation", n_val, 1,
-                 min(t.n_rows for t in tables), "the rows of the smallest table")
-    num_retained = _num_retained(cfg, tables, leave_one_out=True)
+    num_retained = cfg.require_int("numRetained", low=1)
+    _, tables = _split_models(cfg, two_models="findStatsModelChoice")
+    rows = min(t.n_rows for t in tables)
+    _check_range("numRetained", num_retained, high=rows - 1, what=_ROWS_LESS_ONE)
+    _check_range("modelChoiceValidation", n_val, high=rows, what=_ROWS)
     settings = validation.GlmSettings(num_retained, dirac_peak_width=dirac)
     results = statselect.greedy_search(tables, n_val, settings, max_cor, rng)
     write_tagged(prefix, OutputTag.GREEDY_SEARCH,
@@ -589,11 +584,7 @@ def dispatch(cfg: Config) -> int:
     if runner is None:
         raise ConfigError(f"unknown task {task!r}")
     cfg.has("estimationType")  # marks the key used: there is one type
-    seed = cfg.get_int("seed")
-    if seed is None:
-        seed = secrets.randbits(32)
-    elif seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    seed = cfg.get_int("seed", secrets.randbits(32), low=0)
     log.info("version %s, seed %d", __version__, seed)
     for key in sorted(cfg.values):
         log.info("setting %s = %s", key, cfg.values[key] or "(flag)")

@@ -73,9 +73,11 @@ def _pooled_scale(tables, names) -> Standardizer:
     each table set and statistic names."""
     global _last_scale
     key = (tuple(t.token for t in tables), names)
-    if _last_scale[0] != key:
-        _last_scale = (key, Standardizer.fit(pooled_stats(tables, names), names))
-    return _last_scale[1]
+    slot = _last_scale  # read once: another thread may rebind it
+    if slot[0] != key:
+        slot = _last_scale = (key, Standardizer.fit(
+            pooled_stats(tables, names), names))
+    return slot[1]
 
 
 def glm_model_choice(tables, obs: ObservedStats, count,

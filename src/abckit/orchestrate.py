@@ -353,6 +353,14 @@ def run_standard(est: EstModel, binding: SimulatorBinding, n_sims: int,
 
 @dataclass(frozen=True)
 class McmcConfig:
+    """Settings of :func:`calibrate` and :func:`run_mcmc`.  A ``ValueError``
+    names the fields of the first rule broken: ``n_calibration >= 100``;
+    ``0 < threshold_prop < 1``; ``threshold_prop * n_calibration > 9`` (the
+    calibration keeps 10 points); ``range_prop`` finite and positive (or no
+    proposal moves); ``starting_point`` ``best`` or ``random``; ``1 <=
+    sampling_interval <= chain_length`` (a state is recorded); and
+    ``0 <= burn_in_frac < 1`` (one outlasts the burn-in)."""
+
     n_calibration: int = 1000
     threshold_prop: float = 0.1
     range_prop: float = 1.0
@@ -365,31 +373,25 @@ class McmcConfig:
     do_boosting: bool = False
 
     def __post_init__(self):
-        # every message names the fields it checks
-        if self.n_calibration < 100:
-            raise ValueError(f"n_calibration must be at least 100, got "
-                             f"{self.n_calibration}")
-        if not 0 < self.threshold_prop < 1:
-            raise ValueError(f"threshold_prop must be in (0, 1), got "
-                             f"{self.threshold_prop}")
-        if math.ceil(self.threshold_prop * self.n_calibration) < 10:
-            raise ValueError("threshold_prop * n_calibration would retain "
-                             "fewer than 10 calibration points")
-        if self.range_prop <= 0:
-            raise ValueError(f"range_prop must be positive, got "
-                             f"{self.range_prop}")
-        if self.starting_point not in ("best", "random"):
-            raise ValueError(f"starting_point must be 'best' or 'random', "
-                             f"got {self.starting_point!r}")
-        if self.chain_length < 1:
-            raise ValueError(f"chain_length must be >= 1, got "
-                             f"{self.chain_length}")
-        if self.sampling_interval < 1:
-            raise ValueError(f"sampling_interval must be >= 1, got "
-                             f"{self.sampling_interval}")
-        if not 0 <= self.burn_in_frac < 1:
-            raise ValueError(f"burn_in_frac must be in [0, 1), got "
-                             f"{self.burn_in_frac}")
+        for holds, message in (
+                (self.n_calibration >= 100, "n_calibration must be at least "
+                 f"100, got {self.n_calibration}"),
+                (0 < self.threshold_prop < 1, "threshold_prop must be in "
+                 f"(0, 1), got {self.threshold_prop}"),
+                (self.threshold_prop * self.n_calibration > 9, "threshold_prop"
+                 " * n_calibration would retain fewer than 10 points"),
+                (0 < self.range_prop < math.inf, "range_prop must be finite "
+                 f"and positive, got {self.range_prop}"),
+                (self.starting_point in ("best", "random"), "starting_point "
+                 f"must be 'best' or 'random', got {self.starting_point!r}"),
+                (1 <= self.sampling_interval <= self.chain_length,
+                 "sampling_interval must be at least 1 and at most "
+                 f"chain_length ({self.chain_length}), got "
+                 f"{self.sampling_interval}"),
+                (0 <= self.burn_in_frac < 1, "burn_in_frac must be in "
+                 f"[0, 1), got {self.burn_in_frac}")):
+            if not holds:
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,8 @@ class LinearCombDef:
             except ValueError:
                 raise TableFormatError("non-numeric field", path=path,
                                        line=lineno) from None
+            if not all(map(math.isfinite, nums)):
+                raise TableFormatError("non-finite number", path=path, line=lineno)
             try:
                 specs.append(BoxCoxSpec(*nums[:6]))
             except TableFormatError as exc:

@@ -392,6 +392,17 @@ class TestMarginalDensity:
         fit = glm_fit(r)
         assert safe_exp(glm_log_marginal_density(fit, r)) < 1e-12
 
+    @pytest.mark.parametrize("width", [0.0, -0.01, math.nan, math.inf])
+    def test_peak_width_must_be_finite_and_positive(self, width):
+        # an infinite width is a bad argument, not a numerical failure
+        rng = np.random.default_rng(48)
+        r = retained_from(rng.uniform(size=(200, 1)),
+                          rng.normal(size=(200, 3)), [0.1, -0.1, 0.1])
+        with pytest.raises(ValueError, match="dirac peak width"):
+            glm_log_marginal_density(glm_fit(r), r, dirac_peak_width=width)
+        with pytest.raises(ValueError, match="dirac peak width"):
+            glm_posterior(glm_fit(r), r, dirac_peak_width=width)
+
     def test_zero_slope_single_peak_is_plain_gaussian(self):
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
         fit = manual_flat_fit(sigma=sigma)

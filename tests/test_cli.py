@@ -436,8 +436,8 @@ def test_extra_statistic_of_a_model_is_not_used(tmp_path, monkeypatch,
 def test_model_tables_share_one_statistic_order(tmp_path, monkeypatch,
                                                norm_table, unif_table,
                                                toy_obs):
-    # a model table with its statistic columns in another order is copied
-    # into the first table's order, and the run writes the same bytes
+    # a model table with its statistic columns in another order is narrowed
+    # to the first table's order, and the run writes the same bytes
     _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
     table = read_table(tmp_path / "uniform.txt", "1-2")
     write_table(tmp_path / "reversed.txt",
@@ -446,7 +446,7 @@ def test_model_tables_share_one_statistic_order(tmp_path, monkeypatch,
     cfg = cli.Config()
     cfg.load_args(["simName=normal.txt;reversed.txt", "params=1-2",
                    "maxReadSims=5000"])
-    tables = cli._split_models(cfg, read_observed("obs.txt"))
+    _, tables = cli._split_models(cfg, obs_path="obs.txt")
     assert tables[1].stat_names == tables[0].stat_names
     written = []
     for second in ("uniform", "reversed"):
@@ -461,6 +461,18 @@ def test_model_tables_share_one_statistic_order(tmp_path, monkeypatch,
         written.append({p.name: p.read_bytes()
                         for p in sorted((tmp_path / second).iterdir())})
     assert len(written[0]) > 10 and written[0] == written[1]
+
+
+def test_narrowed_table_shares_the_values_read(norm_table):
+    table = take_rows(norm_table, range(50))
+    names = table.stat_names[::-1][:3]
+    got = cli._narrowed("sims.txt", table, names)
+    assert np.shares_memory(got.values, table.values)
+    want = table.with_stats(names)
+    assert got.param_names == want.param_names
+    assert got.stat_names == want.stat_names
+    np.testing.assert_array_equal(got.params, want.params)
+    np.testing.assert_array_equal(got.stats, want.stats)
 
 
 def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
@@ -531,7 +543,12 @@ def test_num_retained_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1
-    assert "numRetained" in errors[0] and f"between 1 and {limit}" in errors[0]
+    # the lower bound needs no table, so it is checked before any is read
+    if "numRetained=0" in settings:
+        assert errors[0].endswith("numRetained must be at least 1, got 0")
+    else:
+        assert "numRetained must be at most the rows of the smallest table" \
+            in errors[0] and f"({limit}), got " in errors[0]
     assert not list(tmp_path.glob("ABC_*"))
 
 
@@ -550,12 +567,9 @@ def test_fit_pvalue_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1
-    # the lower bound needs no table, so it is checked before any is read
-    if value < 1:
-        assert errors[0].endswith(f"{key} must be at least 1, got {value}")
-    else:
-        assert errors[0].endswith(f"{key} must be between 1 and numRetained "
-                                  f"(200), got {value}")
+    # both bounds need no table, so they are checked before any is read
+    assert errors[0].endswith(f"{key} must be at least 1 and at most "
+                              f"numRetained (200), got {value}")
     assert not list(tmp_path.glob("ABC_*"))
 
 
@@ -590,51 +604,125 @@ def test_validation_count_range_check_is_a_config_error(tmp_path, monkeypatch,
     key, value = setting.split("=")
     low = 1 if task == "findStatsModelChoice" else 0
     assert len(errors) == 1
-    # the lower bound needs no table, so it is checked before any is read
-    if int(value) < low:
+    # the bounds that need no table are checked before any is read
+    if key == "retainedValidation":
+        assert errors[0].endswith(f"{key} must be at least 0 and at most "
+                                  f"{limit}, got {value}")
+    elif int(value) < low:
         assert errors[0].endswith(f"{key} must be at least {low}, "
                                   f"got {value}")
     else:
-        assert errors[0].endswith(f"{key} must be between {low} and {limit}, "
+        assert errors[0].endswith(f"{key} must be at most {limit}, "
                                   f"got {value}")
     assert not list(tmp_path.glob("ABC_*"))
 
 
+# every input a task reads is missing: reading one would exit 2
+MISSING_INPUTS = {
+    "estimate": ["simName=missing.txt;missing2.txt", "params=1-2",
+                 "obsName=obs.txt", "numRetained=20",
+                 "modelChoiceValidation=5", "maxReadSims=5000",
+                 "outputPrefix=ABC"],
+    "simulate": ["samplerType=MCMC", "estName=toy.est",
+                 "simProgram=toy-normal", "obsName=obs.txt", "numSims=200",
+                 "linearCombName=lincomb.txt", "outName=sims"],
+    "transform": ["linearCombName=lincomb.txt", "input=sims.txt",
+                  "output=out.txt", "params=1-2"],
+}
+MISSING_INPUTS["findStatsModelChoice"] = MISSING_INPUTS["estimate"]
+PRUNE = "pruneCorrelatedStats=1 "
+JOINT = "jointPosteriors=mu,sigma2 "
+
+
 @pytest.mark.parametrize("task, setting, message", [
     ("estimate", "posteriorDensityPoints=1",
-     "posteriorDensityPoints must be at least 2"),
-    ("estimate", "diracPeakWidth=0", "diracPeakWidth must be positive"),
+     "posteriorDensityPoints must be at least 2 and at most 1000000, got 1"),
+    ("estimate", "diracPeakWidth=0", "diracPeakWidth must be greater than 0"),
     ("findStatsModelChoice", "diracPeakWidth=-1",
-     "diracPeakWidth must be positive"),
+     "diracPeakWidth must be greater than 0, got -1.0"),
     ("findStatsModelChoice", "maxCorSSFinder=nan",
-     "maxCorSSFinder must be between 0 and 1, got nan"),
+     "maxCorSSFinder must be a finite number, got 'nan'"),
     ("findStatsModelChoice", "maxCorSSFinder=-1",
-     "maxCorSSFinder must be between 0 and 1, got -1.0"),
+     "maxCorSSFinder must be at least 0 and at most 1, got -1.0"),
     ("findStatsModelChoice", "maxCorSSFinder=1.5",
-     "maxCorSSFinder must be between 0 and 1, got 1.5"),
+     "maxCorSSFinder must be at least 0 and at most 1, got 1.5"),
     ("estimate", "randomValidation=-1",
      "randomValidation must be at least 0, got -1"),
     ("estimate", "retainedValidation=-1",
-     "retainedValidation must be at least 0, got -1"),
+     "retainedValidation must be at least 0 and at most numRetained (20), "
+     "got -1"),
     ("estimate", "modelChoiceValidation=-1",
      "modelChoiceValidation must be at least 0, got -1"),
-    ("estimate", "marDensPValue=0", "marDensPValue must be at least 1, got 0"),
-    ("estimate", "tukeyPValue=0", "tukeyPValue must be at least 1, got 0"),
+    ("estimate", "marDensPValue=0", "marDensPValue must be at least 1 and at "
+     "most numRetained (20), got 0"),
+    ("estimate", "tukeyPValue=0", "tukeyPValue must be at least 1 and at most "
+     "numRetained (20), got 0"),
     ("findStatsModelChoice", "modelChoiceValidation=0",
      "modelChoiceValidation must be at least 1, got 0"),
+    # every other numeric key of each task, and nan and inf for each float
+    ("estimate", "numRetained=0", "numRetained must be at least 1, got 0"),
+    ("estimate", "maxReadSims=0", "maxReadSims must be at least 1, got 0"),
+    ("estimate", PRUNE + "maxCor=0",
+     "maxCor must be greater than 0 and at most 1, got 0.0"),
+    ("estimate", PRUNE + "maxCor=nan", "maxCor must be a finite number"),
+    ("estimate", PRUNE + "maxCor=inf", "maxCor must be a finite number"),
+    ("estimate", "diracPeakWidth=nan", "diracPeakWidth must be a finite"),
+    ("estimate", "diracPeakWidth=inf", "diracPeakWidth must be a finite"),
+    ("estimate", JOINT + "jointPosteriorDensityPoints=1",
+     "jointPosteriorDensityPoints must be at least 2, got 1"),
+    ("estimate", "marDensPValue=21",
+     "marDensPValue must be at least 1 and at most numRetained (20), got 21"),
+    ("estimate", "tukeyPValue=21",
+     "tukeyPValue must be at least 1 and at most numRetained (20), got 21"),
+    ("estimate", "retainedValidation=21", "retainedValidation must be at "
+     "least 0 and at most numRetained (20), got 21"),
+    ("estimate", "seed=-1", "seed must be at least 0, got -1"),
+    ("findStatsModelChoice", "numRetained=0",
+     "numRetained must be at least 1, got 0"),
+    ("findStatsModelChoice", "maxReadSims=-3",
+     "maxReadSims must be at least 1, got -3"),
+    ("findStatsModelChoice", PRUNE + "maxCor=1.5",
+     "maxCor must be greater than 0 and at most 1, got 1.5"),
+    ("findStatsModelChoice", PRUNE + "maxCor=nan", "maxCor must be a finite"),
+    ("findStatsModelChoice", PRUNE + "maxCor=inf", "maxCor must be a finite"),
+    ("findStatsModelChoice", "diracPeakWidth=nan",
+     "diracPeakWidth must be a finite number"),
+    ("findStatsModelChoice", "diracPeakWidth=inf",
+     "diracPeakWidth must be a finite number"),
+    ("findStatsModelChoice", "maxCorSSFinder=inf",
+     "maxCorSSFinder must be a finite number, got 'inf'"),
+    ("findStatsModelChoice", "seed=-1", "seed must be at least 0, got -1"),
+    ("simulate", "numSims=0", "numSims must be at least 1, got 0"),
+    ("simulate", "numCaliSims=99",
+     "numCaliSims: n_calibration must be at least 100, got 99"),
+    ("simulate", "thresholdProp=0", "thresholdProp: threshold_prop must be"),
+    ("simulate", "thresholdProp=nan", "thresholdProp must be a finite"),
+    ("simulate", "thresholdProp=inf", "thresholdProp must be a finite"),
+    ("simulate", "rangeProp=0", "rangeProp: range_prop must be finite and "
+     "positive, got 0.0"),
+    ("simulate", "rangeProp=nan", "rangeProp must be a finite number"),
+    ("simulate", "rangeProp=inf", "rangeProp must be a finite number"),
+    ("simulate", "mcmcSampling=0", "mcmcSampling, numSims: sampling_interval"),
+    ("simulate", "mcmcSampling=500",
+     "mcmcSampling, numSims: sampling_interval must be at least 1 and at "
+     "most chain_length (200), got 500"),
+    ("simulate", "mcmcBurnIn=1", "mcmcBurnIn: burn_in_frac must be in"),
+    ("simulate", "mcmcBurnIn=nan", "mcmcBurnIn must be a finite number"),
+    ("simulate", "mcmcBurnIn=inf", "mcmcBurnIn must be a finite number"),
+    ("simulate", "seed=-1", "seed must be at least 0, got -1"),
+    ("transform", "numLinearComb=0", "numLinearComb must be at least 1"),
+    ("transform", "seed=-1", "seed must be at least 0, got -1"),
 ])
 def test_bad_setting_is_reported_before_the_tables_are_read(
-        tmp_path, monkeypatch, caplog, task, setting, message):
-    # the simulation table does not exist: reading it would exit 2
+        tmp_path, monkeypatch, caplog, capsys, task, setting, message):
     monkeypatch.chdir(tmp_path)
-    code = cli.main([f"task={task}", "simName=missing.txt;missing2.txt",
-                     "params=1-2", "obsName=obs.txt", "numRetained=20",
-                     "modelChoiceValidation=5", "maxReadSims=5000",
-                     "outputPrefix=ABC", setting])
+    code = cli.main([f"task={task}", *MISSING_INPUTS[task],
+                     *setting.split()])
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1
     assert message in errors[0]
+    assert "Traceback" not in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -873,7 +961,8 @@ def test_num_linear_comb_range_check_is_a_config_error(tmp_path, monkeypatch,
     assert code == 1
     errors = _error_lines(caplog)
     assert len(errors) == 1
-    assert "numLinearComb" in errors[0] and "between 1 and 1" in errors[0]
+    assert errors[0].endswith("numLinearComb must be at most the components "
+                              "in lincomb.txt (1), got 3")
     assert not (tmp_path / "out.txt").exists()
 
 
@@ -892,17 +981,19 @@ def test_oversized_joint_grid_is_a_config_error(tmp_path, monkeypatch, caplog,
 
 
 BAD_ESTIMATE_SETTINGS = [
-    (["diracPeakWidth=0"], "diracPeakWidth must be positive"),
+    (["diracPeakWidth=0"], "diracPeakWidth must be greater than 0"),
     (["posteriorDensityPoints=1"], "posteriorDensityPoints must be at least 2"),
     (["posteriorDensityPoints=1000001"], "at most 1000000, got 1000001"),
     (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=1"],
-     "at least 2 points per parameter"),
+     "jointPosteriorDensityPoints must be at least 2, got 1"),
     (["jointPosteriors=mu,sigma2", "jointPosteriorDensityPoints=2000"],
      "at most 1000 points"),
     (["jointPosteriors=mu"], "2 to 4 different parameters"),
-    (["jointPosteriors=mu,foo"], "2 to 4 different parameters"),
+    (["jointPosteriors=mu,foo"],
+     "jointPosteriors names foo, not a parameter of every model"),
     (["jointPosteriors=mu,mu"], "2 to 4 different parameters"),
-    (["pruneCorrelatedStats=1", "maxCor=2"], "maxCor must be in (0, 1]"),
+    (["pruneCorrelatedStats=1", "maxCor=2"],
+     "maxCor must be greater than 0 and at most 1, got 2.0"),
 ]
 
 

@@ -282,3 +282,18 @@ class TestPooledScaleMemo:
                            want)
         assert modelchoice._last_scale is planted
         assert len(fits) == 2 * ("exclude" in query)
+
+    def test_the_slot_is_read_once(self, norm_table, unif_table, toy_obs):
+        # another thread rebinds the slot between its key test and its read
+        mine = Standardizer.identity(toy_obs.names)
+        theirs = Standardizer.identity(toy_obs.names)
+
+        class Rebinding:
+            def __ne__(self, key):
+                modelchoice._last_scale = (None, theirs)
+                return False
+
+        modelchoice._last_scale = (Rebinding(), mine)
+        got = modelchoice._pooled_scale([norm_table, unif_table],
+                                        toy_obs.names)
+        assert got is mine

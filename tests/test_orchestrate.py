@@ -43,6 +43,11 @@ class TestMcmcConfig:
         ({"sampling_interval": 0}, "sampling_interval"),
         ({"burn_in_frac": 1.0}, "burn_in_frac"),
         ({"burn_in_frac": -0.1}, "burn_in_frac"),
+        # a NaN width fails every ``w > 0`` test and the chain never moves
+        ({"range_prop": math.nan}, "range_prop"),
+        ({"range_prop": math.inf}, "range_prop"),
+        # no state would be recorded
+        ({"chain_length": 200, "sampling_interval": 500}, "sampling_interval"),
     ])
     def test_range_checks_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):

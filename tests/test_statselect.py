@@ -171,6 +171,8 @@ class TestLinearCombDef:
         ("a 2 1 0 1 0 1 0.5\nb 2 1 0 1 0 1 0.5 0.1\n", "inconsistent"),
         ("a 2 1 0 1 0 1 1\nb 2 1 0.5 -1 0 1 1\n", ":2: Box-Cox numbers need"),
         ("a 2 1 1 1 0 0 1\n", "positive geometric mean and sd"),
+        ("a 2 1 0 1 0 1 1\nb 2 1 0 1 0 1 nan\n", "def.txt:2: non-finite"),
+        ("a inf 1 0 1 0 1 1\n", "def.txt:1: non-finite"),
     ])
     def test_load_rejects_malformed_files(self, tmp_path, text, message):
         path = tmp_path / "def.txt"
