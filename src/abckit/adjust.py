@@ -12,6 +12,19 @@ computed in blocks of bounded size.  :func:`weighted_density` draws the
 kernel density of the retained values (the rejection posterior) on the same
 core.  The observation is always the one the retained set was retained for.
 
+The core's blocks.  A row block takes as many points of the first set as
+``_BLOCK_ELEMENTS`` pairs allow, and all of the second.  Evidences come in
+row blocks, because each observation's ``log_sum_exp`` needs its whole
+row.  A grid cuts each row block further into column tiles of about
+``_TILE_ELEMENTS`` pairs (1 MiB), which stay in cache from the product
+through ``exp`` to the weighted sum.  The weighted sum still adds one row
+block's partial sum at a time: that grouping fixes its rounding, so the
+tiles leave every density as whole row blocks gave it, to the bit.  The one
+exception is a BLAS that computes the last columns of a large product with
+another kernel than those of a small one: OpenBLAS on AVX-512 does so above
+10^6 multiply-adds, and there the last (points mod 16) cells of a grid can
+move in their last bits.
+
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
 original scale.  Every grid spans the retained range of its parameter
@@ -43,8 +56,12 @@ GRID_PADDING = 0.1
 QUANTILE_LEVELS = (0.025, 0.25, 0.5, 0.75, 0.975)
 # largest joint grid (points over all parameters): 100^3 fits, 100^4 does not
 JOINT_GRID_MAX_POINTS = 1_000_000
-# pairwise distances held at once by the Gaussian core
+# pairs in a row block of the Gaussian core: it bounds the rows taken at
+# once, and so the grouping, and with it the bits, of a grid's weighted sum
 _BLOCK_ELEMENTS = 2_000_000
+# pairs in a column tile of a grid (1 MiB of doubles, held in a core's L2
+# cache from the product through exp to the weighted sum)
+_TILE_ELEMENTS = 2**17
 # the largest double whose exp is 0.0 (exp of the next one up is 5e-324)
 _EXP_ZERO = -745.1332191019412
 
@@ -166,17 +183,27 @@ def _cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
         raise NumericalError(f"{what} not positive definite: {exc}") from None
 
 
-def _gaussian_log_kernel(chol: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _gaussian_log_kernel(chol: np.ndarray, a: np.ndarray, b: np.ndarray,
+                         tiled: bool = False):
     """Log Gaussian kernel ``-|L^-1 (a_i - b_j)|^2 / 2`` of every pair of
     rows of ``a`` and ``b``: the squared Mahalanobis distance under the
     covariance factored as ``L L'``, halved and negated.
 
-    Yields ``(start, block)`` with ``block[i, j]`` for row ``start + i`` of
-    ``a`` and row ``j`` of ``b``; a block holds at most ``_BLOCK_ELEMENTS``
-    values and is one matrix product, ``x'y - |x|^2/2 - |y|^2/2`` of the
-    whitened rows.  Both sets are centred on the mean of ``b`` first, which
-    keeps the cancellation small near ``b``, and whitened by one product
-    with ``L^-1``.
+    Yields ``(row, col, block)`` with ``block[i, j]`` for row ``row + i`` of
+    ``a`` and row ``col + j`` of ``b``.  The rows of ``a`` come in row blocks
+    of ``_BLOCK_ELEMENTS // len(b)`` rows (at least one, the last one
+    short), and a block spans all of ``b``.  With ``tiled``, each row block
+    of ``r`` rows comes instead in column tiles of a multiple of 64 columns
+    and at most ``max(_TILE_ELEMENTS, 65 r)`` values, the last tile short
+    (but never a lone column, which numpy would take as a dot product).
+
+    Each block is one matrix product, ``x'y - |x|^2/2 - |y|^2/2`` of the
+    whitened rows.  A tile starts at a multiple of 64 columns, so the BLAS
+    kernel splits it into the SIMD widths it splits the whole row into, and
+    the tile is the same slice of the whole block to the bit (one exception:
+    see the module docstring).  Both sets are centred on the mean of ``b``
+    first, which keeps the cancellation small near ``b``, and whitened by
+    one product with ``L^-1``.
     """
     centre = b.mean(axis=0)
     chol_inv = np.linalg.inv(chol)
@@ -184,12 +211,20 @@ def _gaussian_log_kernel(chol: np.ndarray, a: np.ndarray, b: np.ndarray):
     wb = chol_inv @ (b - centre).T
     half_a = 0.5 * (wa**2).sum(axis=1)
     half_b = 0.5 * (wb**2).sum(axis=0)
-    rows = max(1, _BLOCK_ELEMENTS // max(len(b), 1))
-    for start in range(0, len(a), rows):
-        block = wa[start:start + rows] @ wb
-        block -= half_a[start:start + rows, None]
-        block -= half_b
-        yield start, block
+    n = len(b)
+    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for row in range(0, len(a), rows):
+        wa_rows = wa[row:row + rows]
+        half_rows = half_a[row:row + rows, None]
+        cols = (64 * max(1, (_TILE_ELEMENTS // len(wa_rows) - 1) // 64)
+                if tiled else max(n, 1))
+        col = 0
+        for end in [*range(cols, n - 1, cols), n]:
+            block = wa_rows @ wb[:, col:end]
+            block -= half_rows
+            block -= half_b[col:end]
+            yield row, col, block
+            col = end
 
 
 def _log_evidences(fit: GlmFit, retained: RetainedSet, z: np.ndarray,
@@ -204,7 +239,8 @@ def _log_evidences(fit: GlmFit, retained: RetainedSet, z: np.ndarray,
     chol = _cholesky(fit.sigma + tau**2 * (b @ b.T), "likelihood covariance")
     const = (-0.5 * b.shape[0] * math.log(2 * math.pi)
              - np.log(np.diag(chol)).sum())
-    for start, block in _gaussian_log_kernel(chol, np.atleast_2d(z), centres):
+    for start, _, block in _gaussian_log_kernel(chol, np.atleast_2d(z),
+                                                centres):
         block += const
         yield start, block
 
@@ -408,17 +444,18 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     pts = np.column_stack([m.ravel(order="F") for m in mesh])
     w = mix.weights
     dens = np.zeros(len(pts))
-    live = None
+    # room for the largest tile _gaussian_log_kernel yields
+    mask = np.empty(max(_TILE_ELEMENTS, 65 * len(w)), dtype=bool)
     # one row per component: numpy's exp is much slower on underflowing
     # arguments when they interleave with others than in contiguous runs
-    for start, block in _gaussian_log_kernel(chol, mix.means[:, sel], pts):
-        if live is None or live.shape != block.shape:
-            live = np.empty(block.shape, dtype=bool)
-        np.greater_equal(block, _EXP_ZERO, out=live)
-        np.exp(block, out=block, where=live)
+    for row, col, tile in _gaussian_log_kernel(chol, mix.means[:, sel], pts,
+                                               tiled=True):
+        live = mask[:tile.size].reshape(tile.shape)
+        np.greater_equal(tile, _EXP_ZERO, out=live)
+        np.exp(tile, out=tile, where=live)
         np.logical_not(live, out=live)
-        np.copyto(block, 0.0, where=live)
-        dens += w[start:start + len(block)] @ block
+        np.copyto(tile, 0.0, where=live)
+        dens[col:col + tile.shape[1]] += w[row:row + len(tile)] @ tile
     return dens
 
 

@@ -28,9 +28,10 @@ simulation table's body is parsed in bulk by ``np.loadtxt``, which rounds
 as ``float`` does; on any error, or a row width other than the header's,
 the line-by-line parser reads the body again from its start, decides the
 result and names the offending line.  With ``max_rows`` neither parser
-reads far past the cut: ``np.loadtxt`` reads ``max_rows`` rows, and reads
-again with twice as many while non-finite rows leave it short.  So the
-time and memory of a read grow with the rows kept, not with the file.  An
+reads far past the cut: ``np.loadtxt`` reads ``max_rows`` rows (no more
+than the file can hold), and reads again with twice as many while
+non-finite rows leave it short.  So the time and memory of a read grow
+with the rows kept, not with the file or with ``max_rows``.  An
 observed-statistics file, a few lines, is parsed by the line-by-line
 parser alone.
 
@@ -414,6 +415,11 @@ def _parse_bulk(fh, ncol: int, max_rows):
     must decide: any error or warning, a row width other than ``ncol``,
     ``max_rows < 1``.  When non-finite rows leave a ``max_rows`` read short,
     ``fh`` is sought back and the read repeated with twice the row count.
+
+    ``np.loadtxt`` allocates room for the rows it is asked for before it
+    reads one, so it is never asked for more than the file can hold: a row
+    of ``ncol`` fields takes at least ``2 ncol - 1`` characters.  A read of
+    that many rows is the last.
     """
     # imported here so that importing tableio costs what it did
     import warnings
@@ -421,7 +427,9 @@ def _parse_bulk(fh, ncol: int, max_rows):
     if max_rows is not None and max_rows < 1:
         return None
     body = fh.tell()
-    want = max_rows
+    cap = max(1, fh.seek(0, 2) // (2 * ncol - 1))
+    fh.seek(body)
+    want = None if max_rows is None else min(max_rows, cap)
     while True:
         try:
             with warnings.catch_warnings():
@@ -437,9 +445,9 @@ def _parse_bulk(fh, ncol: int, max_rows):
         kept = np.cumsum(np.isfinite(values).all(axis=1))
         if len(values) and kept[-1] >= max_rows:
             return values[:int(np.searchsorted(kept, max_rows)) + 1]
-        if len(values) < want:
+        if len(values) < want or want == cap:
             return values
-        want *= 2
+        want = min(2 * want, cap)
         fh.seek(body)
 
 

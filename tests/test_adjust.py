@@ -195,14 +195,32 @@ class TestGaussianCore:
         # without the centring
         a = rng.normal(size=(50, 3)) + 1e4
         b = rng.normal(size=(40, 3)) + 1e4 + 1
+        diff = (a[:49, None, :] - b[None, :, :]).reshape(-1, 3)
+        sq = (np.linalg.solve(chol, diff.T) ** 2).sum(axis=0).reshape(49, 40)
         # blocks of two rows, the last one short
         monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS", 90)
         blocks = list(adjust._gaussian_log_kernel(chol, a[:49], b))
-        assert [start for start, _ in blocks] == list(range(0, 49, 2))
-        assert max(blk.size for _, blk in blocks) <= 90
-        got = np.vstack([blk for _, blk in blocks])
+        assert [(row, col) for row, col, _ in blocks] == [
+            (row, 0) for row in range(0, 49, 2)]
+        assert max(blk.size for _, _, blk in blocks) <= 90
+        got = np.vstack([blk for _, _, blk in blocks])
+        np.testing.assert_allclose(got, -0.5 * sq, rtol=1e-10, atol=1e-12)
+        # two rows leave 77 columns of budget (156 // 2 - 1), one row 155:
+        # tiles of 64 and 128 columns, the last one taking the lone 129th
+        monkeypatch.setattr(adjust, "_TILE_ELEMENTS", 156)
+        b = rng.normal(size=(129, 3)) + 1e4 + 1
         diff = (a[:49, None, :] - b[None, :, :]).reshape(-1, 3)
-        sq = (np.linalg.solve(chol, diff.T) ** 2).sum(axis=0).reshape(49, 40)
+        sq = (np.linalg.solve(chol, diff.T) ** 2).sum(axis=0).reshape(49, 129)
+        monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS", 2 * 129)
+        tiles = list(adjust._gaussian_log_kernel(chol, a[:49], b, tiled=True))
+        assert [(row, col, tile.shape) for row, col, tile in tiles] == [
+            (row, col, (2 if row < 48 else 1, width))
+            for row in range(0, 49, 2)
+            for col, width in ([(0, 64), (64, 65)] if row < 48
+                               else [(0, 129)])]
+        got = np.zeros((49, 129))
+        for row, col, tile in tiles:
+            got[row:row + len(tile), col:col + tile.shape[1]] = tile
         np.testing.assert_allclose(got, -0.5 * sq, rtol=1e-10, atol=1e-12)
 
     def test_joint_grid_matches_direct_mixture(self, monkeypatch):
@@ -231,9 +249,27 @@ class TestGaussianCore:
                                    atol=1e-12 * want.max())
 
 
+def whole_row_log_kernel(chol, a, b):
+    """The Gaussian core's log kernel in row blocks that span all of ``b``,
+    each written three times: the earlier ``_gaussian_log_kernel``, kept as
+    the reference."""
+    centre = b.mean(axis=0)
+    chol_inv = np.linalg.inv(chol)
+    wa = (a - centre) @ chol_inv.T
+    wb = chol_inv @ (b - centre).T
+    half_a = 0.5 * (wa**2).sum(axis=1)
+    half_b = 0.5 * (wb**2).sum(axis=0)
+    rows = max(1, adjust._BLOCK_ELEMENTS // max(len(b), 1))
+    for start in range(0, len(a), rows):
+        block = wa[start:start + rows] @ wb
+        block -= half_a[start:start + rows, None]
+        block -= half_b
+        yield start, block
+
+
 def unmasked_mixture_on_grid(mix, sel, ugrids):
-    """The grid density with ``exp`` taken of every log kernel: the
-    earlier ``_mixture_on_grid``, kept as the reference."""
+    """The grid density with ``exp`` taken of every log kernel of whole
+    row blocks: the earlier ``_mixture_on_grid``, kept as the reference."""
     cov = mix.cov[np.ix_(sel, sel)].copy()
     for j, ug in enumerate(ugrids):
         cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
@@ -242,8 +278,7 @@ def unmasked_mixture_on_grid(mix, sel, ugrids):
     pts = np.column_stack([m.ravel(order="F") for m in mesh])
     w = mix.weights
     dens = np.zeros(len(pts))
-    for start, block in adjust._gaussian_log_kernel(chol, mix.means[:, sel],
-                                                    pts):
+    for start, block in whole_row_log_kernel(chol, mix.means[:, sel], pts):
         dens += w[start:start + len(block)] @ np.exp(block, out=block)
     return dens
 
@@ -288,12 +323,67 @@ class TestGridExp:
         chol = np.linalg.cholesky(cov[np.ix_(sel, sel)])
         mesh = np.meshgrid(*ugrids, indexing="ij")
         pts = np.column_stack([m.ravel(order="F") for m in mesh])
-        logk = np.vstack([b for _, b in adjust._gaussian_log_kernel(
+        logk = np.vstack([b for _, b in whole_row_log_kernel(
             chol, means[:, sel], pts)])
         assert (logk < adjust._EXP_ZERO).mean() > 0.1
         tiny = np.finfo(float).tiny               # the smallest normal
         assert np.any((np.exp(logk) > 0) & (np.exp(logk) < tiny))
         assert np.any((want > 0) & (want < tiny))
+
+    @pytest.mark.parametrize("n_points", [641, 45, 13, 7],
+                             ids=["1-param", "2-params", "3-params",
+                                  "4-params"])
+    def test_tiles_equal_whole_row_blocks(self, monkeypatch, n_points):
+        # 40 narrow components in the middle of the grid, in row blocks of
+        # 3 (the last one a single row); tiles of 128 columns, 384 for the
+        # single row.  No point count is a multiple of a tile, and 641 =
+        # 5 * 128 + 1 leaves a lone column for the tile before it to take.
+        # Each whole row block has fewer than 2304 * 4 values, the size from
+        # which OpenBLAS may split a matrix-vector product over threads.
+        sel = list(range({641: 1, 45: 2, 13: 3, 7: 4}[n_points]))
+        rng = np.random.default_rng(57)
+        n = 40
+        means = rng.uniform(0.35, 0.65, size=(n, 4))
+        a = rng.normal(size=(4, 4))
+        cov = 1e-4 * (a @ a.T / 4 + np.eye(4))
+        mix = adjust._Mixture(rng.normal(scale=3.0, size=n), means, cov)
+        ugrids = [np.linspace(-0.5, 1.5, n_points) for _ in sel]
+        monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS",
+                            3 * n_points ** len(sel))
+        monkeypatch.setattr(adjust, "_TILE_ELEMENTS", 400)
+        want = unmasked_mixture_on_grid(mix, sel, ugrids)
+        got = adjust._mixture_on_grid(mix, sel, ugrids)
+        assert got.tobytes() == want.tobytes()
+        # the case is the one it is meant to be
+        mesh = np.meshgrid(*ugrids, indexing="ij")
+        pts = np.column_stack([m.ravel(order="F") for m in mesh])
+        chol = np.linalg.cholesky(cov[np.ix_(sel, sel)])
+        shapes = [(row, tile.shape) for row, _, tile in
+                  adjust._gaussian_log_kernel(chol, means[:, sel], pts,
+                                              tiled=True)]
+        assert shapes[-1][0] == 39 and shapes[-1][1][0] == 1
+        assert max(shape[1] for _, shape in shapes) < len(pts)
+        if len(sel) <= 2:
+            tiny = np.finfo(float).tiny
+            assert np.any((want > 0) & (want < tiny))
+
+    def test_joint_grid_memory_is_bounded(self):
+        # 500 retained on a 100^2 grid: a whole row block of 200 components
+        # is 16 MB, a tile 1 MiB
+        import tracemalloc
+        bound = 4_000_000                      # bytes, fixed before the first run
+        rng = np.random.default_rng(58)
+        params = rng.uniform(size=(500, 2))
+        stats = params + 0.3 * rng.normal(size=(500, 2))
+        r = retained_from(params, stats, [0.5, 0.4])
+        fit = glm_fit(r)
+        tracemalloc.start()
+        try:
+            joint_posterior(fit, r, n_points=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestJointRows:

@@ -468,6 +468,30 @@ class TestReaderEquivalence:
         assert t.values.tolist() == read_table(p, "1").values[:1000].tolist()
         assert peak < bound
 
+    @pytest.mark.parametrize("max_rows", [2**31, 2**63], ids=["2^31", "2^63"])
+    def test_huge_max_rows_reads_the_whole_table(self, tmp_path, max_rows):
+        # np.loadtxt allocates room for the rows it is asked for: 160 GiB
+        # for 2^31 rows of 10 columns, an OverflowError for 2^63
+        import tracemalloc
+        bound = 1_000_000                      # bytes, fixed before the first run
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(50, 10))
+        rows[[3, 17], [0, 5]] = [np.nan, np.inf]
+        p = write(tmp_path, "t.txt", " ".join("abcdefghij") + "\n" + "".join(
+            " ".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        whole = read_table(p, "1-2")
+        tracemalloc.start()
+        try:
+            t = read_table(p, "1-2", max_rows=max_rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.values.tobytes() == whole.values.tobytes()
+        assert t.n_rows == 48 and t.dropped_rows == whole.dropped_rows == 2
+        assert peak < bound
+        bulk, exact = parse_both(p, max_rows=max_rows)
+        assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+
     def test_max_rows_stops_before_a_bad_line(self, tmp_path):
         p = write(tmp_path, "t.txt", "a b\nnan 1\n1 2\n2 3\nnot a row\n")
         t = read_table(p, "1", max_rows=2)
