@@ -46,8 +46,9 @@ from .orchestrate import McmcConfig, SimulatorBinding, run_mcmc, run_standard
 from .priors import parse_est_file
 from .rejection import prune_correlated
 from .statselect import LinearCombDef
-from .tableio import (ObservedStats, OutputTag, SimulationTable, read_observed,
-                      read_table, write_table, write_tagged)
+from .tableio import (ObservedStats, OutputTag, SimulationTable,
+                      in_table_order, read_observed, read_table, write_table,
+                      write_tagged)
 
 log = logging.getLogger("abckit")
 
@@ -226,11 +227,13 @@ def _narrowed(path, table, names):
 
 
 def _split_models(cfg: Config, obs_path=None, two_models=None):
-    """The observations at ``obs_path`` (None without it) and the tables
-    narrowed to the run's statistics, which each must hold: those observed
-    (the first table's without it), in its order, less those
-    ``pruneCorrelatedStats`` drops.  ``two_models`` names what needs two
-    models or more.  The settings are checked before anything is read."""
+    """The observations at ``obs_path`` (None without it) and the tables,
+    all narrowed to the run's statistics, which each table must hold: those
+    observed (the first table's without it), less those
+    ``pruneCorrelatedStats`` drops, in the first table's column order
+    (:func:`abckit.tableio.in_table_order`), whatever the observation
+    file's.  ``two_models`` names what needs two models or more.  The
+    settings are checked before anything is read."""
     sim_names = [s for s in cfg.require("simName").split(";") if s]
     specs = [s for s in cfg.require("params").split(";") if s]
     if len(specs) == 1 and len(sim_names) > 1:
@@ -245,16 +248,17 @@ def _split_models(cfg: Config, obs_path=None, two_models=None):
     observed = read_observed(obs_path) if obs_path else None
     tables = [read_table(name, spec, max_rows=max_read)
               for name, spec in zip(sim_names, specs)]
-    first = tables[0].stat_names
-    # the first table's order; a statistic it lacks comes last, to be named
-    names = sorted(observed[0].names if observed else first,
-                   key=lambda n: first.index(n) if n in first else len(first))
+    names = tables[0].stat_names
+    if observed:
+        names = in_table_order(observed[0].names, names)
     if prune:
         tables[0], _ = prune_correlated(
             _narrowed(sim_names[0], tables[0], names), max_cor)
         names = tables[0].stat_names
-    return observed, [_narrowed(*pair, names)
-                      for pair in zip(sim_names, tables)]
+    tables = [_narrowed(*pair, names) for pair in zip(sim_names, tables)]
+    if observed:
+        observed = [ObservedStats(names, obs.vector(names)) for obs in observed]
+    return observed, tables
 
 
 # bounds read from the tables: leave-one-out retains from one row fewer
@@ -341,12 +345,10 @@ def _task_estimate(cfg: Config, rng) -> None:
         raise ConfigError(f"tukeyPValue needs numRetained of at least 10, "
                           f"got {num_retained}")
     plot_data = cfg.get_bool("plotData", False)
-    observed, tables = _split_models(
+    # every step reads the run's statistics in the tables' column order
+    obs_list, tables = _split_models(
         cfg, cfg.require("obsName"),
         two_models="modelChoiceValidation" if n_mc_val else None)
-    # every step reads the run's statistics, in the observation's order
-    names = [n for n in observed[0].names if n in tables[0].stat_names]
-    obs_list = [ObservedStats(names, obs.vector(names)) for obs in observed]
     missing = [n for group in joint_groups for n in group
                if any(n not in t.param_names for t in tables)]
     if missing:
@@ -424,6 +426,9 @@ def _task_estimate(cfg: Config, rng) -> None:
     if n_mc_val:
         cm, raw = validation.model_choice_validate(tables, n_mc_val,
                                                    settings, rng)
+        # the files hold the successful queries only
+        log.info("model choice validation: %d of %d queries failed",
+                 n_mc_val * len(tables) - len(raw), n_mc_val * len(tables))
         write_tagged(prefix, OutputTag.CONFUSION_MATRIX,
                      validation.confusion_table(cm))
         write_tagged(prefix, OutputTag.MODEL_CHOICE_VALIDATION,
@@ -512,7 +517,12 @@ def _task_simulate(cfg: Config, rng) -> None:
 
     est = parse_est_file(est_path)
     if mcmc:
-        obs = read_observed(obs_path)[0]
+        observed = read_observed(obs_path)
+        if len(observed) != 1:
+            raise ConfigError(f"the MCMC sampler takes exactly one "
+                              f"observation, {obs_path} holds "
+                              f"{len(observed)} value lines")
+        obs = observed[0]
         if comb_path:
             from dataclasses import replace
             mcfg = replace(mcfg, lincomb=LinearCombDef.load(comb_path))

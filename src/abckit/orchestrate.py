@@ -66,7 +66,7 @@ from .priors import (EstModel, complete_draw, complete_rows,
                      log_prior_density, sample_rows)
 from .rejection import RetainedSet, retain
 from .statselect import LinearCombDef, StatMap
-from .tableio import ObservedStats, SimulationTable
+from .tableio import ObservedStats, SimulationTable, in_table_order
 
 log = logging.getLogger(__name__)
 
@@ -433,7 +433,9 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     """Prior pre-simulation phase: fixes the tolerance (the distance of the
     ceil(threshold_prop * n)-th nearest calibration point), the proposal
     widths (range_prop times the retained parameter standard deviations),
-    and the starting state (nearest retained point, or a random one)."""
+    and the starting state (nearest retained point, or a random one).  The
+    chain reads the observed statistics in the simulator's column order
+    (:func:`abckit.tableio.in_table_order`), whatever the observation's."""
     rng = np.random.default_rng(rng)
     run = run_standard(est, binding, cfg.n_calibration, rng, record="all")
     if run.failures:
@@ -444,8 +446,7 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
                  apply_boxcox=cfg.do_boxcox)
     ttable = StatMap(table.names, stat_idx=table.stat_idx, **chain).table(table)
     # boosted products are named in the simulator's column order
-    rank = {n: i for i, n in enumerate(sim_stat_names)}
-    names = sorted(obs.names, key=lambda n: rank.get(n, len(rank)))
+    names = in_table_order(obs.names, sim_stat_names)
     tobs = StatMap(names, source="observation", **chain).observation(
         ObservedStats(names, obs.vector(names)))
     k = math.ceil(cfg.threshold_prop * ttable.n_rows)

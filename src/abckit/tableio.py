@@ -63,6 +63,7 @@ __all__ = [
     "OutputTag",
     "read_table",
     "read_observed",
+    "in_table_order",
     "write_observed",
     "write_tagged",
     "write_table",
@@ -233,6 +234,16 @@ class ObservedStats:
         if missing:
             raise TableFormatError(f"observed statistics missing: {', '.join(missing)}")
         return np.array([lookup[n] for n in names])
+
+
+def in_table_order(names: Sequence[str], table_names: Sequence[str]
+                   ) -> tuple[str, ...]:
+    """The observed statistics ``names`` in the simulations' column order,
+    ``table_names``; those the simulations lack come last, in their own
+    order, for the caller to name.  Every step of a run reads its
+    statistics in this one order, whatever the observation file's."""
+    rank = {n: i for i, n in enumerate(table_names)}
+    return tuple(sorted(names, key=lambda n: rank.get(n, len(rank))))
 
 
 class OutputTag(enum.Enum):

@@ -33,6 +33,14 @@ statistic search) go through one fork-map: :func:`model_choice_validations`
 draws the rows of every subset first, in the order that one validation
 per subset would draw them, and each query reads only its subset's
 columns of the full tables.
+
+Both validations follow one failure rule (:func:`_each_query`): a
+replicate or query that raises an ``AbckitError`` (a degenerate
+pseudo-observation, say, whose retained parameters are constant) is
+logged as a warning in item order and left out of the written files and
+of the confusion counts; a validation in which every item fails raises
+its first error, and any other exception ends the run.  The command line
+logs how many items of each validation failed.
 """
 
 from __future__ import annotations
@@ -368,6 +376,29 @@ def _fork_map(fn, items) -> list:
     return results
 
 
+def _each_query(fn, groups, what: str) -> list[list]:
+    """``fn`` of every item of ``groups``, one list of items per
+    validation, through one :func:`_fork_map`, under the failure rule of
+    every validation: an item whose ``fn`` raises an ``AbckitError`` gives
+    that error in place of its result, and logs it as the warning ``"<what>
+    failed: <error>"`` among its own records, so in item order.  A
+    validation in which every item fails raises its first error; any other
+    exception ends every validation.  Returns the results of each group."""
+    def attempt(item):
+        try:
+            return fn(item)
+        except AbckitError as exc:
+            log.warning("%s failed: %s", what, exc)
+            return exc
+
+    results = iter(_fork_map(attempt, [item for g in groups for item in g]))
+    out = [[next(results) for _ in group] for group in groups]
+    for group in out:
+        if group and all(isinstance(r, AbckitError) for r in group):
+            raise group[0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cross-validation of parameter estimates
 
@@ -420,8 +451,10 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
     simulations retained for the actual observation, which must then be
     given).  Each chosen row is left out, the posterior is estimated from
     the remainder, and the point estimates plus the posterior quantile and
-    smallest credible level of the true value are recorded.  Estimator
-    failures are recorded per row rather than aborting the run.
+    smallest credible level of the true value are recorded.  A replicate
+    whose estimator raises an ``AbckitError`` keeps its row with the error
+    (``ValidationRow.error``), under the failure rule of
+    :func:`_each_query`: a validation whose every replicate fails raises.
 
     ``estimator(table, pseudo, exclude)`` returns the pair ``(post,
     chars)`` for the pseudo-observation from the full table without row
@@ -453,26 +486,28 @@ def cross_validate(table: SimulationTable, mode: str, n_val: int,
 
     pnames = table.param_names
     snames = table.stat_names
+    chosen = [int(i) for i in chosen]
+
+    def truth(i: int) -> dict[str, float]:
+        return dict(zip(pnames, table.values[i, list(table.param_idx)]))
 
     def replicate(i: int) -> ValidationRow:
-        truth = dict(zip(pnames, table.values[i, list(table.param_idx)]))
         pseudo = ObservedStats(snames, table.values[i, list(table.stat_idx)])
-        row = ValidationRow(truth)
-        try:
-            post, chars = estimator(table, pseudo, i)
-            for name in pnames:
-                ch = chars[name]
-                row.mode[name] = ch.mode
-                row.mean[name] = ch.mean
-                row.median[name] = ch.median
-                row.quantile[name] = post.quantile_of(name, truth[name])
-                row.hdi[name] = post.hdi_level_of(name, truth[name])
-        except AbckitError as exc:
-            row.error = str(exc)
-            log.warning("validation replicate failed: %s", exc)
+        post, chars = estimator(table, pseudo, i)
+        row = ValidationRow(truth(i))
+        for name in pnames:
+            ch = chars[name]
+            row.mode[name] = ch.mode
+            row.mean[name] = ch.mean
+            row.median[name] = ch.median
+            row.quantile[name] = post.quantile_of(name, row.truth[name])
+            row.hdi[name] = post.hdi_level_of(name, row.truth[name])
         return row
 
-    return _fork_map(replicate, [int(i) for i in chosen])
+    results = _each_query(replicate, [chosen], "validation replicate")[0]
+    return [ValidationRow(truth(i), error=str(r))
+            if isinstance(r, AbckitError) else r
+            for i, r in zip(chosen, results)]
 
 
 def validation_table(rows: list[ValidationRow], param_names):
@@ -563,9 +598,11 @@ def model_choice_validate(tables, n_val: int,
     peak width and ``standardize`` of ``settings`` are used.  Every
     model's rows are drawn first; the queries then run through
     :func:`_fork_map`.  Returns the confusion matrix and the raw rows
-    ``(true_model, probabilities)``.  This is the case of one subset, the
-    first table's statistics in its order, of
-    :func:`model_choice_validations`.
+    ``(true_model, probabilities)``.  A query that raises an
+    ``AbckitError`` is left out of both, under the failure rule of
+    :func:`_each_query`: a validation whose every query fails raises.
+    This is the case of one subset, the first table's statistics in its
+    order, of :func:`model_choice_validations`.
     """
     return model_choice_validations(tables, [tables[0].stat_names], n_val,
                                     settings, rng)[0]
@@ -591,26 +628,32 @@ def model_choice_validations(tables, subsets, n_val: int,
     n_models = len(tables)
     if n_val > min(t.n_rows for t in tables):
         raise ValueError("n_val exceeds the smallest table")
-    queries = []
-    for k, names in enumerate(subsets):
+    groups = []
+    for names in subsets:
+        group = []
         for m, table in enumerate(tables):
             rows = rng.choice(table.n_rows, size=n_val, replace=False)
             stats = table.stat_matrix(names)[rows]
-            queries += [(k, m, int(row), ObservedStats(names, values))
-                        for row, values in zip(rows, stats)]
+            group += [(m, int(row), ObservedStats(names, values))
+                      for row, values in zip(rows, stats)]
+        groups.append(group)
 
-    def query(item: tuple[int, int, int, ObservedStats]) -> np.ndarray:
-        _, m, row, pseudo = item
+    def query(item: tuple[int, int, ObservedStats]) -> np.ndarray:
+        m, row, pseudo = item
         return glm_model_choice(tables, pseudo, settings.num_retained,
                                 settings.dirac_peak_width, (m, row),
                                 settings.standardize).probabilities
 
-    out = [(np.zeros((n_models, n_models), dtype=int), []) for _ in subsets]
-    for (k, m, *_), probs in zip(queries, _fork_map(query, queries)):
-        counts, raw = out[k]
-        counts[m, int(np.argmax(probs))] += 1
-        raw.append((m, probs))
-    return [(ConfusionMatrix(counts), raw) for counts, raw in out]
+    out = []
+    for group, results in zip(groups, _each_query(
+            query, groups, "model choice validation query")):
+        counts = np.zeros((n_models, n_models), dtype=int)
+        raw = [(m, probs) for (m, *_), probs in zip(group, results)
+               if not isinstance(probs, AbckitError)]
+        for m, probs in raw:
+            counts[m, int(np.argmax(probs))] += 1
+        out.append((ConfusionMatrix(counts), raw))
+    return out
 
 
 def confusion_table(cm: ConfusionMatrix):

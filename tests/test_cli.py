@@ -463,6 +463,104 @@ def test_model_tables_share_one_statistic_order(tmp_path, monkeypatch,
     assert len(written[0]) > 10 and written[0] == written[1]
 
 
+def test_observation_column_order_changes_no_output(tmp_path, monkeypatch,
+                                                   caplog, norm_table,
+                                                   unif_table, toy_obs):
+    # the run reads its statistics in the tables' column order: an
+    # observation file that lists them in another order writes the same
+    # bytes and logs the same lines, settings aside
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs)
+    names = [toy_obs.names[j] for j in (5, 1, 7, 0, 3, 6, 2, 4)]
+    _write_observation_of(tmp_path / "permuted.txt", toy_obs, names)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    written, logged = [], []
+    for obs in ("obs", "permuted"):
+        (tmp_path / obs).mkdir()
+        caplog.clear()
+        code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                         "params=1-2", f"obsName={obs}.txt",
+                         "numRetained=200", "maxReadSims=5000", "seed=1",
+                         f"outputPrefix={obs}/ABC", "writeRetained=1",
+                         "marDensPValue=50", "tukeyPValue=50",
+                         "retainedValidation=5", "randomValidation=5",
+                         "modelChoiceValidation=3",
+                         "jointPosteriors=mu,sigma2",
+                         "jointPosteriorDensityPoints=20"])
+        assert code == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / obs).iterdir())})
+        logged.append([r.getMessage() for r in caplog.records
+                       if not r.getMessage().startswith("setting ")])
+    assert len(written[0]) == 15 and written[0] == written[1]
+    assert any(" fit: marginal density " in m for m in logged[0])
+    assert logged[0] == logged[1]
+
+
+def test_failed_model_choice_query_is_left_out(tmp_path, monkeypatch, caplog):
+    # a two-valued parameter is constant among the few rows some queries
+    # retain: those queries warn and are left out, and the run goes on
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    rng = np.random.default_rng(0)
+    for m, name in enumerate(("a.txt", "b.txt")):
+        t = rng.uniform(size=300)
+        write_table(name, SimulationTable(
+            ("t", "K", "s0", "s1"),
+            np.column_stack([t, rng.integers(0, 2, size=300),
+                             t + rng.normal(size=300),
+                             0.5 * m + rng.normal(size=300)]),
+            (0, 1), (2, 3)))
+    write_observed(tmp_path / "obs.txt",
+                   ObservedStats(("s0", "s1"), np.array([1.0, 0.5])))
+    for task in (["task=findStatsModelChoice"],
+                 ["task=estimate", "obsName=obs.txt"]):
+        caplog.clear()
+        code = cli.main(task + ["simName=a.txt;b.txt", "params=1-2",
+                                "maxReadSims=300", "numRetained=4",
+                                "modelChoiceValidation=10", "seed=1",
+                                "outputPrefix=K"])
+        assert code == 0
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings
+        assert set(warnings) == {"model choice validation query failed: "
+                                 "parameter(s) constant among retained "
+                                 "simulations: K"}
+    # the estimate's validation counts its failed queries, and its files
+    # hold the others
+    failed = [r.args for r in caplog.records
+              if r.msg == "model choice validation: %d of %d queries failed"]
+    assert failed == [(len(warnings), 20)]
+    raw = read_table(tmp_path / "K_modelChoiceValidation.txt")
+    assert raw.n_rows == 20 - len(warnings)
+    confusion = read_table(tmp_path / "K_confusionMatrix.txt")
+    assert confusion.values[:, 1:3].sum() == raw.n_rows
+
+
+def test_mcmc_takes_exactly_one_observation(tmp_path, monkeypatch, caplog,
+                                            toy_obs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "toy.est").write_text(TOY_EST)
+    write_observed(tmp_path / "obs.txt", toy_obs)
+    with open(tmp_path / "obs.txt", "a") as fh:
+        fh.write("\t".join(format_value(v) for v in toy_obs.values) + "\n")
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(cli, "run_mcmc", no_chain)
+    code = cli.main(["task=simulate", "samplerType=MCMC", "estName=toy.est",
+                     "simProgram=toy-normal", "numSims=100",
+                     "numCaliSims=200", "obsName=obs.txt", "seed=1"])
+    assert code == 1
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelno == logging.ERROR]
+    assert errors == ["configuration error: the MCMC sampler takes exactly "
+                      "one observation, obs.txt holds 2 value lines"]
+    assert not list(tmp_path.glob("*_sampling1.txt"))
+
+
 def test_narrowed_table_shares_the_values_read(norm_table):
     table = take_rows(norm_table, range(50))
     names = table.stat_names[::-1][:3]

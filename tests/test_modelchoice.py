@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -119,6 +121,62 @@ class TestNormalVersusUniform:
         res = glm_model_choice([norm_table, unif_table], obs, 500)
         assert np.argmax(res.probabilities) == 1
         assert res.probabilities[1] > 0.99
+
+
+class TestExactBayesFactor:
+    """A per-query oracle of the model prior.  In the set-up of
+    ``TestModelChoiceCalibration`` (``t ~ U(0, 2)``, statistics ``(t, c_m)
+    + N(0, 0.5^2 I)``, ``c = (0, 1)``) the exact log Bayes factor of model
+    0 against model 1 is ``2 - 4 s1``.  Leave-one-out queries retain all
+    but one row of a table of ``ROWS``, and each query with ``s1`` in
+    [0.2, 0.8] must err by at most half of ``log 2``, so that a model prior
+    off by a factor of 2 either way fails.
+
+    On 2:1 tables model 0 draws as many rows again from a second mode, at
+    ``c = 1000``, that no query retains: its exact log Bayes factor is
+    ``2 - 4 s1 - log 2``, and a model prior proportional to the table rows
+    misses it by ``log 2``.  Were the extra rows near the queries, the
+    retention would truncate model 0 to half its rows and not model 1,
+    and that truncation bias, which no model prior removes, moves the
+    queries by up to 0.8.  Distances are raw, so that the far rows leave
+    the scale of the near ones alone."""
+
+    ROWS, QUERIES, BOUND = 1000, 40, 0.5 * math.log(2.0)
+
+    def errors(self, far_rows, standardize):
+        rng = np.random.default_rng(20261022)
+        tables = []
+        for c in (0.0, 1.0):
+            t = rng.uniform(0.0, 2.0, self.ROWS)
+            s = np.column_stack([t, np.full(self.ROWS, c)])
+            s += 0.5 * rng.normal(size=(self.ROWS, 2))
+            tables.append(np.column_stack([t, s]))
+        far = np.random.default_rng(20261023)
+        t = far.uniform(0.0, 2.0, far_rows)
+        s = np.column_stack([t, np.full(far_rows, 1000.0)])
+        s += 0.5 * far.normal(size=(far_rows, 2))
+        tables[0] = np.vstack([tables[0], np.column_stack([t, s])])
+        tables = [SimulationTable(("t", "s0", "s1"), v, (0,), (1, 2))
+                  for v in tables]
+        prior = math.log(self.ROWS / tables[0].n_rows)
+        out = []
+        for m, table in enumerate(tables):
+            for row in rng.choice(table.n_rows, self.QUERIES, replace=False):
+                s1 = table.values[row, 2]
+                if 0.2 <= s1 <= 0.8:
+                    pseudo = ObservedStats(table.stat_names, table.stats[row])
+                    ld = glm_model_choice(
+                        tables, pseudo, self.ROWS - 1, exclude=(m, int(row)),
+                        standardize=standardize).log_densities
+                    out.append(ld[0] - ld[1] - (2.0 - 4.0 * s1 + prior))
+        assert len(out) >= 10
+        return np.array(out)
+
+    def test_equal_tables(self):
+        assert np.abs(self.errors(0, True)).max() <= self.BOUND
+
+    def test_two_to_one_tables(self):
+        assert np.abs(self.errors(self.ROWS, False)).max() <= self.BOUND
 
 
 def without_row(table, i):

@@ -666,6 +666,85 @@ class TestModelChoiceCalibration:
         assert checked >= 3
 
 
+def k_tables(rng, n=300):
+    """Two models whose parameter ``K`` takes the values 0 and 1 alone, so
+    a query whose few retained rows share one ``K`` cannot be fitted."""
+    out = []
+    for m in range(2):
+        t = rng.uniform(size=n)
+        k = rng.integers(0, 2, size=n)
+        s = np.column_stack([t + rng.normal(size=n),
+                             0.5 * m + rng.normal(size=n)])
+        out.append(SimulationTable(("t", "K", "s0", "s1"),
+                                   np.column_stack([t, k, s]), (0, 1), (2, 3)))
+    return out
+
+
+class TestFailureRule:
+    """One failure rule for every validation: an ``AbckitError`` of one
+    query is a warning, in item order, and leaves that query out; a
+    validation whose every query fails raises the first error."""
+
+    def queries_alone(self, tables, n_val, count, seed):
+        """Each query of ``model_choice_validate(..., rng=seed)`` run by
+        ``glm_model_choice`` alone: ``(model, probabilities or error)``."""
+        rng = np.random.default_rng(seed)
+        draws = [(m, rng.choice(t.n_rows, size=n_val, replace=False))
+                 for m, t in enumerate(tables)]
+        out = []
+        for m, rows in draws:
+            for row in rows:
+                pseudo = ObservedStats(tables[m].stat_names,
+                                       tables[m].stats[row])
+                try:
+                    out.append((m, glm_model_choice(
+                        tables, pseudo, count, exclude=(m, int(row))
+                    ).probabilities))
+                except NumericalError as exc:
+                    out.append((m, exc))
+        return out
+
+    def test_model_choice_validation_leaves_failed_queries_out(
+            self, workers, caplog):
+        tables = k_tables(np.random.default_rng(0))
+        want = self.queries_alone(tables, 10, 4, seed=100)
+        failed = [str(r) for _, r in want if isinstance(r, NumericalError)]
+        assert 0 < len(failed) < len(want)
+        with caplog.at_level(logging.WARNING):
+            cm, raw = model_choice_validate(tables, 10, GlmSettings(4),
+                                            rng=100)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"model choice validation query failed: {e}" for e in failed]
+        kept = [(m, p) for m, p in want if not isinstance(p, NumericalError)]
+        assert len(raw) == len(kept)
+        for (m, probs), (m_want, probs_want) in zip(raw, kept):
+            assert m == m_want
+            assert probs.tobytes() == probs_want.tobytes()
+        counts = np.zeros((2, 2), dtype=int)
+        for m, probs in kept:
+            counts[m, np.argmax(probs)] += 1
+        np.testing.assert_array_equal(cm.counts, counts)
+
+    def test_model_choice_validation_whose_every_query_fails_raises(self):
+        tables = k_tables(np.random.default_rng(0))
+        constant = [SimulationTable(t.names, np.column_stack(
+            [t.values[:, 0], np.zeros(t.n_rows), t.values[:, 2:]]),
+            t.param_idx, t.stat_idx) for t in tables]
+        with pytest.raises(NumericalError, match="constant .*: K$"):
+            model_choice_validate(constant, 5, GlmSettings(20), rng=1)
+
+    def test_cross_validation_whose_every_replicate_fails_raises(
+            self, workers):
+        def estimator(table, pseudo, exclude):
+            raise NumericalError(f"row {exclude}")
+
+        table = TestCrossValidate().make_table(np.random.default_rng(5),
+                                               n=100)
+        first = np.random.default_rng(6).choice(100, size=4, replace=False)[0]
+        with pytest.raises(NumericalError, match=f"^row {first}$"):
+            cross_validate(table, "random", 4, rng=6, estimator=estimator)
+
+
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
 def workers(request, monkeypatch):
     """The number of CPUs the fork-map sees; after the test, no child of
