@@ -18,14 +18,19 @@ key selects what to do:
 Every number a setting gives must be finite.  Each bound that needs no
 input is checked before any input is read, so a bad setting exits 1
 whether the files exist or not; the bounds that come from the inputs (the
-rows of the smallest table, the components of a definition, the
-parameters of ``jointPosteriors``) are checked after they are read.
+rows of the smallest table, the most parameters of any model, the
+components of a definition, the parameters of ``jointPosteriors``) are
+checked after they are read.
 Unknown keys, and keys the task does not use, warn but do not abort.
 Every run logs a header with the version, the random seed (drawn when
 none is given) and every setting given in the input file or on the
 command line, so runs can be replicated; defaults are not logged.  Exit
 codes: 0 success, 1 configuration error, 2 input/output error, 3
-numerical failure, 4 simulator failure.
+numerical failure, 4 simulator failure.  ``estimate`` only logs some
+results: the fit P-values, the coverage KS tests of each
+cross-validation, the model-choice validation accuracy and the counts of
+failed replicates and queries.  The run record of ROADMAP item 2 is to
+hold them.
 """
 
 from __future__ import annotations
@@ -198,13 +203,18 @@ def _float(v: str) -> float:
 def _check_range(key: str, x, low=None, high=None, above=None,
                  what=None) -> None:
     """Raise the ``ConfigError`` of a setting ``key`` whose value ``x``, if
-    set, breaks ``x >= low``, ``x > above`` or ``x <= high`` (``what``)."""
+    set, breaks ``x >= low``, ``x > above`` or ``x <= high``.  ``what``
+    names the bound read from the inputs: ``high``, or ``low`` without
+    one."""
     if x is not None and ((low is not None and x < low)
                           or (above is not None and x <= above)
                           or (high is not None and x > high)):
-        at_most = high if what is None else f"{what} ({high})"
+        if what is not None and high is not None:
+            high = f"{what} ({high})"
+        elif what is not None:
+            low = f"{what} ({low})"
         rules = [f"{rule} {bound}" for rule, bound in (
-            ("at least", low), ("greater than", above), ("at most", at_most))
+            ("at least", low), ("greater than", above), ("at most", high))
             if bound is not None]
         raise ConfigError(f"{key} must be {' and '.join(rules)}, got {x}")
 
@@ -264,6 +274,13 @@ def _split_models(cfg: Config, obs_path=None, two_models=None):
 # bounds read from the tables: leave-one-out retains from one row fewer
 _ROWS = "the rows of the smallest table"
 _ROWS_LESS_ONE = _ROWS + " less one"
+
+
+def _check_fit_count(num_retained: int, tables) -> None:
+    # ABC-GLM fits each model's parameters and an intercept to more rows
+    most = max(len(t.param_names) for t in tables)
+    _check_range("numRetained", num_retained, low=most + 2,
+                 what="the most parameters of any model + 2")
 
 
 def _joint_groups(cfg: Config):
@@ -349,6 +366,7 @@ def _task_estimate(cfg: Config, rng) -> None:
     obs_list, tables = _split_models(
         cfg, cfg.require("obsName"),
         two_models="modelChoiceValidation" if n_mc_val else None)
+    _check_fit_count(num_retained, tables)
     missing = [n for group in joint_groups for n in group
                if any(n not in t.param_names for t in tables)]
     if missing:
@@ -362,6 +380,44 @@ def _task_estimate(cfg: Config, rng) -> None:
     _check_range("modelChoiceValidation", n_mc_val, high=rows, what=_ROWS)
     settings = validation.GlmSettings(num_retained, n_points, dirac, standardize)
 
+    def unit(k, m, obs, r, fit):
+        """The files of model ``m`` for observation ``k``, each yielded as
+        ``(tag, payload, joint_params)`` once computed, among its logs."""
+        if write_retained:
+            yield OutputTag.BEST_SIMS, _best_sims_payload(r), None
+        post, chars = adjust.glm_posterior(fit, r, n_points=n_points,
+                                           dirac_peak_width=dirac)
+        yield OutputTag.MARGINAL_DENSITIES, _densities_payload(post), None
+        yield (OutputTag.MARGINAL_CHARACTERISTICS,
+               _characteristics_payload(chars), None)
+        if plot_data:
+            yield (OutputTag.REJECTION_DENSITIES,
+                   _rejection_densities_payload(r), None)
+        for name, ch in chars.items():
+            log.info("obs %d model %d %s: mode %.6g, mean %.6g, "
+                     "median %.6g", k, m, name, ch.mode, ch.mean, ch.median)
+        for names in joint_groups:
+            joint = adjust.joint_posterior(fit, r, params=names,
+                                           n_points=joint_points,
+                                           dirac_peak_width=dirac)
+            idx = [list(r.param_names).index(n) + 1 for n in names]
+            yield (OutputTag.JOINT_POSTERIOR,
+                   (names + ["density", "HDI"], joint.matrix()), idx)
+        if n_marg or n_tukey:
+            pv = validation.fit_pvalues(fit, r, n_marginal=n_marg,
+                                        n_tukey=n_tukey, rng=rng,
+                                        dirac_peak_width=dirac)
+            log.info("obs %d model %d fit: marginal density %.6g "
+                     "(P=%.4g), Tukey depth %.4g (P=%.4g)", k, m,
+                     pv.marginal_density, pv.marginal_pvalue,
+                     pv.tukey_depth, pv.tukey_pvalue)
+        if n_retained_val:
+            rows = validation.cross_validate(
+                tables[m], "retained", n_retained_val, settings, rng, obs=obs)
+            yield from _validation_file(
+                OutputTag.RETAINED_VALIDATION, rows, r.param_names,
+                f"retained validation (model {m}, obs {k})")
+
     for k, obs in enumerate(obs_list):
         choice = glm_model_choice(tables, obs, num_retained, dirac,
                                   standardize=standardize)
@@ -371,58 +427,19 @@ def _task_estimate(cfg: Config, rng) -> None:
                 log.info("obs %d model %d: marginal density %.6g, "
                          "posterior probability %.6g", k, m,
                          choice.densities[m], choice.probabilities[m])
-
         for m, (r, fit) in enumerate(zip(choice.retained, choice.fits)):
-            if write_retained:
-                write_tagged(prefix, OutputTag.BEST_SIMS,
-                             _best_sims_payload(r), model_index=m, obs_index=k)
-            post, chars = adjust.glm_posterior(fit, r, n_points=n_points,
-                                               dirac_peak_width=dirac)
-            write_tagged(prefix, OutputTag.MARGINAL_DENSITIES,
-                         _densities_payload(post), model_index=m, obs_index=k)
-            write_tagged(prefix, OutputTag.MARGINAL_CHARACTERISTICS,
-                         _characteristics_payload(chars),
-                         model_index=m, obs_index=k)
-            if plot_data:
-                write_tagged(prefix, OutputTag.REJECTION_DENSITIES,
-                             _rejection_densities_payload(r),
-                             model_index=m, obs_index=k)
-            for name, ch in chars.items():
-                log.info("obs %d model %d %s: mode %.6g, mean %.6g, "
-                         "median %.6g", k, m, name, ch.mode, ch.mean, ch.median)
-            for names in joint_groups:
-                joint = adjust.joint_posterior(fit, r, params=names,
-                                               n_points=joint_points,
-                                               dirac_peak_width=dirac)
-                idx = [list(r.param_names).index(n) + 1 for n in names]
-                header = names + ["density", "HDI"]
-                write_tagged(prefix, OutputTag.JOINT_POSTERIOR,
-                             (header, joint.matrix()),
-                             model_index=m, obs_index=k, joint_params=idx)
-            if n_marg or n_tukey:
-                pv = validation.fit_pvalues(fit, r, n_marginal=n_marg,
-                                            n_tukey=n_tukey, rng=rng,
-                                            dirac_peak_width=dirac)
-                log.info("obs %d model %d fit: marginal density %.6g "
-                         "(P=%.4g), Tukey depth %.4g (P=%.4g)", k, m,
-                         pv.marginal_density, pv.marginal_pvalue,
-                         pv.tukey_depth, pv.tukey_pvalue)
-            if n_retained_val:
-                rows = validation.cross_validate(
-                    tables[m], "retained", n_retained_val, settings, rng, obs=obs)
-                write_tagged(prefix, OutputTag.RETAINED_VALIDATION,
-                             validation.validation_table(rows, r.param_names),
-                             model_index=m, obs_index=k)
-                _log_coverage(rows, f"retained validation (model {m}, obs {k})")
+            for tag, payload, joint in unit(k, m, obs, r, fit):
+                write_tagged(prefix, tag, payload, model_index=m,
+                             obs_index=k, joint_params=joint)
 
     if n_random:
         for m, table in enumerate(tables):
             rows = validation.cross_validate(table, "random", n_random,
                                              settings, rng)
-            write_tagged(prefix, OutputTag.RANDOM_VALIDATION,
-                         validation.validation_table(rows, table.param_names),
-                         model_index=m)
-            _log_coverage(rows, f"random validation (model {m})")
+            for tag, payload, _ in _validation_file(
+                    OutputTag.RANDOM_VALIDATION, rows, table.param_names,
+                    f"random validation (model {m})"):
+                write_tagged(prefix, tag, payload, model_index=m)
     if n_mc_val:
         cm, raw = validation.model_choice_validate(tables, n_mc_val,
                                                    settings, rng)
@@ -438,8 +455,11 @@ def _task_estimate(cfg: Config, rng) -> None:
                  cm.overall_accuracy)
 
 
-def _log_coverage(rows, label: str) -> None:
-    # the validation files hold the successful replicates only
+def _validation_file(tag, rows, param_names, label: str):
+    """The file of a cross-validation's rows, yielded as ``(tag, payload,
+    None)``, then the failed count and coverage tests, logged."""
+    # the file holds the successful replicates only
+    yield tag, validation.validation_table(rows, param_names), None
     failed = sum(row.error is not None for row in rows)
     try:
         tests = validation.coverage_tests(rows)
@@ -563,6 +583,7 @@ def _task_findstats(cfg: Config, rng) -> None:
     prefix = cfg.get("outputPrefix", "ABC_GLM")
     num_retained = cfg.require_int("numRetained", low=1)
     _, tables = _split_models(cfg, two_models="findStatsModelChoice")
+    _check_fit_count(num_retained, tables)
     rows = min(t.n_rows for t in tables)
     _check_range("numRetained", num_retained, high=rows - 1, what=_ROWS_LESS_ONE)
     _check_range("modelChoiceValidation", n_val, high=rows, what=_ROWS)

@@ -23,7 +23,8 @@
   too correlated (:func:`abckit.rejection.abs_correlations`) with it.
   Each step validates all its new subsets with one fork-map
   (:func:`abckit.validation.model_choice_validations`), on column
-  selections of the tables rather than copies.
+  selections of the tables rather than copies; :mod:`abckit.forkmap`
+  states which CPUs run the queries.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from abckit.adjust import GridPosterior
 from abckit.models import TOY_STAT_NAMES, toy_stats_matrix, uniform_bounds
 from abckit.tableio import ObservedStats, SimulationTable
 
@@ -46,6 +47,26 @@ def observed_at(retained, stats):
     ``stats``."""
     return dataclasses.replace(retained, obs=stats,
                                obs_std=retained.standardizer.transform(stats))
+
+
+def uniform_prior_estimator(table, pseudo, exclude):
+    """A cross-validation estimator giving every pseudo-observation the
+    uniform posterior of ``p0`` on [0, 1]."""
+    grid = np.linspace(0.0, 1.0, 256)
+    post = GridPosterior(("p0",), (grid,), (np.ones_like(grid),))
+    return post, {"p0": post.characteristics("p0")}
+
+
+def two_tables(rng, n=400, separation=0.0):
+    """Two tables of ``n`` rows: a uniform parameter ``t`` and two standard
+    normal statistics, shifted by ``separation`` in the second."""
+    out = []
+    for m in range(2):
+        p = rng.uniform(size=(n, 1))
+        s = m * separation + rng.normal(size=(n, 2))
+        out.append(SimulationTable(("t", "s0", "s1"),
+                                   np.column_stack([p, s]), (0,), (1, 2)))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abckit import (adjust, cli, modelchoice, orchestrate, statselect,
-                    validation)
+from abckit import (adjust, cli, forkmap, modelchoice, orchestrate,
+                    statselect, validation)
 from abckit._kstwo import kstwo_sf
 from abckit.errors import NumericalError
 from abckit.rejection import retain
@@ -19,6 +19,7 @@ from abckit.tableio import (ObservedStats, OutputTag, SimulationTable,
                             write_observed, write_table, write_tagged)
 
 from conftest import take_rows
+from test_forkmap import Handshake
 
 
 def test_estimate_two_models_end_to_end(tmp_path, monkeypatch, norm_table,
@@ -351,7 +352,7 @@ def test_every_retention_reads_the_observed_statistics(
     names = ("var", "mean", "Q3")
     _write_observation_of(tmp_path / "obs.txt", toy_obs, names)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(validation, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(forkmap, "cpu_count", lambda: 1)
     seen = []
 
     def spy(table, obs, *args, **kwargs):
@@ -497,11 +498,9 @@ def test_observation_column_order_changes_no_output(tmp_path, monkeypatch,
     assert logged[0] == logged[1]
 
 
-def test_failed_model_choice_query_is_left_out(tmp_path, monkeypatch, caplog):
-    # a two-valued parameter is constant among the few rows some queries
-    # retain: those queries warn and are left out, and the run goes on
-    monkeypatch.chdir(tmp_path)
-    caplog.set_level(logging.INFO)
+def _write_two_valued_inputs():
+    """Tables ``a.txt`` and ``b.txt`` of 300 rows with the parameters ``t``
+    and a two-valued ``K``, and an observation ``obs.txt``."""
     rng = np.random.default_rng(0)
     for m, name in enumerate(("a.txt", "b.txt")):
         t = rng.uniform(size=300)
@@ -511,8 +510,15 @@ def test_failed_model_choice_query_is_left_out(tmp_path, monkeypatch, caplog):
                              t + rng.normal(size=300),
                              0.5 * m + rng.normal(size=300)]),
             (0, 1), (2, 3)))
-    write_observed(tmp_path / "obs.txt",
-                   ObservedStats(("s0", "s1"), np.array([1.0, 0.5])))
+    write_observed("obs.txt", ObservedStats(("s0", "s1"), np.array([1.0, 0.5])))
+
+
+def test_failed_model_choice_query_is_left_out(tmp_path, monkeypatch, caplog):
+    # a two-valued parameter is constant among the few rows some queries
+    # retain: those queries warn and are left out, and the run goes on
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    _write_two_valued_inputs()
     for task in (["task=findStatsModelChoice"],
                  ["task=estimate", "obsName=obs.txt"]):
         caplog.clear()
@@ -536,6 +542,84 @@ def test_failed_model_choice_query_is_left_out(tmp_path, monkeypatch, caplog):
     assert raw.n_rows == 20 - len(warnings)
     confusion = read_table(tmp_path / "K_confusionMatrix.txt")
     assert confusion.values[:, 1:3].sum() == raw.n_rows
+
+
+@pytest.mark.parametrize("task", [
+    ["task=findStatsModelChoice"],
+    ["task=estimate", "obsName=obs.txt"],
+], ids=["findStatsModelChoice", "estimate"])
+def test_num_retained_must_exceed_the_parameters_plus_one(
+        tmp_path, monkeypatch, caplog, task):
+    # ABC-GLM fits 2 parameters and an intercept: 3 retained rows are a
+    # configuration error, found once the tables are read and before any
+    # query runs; 4 are enough
+    monkeypatch.chdir(tmp_path)
+    _write_two_valued_inputs()
+    monkeypatch.setattr(forkmap, "cpu_count", lambda: 1)
+    queries = []
+
+    def counting(*args, **kwargs):
+        queries.append(args[1])
+        return modelchoice.glm_model_choice(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "glm_model_choice", counting)
+    monkeypatch.setattr(validation, "glm_model_choice", counting)
+    args = task + ["simName=a.txt;b.txt", "params=1-2", "maxReadSims=300",
+                   "modelChoiceValidation=10", "seed=1", "outputPrefix=K"]
+    assert cli.main(args + ["numRetained=3"]) == 1
+    assert _error_lines(caplog) == [
+        "configuration error: numRetained must be at least the most "
+        "parameters of any model + 2 (4), got 3"]
+    assert not any(r.exc_info or r.exc_text for r in caplog.records)
+    assert not list(tmp_path.glob("K_*"))
+    assert queries == []
+    assert cli.main(args + ["numRetained=4"]) == 0
+    assert queries and list(tmp_path.glob("K_*"))
+
+
+def test_estimate_writes_and_logs_alike_at_1_and_2_cpus(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
+    # at 2 CPUs a child runs validation items (the handshake makes it run
+    # a model-choice query), and the files and log records are those of 1
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=500)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    choose = validation.glm_model_choice
+    written, logged = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(forkmap, "cpu_count", lambda: cpus)
+        if cpus == 2:
+            handshake = Handshake()
+
+            def glm_model_choice(*args):
+                handshake.in_child()
+                return choose(*args)
+
+            monkeypatch.setattr(validation, "glm_model_choice",
+                                glm_model_choice)
+        (tmp_path / f"cpu{cpus}").mkdir()
+        caplog.clear()
+        code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                         "params=1-2", "obsName=obs.txt", "numRetained=100",
+                         "maxReadSims=5000", "seed=4",
+                         f"outputPrefix=cpu{cpus}/ABC", "writeRetained=1",
+                         "plotData=1", "posteriorDensityPoints=40",
+                         "jointPosteriors=mu,sigma2",
+                         "jointPosteriorDensityPoints=20",
+                         "marDensPValue=50", "tukeyPValue=50",
+                         "retainedValidation=6", "randomValidation=6",
+                         "modelChoiceValidation=4"])
+        assert code == 0
+        written.append({p.name: p.read_bytes()
+                        for p in sorted((tmp_path / f"cpu{cpus}").iterdir())})
+        logged.append([(r.name, r.levelno, r.getMessage())
+                       for r in caplog.records
+                       if " outputPrefix = " not in r.getMessage()])
+    assert len(written[0]) == 17 and written[0] == written[1]
+    assert any(" fit: marginal density " in m for _, _, m in logged[0])
+    assert logged[0] == logged[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_mcmc_takes_exactly_one_observation(tmp_path, monkeypatch, caplog,
