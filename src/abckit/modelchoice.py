@@ -24,7 +24,10 @@ between erred by at most 0.15 at 300.
 
 The pooled scale is fitted once for each table set and statistic names:
 the observations after the first that name the same statistics reuse it
-(a key of the tables' ``token``s, one slot).
+(a key of the tables' ``token``s, one slot).  The fit
+(:meth:`abckit.rejection.Standardizer.fit`) gathers one pooled column at
+a time, so neither it nor retention holds a block of the pooled rows by
+statistics.
 
 The observation names the statistics, in its order (the command line
 passes them in the tables' column order); every table must hold them,
@@ -37,7 +40,8 @@ simulation is left out of the pooled standardization and of the retention
 (see :func:`abckit.rejection.retain`), as if its table had been copied
 without it.
 Its pooled scale differs from one replicate to the next, so it is fitted
-for each query and never read from, or stored in, the one slot.
+for each query, less that row, and never read from, or stored in, the one
+slot.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adjust
-from .rejection import RetainedSet, Standardizer, pooled_stats, retain
+from .rejection import RetainedSet, Standardizer, retain
 from .tableio import ObservedStats, OutputTag, write_tagged
 
 __all__ = ["ModelChoiceResult", "glm_model_choice", "write_model_fit"]
@@ -88,14 +92,13 @@ _last_scale: tuple = (None, None)
 
 
 def _pooled_scale(tables, names) -> Standardizer:
-    """:meth:`Standardizer.fit` of :func:`pooled_stats`, fitted once for
-    each table set and statistic names."""
+    """:meth:`Standardizer.fit` of ``tables`` pooled, fitted once for each
+    table set and statistic names."""
     global _last_scale
     key = (tuple(t.token for t in tables), names)
     slot = _last_scale  # read once: another thread may rebind it
     if slot[0] != key:
-        slot = _last_scale = (key, Standardizer.fit(
-            pooled_stats(tables, names), names))
+        slot = _last_scale = (key, Standardizer.fit(tables, names))
     return slot[1]
 
 
@@ -117,8 +120,7 @@ def glm_model_choice(tables, obs: ObservedStats, count,
     elif exclude is None:
         pooled_std = _pooled_scale(tables, names)
     else:
-        pooled_std = Standardizer.fit(pooled_stats(tables, names, exclude),
-                                      names)
+        pooled_std = Standardizer.fit(tables, names, exclude)
     retained, fits, log_dens = [], [], []
     for m, t in enumerate(tables):
         row = exclude[1] if exclude is not None and exclude[0] == m else None

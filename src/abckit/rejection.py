@@ -18,6 +18,14 @@ table without row ``i``: that row is left out of the fitted
 standardization, of the row count that bounds ``count`` and of the
 candidate rows, while the returned indices still refer to the full table.
 
+No block of rows by statistics is built: each scale and each distance is
+computed one gathered column at a time, and the rounding follows the
+order of the sums.  Each scale sums one contiguous column of the pooled
+rows (numpy's pairwise sum, the bits of ``mean(axis=0)`` and
+``std(axis=0)`` over a column-major block), and each distance adds a
+row's squared standardized statistics in column order (the bits of that
+block's ``sum(axis=1)``).
+
 :func:`abs_correlations` is the correlation matrix that statistic pruning
 and the statistic-subset search read.
 """
@@ -47,9 +55,31 @@ class Standardizer:
     scale: np.ndarray
 
     @classmethod
-    def fit(cls, matrix: np.ndarray, names) -> "Standardizer":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(tuple(names), matrix.mean(axis=0), matrix.std(axis=0, ddof=0))
+    def fit(cls, tables, names, exclude=None) -> "Standardizer":
+        """The mean and standard deviation (``ddof=0``) of each statistic
+        ``names`` over the rows of all ``tables`` pooled, less the row
+        that ``exclude=(model, row)`` names.
+
+        Each statistic's pooled column is gathered once into one buffer;
+        its mean is subtracted and the result squared in place, so the
+        fit holds one column of the pooled rows, never all statistics."""
+        names = tuple(names)
+        skip = [None] * len(tables)
+        if exclude is not None:
+            model, row = exclude
+            if not 0 <= row < tables[model].n_rows:
+                raise ValueError(f"excluded row {row} outside model {model}'s "
+                                 f"{tables[model].n_rows} rows")
+            skip[model] = row
+        cols = [t.stat_columns(names) for t in tables]
+        column = np.empty(sum(t.n_rows for t in tables) - (exclude is not None))
+        center, scale = np.empty(len(names)), np.empty(len(names))
+        for j in range(len(names)):
+            _gather_column(tables, [c[j] for c in cols], skip, column)
+            center[j] = column.mean()
+            column -= center[j]
+            scale[j] = np.sqrt(np.square(column, out=column).mean())
+        return cls(names, center, scale)
 
     @classmethod
     def identity(cls, names) -> "Standardizer":
@@ -97,43 +127,26 @@ class RetainedSet:
         return len(self.indices)
 
 
-def _gather(table: SimulationTable, cols, exclude=None, out=None) -> np.ndarray:
-    """``table.values[:, cols]`` without row ``exclude``, written into
-    ``out`` when given.  The block is column-major, as numpy's column
-    gather is, because the rounding of the reductions over it (the fitted
-    scale, the distances) depends on the layout."""
-    values = table.values
-    if out is None:
-        out = np.empty((table.n_rows - (exclude is not None), len(cols)),
-                       order="F")
-    if exclude is None:
-        blocks = [(values, out)]
-    else:
-        blocks = [(values[:exclude], out[:exclude]),
-                  (values[exclude + 1:], out[exclude:])]
-    for src, dst in blocks:
-        for j, c in enumerate(cols):
-            dst[:, j] = src[:, c]
+def _gather_column(tables, cols, skip, out) -> np.ndarray:
+    """Write column ``cols[m]`` of each table ``tables[m]`` in turn, less
+    its row ``skip[m]`` where that is not None, into the 1-D ``out``."""
+    start = 0
+    for table, c, s in zip(tables, cols, skip):
+        column = table.values[:, c]
+        for part in ((column,) if s is None else (column[:s], column[s + 1:])):
+            out[start:start + len(part)] = part
+            start += len(part)
     return out
 
 
-def pooled_stats(tables, names, exclude=None) -> np.ndarray:
-    """The statistics ``names`` of all ``tables`` stacked in one block,
-    without the row that ``exclude=(model, row)`` names."""
-    skip = [None] * len(tables)
-    if exclude is not None:
-        model, row = exclude
-        if not 0 <= row < tables[model].n_rows:
-            raise ValueError(f"excluded row {row} outside model {model}'s "
-                             f"{tables[model].n_rows} rows")
-        skip[model] = row
+def pooled_stats(tables, names) -> np.ndarray:
+    """The statistics ``names`` of all ``tables`` stacked in one
+    column-major block."""
     cols = [t.stat_columns(names) for t in tables]
-    sizes = [t.n_rows - (s is not None) for t, s in zip(tables, skip)]
-    pooled = np.empty((sum(sizes), len(names)), order="F")
-    start = 0
-    for t, c, s, n in zip(tables, cols, skip, sizes):
-        _gather(t, c, s, out=pooled[start:start + n])
-        start += n
+    pooled = np.empty((sum(t.n_rows for t in tables), len(names)), order="F")
+    for j in range(len(names)):
+        _gather_column(tables, [c[j] for c in cols], [None] * len(tables),
+                       pooled[:, j])
     return pooled
 
 
@@ -186,6 +199,24 @@ def _nearest(dist: np.ndarray, count: int) -> np.ndarray:
     return rows[np.argsort(dist[rows], kind="stable")]
 
 
+def _distances(table, cols, exclude, std, obs_std) -> np.ndarray:
+    """Euclidean distances of the rows of ``table`` but ``exclude`` to
+    ``obs_std``, over the columns ``cols`` on the scale ``std`` (every
+    scale positive).  Each column is gathered, put through
+    :meth:`Standardizer.transform` and squared in one buffer, and added
+    to the distances in column order; the buffer is freed on return,
+    before the selection copies the distances."""
+    n_rows = table.n_rows - (exclude is not None)
+    column, dist = np.empty(n_rows), np.zeros(n_rows)
+    for j, c in enumerate(cols):
+        _gather_column([table], [c], [exclude], column)
+        column -= std.center[j]
+        column /= std.scale[j]
+        column -= obs_std[j]
+        dist += np.square(column, out=column)
+    return np.sqrt(dist, out=dist)
+
+
 def retain(table: SimulationTable, obs: ObservedStats, count,
            standardizer: Standardizer | None = None,
            exclude: int | None = None) -> RetainedSet:
@@ -232,37 +263,30 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
         raise ValueError("retention count must be positive")
     if count > n_rows:
         raise ValueError(f"cannot retain {count} of {n_rows} rows")
-    # the one gather of the candidate rows, the buffer of the distances
-    sims = _gather(table, cols, exclude)
-    std = (Standardizer.fit(sims, matched) if standardizer is None
-           else standardizer.subset(matched))
+    std = (Standardizer.fit([table], matched,
+                            None if exclude is None else (0, exclude))
+           if standardizer is None else standardizer.subset(matched))
 
+    first = table.values[int(exclude == 0)]   # the first candidate row
     keep = []
     for j, name in enumerate(matched):
         if std.scale[j] > 0:
             keep.append(j)
-        elif np.isclose(sims[0, j], obs_vec[j]):
+        elif np.isclose(first[cols[j]], obs_vec[j]):
             log.warning("statistic %s is constant and matches the observation; "
                         "excluded from the distance", name)
         else:
             raise NumericalError(
-                f"statistic {name} is constant at {sims[0, j]} but observed "
-                f"{obs_vec[j]}; the model cannot reproduce the data")
+                f"statistic {name} is constant at {first[cols[j]]} but "
+                f"observed {obs_vec[j]}; the model cannot reproduce the data")
     if not keep:
         raise NumericalError("no usable statistics left for the distance")
     if len(keep) < len(matched):
         matched = [matched[j] for j in keep]
         cols = [cols[j] for j in keep]
         std = std.subset(matched)
-        sims = sims[:, keep]
-    # Standardizer.transform, then the distance, in place: every kept
-    # scale is positive
     obs_std = std.transform(obs_vec[keep])
-    sims -= std.center
-    sims /= std.scale
-    sims -= obs_std
-    dist = np.sqrt(np.square(sims, out=sims).sum(axis=1))
-
+    dist = _distances(table, cols, exclude, std, obs_std)
     order = _nearest(dist, count)
     indices = order if exclude is None else order + (order >= exclude)
     params = table.values[np.ix_(indices, table.param_idx)]

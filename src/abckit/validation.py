@@ -460,7 +460,7 @@ def model_choice_validations(tables, subsets, n_val: int,
         group = []
         for m, table in enumerate(tables):
             rows = rng.choice(table.n_rows, size=n_val, replace=False)
-            stats = table.stat_matrix(names)[rows]
+            stats = table.values[np.ix_(rows, table.stat_columns(names))]
             group += [(m, int(row), ObservedStats(names, values))
                       for row, values in zip(rows, stats)]
         groups.append(group)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def make_toy_table(model: str, n_sims: int, seed: int,
     names = ("mu", "sigma2") + TOY_STAT_NAMES
     return SimulationTable(names, np.column_stack([mu, sigma2, stats]),
                            (0, 1), tuple(range(2, 10)))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), peak)``: the result of the call and the
+    peak, in bytes, of the memory that ``tracemalloc`` traced while it
+    ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def take_rows(table: SimulationTable, idx) -> SimulationTable:

@@ -16,7 +16,7 @@ from abckit.errors import ConfigError, NumericalError
 from abckit.rejection import Standardizer, retain
 from abckit.tableio import ObservedStats, SimulationTable
 
-from conftest import observed_at
+from conftest import observed_at, traced_peak
 
 
 def build_table(params, stats, pnames=None, snames=None):
@@ -370,19 +370,13 @@ class TestGridExp:
     def test_joint_grid_memory_is_bounded(self):
         # 500 retained on a 100^2 grid: a whole row block of 200 components
         # is 16 MB, a tile 1 MiB
-        import tracemalloc
         bound = 4_000_000                      # bytes, fixed before the first run
         rng = np.random.default_rng(58)
         params = rng.uniform(size=(500, 2))
         stats = params + 0.3 * rng.normal(size=(500, 2))
         r = retained_from(params, stats, [0.5, 0.4])
         fit = glm_fit(r)
-        tracemalloc.start()
-        try:
-            joint_posterior(fit, r, n_points=100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(joint_posterior, fit, r, n_points=100)
         assert peak < bound
 
 

@@ -11,7 +11,7 @@ from abckit.models import TOY_STAT_NAMES, toy_stats
 from abckit.rejection import Standardizer
 from abckit.tableio import ObservedStats, SimulationTable, read_table
 
-from conftest import take_rows
+from conftest import make_toy_table, take_rows, traced_peak
 
 
 def make_table(rng, n, shift=0.0, noise=1.0, names=("s0", "s1")):
@@ -290,9 +290,9 @@ class TestPooledScaleMemo:
         calls = []
         original = Standardizer.fit
 
-        def fit(matrix, names):
+        def fit(tables, names, exclude=None):
             calls.append(tuple(names))
-            return original(matrix, names)
+            return original(tables, names, exclude)
         monkeypatch.setattr(Standardizer, "fit", staticmethod(fit))
         return calls
 
@@ -355,3 +355,19 @@ class TestPooledScaleMemo:
         got = modelchoice._pooled_scale([norm_table, unif_table],
                                         toy_obs.names)
         assert got is mine
+
+
+class TestMemory:
+    @pytest.mark.parametrize("exclude", [None, (1, 123)])
+    def test_pooled_fit_and_retention_hold_no_block(self, toy_obs, exclude,
+                                                     monkeypatch):
+        # two 20000 x 10 tables: a block of their pooled rows by the 8
+        # statistics is 2.56 MB, and np.std's temporary as much again
+        bound = 2_000_000                      # bytes, fixed before the first run
+        tables = [make_toy_table(model, 20000, seed) for model, seed in
+                  (("normal", 71), ("uniform", 72))]
+        monkeypatch.setattr(modelchoice, "_last_scale", (None, None))
+        got, peak = traced_peak(glm_model_choice, tables, toy_obs, 500,
+                                exclude=exclude)
+        assert [r.n for r in got.retained] == [500, 500]
+        assert peak < bound

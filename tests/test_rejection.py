@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from abckit.errors import NumericalError, TableFormatError
-from abckit.rejection import Standardizer, prune_correlated, retain
+from abckit.rejection import (RetainedSet, Standardizer,
+                             prune_correlated, retain)
 from abckit.tableio import ObservedStats, SimulationTable
 
 from conftest import take_rows
@@ -157,6 +160,14 @@ class TestRetain:
                 table.stat_names)).indices)
 
 
+def formula_fit(block, names):
+    """The scale of the statistics ``names`` by numpy's formula over the
+    rows by statistics ``block``."""
+    block = np.asfortranarray(block)
+    return Standardizer(tuple(names), block.mean(axis=0),
+                        block.std(axis=0, ddof=0))
+
+
 def reference_retain(table, obs, count, exclude=None, standardizer=None):
     """Retention from a copy of the table without row ``exclude``, by a
     full stable sort; indices refer to the full table."""
@@ -165,7 +176,7 @@ def reference_retain(table, obs, count, exclude=None, standardizer=None):
     if exclude is not None:
         rows = np.delete(rows, exclude)
         sims = np.delete(sims, exclude, axis=0)
-    std = (Standardizer.fit(sims, obs.names) if standardizer is None
+    std = (formula_fit(sims, obs.names) if standardizer is None
            else standardizer.subset(obs.names))
     diff = std.transform(sims) - std.transform(obs.values)
     dist = np.sqrt((diff ** 2).sum(axis=1))
@@ -261,8 +272,7 @@ class TestRetentionEngine:
                                                       exclude=i))
 
     def test_supplied_standardizer(self, norm_table, unif_table):
-        pooled = np.vstack([norm_table.stats, unif_table.stats])
-        std = Standardizer.fit(pooled, norm_table.stat_names)
+        std = Standardizer.fit([norm_table, unif_table], norm_table.stat_names)
         rng = np.random.default_rng(35)
         for i, count, pseudo in self.queries(norm_table, rng, 30):
             assert_same_retention(
@@ -315,6 +325,177 @@ class TestRetentionEngine:
         r = retain(table, obs, count=3, exclude=0)
         assert r.stat_names == ("s",)
         assert r.indices.tolist() == [1, 2, 3]
+
+
+def split_tables(rng, n_rows, n_tables, k):
+    """``n_tables`` tables of ``n_rows`` rows in all, each with a
+    parameter and ``k`` statistics on their own scales; with ``k > 1`` the
+    last statistic is constant, and every table after the first holds
+    its statistics in reverse column order."""
+    names = tuple(f"s{j}" for j in range(k))
+    tables = []
+    for m, rows in enumerate(np.array_split(np.arange(n_rows), n_tables)):
+        stats = 1e3 * m + rng.normal(size=(len(rows), k)) * np.geomspace(
+            1e-3, 1e3, k)
+        if k > 1:
+            stats[:, -1] = 2.5
+        order, stats = (names[::-1], stats[:, ::-1]) if m else (names, stats)
+        tables.append(SimulationTable(("p",) + order, np.column_stack(
+            [rng.uniform(size=len(rows)), stats]), (0,),
+            tuple(range(1, k + 1))))
+    return tables, names
+
+
+def assert_same_scale(got, want):
+    assert got.names == want.names
+    assert got.center.tobytes() == want.center.tobytes()
+    assert got.scale.tobytes() == want.scale.tobytes()
+
+
+class TestColumnFit:
+    """``Standardizer.fit`` against numpy's formula over the stacked
+    column-major block of the pooled rows."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("n_rows", [127, 128, 129, 8191, 8193, 160001])
+    @pytest.mark.parametrize("n_tables", [1, 2, 3])
+    def test_bits_of_the_block_formula(self, n_tables, n_rows, k):
+        rng = np.random.default_rng(n_rows + 10 * k + n_tables)
+        tables, names = split_tables(rng, n_rows, n_tables, k)
+        blocks = [t.stat_matrix(names) for t in tables]
+        assert_same_scale(Standardizer.fit(tables, names),
+                          formula_fit(np.concatenate(blocks), names))
+        # the first, a middle and the last row of each model
+        for m, t in enumerate(tables):
+            for row in (0, t.n_rows // 2, t.n_rows - 1):
+                less = list(blocks)
+                less[m] = np.delete(blocks[m], row, axis=0)
+                assert_same_scale(
+                    Standardizer.fit(tables, names, (m, row)),
+                    formula_fit(np.concatenate(less), names))
+
+    def test_constant_statistic_has_zero_scale(self):
+        tables, names = split_tables(np.random.default_rng(41), 300, 2, 3)
+        std = Standardizer.fit(tables, names, (1, 4))
+        assert std.center[-1] == 2.5 and std.scale[-1] == 0.0
+        assert np.all(std.scale[:-1] > 0)
+
+    def test_excluded_row_outside_its_model(self):
+        tables, names = split_tables(np.random.default_rng(42), 300, 2, 3)
+        with pytest.raises(ValueError, match="excluded row 150 outside "
+                                             "model 1's 150 rows"):
+            Standardizer.fit(tables, names, (1, 150))
+        with pytest.raises(ValueError, match="excluded row -1"):
+            Standardizer.fit(tables, names, (0, -1))
+
+
+def block_retain(table, obs, count, standardizer=None, exclude=None):
+    """Retention on one column-major block of the candidate rows by the
+    matched statistics, standardized and measured as a whole: the
+    pipeline ``retain`` ran before it gathered one column at a time.
+    Ranks by a full stable sort."""
+    matched = list(obs.names)
+    cols = table.stat_columns(matched)
+    obs_vec = obs.values
+    rows = np.arange(table.n_rows)
+    if exclude is not None:
+        rows = np.delete(rows, exclude)
+    sims = table.values[rows][:, cols]
+    assert sims.flags.f_contiguous
+    std = (formula_fit(sims, matched) if standardizer is None
+           else standardizer.subset(matched))
+    keep = []
+    for j, name in enumerate(matched):
+        if std.scale[j] > 0:
+            keep.append(j)
+        elif not np.isclose(sims[0, j], obs_vec[j]):
+            raise NumericalError(
+                f"statistic {name} is constant at {sims[0, j]} but "
+                f"observed {obs_vec[j]}; the model cannot reproduce the data")
+    if not keep:
+        raise NumericalError("no usable statistics left for the distance")
+    if len(keep) < len(matched):
+        matched = [matched[j] for j in keep]
+        cols = [cols[j] for j in keep]
+        std = std.subset(matched)
+        sims = sims[:, keep]
+    obs_std = std.transform(obs_vec[keep])
+    sims -= std.center
+    sims /= std.scale
+    sims -= obs_std
+    dist = np.sqrt(np.square(sims, out=sims).sum(axis=1))
+    order = np.argsort(dist, kind="stable")[:count]
+    indices = rows[order]
+    stats = table.values[np.ix_(indices, cols)]
+    return RetainedSet(indices, dist[order], tuple(matched), std,
+                       obs_vec[keep], obs_std, table.param_names,
+                       table.values[np.ix_(indices, table.param_idx)],
+                       stats, std.transform(stats))
+
+
+def assert_same_retained(got, want):
+    for field in dataclasses.fields(RetainedSet):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "standardizer":
+            assert_same_scale(a, b)
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestColumnRetention:
+    """``retain`` against the block pipeline it replaced, field by field
+    and bit for bit."""
+
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except NumericalError as e:
+            return str(e)
+
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("constant", [None, "match", "contradict"])
+    @pytest.mark.parametrize("exclude", [None, 0, "middle", "last"])
+    @pytest.mark.parametrize("scale", [None, "pooled", "identity"])
+    def test_every_field_equals_the_block_pipeline(self, scale, exclude,
+                                                   constant, k):
+        rng = np.random.default_rng(51)
+        tables, names = split_tables(rng, 4001, 2, k + 1)
+        if constant is None:
+            # no constant statistic: drop it
+            names = names[:-1]
+        else:
+            # the constant statistic first, the others after it
+            names = names[-1:] + names[:k - 1]
+        table = tables[0]
+        row = {"middle": 1000, "last": table.n_rows - 1}.get(exclude, exclude)
+        values = table.stats[17] if row is None else table.stats[row]
+        obs = dict(zip(table.stat_names, values + 0.1 * rng.normal(
+            size=len(values))))
+        if constant is not None:
+            obs[names[0]] = 2.5 if constant == "match" else 3.0
+        obs = ObservedStats(names, np.array([obs[n] for n in names]))
+        std = {None: None, "identity": Standardizer.identity(names),
+               "pooled": Standardizer.fit(tables, names)}[scale]
+        for count in (1, 300, table.n_rows - (row is not None)):
+            got = self.outcome(retain, table, obs, count, std, row)
+            want = self.outcome(block_retain, table, obs, count, std, row)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert_same_retained(got, want)
+        # the constant statistic is left out, or contradicts, on every
+        # scale but the identity
+        dropped = constant is not None and scale != "identity"
+        if dropped and constant == "contradict":
+            assert "constant at 2.5 but observed 3.0" in got
+        elif dropped and k == 1:
+            assert got == "no usable statistics left for the distance"
+        else:
+            assert got.stat_names == (names[1:] if dropped else names)
 
 
 class TestNonFiniteObservation:

@@ -7,6 +7,8 @@ from abckit.tableio import (ObservedStats, OutputTag, SimulationTable,
                             read_table, tagged_filename, write_observed,
                             write_tagged, write_table)
 
+from conftest import traced_peak
+
 SIM_TEXT = """mu sigma2 mean var median min max range Q1 Q3
 0.5 1.0 0.48 0.97 0.51 -2.1 2.9 5.0 -0.2 1.1
 -0.1 2.0 -0.12 2.05 -0.15 -3.5 3.1 6.6 -1.0 0.9
@@ -451,19 +453,13 @@ class TestReaderEquivalence:
         assert t.dropped_rows == int((~finite).sum())
 
     def test_max_rows_reads_in_proportion_to_the_rows_kept(self, tmp_path):
-        import tracemalloc
         bound = 1_000_000                      # bytes, fixed before the first run
         rng = np.random.default_rng(3)
         block = "".join(" ".join(map(repr, row)) + "\n"
                         for row in rng.normal(size=(1000, 4)).tolist())
         p = write(tmp_path, "t.txt", "a b c d\n" + block * 200)
         assert p.stat().st_size > 10 * bound
-        tracemalloc.start()
-        try:
-            t = read_table(p, "1", max_rows=1000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        t, peak = traced_peak(read_table, p, "1", max_rows=1000)
         assert t.n_rows == 1000
         assert t.values.tolist() == read_table(p, "1").values[:1000].tolist()
         assert peak < bound
@@ -472,7 +468,6 @@ class TestReaderEquivalence:
     def test_huge_max_rows_reads_the_whole_table(self, tmp_path, max_rows):
         # np.loadtxt allocates room for the rows it is asked for: 160 GiB
         # for 2^31 rows of 10 columns, an OverflowError for 2^63
-        import tracemalloc
         bound = 1_000_000                      # bytes, fixed before the first run
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(50, 10))
@@ -480,12 +475,7 @@ class TestReaderEquivalence:
         p = write(tmp_path, "t.txt", " ".join("abcdefghij") + "\n" + "".join(
             " ".join(map(repr, row)) + "\n" for row in rows.tolist()))
         whole = read_table(p, "1-2")
-        tracemalloc.start()
-        try:
-            t = read_table(p, "1-2", max_rows=max_rows)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        t, peak = traced_peak(read_table, p, "1-2", max_rows=max_rows)
         assert t.values.tobytes() == whole.values.tobytes()
         assert t.n_rows == 48 and t.dropped_rows == whole.dropped_rows == 2
         assert peak < bound
