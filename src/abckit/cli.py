@@ -30,7 +30,9 @@ numerical failure, 4 simulator failure.  ``estimate`` only logs some
 results: the fit P-values, the coverage KS tests of each
 cross-validation, the model-choice validation accuracy and the counts of
 failed replicates and queries.  The run record of ROADMAP item 2 is to
-hold them.
+hold them.  Each fit test runs only when its own setting gives its count
+of retained rows (``marDensPValue`` the marginal density, ``tukeyPValue``
+the Tukey depth), and one line per model and observation logs those run.
 """
 
 from __future__ import annotations
@@ -262,9 +264,8 @@ def _split_models(cfg: Config, obs_path=None, two_models=None):
     if observed:
         names = in_table_order(observed[0].names, names)
     if prune:
-        tables[0], _ = prune_correlated(
+        names, _ = prune_correlated(
             _narrowed(sim_names[0], tables[0], names), max_cor)
-        names = tables[0].stat_names
     tables = [_narrowed(*pair, names) for pair in zip(sim_names, tables)]
     if observed:
         observed = [ObservedStats(names, obs.vector(names)) for obs in observed]
@@ -403,14 +404,19 @@ def _task_estimate(cfg: Config, rng) -> None:
             idx = [list(r.param_names).index(n) + 1 for n in names]
             yield (OutputTag.JOINT_POSTERIOR,
                    (names + ["density", "HDI"], joint.matrix()), idx)
-        if n_marg or n_tukey:
-            pv = validation.fit_pvalues(fit, r, n_marginal=n_marg,
-                                        n_tukey=n_tukey, rng=rng,
-                                        dirac_peak_width=dirac)
-            log.info("obs %d model %d fit: marginal density %.6g "
-                     "(P=%.4g), Tukey depth %.4g (P=%.4g)", k, m,
-                     pv.marginal_density, pv.marginal_pvalue,
-                     pv.tukey_depth, pv.tukey_pvalue)
+        tests, args = [], [k, m]
+        if n_marg:
+            p, log_density = validation.marginal_density_pvalue(
+                fit, r, n_marg, dirac)
+            tests.append("marginal density %.6g (P=%.4g)")
+            args += [adjust.safe_exp(log_density), p]
+        if n_tukey:
+            p, depth = validation.tukey_pvalue(r.stats_std, r.obs_std,
+                                               n_tukey, rng=rng)
+            tests.append("Tukey depth %.4g (P=%.4g)")
+            args += [depth, p]
+        if tests:
+            log.info("obs %d model %d fit: " + ", ".join(tests), *args)
         if n_retained_val:
             rows = validation.cross_validate(
                 tables[m], "retained", n_retained_val, settings, rng, obs=obs)

@@ -467,7 +467,7 @@ def calibrate(est: EstModel, binding: SimulatorBinding, obs: ObservedStats,
     else:
         pick = int(retained.indices[rng.choice(strict)])
     start_raw = {n: float(table.values[pick, col[n]]) for n in prior_names}
-    start_stats = table.stat_matrix(sim_stat_names)[pick]
+    start_stats = table.values[pick, list(table.stat_idx)]
     stat_map = StatMap(sim_stat_names, **chain).select(retained.stat_names)
     # the distance every step computes, not the retention's batched one,
     # which can differ in the last bits

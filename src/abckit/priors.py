@@ -352,6 +352,18 @@ def parse_est(text: str, path=None) -> EstModel:
     def err(lineno, msg):
         raise EstParseError(msg, path=path, line=lineno)
 
+    def declare(lineno, flag, name, rest):
+        """The integer flag and the name of a parameter or complex
+        parameter line, checked, and the fields ``rest`` after them less a
+        trailing ``output``/``hide``: ``(integer, rest, output)``."""
+        if flag not in ("0", "1"):
+            err(lineno, f"integer flag must be 0 or 1, got {flag!r}")
+        if name in declared:
+            err(lineno, f"duplicate name {name!r}")
+        if rest and rest[-1] in ("output", "hide"):
+            return flag == "1", rest[:-1], rest[-1] == "output"
+        return flag == "1", rest, True
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("//") or line.startswith("#"):
@@ -366,22 +378,15 @@ def parse_est(text: str, path=None) -> EstModel:
             fields = line.split()
             if len(fields) < 4:
                 err(lineno, f"parameter line needs at least 4 fields: {line!r}")
-            flag, name, kind = fields[0], fields[1], fields[2]
-            if flag not in ("0", "1"):
-                err(lineno, f"integer flag must be 0 or 1, got {flag!r}")
-            if name in declared:
-                err(lineno, f"duplicate name {name!r}")
-            out_flag = True
-            rest = fields[3:]
-            if rest and rest[-1] in ("output", "hide"):
-                out_flag = rest[-1] == "output"
-                rest = rest[:-1]
+            name, kind = fields[1], fields[2]
+            integer, rest, out_flag = declare(lineno, fields[0], name,
+                                              fields[3:])
             try:
                 args = tuple(float(v) for v in rest)
             except ValueError:
                 err(lineno, f"non-numeric prior argument in {line!r}")
             try:
-                priors.append(PriorSpec(name, flag == "1", kind, args, out_flag))
+                priors.append(PriorSpec(name, integer, kind, args, out_flag))
             except EstParseError as exc:
                 err(lineno, str(exc))
             declared.add(name)
@@ -401,27 +406,18 @@ def parse_est(text: str, path=None) -> EstModel:
             if len(fields) < 4 or fields[2] != "=":
                 err(lineno, f"complex parameter line must look like "
                             f"'0 NAME = expression [output|hide]': {line!r}")
-            flag, name = fields[0], fields[1]
-            if flag not in ("0", "1"):
-                err(lineno, f"integer flag must be 0 or 1, got {flag!r}")
-            if name in declared:
-                err(lineno, f"duplicate name {name!r}")
-            expr_fields = fields[3:]
-            out_flag = True
-            if expr_fields and expr_fields[-1] in ("output", "hide"):
-                out_flag = expr_fields[-1] == "output"
-                expr_fields = expr_fields[:-1]
-            expr_text = " ".join(expr_fields)
+            name = fields[1]
+            integer, expr_fields, out_flag = declare(lineno, fields[0], name,
+                                                     fields[3:])
             try:
-                expr = parse_expression(expr_text)
+                expr = parse_expression(" ".join(expr_fields))
             except EstParseError as exc:
                 err(lineno, str(exc))
             unknown = expr.names - declared
             if unknown:
                 err(lineno, f"expression for {name} references undeclared "
                             f"name(s): {', '.join(sorted(unknown))}")
-            complex_params.append(ComplexParam(name, flag == "1", expr,
-                                               out_flag))
+            complex_params.append(ComplexParam(name, integer, expr, out_flag))
             declared.add(name)
 
     if not priors:

@@ -18,16 +18,18 @@ table without row ``i``: that row is left out of the fitted
 standardization, of the row count that bounds ``count`` and of the
 candidate rows, while the returned indices still refer to the full table.
 
-No block of rows by statistics is built: each scale and each distance is
-computed one gathered column at a time, and the rounding follows the
-order of the sums.  Each scale sums one contiguous column of the pooled
-rows (numpy's pairwise sum, the bits of ``mean(axis=0)`` and
+Retention builds no block of rows by statistics: each scale and each
+distance is computed one gathered column at a time, and the rounding
+follows the order of the sums.  Each scale sums one contiguous column of
+the pooled rows (numpy's pairwise sum, the bits of ``mean(axis=0)`` and
 ``std(axis=0)`` over a column-major block), and each distance adds a
 row's squared standardized statistics in column order (the bits of that
 block's ``sum(axis=1)``).
 
-:func:`abs_correlations` is the correlation matrix that statistic pruning
-and the statistic-subset search read.
+:func:`abs_correlations`, which builds its own block of the pooled
+statistics, is the correlation matrix that statistic pruning and the
+statistic-subset search read.  Pruning returns the names it keeps, to
+which the command line narrows every table, as views over the values read.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .tableio import ObservedStats, SimulationTable
 log = logging.getLogger(__name__)
 
 __all__ = ["Standardizer", "RetainedSet", "abs_correlations",
-           "pooled_stats", "prune_correlated", "retain"]
+           "prune_correlated", "retain"]
 
 
 @dataclass(frozen=True)
@@ -139,23 +141,18 @@ def _gather_column(tables, cols, skip, out) -> np.ndarray:
     return out
 
 
-def pooled_stats(tables, names) -> np.ndarray:
-    """The statistics ``names`` of all ``tables`` stacked in one
-    column-major block."""
+def abs_correlations(tables, names) -> np.ndarray:
+    """Absolute Pearson correlations between the statistics ``names`` over
+    the rows of all ``tables`` pooled.  A constant statistic correlates 0
+    with every statistic, itself included.  It gathers its own
+    column-major block of the pooled statistics."""
     cols = [t.stat_columns(names) for t in tables]
     pooled = np.empty((sum(t.n_rows for t in tables), len(names)), order="F")
     for j in range(len(names)):
         _gather_column(tables, [c[j] for c in cols], [None] * len(tables),
                        pooled[:, j])
-    return pooled
-
-
-def abs_correlations(tables, names) -> np.ndarray:
-    """Absolute Pearson correlations between the statistics ``names`` over
-    the rows of all ``tables`` pooled.  A constant statistic correlates 0
-    with every statistic, itself included."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.corrcoef(pooled_stats(tables, names), rowvar=False)
+        c = np.corrcoef(pooled, rowvar=False)
     return np.abs(np.nan_to_num(np.atleast_2d(c)))
 
 
@@ -165,7 +162,8 @@ def prune_correlated(table: SimulationTable, max_cor: float):
     Walks the statistic columns in order and drops any whose absolute
     Pearson correlation (:func:`abs_correlations`) with a kept statistic
     exceeds ``max_cor`` (``max_cor = 1.0`` keeps everything).  Returns
-    ``(table, dropped)``.
+    the names ``(kept, dropped)``, kept a tuple in column order; no table
+    is copied.
     """
     if not 0 < max_cor <= 1:
         raise ValueError(f"max_cor must be in (0, 1], got {max_cor}")
@@ -181,8 +179,7 @@ def prune_correlated(table: SimulationTable, max_cor: float):
     if dropped:
         log.warning("pruned %d correlated statistic(s): %s",
                     len(dropped), ", ".join(dropped))
-        return table.with_stats([names[j] for j in kept]), dropped
-    return table, dropped
+    return tuple(names[j] for j in kept), dropped
 
 
 def _nearest(dist: np.ndarray, count: int) -> np.ndarray:
@@ -241,9 +238,6 @@ def retain(table: SimulationTable, obs: ObservedStats, count,
     """
     if table.n_rows == 0:
         raise NumericalError("cannot retain from an empty table")
-    if not set(obs.names) & set(table.stat_names):
-        raise TableFormatError("no statistic names shared between table and "
-                               "observation")
     matched = list(obs.names)
     cols = table.stat_columns(matched)
     obs_vec = obs.values

@@ -189,7 +189,9 @@ def fit_pvalues(fit, retained: RetainedSet, n_marginal=None, n_tukey=None,
     """Both model-fit tests of the retained set's observation against the
     set itself, each on its first ``n_marginal`` / ``n_tukey`` retained
     rows (all by default; a count outside 1 to ``retained.n`` is a
-    ``ValueError``).  ``n_checked`` is the larger of the two counts."""
+    ``ValueError``).  ``n_checked`` is the larger of the two counts.  Only
+    perfbench and the tests call it; ROADMAP item 1 deletes it and
+    :class:`FitPValues`."""
     n_marginal = retained.n if n_marginal is None else int(n_marginal)
     n_tukey = retained.n if n_tukey is None else int(n_tukey)
     marg_p, obs_ld = marginal_density_pvalue(fit, retained, n_marginal,

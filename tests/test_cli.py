@@ -199,6 +199,85 @@ def test_tukey_pvalue_on_too_few_retained_is_a_config_error(
     assert not list(tmp_path.glob("ABC_*"))
 
 
+def test_marginal_density_pvalue_alone_needs_no_ten_rows(
+        tmp_path, norm_table, unif_table, toy_obs):
+    # the 10-row rule is the depth test's: a run that asks only for the
+    # marginal density test runs on fewer retained rows
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=200)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "abckit.cli", "task=estimate",
+         "simName=normal.txt", "params=1-2", "obsName=obs.txt",
+         "numRetained=8", "maxReadSims=200", "marDensPValue=5", "seed=1",
+         "outputPrefix=ABC"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    fit = [line for line in proc.stderr.splitlines() if " fit: " in line]
+    assert len(fit) == 1
+    assert "fit: marginal density " in fit[0]
+    assert "Tukey depth" not in fit[0]
+
+
+@pytest.mark.parametrize("given, run, shown", [
+    ("marDensPValue", "marginal_density_pvalue", "marginal density"),
+    ("tukeyPValue", "tukey_pvalue", "Tukey depth"),
+])
+def test_each_fit_test_runs_on_its_own_setting_only(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs,
+        given, run, shown):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    calls = {"marginal_density_pvalue": [], "tukey_pvalue": []}
+    for name in calls:
+        def spy(*args, _run=getattr(validation, name), _name=name, **kwargs):
+            calls[_name].append(args[2])      # the count of rows checked
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(validation, name, spy)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=30",
+                     "maxReadSims=300", "seed=2", "outputPrefix=ABC",
+                     f"{given}=20"])
+    assert code == 0
+    # once per model, on the count its setting gives; the other test never
+    assert calls == {**dict.fromkeys(calls, []), run: [20, 20]}
+    fit = [r.getMessage() for r in caplog.records if " fit: " in r.msg]
+    assert len(fit) == 2
+    assert all(shown in line and line.count("(P=") == 1 for line in fit)
+
+
+def test_fit_record_with_both_tests_keeps_its_format_and_args(
+        tmp_path, monkeypatch, caplog, norm_table, unif_table, toy_obs):
+    # the record's format string and args are read by tools that parse
+    # the log; both tests given, they are the one line of both results
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    caplog.set_level(logging.INFO)
+    results = {"marginal_density_pvalue": [], "tukey_pvalue": []}
+    for name in results:
+        def spy(*args, _run=getattr(validation, name), _name=name, **kwargs):
+            out = _run(*args, **kwargs)
+            results[_name].append(out)
+            return out
+        monkeypatch.setattr(validation, name, spy)
+    code = cli.main(["task=estimate", "simName=normal.txt;uniform.txt",
+                     "params=1-2", "obsName=obs.txt", "numRetained=30",
+                     "maxReadSims=300", "seed=2", "outputPrefix=ABC",
+                     "marDensPValue=20", "tukeyPValue=25"])
+    assert code == 0
+    fit = [r for r in caplog.records if " fit: " in r.msg]
+    assert [r.msg for r in fit] == 2 * ["obs %d model %d fit: marginal "
+                                        "density %.6g (P=%.4g), Tukey depth "
+                                        "%.4g (P=%.4g)"]
+    for m, record in enumerate(fit):
+        p_marginal, log_density = results["marginal_density_pvalue"][m]
+        p_tukey, depth = results["tukey_pvalue"][m]
+        assert record.args == (0, m, adjust.safe_exp(log_density),
+                               p_marginal, depth, p_tukey)
+
+
 def _write_toy_inputs(directory, norm_table, unif_table, toy_obs, rows=2000):
     """The first ``rows`` simulations of each toy model and the toy
     observation, as the CLI reads them."""
@@ -655,6 +734,32 @@ def test_narrowed_table_shares_the_values_read(norm_table):
     assert got.stat_names == want.stat_names
     np.testing.assert_array_equal(got.params, want.params)
     np.testing.assert_array_equal(got.stats, want.stats)
+
+
+def test_pruned_tables_share_the_values_read(tmp_path, monkeypatch,
+                                             norm_table, unif_table, toy_obs):
+    _write_toy_inputs(tmp_path, norm_table, unif_table, toy_obs, rows=300)
+    monkeypatch.chdir(tmp_path)
+    read = []
+
+    def spy(*args, **kwargs):
+        read.append(read_table(*args, **kwargs))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "read_table", spy)
+    cfg = cli.Config()
+    cfg.load_args(["simName=normal.txt;uniform.txt", "params=1-2",
+                   "maxReadSims=300", "pruneCorrelatedStats=1", "maxCor=0.9"])
+    _, tables = cli._split_models(cfg, "obs.txt")
+    assert len(tables) == len(read) == 2
+    # the pruning dropped statistics, and no table was copied
+    assert len(tables[0].stat_names) < len(read[0].stat_names)
+    for got, table in zip(tables, read):
+        assert got.stat_names == tables[0].stat_names
+        assert np.shares_memory(got.values, table.values)
+        want = table.with_stats(got.stat_names)
+        np.testing.assert_array_equal(got.params, want.params)
+        np.testing.assert_array_equal(got.stats, want.stats)
 
 
 def test_transform_end_to_end(tmp_path, monkeypatch, norm_table):
