@@ -25,6 +25,13 @@ another kernel than those of a small one: OpenBLAS on AVX-512 does so above
 10^6 multiply-adds, and there the last (points mod 16) cells of a grid can
 move in their last bits.
 
+A grid takes ``exp`` only of the log kernels whose result is a normal
+double (at least ``log(np.finfo(float).tiny)``, about -708.40) and sets
+every other cell to 0: numpy's ``exp`` is about a hundred times slower
+where its result is subnormal.  So a grid density below the smallest
+normal double reads 0, and no density moves by more than (number of
+components) x ``tiny`` from that of an ``exp`` of every cell.
+
 Parameters are mapped linearly onto [0, 1] internally (using the retained
 range) for numerical stability; all reported quantities are on the
 original scale.  Every grid spans the retained range of its parameter
@@ -62,8 +69,9 @@ _BLOCK_ELEMENTS = 2_000_000
 # pairs in a column tile of a grid (1 MiB of doubles, held in a core's L2
 # cache from the product through exp to the weighted sum)
 _TILE_ELEMENTS = 2**17
-# the largest double whose exp is 0.0 (exp of the next one up is 5e-324)
-_EXP_ZERO = -745.1332191019412
+# math.log(np.finfo(float).tiny): the smallest double whose exp is a normal
+# double (exp of the next one down is subnormal)
+_EXP_NORMAL = -708.3964185322641
 
 
 def safe_exp(x: float) -> float:
@@ -432,10 +440,13 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     varying fastest).  Each variance is floored at (half a grid step)^2, so
     posteriors narrower than the grid stay representable.
 
-    ``exp`` is evaluated only on log kernels of at least :data:`_EXP_ZERO`;
-    every other cell is set to 0.0, which is what ``exp`` returns there,
-    only several times faster.  The matrix fed to the weighted sum is the
-    same to the bit, subnormal cells included."""
+    ``exp`` is evaluated only on log kernels of at least
+    :data:`_EXP_NORMAL`; every other cell is set to 0.0.  ``exp`` runs
+    about a hundred times slower where its result is subnormal, and those
+    cells are below the smallest normal double, so no density moves by
+    more than (number of components) x ``np.finfo(float).tiny``: the
+    matrix fed to the weighted sum is that of ``exp`` with every subnormal
+    result flushed to 0."""
     cov = mix.cov[np.ix_(sel, sel)].copy()
     for j, ug in enumerate(ugrids):
         cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
@@ -451,7 +462,7 @@ def _mixture_on_grid(mix: _Mixture, sel, ugrids) -> np.ndarray:
     for row, col, tile in _gaussian_log_kernel(chol, mix.means[:, sel], pts,
                                                tiled=True):
         live = mask[:tile.size].reshape(tile.shape)
-        np.greater_equal(tile, _EXP_ZERO, out=live)
+        np.greater_equal(tile, _EXP_NORMAL, out=live)
         np.exp(tile, out=tile, where=live)
         np.logical_not(live, out=live)
         np.copyto(tile, 0.0, where=live)

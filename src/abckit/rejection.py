@@ -24,7 +24,9 @@ follows the order of the sums.  Each scale sums one contiguous column of
 the pooled rows (numpy's pairwise sum, the bits of ``mean(axis=0)`` and
 ``std(axis=0)`` over a column-major block), and each distance adds a
 row's squared standardized statistics in column order (the bits of that
-block's ``sum(axis=1)``).
+block's ``sum(axis=1)``).  A table read from a file is column-major, so
+each gather copies one contiguous run per table; the strided read of a
+row-major table gathers the same column, and so gives the same bits.
 
 :func:`abs_correlations`, which builds its own block of the pooled
 statistics, is the correlation matrix that statistic pruning and the

@@ -3,14 +3,18 @@
 Model fit is probed with two statistics of the observation a retained set
 carries, relative to its cloud: its marginal density under the fitted
 likelihood model and its Tukey (halfspace) depth, each turned into a
-P-value by ranking it among the cloud.  Estimation accuracy and bias are
-probed by leave-one-out cross-validation on pseudo-observed data sets,
-recording point estimates, the posterior quantile of the true value, and
-the smallest credible level containing it; Kolmogorov-Smirnov tests of
-those two columns against the uniform distribution check coverage, with
-the exact two-sided P-value of Simard & L'Ecuyer (2011, J. Stat. Softw.
-39(11)), ported from SciPy's ``scipy/stats/_ksstats.py`` into
-:mod:`abckit._kstwo` so that this module does not import ``scipy.stats``.
+P-value by ranking it among the cloud.  The depth is that of random
+projections (Cuesta-Albertos & Nieto-Reyes 2008); the depths of the
+cloud's own points come by rank scatter: each direction's projections are
+sorted once, and the count of each sorted position goes back to its point.
+Estimation accuracy and bias are probed by leave-one-out cross-validation
+on pseudo-observed data sets, recording point estimates, the posterior
+quantile of the true value, and the smallest credible level containing
+it; Kolmogorov-Smirnov tests of those two columns against the uniform
+distribution check coverage, with the exact two-sided P-value of Simard &
+L'Ecuyer (2011, J. Stat. Softw. 39(11)), ported from SciPy's
+``scipy/stats/_ksstats.py`` into :mod:`abckit._kstwo` so that this module
+does not import ``scipy.stats``.
 Model choice by ABC-GLM marginal densities is validated the same way,
 yielding a confusion matrix and the raw posterior model probabilities of
 each pseudo-observation.  One settings type, :class:`GlmSettings`, serves
@@ -103,20 +107,26 @@ _DEPTH_ELEMENTS = 2_000_000
 
 def _cloud_depth_counts(proj: np.ndarray) -> np.ndarray:
     """``min(#{p <= p_i}, #{p >= p_i})`` for every entry ``p_i`` of each
-    row of ``proj``, counted within its row: each row is sorted once and a
-    value's counts are read off where its run of ties ends and starts."""
+    row of ``proj``, counted within its row.  Each row is sorted once, and
+    the counts of each sorted position are scattered back to the entries by
+    the sort's permutation.  Without a tie among the rows, the entry at
+    sorted position ``r`` counts ``min(r + 1, n - r)``; otherwise a value's
+    counts are read off where its run of ties ends and starts."""
     b, n = proj.shape
     order = np.argsort(proj, axis=1)
     ranked = np.take_along_axis(proj, order, axis=1)
     pos = np.arange(n)
     starts = np.ones((b, n), dtype=bool)
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
-    first = np.where(starts, pos, 0)
-    np.maximum.accumulate(first, axis=1, out=first)
-    ends = np.ones((b, n), dtype=bool)
-    ends[:, :-1] = starts[:, 1:]
-    last = np.where(ends, pos, n)[:, ::-1]
-    last = np.minimum.accumulate(last, axis=1)[:, ::-1]
+    if starts.all():
+        first, last = pos, pos
+    else:
+        first = np.where(starts, pos, 0)
+        np.maximum.accumulate(first, axis=1, out=first)
+        ends = np.ones((b, n), dtype=bool)
+        ends[:, :-1] = starts[:, 1:]
+        last = np.where(ends, pos, n)[:, ::-1]
+        last = np.minimum.accumulate(last, axis=1)[:, ::-1]
     counts = np.empty((b, n), dtype=np.intp)
     np.put_along_axis(counts, order, np.minimum(last + 1, n - first), axis=1)
     return counts
@@ -135,12 +145,13 @@ def tukey_depth(points: np.ndarray, queries: np.ndarray | None,
 
     ``queries=None`` asks for the depth of every cloud point.  Each point's
     projection is then its row of the cloud's own product, and the counts
-    come from ranks: every direction's projections are sorted once.  For
-    explicit queries the points at or below and at or above each query are
-    counted directly, which suits a few queries; pass ``None`` rather than
-    the cloud itself.  Directions are taken :data:`_DEPTH_BLOCK` at a time,
-    and explicit queries in groups of at most :data:`_DEPTH_ELEMENTS`
-    comparisons.
+    come from ranks: every direction's projections are sorted once, and
+    each rank's count is scattered back to its point (see
+    :func:`_cloud_depth_counts`).  For explicit queries the points at or
+    below and at or above each query are counted directly, which suits a
+    few queries; pass ``None`` rather than the cloud itself.  Directions
+    are taken :data:`_DEPTH_BLOCK` at a time, and explicit queries in
+    groups of at most :data:`_DEPTH_ELEMENTS` comparisons.
     """
     points = np.atleast_2d(points)
     n = len(points)

@@ -267,9 +267,17 @@ def whole_row_log_kernel(chol, a, b):
         yield start, block
 
 
-def unmasked_mixture_on_grid(mix, sel, ugrids):
+# the smallest normal double
+TINY = np.finfo(float).tiny
+# the largest double whose exp is 0.0 (exp of the next one up is 5e-324)
+EXP_ZERO = -745.1332191019412
+
+
+def reference_mixture_on_grid(mix, sel, ugrids, flush=True):
     """The grid density with ``exp`` taken of every log kernel of whole
-    row blocks: the earlier ``_mixture_on_grid``, kept as the reference."""
+    row blocks, each result below :data:`TINY` set to 0 where ``flush``:
+    the earlier ``_mixture_on_grid``, kept as the reference.  Also returns
+    the log kernels, stacked."""
     cov = mix.cov[np.ix_(sel, sel)].copy()
     for j, ug in enumerate(ugrids):
         cov[j, j] = max(cov[j, j], ((ug[1] - ug[0]) / 2) ** 2)
@@ -278,9 +286,30 @@ def unmasked_mixture_on_grid(mix, sel, ugrids):
     pts = np.column_stack([m.ravel(order="F") for m in mesh])
     w = mix.weights
     dens = np.zeros(len(pts))
+    logk = []
     for start, block in whole_row_log_kernel(chol, mix.means[:, sel], pts):
-        dens += w[start:start + len(block)] @ np.exp(block, out=block)
-    return dens
+        logk.append(block.copy())
+        kernel = np.exp(block, out=block)
+        if flush:
+            kernel[kernel < TINY] = 0.0
+        dens += w[start:start + len(block)] @ kernel
+    return dens, np.vstack(logk)
+
+
+def check_flushed_grid(mix, sel, ugrids, band=True):
+    """``_mixture_on_grid`` equals the flushed reference to the bit, its
+    log kernels reach the subnormal band of ``exp`` where ``band``, and no
+    cell is more than (number of components) x TINY from the grid of an
+    ``exp`` of every cell.  Returns the reference density and the exact
+    one."""
+    want, logk = reference_mixture_on_grid(mix, sel, ugrids)
+    exact, _ = reference_mixture_on_grid(mix, sel, ugrids, flush=False)
+    got = adjust._mixture_on_grid(mix, sel, ugrids)
+    assert got.tobytes() == want.tobytes()
+    # the case is the one it is meant to be: some kernels are subnormal
+    assert np.any((logk > EXP_ZERO) & (logk < adjust._EXP_NORMAL)) == band
+    assert np.abs(got - exact).max() <= len(mix.weights) * TINY
+    return want, exact
 
 
 def old_joint_rows(joint):
@@ -294,16 +323,17 @@ def old_joint_rows(joint):
 
 
 class TestGridExp:
-    def test_exp_zero_is_the_last_zero(self):
-        zero = adjust._EXP_ZERO
-        above = np.nextafter(zero, 0.0)
-        assert np.exp(zero) == 0.0 and np.exp(above) > 0.0
-        assert np.exp(np.full(9, zero)).max() == 0.0
-        assert np.exp(np.full(9, above)).min() > 0.0
-        assert math.exp(zero) == 0.0
+    def test_exp_normal_is_the_first_normal(self):
+        normal = adjust._EXP_NORMAL
+        below = np.nextafter(normal, -np.inf)
+        assert normal == math.log(TINY)
+        assert np.exp(normal) >= TINY and np.exp(below) < TINY
+        assert np.exp(np.full(9, normal)).min() >= TINY
+        assert np.exp(np.full(9, below)).max() < TINY
+        assert math.exp(normal) >= TINY > math.exp(below)
 
     @pytest.mark.parametrize("sel", [[0], [1], [0, 1]])
-    def test_grid_equals_unmasked_exp(self, monkeypatch, sel):
+    def test_grid_flushes_subnormal_exp(self, monkeypatch, sel):
         # narrow components in the middle of the grid: the log kernels reach
         # far below the last zero of exp, and some grid cells are subnormal
         rng = np.random.default_rng(55)
@@ -316,19 +346,12 @@ class TestGridExp:
         # blocks of 7 components, the last one short
         monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS",
                             7 * int(np.prod([len(g) for g in ugrids])))
-        want = unmasked_mixture_on_grid(mix, sel, ugrids)
-        got = adjust._mixture_on_grid(mix, sel, ugrids)
-        assert got.tobytes() == want.tobytes()
+        want, exact = check_flushed_grid(mix, sel, ugrids)
         # the case is the one it is meant to be
-        chol = np.linalg.cholesky(cov[np.ix_(sel, sel)])
-        mesh = np.meshgrid(*ugrids, indexing="ij")
-        pts = np.column_stack([m.ravel(order="F") for m in mesh])
-        logk = np.vstack([b for _, b in whole_row_log_kernel(
-            chol, means[:, sel], pts)])
-        assert (logk < adjust._EXP_ZERO).mean() > 0.1
-        tiny = np.finfo(float).tiny               # the smallest normal
-        assert np.any((np.exp(logk) > 0) & (np.exp(logk) < tiny))
-        assert np.any((want > 0) & (want < tiny))
+        _, logk = reference_mixture_on_grid(mix, sel, ugrids)
+        assert (logk < EXP_ZERO).mean() > 0.1
+        assert np.any((exact > 0) & (exact < TINY))
+        assert np.any(want != exact)
 
     @pytest.mark.parametrize("n_points", [641, 45, 13, 7],
                              ids=["1-param", "2-params", "3-params",
@@ -351,9 +374,7 @@ class TestGridExp:
         monkeypatch.setattr(adjust, "_BLOCK_ELEMENTS",
                             3 * n_points ** len(sel))
         monkeypatch.setattr(adjust, "_TILE_ELEMENTS", 400)
-        want = unmasked_mixture_on_grid(mix, sel, ugrids)
-        got = adjust._mixture_on_grid(mix, sel, ugrids)
-        assert got.tobytes() == want.tobytes()
+        _, exact = check_flushed_grid(mix, sel, ugrids, band=len(sel) <= 2)
         # the case is the one it is meant to be
         mesh = np.meshgrid(*ugrids, indexing="ij")
         pts = np.column_stack([m.ravel(order="F") for m in mesh])
@@ -364,8 +385,7 @@ class TestGridExp:
         assert shapes[-1][0] == 39 and shapes[-1][1][0] == 1
         assert max(shape[1] for _, shape in shapes) < len(pts)
         if len(sel) <= 2:
-            tiny = np.finfo(float).tiny
-            assert np.any((want > 0) & (want < tiny))
+            assert np.any((exact > 0) & (exact < TINY))
 
     def test_joint_grid_memory_is_bounded(self):
         # 500 retained on a 100^2 grid: a whole row block of 200 components

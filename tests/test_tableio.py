@@ -277,6 +277,31 @@ class TestWriterByteIdentity:
             write_tagged("p", OutputTag.MODEL_FIT, (["a"], np.empty((0, 1))),
                          directory=tmp_path)
 
+    def test_layout_of_the_payload_does_not_matter(self, tmp_path):
+        # a row-major, a column-major and a column-strided payload of the
+        # same cells, the edge cells among them, over more than one block
+        from abckit.tableio import _WRITE_BLOCK_ROWS
+        rng = np.random.default_rng(12)
+        n = _WRITE_BLOCK_ROWS + 9
+        wide = rng.normal(size=(n, 8)) * 10.0 ** rng.integers(-6, 8, (n, 8))
+        wide[:len(EDGE_ROWS), ::2] = EDGE_ROWS
+        header = ["a", "b", "c", "d"]
+        strided = wide[:, ::2]
+        want = format_rows_reference(header, strided)
+        for rows in (np.ascontiguousarray(strided), np.asfortranarray(strided),
+                     strided):
+            path = write_tagged("p", OutputTag.BEST_SIMS, (header, rows),
+                                model_index=0, obs_index=0,
+                                directory=tmp_path)
+            assert path.read_bytes() == want
+
+    def test_a_table_read_is_written_back(self, tmp_path):
+        t = read_table(write(tmp_path, "t.txt", SIM_TEXT), "1-2")
+        assert t.values.flags.f_contiguous
+        path = write_table(tmp_path / "again.txt", t)
+        assert path.read_bytes() == format_rows_reference(t.names, t.values)
+        assert read_table(path, "1-2").values.tobytes() == t.values.tobytes()
+
 
 def format_block_reference(rows) -> str:
     return "".join("\t".join(format_value(v) for v in row) + "\n"
@@ -354,10 +379,22 @@ def parse_both(path, max_rows=None):
     with open(path) as fh:
         start, header = _header(fh)
         body = fh.tell()
-        bulk = _parse_bulk(fh, len(header), max_rows)
+        bulk = _parse_bulk(path, fh, start + 1, len(header), max_rows)
         fh.seek(body)
         exact = _parse_lines(path, fh, start + 1, len(header), max_rows)
     return bulk, exact
+
+
+def assert_bulk_equals(bulk, exact):
+    """The bulk parser's column-major rows and dropped count are the
+    finite rows of the line parser's and the count of the others."""
+    assert bulk is not None
+    values, dropped = bulk
+    finite = np.isfinite(exact).all(axis=1)
+    assert values.tobytes() == exact[finite].tobytes()
+    assert values.shape == exact[finite].shape
+    assert values.flags.f_contiguous
+    assert dropped == int((~finite).sum())
 
 
 def write_bytes(tmp_path, name, text):
@@ -384,9 +421,7 @@ class TestReaderEquivalence:
     def test_bulk_matches_line_parser(self, tmp_path, name):
         p = write_bytes(tmp_path, "t.txt", self.CASES[name])
         bulk, exact = parse_both(p)
-        if name != "header_only":         # empty input is left to the line parser
-            assert bulk is not None
-            assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+        assert_bulk_equals(bulk, exact)
         t = read_table(p, "1")
         finite = np.isfinite(exact).all(axis=1)
         assert t.values.tobytes() == exact[finite].tobytes()
@@ -411,7 +446,7 @@ class TestReaderEquivalence:
         text = "a b\nnan 1\n1 2\ninf 3\n-inf 4\n2 3\n3 4\nnan 5\n4 5\n"
         p = write(tmp_path, "t.txt", text)
         bulk, exact = parse_both(p, max_rows=max_rows)
-        assert bulk.tobytes() == exact.tobytes()
+        assert_bulk_equals(bulk, exact)
         t = read_table(p, "1", max_rows=max_rows)
         expected_dropped = {1: 1, 2: 3, 3: 3, 4: 4}[max_rows]
         assert t.n_rows == max_rows
@@ -445,7 +480,7 @@ class TestReaderEquivalence:
             lines[1 + row] = "nan 1 2" if row % 2 else "1 inf 2"
         p = write(tmp_path, "t.txt", "\n".join(lines))
         bulk, exact = parse_both(p, max_rows=max_rows)
-        assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+        assert_bulk_equals(bulk, exact)
         t = read_table(p, "1", max_rows=max_rows)
         finite = np.isfinite(exact).all(axis=1)
         assert t.n_rows == max_rows
@@ -480,7 +515,7 @@ class TestReaderEquivalence:
         assert t.n_rows == 48 and t.dropped_rows == whole.dropped_rows == 2
         assert peak < bound
         bulk, exact = parse_both(p, max_rows=max_rows)
-        assert bulk.tobytes() == exact.tobytes() and bulk.shape == exact.shape
+        assert_bulk_equals(bulk, exact)
 
     def test_max_rows_stops_before_a_bad_line(self, tmp_path):
         p = write(tmp_path, "t.txt", "a b\nnan 1\n1 2\n2 3\nnot a row\n")
@@ -517,8 +552,63 @@ class TestReaderEquivalence:
         assert np.isnan(obs[0].values[1])
         assert obs[1].values.tolist() == [3.0, 4.0]
 
+    def test_values_are_column_major_and_read_only(self, tmp_path):
+        p = write(tmp_path, "t.txt", SIM_TEXT)
+        for max_rows in (None, 2):
+            values = read_table(p, "1-2", max_rows=max_rows).values
+            assert values.flags.f_contiguous and not values.flags.c_contiguous
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+        # so is a table the line parser decides, and one whose blank lines
+        # leave it short of its line count
+        for text in (SIM_TEXT.replace("0.5 1.0", "0.5 1_0"),
+                     SIM_TEXT.replace("\n", "\n\n")):
+            values = read_table(write(tmp_path, "u.txt", text), "1-2").values
+            assert values.flags.f_contiguous and not values.flags.writeable
+            assert values.shape == (3, 10)
+
+    def test_a_read_holds_the_table_once(self, tmp_path):
+        # 50000 x 10 values are 4 MB; np.asfortranarray of a whole
+        # np.loadtxt result would hold them twice
+        bound = 1.25 * 4_000_000       # bytes, fixed before the first run
+        rng = np.random.default_rng(13)
+        block = "".join(" ".join(map(repr, row)) + "\n"
+                        for row in rng.normal(size=(5000, 10)).tolist())
+        p = write(tmp_path, "t.txt",
+                  " ".join("abcdefghij") + "\n" + block * 10)
+        t, peak = traced_peak(read_table, p, "1-2")
+        assert t.values.shape == (50000, 10)
+        assert peak < bound
+
     def test_observed_error_names_the_line(self, tmp_path):
         p = write(tmp_path, "o.obs", "a b\n1 2\n3 y\n")
         with pytest.raises(TableFormatError) as info:
             read_observed(p)
         assert info.value.line == 3
+
+
+class TestReaderBlocks(TestReaderEquivalence):
+    """Every reader case again, with bulk blocks of 7 rows, so that blocks
+    split the files: a cut inside a block, non-finite rows before the cut,
+    blank lines, ``\r``, ``\r\n`` and no final newline among them."""
+
+    @pytest.fixture(autouse=True)
+    def seven_row_blocks(self, monkeypatch):
+        from abckit import tableio
+        monkeypatch.setattr(tableio, "_READ_BLOCK_ROWS", 7)
+        monkeypatch.setattr(tableio, "_COUNT_BYTES", 61)
+
+    @pytest.mark.parametrize("name", sorted(TestReaderEquivalence.CASES))
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_line_count_in_small_reads(self, tmp_path, monkeypatch, name,
+                                       chunk):
+        # reads of a few bytes split every \r\n somewhere
+        from abckit import tableio
+        monkeypatch.setattr(tableio, "_COUNT_BYTES", chunk)
+        p = write_bytes(tmp_path, "t.txt", self.CASES[name])
+        with open(p) as fh:
+            lines = sum(1 for _ in fh)
+        assert tableio._count_lines(p) == lines
+        for limit in range(lines + 2):
+            assert tableio._count_lines(p, limit) == min(limit, lines)

@@ -146,6 +146,83 @@ def depth_cases():
     return cases
 
 
+def sorted_runs_depth(points, dirs):
+    """``tukey_depth(points, None, dirs)`` with every block's counts read
+    off the runs of ties of its sorted projections: the earlier
+    ``_cloud_depth_counts``, kept as the reference."""
+    proj = points @ dirs.T
+    n = len(points)
+    depth = np.full(n, np.inf)
+    for j in range(0, proj.shape[1], validation._DEPTH_BLOCK):
+        block = proj[:, j:j + validation._DEPTH_BLOCK].T
+        b = len(block)
+        order = np.argsort(block, axis=1)
+        ranked = np.take_along_axis(block, order, axis=1)
+        pos = np.arange(n)
+        starts = np.ones((b, n), dtype=bool)
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+        first = np.where(starts, pos, 0)
+        np.maximum.accumulate(first, axis=1, out=first)
+        ends = np.ones((b, n), dtype=bool)
+        ends[:, :-1] = starts[:, 1:]
+        last = np.where(ends, pos, n)[:, ::-1]
+        last = np.minimum.accumulate(last, axis=1)[:, ::-1]
+        counts = np.empty((b, n), dtype=np.intp)
+        np.put_along_axis(counts, order, np.minimum(last + 1, n - first),
+                          axis=1)
+        depth = np.minimum(depth, counts.min(axis=0))
+    return np.minimum(depth / n, 0.5)
+
+
+def tied_blocks(points, dirs):
+    """Whether each block of directions has two equal projections."""
+    proj = np.sort(points @ dirs.T, axis=0)
+    tied = (proj[1:] == proj[:-1]).any(axis=0)
+    return [bool(tied[j:j + validation._DEPTH_BLOCK].any())
+            for j in range(0, len(dirs), validation._DEPTH_BLOCK)]
+
+
+class TestCloudDepthScatter:
+    """The cloud's depths by rank scatter equal the earlier route, which
+    read every count off the runs of ties, to the bit."""
+
+    @staticmethod
+    def cloud(kind):
+        rng = np.random.default_rng(84)
+        n, d, k = 500, 3, 1000
+        dirs = rng.normal(size=(k, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        if kind == "integer":
+            points = rng.integers(0, 1000, size=(n, d)).astype(float)
+            # an axis direction ties the integer coordinates: one in each
+            # of the first six blocks of 128, none in the last two
+            dirs[[0, 128, 256, 384, 512, 640]] = np.eye(d)[[0, 1, 2, 0, 1, 2]]
+        else:
+            points = rng.normal(size=(n, d))
+        if kind == "duplicated":
+            points[-40:] = points[:40]
+        return points, dirs
+
+    @pytest.mark.parametrize("kind", ["distinct", "duplicated", "integer"])
+    def test_equals_the_runs_of_ties(self, kind):
+        points, dirs = self.cloud(kind)
+        got = tukey_depth(points, None, dirs)
+        assert got.tobytes() == sorted_runs_depth(points, dirs).tobytes()
+        # the case is the one it is meant to be
+        tied = tied_blocks(points, dirs)
+        assert len(tied) == 8
+        want = {"distinct": 0, "duplicated": 8, "integer": 6}[kind]
+        assert sum(tied) == want
+
+    def test_counts_of_a_block_with_and_without_ties(self):
+        proj = np.array([[3.0, 1.0, 2.0, 5.0, 4.0],
+                         [3.0, 1.0, 3.0, 5.0, 1.0]])
+        assert validation._cloud_depth_counts(proj[:1]).tolist() == [
+            [3, 1, 2, 1, 2]]
+        assert validation._cloud_depth_counts(proj).tolist() == [
+            [3, 1, 2, 1, 2], [3, 2, 3, 1, 2]]
+
+
 class TestTukeyDepthByRanks:
     @pytest.mark.parametrize("case", range(4))
     def test_cloud_depth_equals_searchsorted(self, case):
